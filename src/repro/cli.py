@@ -17,34 +17,40 @@ import sys
 import time
 
 from .core.mig import Mig
-from .core.simulate import check_equivalence
 from .database import NpnDatabase
 from .exact.synthesis import synthesize_exact
-from .generators import CONTROL_SPECS, GENERATORS, resolve_generator
+from .generators import CONTROL_SPECS, GENERATORS
 from .generators.epfl import SUITE_SPECS
-from .io.bench import read_bench, write_bench
-from .io.blif import read_blif, write_blif
+from .io.bench import write_bench
+from .io.blif import write_blif
 from .io.verilog import write_verilog
 from .mapping.mapper import map_mig
 from .opt.depth_opt import optimize_depth
+from .rewriting.dynamic_db import open_database
 from .rewriting.engine import VARIANTS, functional_hashing
+from .runtime.executors import handle_signals
+from .runtime.jobs import load_network
+from .runtime.verify import VERIFY_MODES, verify_rewrite
 
-__all__ = ["main"]
+__all__ = ["build_parser", "main"]
 
 
-def _load_network(args: argparse.Namespace) -> Mig:
-    if args.generate is not None:
-        try:
-            return resolve_generator(args.generate, width=args.width)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-    if args.blif is not None:
-        with open(args.blif, "r", encoding="utf-8") as fp:
-            return read_blif(fp)
-    if getattr(args, "bench", None) is not None:
-        with open(args.bench, "r", encoding="utf-8") as fp:
-            return read_bench(fp)
-    raise SystemExit("specify a circuit with --generate NAME, --blif FILE, or --bench FILE")
+def _network_from_args(args: argparse.Namespace) -> Mig:
+    """The circuit that ``--generate``/``--blif``/``--bench`` name."""
+    for kind in ("generate", "blif", "bench"):
+        source = getattr(args, kind)
+        if source is not None:
+            break
+    else:
+        raise SystemExit(
+            "specify a circuit with --generate NAME, --blif FILE, or --bench FILE"
+        )
+    if kind != "generate":
+        return load_network({kind: source})
+    try:
+        return load_network({"generate": source, "width": args.width})
+    except ValueError as exc:
+        raise SystemExit(str(exc))
 
 
 def _write_network(mig: Mig, path: str) -> None:
@@ -69,26 +75,34 @@ def _dump_metrics(path: str, payload: dict) -> None:
         print(f"metrics written to {path}")
 
 
-def _add_input_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--generate", help=f"built-in generator: {sorted(GENERATORS)}")
-    parser.add_argument("--width", type=int, help="generator bit-width override")
-    parser.add_argument("--blif", help="read the circuit from a BLIF file")
-    parser.add_argument("--bench", help="read the circuit from an ISCAS .bench file")
+def _finish_optimization(
+    args: argparse.Namespace, store, before: Mig, after: Mig, mode: str,
+    metrics: dict | None,
+) -> int:
+    """Shared tail of ``optimize`` and ``flow``: close the NPN store,
+    dump ``--metrics``, check equivalence under the *mode* policy of
+    :func:`verify_rewrite`, write ``-o``."""
+    if store is not None:
+        print(f"npn-store: {len(store)} classes in {store.path}")
+        store.close()
+    if metrics is not None:
+        _dump_metrics(args.metrics, metrics)
+    if args.verify != "off":
+        ok = not verify_rewrite(before, after, mode).refuted
+        print(f"equivalence: {'OK' if ok else 'FAILED'}")
+        if not ok:
+            return 1
+    if args.output:
+        _write_network(after, args.output)
+        print(f"written to {args.output}")
+    return 0
 
 
-def _add_cut_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cut-size", type=int, default=None, choices=[4, 5, 6],
-        help="cut width for functional-hashing steps (default: 4, the "
-        "precomputed NPN database); 5 or 6 synthesizes entries on demand "
-        "into a DynamicDatabase",
-    )
-    parser.add_argument(
-        "--npn-store", metavar="PATH", default=None,
-        help="persistent NPN-5/6 store backing --cut-size 5/6: created on "
-        "first use, crash-safe, shared across runs so later lookups skip "
-        "synthesis (ignored at cut size 4)",
-    )
+def _npn_store(args: argparse.Namespace) -> str | None:
+    """``--npn-store``, which only the large-cut tiers take."""
+    if args.npn_store and args.cut_size in (None, 4):
+        raise SystemExit("--npn-store needs --cut-size 5 or 6")
+    return args.npn_store
 
 
 def _resolve_db(args: argparse.Namespace):
@@ -97,27 +111,148 @@ def _resolve_db(args: argparse.Namespace):
     Returns ``(db, store)`` — the store is non-None only for the
     large-cut tiers, and the caller closes it when done.
     """
-    cut_size = getattr(args, "cut_size", None)
-    if cut_size is not None and cut_size != 4:
-        from .rewriting.dynamic_db import DynamicDatabase
-
-        db = DynamicDatabase(num_vars=cut_size, store=args.npn_store)
-        return db, db.store
-    if getattr(args, "npn_store", None):
-        raise SystemExit("--npn-store needs --cut-size 5 or 6")
-    return NpnDatabase.load(args.db), None
+    db = open_database(args.cut_size, args.db, _npn_store(args))
+    return db, getattr(db, "store", None)
 
 
-def _add_sat_backend_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--sat-backend", default="internal",
-        choices=["auto", "internal", "portfolio"],
+# ----------------------------------------------------------------------
+# shared flags
+# ----------------------------------------------------------------------
+
+#: Flags that several subcommands take, each declared once.  A command
+#: takes the ones it needs as a parent parser built by :func:`_flags`.
+_SHARED_FLAGS: dict[str, dict] = {
+    "--generate": dict(help=f"built-in generator: {sorted(GENERATORS)}"),
+    "--width": dict(type=int, help="generator bit-width override"),
+    "--blif": dict(help="read the circuit from a BLIF file"),
+    "--bench": dict(help="read the circuit from an ISCAS .bench file"),
+    "--db": dict(help="path to an alternative NPN database"),
+    "--script": dict(
+        default="BF",
+        help="comma-separated flow steps (variants, depth, depth-fast, "
+        "strash, fraig); batch applies them to every job "
+        "(default: %(default)s)",
+    ),
+    "--verify": dict(
+        nargs="?", const="sim", default="off", choices=VERIFY_MODES,
+        help="equivalence checking: 'sim' simulates (exhaustively up to 14 "
+        "inputs, else 16 random rounds; a bare --verify means sim), 'cec' "
+        "adds a budgeted SAT miter for wide networks. optimize checks its "
+        "result; flow, batch and serve check every step, flow also its "
+        "final result by simulation (default: %(default)s)",
+    ),
+    "--time-limit": dict(
+        type=float, metavar="SECONDS",
+        help="wall-clock budget. flow: shared by all steps, expired steps "
+        "are recorded as 'timeout' and the partial result is returned; "
+        "batch and serve: per job, the supervisor hard-kills (SIGTERM, "
+        "then SIGKILL after --grace) workers that overrun it; serve uses "
+        "it for requests without a 'deadline' of their own; db improve: "
+        "the whole improvement pass",
+    ),
+    "--conflict-limit": dict(
+        type=int, metavar="N",
+        help="SAT conflict budget shared by all steps of a job",
+    ),
+    "--mem-limit": dict(
+        type=int, metavar="MB", help="per-worker address-space rlimit in MiB",
+    ),
+    "--cut-size": dict(
+        type=int, choices=[4, 5, 6],
+        help="cut width for functional-hashing steps (default: 4, the "
+        "precomputed NPN database); 5 or 6 synthesizes entries on demand "
+        "into a DynamicDatabase. serve: for requests without a 'cut_size' "
+        "of their own",
+    ),
+    "--npn-store": dict(
+        metavar="PATH",
+        help="persistent NPN-5/6 store backing --cut-size 5/6: created on "
+        "first use, crash-safe, shared across runs and workers so later "
+        "lookups skip synthesis (serve never takes it from requests)",
+    ),
+    "--sat-backend": dict(
+        default="internal", choices=["auto", "internal", "portfolio"],
         help="SAT solver lanes: 'internal' is the deterministic in-process "
         "CDCL solver; 'portfolio' races it against external kissat/CaDiCaL "
         "binaries ($REPRO_SAT_SOLVERS overrides discovery) and degrades to "
         "internal-only when none exist; 'auto' races only when a binary is "
         "found (default: internal)",
-    )
+    ),
+    "--metrics": dict(
+        metavar="PATH",
+        help="dump metrics as JSON to PATH ('-' for stdout): pass counters, "
+        "cache rates and phase times (optimize), the same per step plus "
+        "merged totals (flow), per-size outcomes and solver counters with "
+        "the sat_* schema of benchmarks/bench_exact.py (exact)",
+    ),
+    "--budget": dict(
+        type=int, default=30000,
+        help="conflict budget per SAT call (default: %(default)s)",
+    ),
+    "--jobs": dict(
+        type=int, default=1, metavar="N",
+        help="parallel supervised worker subprocesses, one job each; for "
+        "db generate/improve 0 runs in-process and serially (the content "
+        "is identical either way, and a killed parallel run resumes from "
+        "its job journal) (default: %(default)s)",
+    ),
+    "--quiet": dict(action="store_true", help="print no progress"),
+    "--workdir": dict(
+        required=True, metavar="DIR",
+        help="state directory: journal, specs, results, outputs and report "
+        "(a sweep adds sweep.json and one batch workdir per shard; serve "
+        "adds its result cache)",
+    ),
+    "--resume": dict(
+        action="store_true",
+        help="continue an interrupted run from its journal: finished jobs "
+        "are kept, orphaned running jobs are re-queued (a sweep reuses the "
+        "shard assignment persisted in sweep.json)",
+    ),
+    "--grace": dict(
+        type=float, default=2.0, metavar="SECONDS",
+        help="worker SIGTERM-to-SIGKILL escalation window (default: %(default)s)",
+    ),
+    "--max-attempts": dict(
+        type=int, default=3, metavar="N",
+        help="attempts per job before it is quarantined (serve: failed); "
+        "retries degrade parameters (verify cec->sim, halved conflict/cut "
+        "limits) (default: %(default)s)",
+    ),
+    "--backoff": dict(
+        type=float, default=0.5, metavar="SECONDS",
+        help="base retry backoff, doubling per attempt (default: %(default)s)",
+    ),
+    "--report": dict(
+        metavar="PATH",
+        help="also dump the report JSON to PATH ('-' for stdout)",
+    ),
+}
+
+#: how the single-network commands name their input circuit
+_INPUT = ("--generate", "--width", "--blif", "--bench")
+
+
+def _flags(*names: str, **defaults) -> argparse.ArgumentParser:
+    """A parent parser declaring the shared flags *names*.
+
+    Keyword arguments override a flag's default for one command, keyed
+    by destination (``max_attempts=2``).  Each call builds fresh
+    actions, so one command's default never leaks into another's.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    for name in names:
+        options = dict(_SHARED_FLAGS[name])
+        dest = name[2:].replace("-", "_")
+        if dest in defaults:
+            options["default"] = defaults[dest]
+        parent.add_argument(name, **options)
+    return parent
+
+
+# ----------------------------------------------------------------------
+# runtime commands
+# ----------------------------------------------------------------------
 
 
 def _batch_specs(args: argparse.Namespace) -> list:
@@ -147,10 +282,9 @@ def _batch_specs(args: argparse.Namespace) -> list:
                 network["width"] = args.width
             slug = name if args.width is None else f"{name}-w{args.width}"
             networks.append((slug, network))
-    for path in args.blif:
-        networks.append((Path(path).stem, {"blif": str(Path(path).resolve())}))
-    for path in args.bench:
-        networks.append((Path(path).stem, {"bench": str(Path(path).resolve())}))
+    for kind in ("blif", "bench"):
+        for path in getattr(args, kind):
+            networks.append((Path(path).stem, {kind: str(Path(path).resolve())}))
     if getattr(args, "shard", False):
         if networks:
             raise SystemExit(
@@ -164,14 +298,11 @@ def _batch_specs(args: argparse.Namespace) -> list:
             "--bench FILE (or --resume an existing batch)"
         )
 
-    npn_store = None
-    if args.cut_size is not None and args.cut_size != 4:
-        if args.npn_store is not None:
-            # Workers run in their own processes; hand them one absolute
-            # path so every job appends to the same store.
-            npn_store = str(Path(args.npn_store).resolve())
-    elif args.npn_store:
-        raise SystemExit("--npn-store needs --cut-size 5 or 6")
+    npn_store = _npn_store(args)
+    if npn_store is not None:
+        # Workers run in their own processes; hand them one absolute
+        # path so every job appends to the same store.
+        npn_store = str(Path(npn_store).resolve())
 
     outputs_dir = Path(args.workdir) / "outputs"
     specs = []
@@ -230,24 +361,13 @@ def _run_batch_command(args: argparse.Namespace) -> int:
               "(signal again to abort hard)...", flush=True)
         supervisor.request_shutdown()
 
-    previous = {}
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous[sig] = signal.signal(sig, _drain_signal)
-        except (ValueError, OSError):
-            pass
     try:
-        report = supervisor.run(
-            specs, resume=args.resume or getattr(args, "shard", False)
-        )
+        with handle_signals(_drain_signal):
+            report = supervisor.run(
+                specs, resume=args.resume or getattr(args, "shard", False)
+            )
     except FileExistsError as exc:
         raise SystemExit(str(exc))
-    finally:
-        for sig, handler in previous.items():
-            try:
-                signal.signal(sig, handler)
-            except (ValueError, OSError):
-                pass
     print(
         f"batch: {report.done}/{report.total} done, "
         f"{report.quarantined} quarantined, {report.retries} retries, "
@@ -264,14 +384,8 @@ def _run_batch_command(args: argparse.Namespace) -> int:
         if summary["state"] == "quarantined":
             line += f"  ({summary.get('error', 'unknown error')})"
         print(line)
-    if args.report:
-        _dump_metrics(args.report, report.to_dict())
     print(f"journal: {supervisor.journal_path}")
-    if report.interrupted:
-        print(f"interrupted: resume with "
-              f"migopt batch --workdir {args.workdir} --resume")
-        return 130
-    return 0 if report.quarantined == 0 and report.done == report.total else 1
+    return _finish_run(args, report)
 
 
 def _run_sweep_command(args: argparse.Namespace) -> int:
@@ -305,38 +419,27 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
               "shards (signal again to abort hard)...", flush=True)
         shutdown["requested"] = True
 
-    previous = {}
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous[sig] = signal.signal(sig, _drain_signal)
-        except (ValueError, OSError):
-            pass
     try:
-        run = run_sweep(
-            args.workdir,
-            spec=spec,
-            hosts=parse_hosts(default_shards=args.shards),
-            shards=args.shards,
-            jobs_per_shard=args.jobs_per_shard,
-            resume=args.resume,
-            grace=args.grace,
-            max_attempts=args.max_attempts,
-            backoff_base=args.backoff,
-            shard_attempts=args.shard_attempts,
-            matrix_path=args.matrix,
-            shutdown_check=lambda: shutdown["requested"],
-            verbose=True,
-        )
+        with handle_signals(_drain_signal):
+            run = run_sweep(
+                args.workdir,
+                spec=spec,
+                hosts=parse_hosts(default_shards=args.shards),
+                shards=args.shards,
+                jobs_per_shard=args.jobs_per_shard,
+                resume=args.resume,
+                grace=args.grace,
+                max_attempts=args.max_attempts,
+                backoff_base=args.backoff,
+                shard_attempts=args.shard_attempts,
+                matrix_path=args.matrix,
+                shutdown_check=lambda: shutdown["requested"],
+                verbose=True,
+            )
     except (FileExistsError, ValueError) as exc:
         raise SystemExit(str(exc))
     except SweepConflictError as exc:
         raise SystemExit(f"sweep merge conflict: {exc}")
-    finally:
-        for sig, handler in previous.items():
-            try:
-                signal.signal(sig, handler)
-            except (ValueError, OSError):
-                pass
 
     report = run.report
     print(
@@ -357,11 +460,17 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
                      if summary["state"] == "quarantined" else ""))
     if run.matrix_path is not None:
         print(f"matrix: {run.published_rows} trend rows -> {run.matrix_path}")
+    return _finish_run(args, report)
+
+
+def _finish_run(args: argparse.Namespace, report) -> int:
+    """``--report`` dump and exit code of ``migopt batch`` / ``sweep``:
+    0 all done, 1 something quarantined or unfinished, 130 interrupted."""
     if args.report:
         _dump_metrics(args.report, report.to_dict())
     if report.interrupted:
         print(f"interrupted: resume with "
-              f"migopt sweep --workdir {args.workdir} --resume")
+              f"migopt {args.command} --workdir {args.workdir} --resume")
         return 130
     return 0 if report.quarantined == 0 and report.done == report.total else 1
 
@@ -388,57 +497,38 @@ def _run_serve_command(args: argparse.Namespace) -> int:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``migopt`` argument parser with every subcommand."""
     parser = argparse.ArgumentParser(prog="migopt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_stats = sub.add_parser("stats", help="print size/depth of a circuit")
-    _add_input_args(p_stats)
+    sub.add_parser(
+        "stats", parents=[_flags(*_INPUT)], help="print size/depth of a circuit"
+    )
 
-    p_opt = sub.add_parser("optimize", help="functional hashing size optimization")
-    _add_input_args(p_opt)
+    p_opt = sub.add_parser(
+        "optimize", help="functional hashing size optimization",
+        parents=[_flags(*_INPUT, "--verify", "--db", "--cut-size",
+                        "--npn-store", "--metrics")],
+    )
     p_opt.add_argument("--variant", default="BF", choices=VARIANTS)
     p_opt.add_argument("--depth-opt", action="store_true",
                        help="run algebraic depth optimization first (paper baseline)")
-    p_opt.add_argument("--verify", action="store_true",
-                       help="check functional equivalence after optimization")
-    p_opt.add_argument("-o", "--output", help="write the result (BLIF, or .v Verilog)")
-    p_opt.add_argument("--db", help="path to an alternative NPN database")
-    _add_cut_args(p_opt)
-    p_opt.add_argument(
-        "--metrics", metavar="PATH",
-        help="dump hot-path pass metrics (counters, cache rates, phase "
-        "times) as JSON to PATH ('-' for stdout)",
-    )
+    p_opt.add_argument("-o", "--output", help="write the result (BLIF/.v/.bench)")
 
-    p_map = sub.add_parser("map", help="optimize then technology-map")
-    _add_input_args(p_map)
+    p_map = sub.add_parser(
+        "map", help="optimize then technology-map",
+        parents=[_flags(*_INPUT, "--db")],
+    )
     p_map.add_argument("--variant", default=None, choices=VARIANTS,
                        help="functional hashing variant (default: map unoptimized)")
-    p_map.add_argument("--db", help="path to an alternative NPN database")
 
-    p_flow = sub.add_parser("flow", help="run a scripted optimization flow")
-    _add_input_args(p_flow)
-    p_flow.add_argument(
-        "--script", default="depth,BF,TFD",
-        help="comma-separated steps (variants, depth, depth-fast, strash, fraig)",
-    )
-    p_flow.add_argument(
-        "--verify", nargs="?", const="sim", default="off",
-        choices=["off", "sim", "cec"],
-        help="per-step + final equivalence checking: 'sim' (simulation; the "
-        "default when the flag is given bare) or 'cec' (adds budgeted SAT "
-        "CEC for wide networks)",
-    )
-    p_flow.add_argument(
-        "--time-limit", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget shared by all steps; expired steps are "
-        "recorded as 'timeout' and the partial result is returned",
-    )
-    p_flow.add_argument(
-        "--conflict-limit", type=int, default=None, metavar="N",
-        help="total SAT conflict budget shared by all steps",
+    p_flow = sub.add_parser(
+        "flow", help="run a scripted optimization flow",
+        parents=[_flags(*_INPUT, "--script", "--verify", "--time-limit",
+                        "--conflict-limit", "--sat-backend", "--db",
+                        "--cut-size", "--npn-store", "--metrics",
+                        script="depth,BF,TFD")],
     )
     p_flow.add_argument(
         "--on-error", default="raise", choices=["raise", "rollback", "skip"],
@@ -446,27 +536,23 @@ def main(argv: list[str] | None = None) -> int:
         "('raise'), or keep the pre-step network and continue "
         "('rollback'/'skip')",
     )
-    _add_sat_backend_arg(p_flow)
     p_flow.add_argument("-o", "--output", help="write the result (BLIF/.v/.bench)")
-    p_flow.add_argument("--db", help="path to an alternative NPN database")
-    _add_cut_args(p_flow)
-    p_flow.add_argument(
-        "--metrics", metavar="PATH",
-        help="dump per-step hot-path metrics and merged totals as JSON to "
-        "PATH ('-' for stdout)",
-    )
 
     p_batch = sub.add_parser(
         "batch",
         help="supervised parallel batch optimization (process isolation, "
         "watchdog, crash-recoverable journal)",
+        parents=[_flags("--width", "--script", "--jobs", "--time-limit",
+                        "--conflict-limit", "--mem-limit", "--verify",
+                        "--cut-size", "--npn-store", "--sat-backend",
+                        "--workdir", "--resume", "--grace", "--max-attempts",
+                        "--backoff", "--report", verify="sim")],
     )
     p_batch.add_argument(
         "--generate", metavar="NAMES",
         help="comma-separated generator names, 'suite' (8 arithmetic), "
         f"'control' (6 random/control), or 'all': {sorted(GENERATORS)}",
     )
-    p_batch.add_argument("--width", type=int, help="generator bit-width override")
     p_batch.add_argument(
         "--blif", action="append", default=[], metavar="FILE",
         help="add a BLIF circuit as a job (repeatable)",
@@ -476,67 +562,14 @@ def main(argv: list[str] | None = None) -> int:
         help="add an ISCAS .bench circuit as a job (repeatable)",
     )
     p_batch.add_argument(
-        "--script", default="BF",
-        help="comma-separated flow steps applied to every job",
-    )
-    p_batch.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="number of parallel worker processes",
-    )
-    p_batch.add_argument(
-        "--time-limit", type=float, default=None, metavar="SECONDS",
-        help="per-job wall-clock budget; the supervisor hard-kills "
-        "(SIGTERM, then SIGKILL after --grace) workers that overrun it",
-    )
-    p_batch.add_argument(
-        "--conflict-limit", type=int, default=None, metavar="N",
-        help="per-job SAT conflict budget",
-    )
-    p_batch.add_argument(
-        "--mem-limit", type=int, default=None, metavar="MB",
-        help="per-worker address-space rlimit in MiB",
-    )
-    p_batch.add_argument(
-        "--verify", default="sim", choices=["off", "sim", "cec"],
-        help="in-worker per-step verification policy (default: sim)",
-    )
-    _add_cut_args(p_batch)
-    _add_sat_backend_arg(p_batch)
-    p_batch.add_argument(
-        "--workdir", required=True, metavar="DIR",
-        help="batch state directory (journal, specs, results, outputs, report)",
-    )
-    p_batch.add_argument(
-        "--resume", action="store_true",
-        help="continue an interrupted batch from its journal: finished "
-        "jobs are kept, orphaned running jobs are re-queued",
-    )
-    p_batch.add_argument(
         "--shard", action="store_true",
         help="run as one shard of a sweep: take the job list from the "
         "journal that `migopt sweep` pre-submitted into --workdir "
         "(implies --resume)",
     )
     p_batch.add_argument(
-        "--grace", type=float, default=2.0, metavar="SECONDS",
-        help="SIGTERM-to-SIGKILL escalation window (default: 2.0)",
-    )
-    p_batch.add_argument(
-        "--max-attempts", type=int, default=3, metavar="N",
-        help="attempts per job before quarantine; retries degrade "
-        "parameters (verify cec->sim, halved conflict/cut limits)",
-    )
-    p_batch.add_argument(
-        "--backoff", type=float, default=0.5, metavar="SECONDS",
-        help="base retry backoff, doubling per attempt (default: 0.5)",
-    )
-    p_batch.add_argument(
         "--no-outputs", action="store_true",
         help="skip writing optimized networks to workdir/outputs/",
-    )
-    p_batch.add_argument(
-        "--report", metavar="PATH",
-        help="also dump the batch report JSON to PATH ('-' for stdout)",
     )
 
     p_sweep = sub.add_parser(
@@ -544,11 +577,8 @@ def main(argv: list[str] | None = None) -> int:
         help="sharded multi-host sweep over a declarative scenario matrix "
         "(instances x scripts x cut sizes x SAT backends x budgets); "
         "shards via $REPRO_SWEEP_HOSTS, resumes exactly-once",
-    )
-    p_sweep.add_argument(
-        "--workdir", required=True, metavar="DIR",
-        help="sweep state directory (sweep.json, shard-<host>/ batch "
-        "workdirs, merged report.json)",
+        parents=[_flags("--workdir", "--resume", "--grace", "--max-attempts",
+                        "--backoff", "--report")],
     )
     p_sweep.add_argument(
         "--spec", metavar="FILE",
@@ -566,23 +596,6 @@ def main(argv: list[str] | None = None) -> int:
         help="worker processes inside each shard's batch (default: 1)",
     )
     p_sweep.add_argument(
-        "--resume", action="store_true",
-        help="continue an interrupted sweep: the persisted assignment in "
-        "sweep.json is reused and every shard resumes from its journal",
-    )
-    p_sweep.add_argument(
-        "--grace", type=float, default=2.0, metavar="SECONDS",
-        help="SIGTERM-to-SIGKILL window for shard workers (default: 2.0)",
-    )
-    p_sweep.add_argument(
-        "--max-attempts", type=int, default=3, metavar="N",
-        help="attempts per job inside each shard before quarantine",
-    )
-    p_sweep.add_argument(
-        "--backoff", type=float, default=0.5, metavar="SECONDS",
-        help="base per-job retry backoff inside shards (default: 0.5)",
-    )
-    p_sweep.add_argument(
         "--shard-attempts", type=int, default=3, metavar="N",
         help="relaunches per shard process before the sweep gives up on "
         "its remaining jobs (default: 3)",
@@ -592,29 +605,20 @@ def main(argv: list[str] | None = None) -> int:
         help="append per-scenario trend rows to this JSONL file on a "
         "clean finish (e.g. benchmarks/results/MATRIX.jsonl)",
     )
-    p_sweep.add_argument(
-        "--report", metavar="PATH",
-        help="also dump the merged report JSON to PATH ('-' for stdout)",
-    )
 
     p_serve = sub.add_parser(
         "serve",
         help="optimization-as-a-service HTTP daemon with a crash-safe, "
         "content-addressed result cache (POST /jobs, GET /jobs/<id>)",
-    )
-    p_serve.add_argument(
-        "--workdir", required=True, metavar="DIR",
-        help="daemon state directory (result cache, job journals, stats)",
+        parents=[_flags("--workdir", "--jobs", "--time-limit", "--verify",
+                        "--mem-limit", "--cut-size", "--npn-store",
+                        "--max-attempts", "--grace",
+                        jobs=2, verify="sim", max_attempts=2)],
     )
     p_serve.add_argument("--host", default="127.0.0.1",
                          help="bind address (default: 127.0.0.1)")
     p_serve.add_argument("--port", type=int, default=8731,
                          help="bind port; 0 picks a free one (default: 8731)")
-    p_serve.add_argument(
-        "--jobs", type=int, default=2, metavar="N",
-        help="concurrent optimization jobs, each in its own supervised "
-        "worker subprocess (default: 2)",
-    )
     p_serve.add_argument(
         "--queue-limit", type=int, default=16, metavar="N",
         help="queued-job bound; requests beyond it get HTTP 429 (default: 16)",
@@ -625,38 +629,6 @@ def main(argv: list[str] | None = None) -> int:
         "evicted past it (default: unbounded)",
     )
     p_serve.add_argument(
-        "--time-limit", type=float, default=None, metavar="SECONDS",
-        help="default per-job wall-clock budget for requests without a "
-        "'deadline' of their own",
-    )
-    p_serve.add_argument(
-        "--verify", default="sim", choices=["off", "sim", "cec"],
-        help="default per-step verification policy (default: sim); "
-        "'off' results are never cached",
-    )
-    p_serve.add_argument(
-        "--mem-limit", type=int, default=None, metavar="MB",
-        help="per-worker address-space rlimit in MiB",
-    )
-    p_serve.add_argument(
-        "--cut-size", type=int, default=None, choices=[4, 5, 6],
-        help="default cut width for requests that do not set their own "
-        "'cut_size' (default: 4)",
-    )
-    p_serve.add_argument(
-        "--npn-store", metavar="PATH", default=None,
-        help="persistent NPN-5/6 store the workers share for cut sizes "
-        "5/6; daemon configuration, never taken from requests",
-    )
-    p_serve.add_argument(
-        "--max-attempts", type=int, default=2, metavar="N",
-        help="worker attempts per request before it fails (default: 2)",
-    )
-    p_serve.add_argument(
-        "--grace", type=float, default=2.0, metavar="SECONDS",
-        help="worker SIGTERM-to-SIGKILL escalation window (default: 2.0)",
-    )
-    p_serve.add_argument(
         "--drain-grace", type=float, default=30.0, metavar="SECONDS",
         help="on SIGTERM, how long running jobs may finish before being "
         "journaled resumable (default: 30)",
@@ -664,18 +636,13 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--verbose", action="store_true",
                          help="log requests and recovery decisions")
 
-    p_exact = sub.add_parser("exact", help="exact synthesis of a truth table")
+    p_exact = sub.add_parser(
+        "exact", help="exact synthesis of a truth table",
+        parents=[_flags("--budget", "--sat-backend", "--metrics",
+                        budget=200000)],
+    )
     p_exact.add_argument("--tt", required=True, help="truth table, e.g. 0x1668")
     p_exact.add_argument("--vars", type=int, default=4)
-    p_exact.add_argument("--budget", type=int, default=200000,
-                         help="conflict budget per size")
-    _add_sat_backend_arg(p_exact)
-    p_exact.add_argument(
-        "--metrics", metavar="PATH",
-        help="dump per-size outcomes and solver counters as JSON to PATH "
-        "('-' for stdout); same sat_* schema as flow --metrics and "
-        "benchmarks/bench_exact.py",
-    )
 
     p_db = sub.add_parser("db", help="NPN database maintenance")
     db_sub = p_db.add_subparsers(dest="db_command", required=True)
@@ -683,69 +650,53 @@ def main(argv: list[str] | None = None) -> int:
         "generate",
         help="generate/improve the NPN-4 database (tree phase + SAT phase; "
         "see python -m repro.database.generate)",
+        parents=[_flags("--budget", "--jobs", "--sat-backend", "--quiet",
+                        jobs=0)],
     )
     p_db_gen.add_argument("--out", default=None, help="output JSONL path")
-    p_db_gen.add_argument("--budget", type=int, default=30000,
-                          help="conflicts per SAT call")
     p_db_gen.add_argument(
         "--sat-seconds", type=float, default=0.0,
         help="time for the SAT improvement phase (0 = trees only)",
     )
-    p_db_gen.add_argument(
-        "--jobs", type=int, default=0, metavar="N",
-        help="run the SAT phase across N supervised worker subprocesses "
-        "(0 = in-process serial; content is identical either way, and a "
-        "killed parallel run resumes from its job journal)",
-    )
-    _add_sat_backend_arg(p_db_gen)
     p_db_gen.add_argument("--fresh", action="store_true",
                           help="regenerate from scratch")
     p_db_gen.add_argument("--largest-first", action="store_true",
                           help="process the biggest entries first")
-    p_db_gen.add_argument("--quiet", action="store_true")
     p_db_imp = db_sub.add_parser(
         "improve",
         help="tighten unproven entries of a persistent NPN-5/6 store with "
         "budgeted exact synthesis (serial, or across supervised workers)",
+        parents=[_flags("--budget", "--jobs", "--time-limit", "--sat-backend",
+                        "--quiet", jobs=0)],
     )
     p_db_imp.add_argument("--store", required=True, metavar="PATH",
                           help="the NpnStore log to improve in place")
     p_db_imp.add_argument("--vars", type=int, default=5, choices=[4, 5, 6],
                           help="store arity (default: 5)")
-    p_db_imp.add_argument("--budget", type=int, default=30000,
-                          help="conflicts per SAT call (default: 30000)")
-    p_db_imp.add_argument(
-        "--jobs", type=int, default=0, metavar="N",
-        help="improve across N supervised worker subprocesses (0 = "
-        "in-process serial; store content is identical either way, and "
-        "a killed parallel run resumes from its job journal)",
-    )
     p_db_imp.add_argument(
         "--limit", type=int, default=None, metavar="N",
         help="improve at most N classes (largest first)",
-    )
-    p_db_imp.add_argument(
-        "--time-limit", type=float, default=None, metavar="SECONDS",
-        help="wall-clock bound for the whole improvement pass",
     )
     p_db_imp.add_argument(
         "--workdir", default=None, metavar="DIR",
         help="batch state directory for --jobs > 0 (default: a fresh "
         "temp dir; reuse one to resume an interrupted pass)",
     )
-    _add_sat_backend_arg(p_db_imp)
-    p_db_imp.add_argument("--quiet", action="store_true")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point; returns the process exit code."""
+    args = build_parser().parse_args(argv)
 
     if args.command == "stats":
-        mig = _load_network(args)
+        mig = _network_from_args(args)
         print(f"{mig.name}: {mig.num_pis} PIs, {mig.num_pos} POs, "
               f"size {mig.num_gates}, depth {mig.depth()}")
         return 0
 
     if args.command == "optimize":
-        mig = _load_network(args)
+        mig = _network_from_args(args)
         db, store = _resolve_db(args)
         baseline = optimize_depth(mig) if args.depth_opt else mig
         start = time.perf_counter()
@@ -758,23 +709,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{mig.name}: {baseline.num_gates}/{baseline.depth()} -> "
               f"{optimized.num_gates}/{optimized.depth()} "
               f"({args.variant}, {runtime:.2f}s)")
-        if store is not None:
-            print(f"npn-store: {len(store)} classes in {store.path}")
-            store.close()
-        if args.metrics:
-            _dump_metrics(args.metrics, stats.metrics.to_dict())
-        if args.verify:
-            ok = check_equivalence(baseline, optimized)
-            print(f"equivalence: {'OK' if ok else 'FAILED'}")
-            if not ok:
-                return 1
-        if args.output:
-            _write_network(optimized, args.output)
-            print(f"written to {args.output}")
-        return 0
+        return _finish_optimization(
+            args, store, baseline, optimized, args.verify,
+            stats.metrics.to_dict() if args.metrics else None,
+        )
 
     if args.command == "map":
-        mig = _load_network(args)
+        mig = _network_from_args(args)
         db = NpnDatabase.load(args.db)
         if args.variant is not None:
             mig = functional_hashing(mig, db, args.variant)
@@ -786,7 +727,7 @@ def main(argv: list[str] | None = None) -> int:
         from .opt.flow import run_flow
         from .runtime.budget import Budget
 
-        mig = _load_network(args)
+        mig = _network_from_args(args)
         db, store = _resolve_db(args)
         script = [step for step in args.script.split(",") if step]
         budget = None
@@ -802,9 +743,11 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(f"final: {result.num_gates}/{result.depth()} "
               f"({sum(step.runtime for step in history):.2f}s total)")
-        if store is not None:
-            print(f"npn-store: {len(store)} classes in {store.path}")
-            store.close()
+        bad = [s for s in history if s.status != "ok"]
+        if bad:
+            summary = ", ".join(f"{s.step}={s.status}" for s in bad)
+            print(f"degraded steps: {summary}")
+        payload = None
         if args.metrics:
             from .runtime.metrics import PassMetrics
 
@@ -817,23 +760,9 @@ def main(argv: list[str] | None = None) -> int:
                     entry["metrics"] = stats.metrics.to_dict()
                     totals.merge(stats.metrics)
                 steps_payload.append(entry)
-            _dump_metrics(
-                args.metrics,
-                {"steps": steps_payload, "totals": totals.to_dict()},
-            )
-        bad = [s for s in history if s.status != "ok"]
-        if bad:
-            summary = ", ".join(f"{s.step}={s.status}" for s in bad)
-            print(f"degraded steps: {summary}")
-        if args.verify != "off":
-            ok = check_equivalence(mig, result)
-            print(f"equivalence: {'OK' if ok else 'FAILED'}")
-            if not ok:
-                return 1
-        if args.output:
-            _write_network(result, args.output)
-            print(f"written to {args.output}")
-        return 0
+            payload = {"steps": steps_payload, "totals": totals.to_dict()}
+        # Whatever the per-step policy, the final check simulates.
+        return _finish_optimization(args, store, mig, result, "sim", payload)
 
     if args.command == "batch":
         return _run_batch_command(args)

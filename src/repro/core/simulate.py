@@ -20,17 +20,23 @@ import random
 from .kernel import Network
 from .simengine import random_pattern_round, simulate_network
 
-__all__ = ["equivalent_exhaustive", "equivalent_random", "check_equivalence"]
+__all__ = [
+    "EXHAUSTIVE_PI_LIMIT",
+    "check_equivalence",
+    "equivalent_exhaustive",
+    "equivalent_random",
+]
 
-_EXHAUSTIVE_LIMIT = 14
+#: widest network checked by complete simulation (2**14 rows, still < 1 ms)
+EXHAUSTIVE_PI_LIMIT = 14
 
 
 def equivalent_exhaustive(mig1: Network, mig2: Network) -> bool:
     """Exhaustively compare two networks with identical PI/PO counts."""
     _check_interfaces(mig1, mig2)
-    if mig1.num_pis > _EXHAUSTIVE_LIMIT:
+    if mig1.num_pis > EXHAUSTIVE_PI_LIMIT:
         raise ValueError(
-            f"exhaustive equivalence limited to {_EXHAUSTIVE_LIMIT} inputs; "
+            f"exhaustive equivalence limited to {EXHAUSTIVE_PI_LIMIT} inputs; "
             "use equivalent_random or SAT-based CEC"
         )
     return mig1.simulate() == mig2.simulate()
@@ -62,7 +68,7 @@ def equivalent_random(
 def check_equivalence(mig1: Network, mig2: Network, num_rounds: int = 16) -> bool:
     """Equivalence check that picks exhaustive or random automatically."""
     _check_interfaces(mig1, mig2)
-    if mig1.num_pis <= _EXHAUSTIVE_LIMIT:
+    if mig1.num_pis <= EXHAUSTIVE_PI_LIMIT:
         return equivalent_exhaustive(mig1, mig2)
     return equivalent_random(mig1, mig2, num_rounds=num_rounds)
 

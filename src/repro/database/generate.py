@@ -324,7 +324,7 @@ def improve_with_sat_parallel(
     report = run_batch(specs, workdir, num_workers=jobs, resume=resume)
 
     failed: list[str] = []
-    for summary in report.iter_job_summaries():
+    for summary in report.jobs:
         job_id = str(summary.get("job_id"))
         if summary.get("state") != "done":
             failed.append(job_id)

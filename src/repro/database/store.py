@@ -391,7 +391,7 @@ def improve_store(
     resume = (workdir / "journal.jsonl").exists()
     report = run_batch(specs, workdir, num_workers=jobs, resume=resume,
                        verbose=verbose)
-    for job in report.iter_job_summaries():
+    for job in report.jobs:
         if job.get("state") != "done":
             continue
         job_id = str(job.get("job_id"))

@@ -303,6 +303,7 @@ def run_flow(
             metrics.record_network(current)
             metrics.record_network(nxt)
             metrics.record_backend_events(report.backend_events)
+            metrics.sat_conflicts += report.conflicts
         if report.refuted:
             if on_error == "raise":
                 raise VerificationFailed(
@@ -403,6 +404,7 @@ def optimize_until_convergence(
             metrics.record_network(current)
             metrics.record_network(nxt)
             metrics.record_backend_events(report.backend_events)
+            metrics.sat_conflicts += report.conflicts
         if report.refuted:
             if on_error == "raise":
                 raise VerificationFailed(

@@ -33,8 +33,9 @@ from ..core.npn import NPNTransform, npn_canonize, npn_canonize_batch
 from ..database.npn_db import DbEntry, NpnDatabase
 from ..exact.heuristic import heuristic_mig
 from ..exact.synthesis import ExactSynthesizer
+from ..runtime.metrics import PassMetrics
 
-__all__ = ["DynamicDatabase"]
+__all__ = ["DynamicDatabase", "open_database"]
 
 
 class DynamicDatabase(NpnDatabase):
@@ -87,6 +88,8 @@ class DynamicDatabase(NpnDatabase):
         self.store_hits = 0
         #: classes dropped from the in-memory LRU (still on disk if stored)
         self.evictions = 0
+        #: solver counters of the syntheses since the last drain
+        self._sat = PassMetrics()
 
     @property
     def complete(self) -> bool:  # noqa: D401 — never complete by design
@@ -176,6 +179,7 @@ class DynamicDatabase(NpnDatabase):
             conflict_budget=self.improve_budget,
             max_gates=upper.num_gates - 1,
         ).synthesize(rep, self.num_vars, upper_bound=upper)
+        self._sat.record_sat(result)
         return DbEntry.from_mig(
             rep, result.mig, proven=result.proven, conflicts=result.conflicts,
         )
@@ -187,13 +191,17 @@ class DynamicDatabase(NpnDatabase):
 
         Drain semantics (add then zero) so per-step
         :class:`~repro.runtime.metrics.PassMetrics` snapshots merged by
-        ``migopt flow --metrics`` count each lookup exactly once.
+        ``migopt flow --metrics`` count each lookup exactly once.  The
+        solver counters (``sat_*``) of the syntheses since the last
+        drain are folded in the same way.
         """
         metrics.store_hits += self.hits
         metrics.store_disk_hits += self.store_hits
         metrics.store_synth += self.misses
         metrics.store_evictions += self.evictions
+        metrics.merge(self._sat)
         self.hits = self.misses = self.store_hits = self.evictions = 0
+        self._sat = PassMetrics()
 
     def stats(self) -> dict:
         """Counters snapshot, including the attached store's (if any)."""
@@ -208,3 +216,16 @@ class DynamicDatabase(NpnDatabase):
         if self.store is not None:
             out["store"] = self.store.stats()
         return out
+
+
+def open_database(cut_size: int | None = None, db=None, store=None) -> NpnDatabase:
+    """The database functional hashing uses at *cut_size*.
+
+    Cut size 4 (or unset) loads the precomputed NPN-4 table (*db*, or
+    the packaged one); 5 or 6 opens a :class:`DynamicDatabase` of that
+    arity, backed by the persistent *store* (an ``NpnStore`` or a path)
+    when one is given.
+    """
+    if cut_size is None or cut_size == 4:
+        return NpnDatabase.load(db)
+    return DynamicDatabase(num_vars=cut_size, store=store)

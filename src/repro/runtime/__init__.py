@@ -11,15 +11,18 @@ The robustness substrate shared by every layer of the reproduction:
   quarantine for on-disk artifacts;
 * :mod:`repro.runtime.faults` — fault injection hooks for testing all of
   the above against real failures;
-* :mod:`repro.runtime.jobs` — batch job specs, the retry/degradation
-  ladder, and the crash-recoverable JSONL job journal;
-* :mod:`repro.runtime.executors` — the pluggable execution layer: the
-  ``Executor`` protocol (submit/poll/cancel/drain), the fork-based
-  ``LocalExecutor`` worker pool, and the ``ShardExecutor`` that runs one
-  task per (pseudo-)host for distributed sweeps;
+* :mod:`repro.runtime.codec` — the one fields-driven JSON codec behind
+  every persisted record's ``to_dict``/``from_dict``;
+* :mod:`repro.runtime.jobs` — batch job specs, the network loader
+  (``load_network``), the retry/degradation ladder, the crash-recoverable
+  JSONL job journal, and the one job-result summary and adoption path;
+* :mod:`repro.runtime.executors` — the execution layer: the fork-based
+  ``LocalExecutor`` worker pool (submit/poll/drain), the
+  ``ShardExecutor`` that runs one task per (pseudo-)host for distributed
+  sweeps, the child-process environment and the SIGINT/SIGTERM helper;
 * :mod:`repro.runtime.supervisor` — the supervised parallel batch
   runtime: journal-backed scheduling and the retry ladder, executing
-  through any ``Executor`` with the hard wall-clock watchdog
+  through an executor with the hard wall-clock watchdog
   (SIGTERM → grace → SIGKILL);
 * :mod:`repro.runtime.sweep` — sharded multi-host sweeps: declarative
   scenario matrices expanded to per-host journal shards, merged
@@ -38,7 +41,6 @@ from .errors import (
     VerificationFailed,
 )
 from .executors import (
-    Executor,
     ExecutorTask,
     HostSpec,
     LocalExecutor,
@@ -47,7 +49,7 @@ from .executors import (
     TaskHandle,
     parse_hosts,
 )
-from .jobs import BatchReport, JobJournal, JobSpec
+from .jobs import BatchReport, JobJournal, JobSpec, load_network
 from .supervisor import Supervisor, run_batch
 from .sweep import SweepConflictError, SweepSpec, run_sweep
 from .verify import VerificationReport, verify_rewrite
@@ -57,7 +59,6 @@ __all__ = [
     "Budget",
     "BudgetExhausted",
     "CorruptArtifact",
-    "Executor",
     "ExecutorTask",
     "HostSpec",
     "JobJournal",
@@ -72,6 +73,7 @@ __all__ = [
     "TaskHandle",
     "VerificationFailed",
     "VerificationReport",
+    "load_network",
     "parse_hosts",
     "run_batch",
     "run_sweep",

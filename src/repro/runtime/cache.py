@@ -173,19 +173,16 @@ class ResultCache:
             or entry.get("version") != _ENTRY_VERSION
             or not isinstance(entry.get("result"), dict)
         ):
-            if entry is None and not path.exists():
-                # The read failed because the entry vanished mid-load —
-                # a concurrent eviction or a sibling worker's quarantine,
-                # not on-disk rot.  Plain miss; quarantining here would
-                # fabricate a ``.corrupt`` tombstone for a healthy cache
-                # and inflate the corruption counter on every race.
-                with self._lock:
-                    self.misses += 1
-                    self._sizes.pop(key, None)
-                return None
-            quarantine(path)
+            # A read that failed because the entry vanished mid-load —
+            # a concurrent eviction or a sibling worker's quarantine, not
+            # on-disk rot — is a plain miss; quarantining it would
+            # fabricate a ``.corrupt`` tombstone for a healthy cache and
+            # inflate the corruption counter on every race.
+            corrupt = entry is not None or path.exists()
+            if corrupt:
+                quarantine(path)
             with self._lock:
-                self.corrupt += 1
+                self.corrupt += int(corrupt)
                 self.misses += 1
                 self._sizes.pop(key, None)
             return None
@@ -259,16 +256,6 @@ class ResultCache:
             self.evicted_bytes += size
 
     # -- introspection ----------------------------------------------------
-
-    @property
-    def entry_count(self) -> int:
-        with self._lock:
-            return len(self._sizes)
-
-    @property
-    def total_bytes(self) -> int:
-        with self._lock:
-            return sum(self._sizes.values())
 
     def stats(self) -> dict:
         """Counter snapshot for the serve ``/stats`` endpoint."""

@@ -3,15 +3,13 @@
 PR 3's :class:`~repro.runtime.supervisor.Supervisor` was both the batch
 *scheduler* (journal, retry ladder, adoption) and the *process pool*
 (fork, poll, SIGTERM→SIGKILL watchdog).  This module extracts the second
-role behind a small protocol so the scheduler no longer cares whether an
-attempt runs as a local fork, or — one level up — a whole journal shard
-runs as an independent ``migopt batch --shard`` invocation on another
-host:
+role so the scheduler no longer cares whether an attempt runs as a local
+fork, or — one level up — a whole journal shard runs as an independent
+``migopt batch --shard`` invocation on another host:
 
-* :class:`Executor` — the protocol: ``submit`` / ``poll`` / ``cancel`` /
-  ``drain`` over :class:`ExecutorTask` descriptions (an argv, an
-  environment, an optional wall-clock watchdog);
-* :class:`LocalExecutor` — today's fork-based worker pool, re-platformed
+* :class:`LocalExecutor` — ``submit`` / ``poll`` / ``drain`` over
+  :class:`ExecutorTask` descriptions (an argv, an environment, an
+  optional wall-clock watchdog): today's fork-based worker pool, re-platformed
   byte-for-byte: slot allocation, the startup-margin-padded watchdog and
   the SIGTERM→grace→SIGKILL escalation are exactly the pre-refactor
   supervisor's (pinned by ``tests/runtime/test_executor_differential``);
@@ -20,7 +18,10 @@ host:
   names run local subprocesses, ``name=ssh hostA {cmd}``-style templates
   reach real fleets) and pinned to its host slot, so a sweep coordinator
   (:mod:`repro.runtime.sweep`) schedules shards exactly the way the
-  supervisor schedules workers.
+  supervisor schedules workers;
+* :func:`child_env` — the environment every runtime child process gets;
+* :func:`handle_signals` — the one place SIGINT/SIGTERM handlers are
+  installed and restored (``migopt batch`` / ``sweep`` / ``serve``).
 
 Every executor is single-use: create, submit/poll until done (or
 ``drain``), ``close``.
@@ -29,20 +30,25 @@ Every executor is single-use: create, submit/poll until done (or
 from __future__ import annotations
 
 import os
+import signal
 import subprocess
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import Iterator
+
+from . import faults
 
 __all__ = [
     "ExecutorTask",
     "TaskHandle",
     "TaskExit",
-    "Executor",
     "LocalExecutor",
     "HostSpec",
     "ShardExecutor",
+    "child_env",
+    "handle_signals",
     "parse_hosts",
     "HOSTS_ENV_VAR",
 ]
@@ -96,44 +102,6 @@ class TaskExit:
     termed: bool = False
     #: the watchdog escalated (SIGKILL)
     killed: bool = False
-
-
-@runtime_checkable
-class Executor(Protocol):
-    """Runs tasks as supervised processes; the scheduler stays ignorant
-    of *where*."""
-
-    @property
-    def capacity(self) -> int:
-        """Maximum simultaneously running tasks."""
-        ...
-
-    @property
-    def running_count(self) -> int:
-        ...
-
-    def has_capacity(self, task: ExecutorTask) -> bool:
-        """Whether *task* could start right now (slot- or host-aware)."""
-        ...
-
-    def submit(self, task: ExecutorTask) -> TaskHandle:
-        ...
-
-    def poll(self) -> list[TaskExit]:
-        """Collect finished tasks and escalate overdue watchdogs."""
-        ...
-
-    def cancel(self, task_id: str, hard: bool = False) -> bool:
-        """SIGTERM (or SIGKILL with *hard*) one running task."""
-        ...
-
-    def drain(self) -> list[TaskExit]:
-        """SIGTERM everything, SIGKILL stragglers after the grace window,
-        and return every exit.  Blocks until no task is left running."""
-        ...
-
-    def close(self) -> None:
-        ...
 
 
 @dataclass
@@ -190,16 +158,8 @@ class LocalExecutor:
     # -- capacity ----------------------------------------------------------
 
     @property
-    def capacity(self) -> int:
-        return self.num_workers
-
-    @property
     def running_count(self) -> int:
         return len(self._live)
-
-    @property
-    def running_ids(self) -> tuple[str, ...]:
-        return tuple(self._live)
 
     def has_capacity(self, task: ExecutorTask) -> bool:  # noqa: ARG002
         return bool(self._free_slots)
@@ -262,16 +222,20 @@ class LocalExecutor:
         except TypeError:  # mixed named/indexed slots — keep FIFO order
             pass
 
+    def _reap(self, live: _Live, returncode: int) -> TaskExit:
+        """Retire a finished task and free its slot."""
+        del self._live[live.task_id]
+        self._free_slots.append(live.slot)
+        self._sort_free()
+        return live.to_exit(returncode)
+
     def poll(self) -> list[TaskExit]:
         exits: list[TaskExit] = []
         for task_id in list(self._live):
             live = self._live[task_id]
             rc = live.proc.poll()
             if rc is not None:
-                del self._live[task_id]
-                self._free_slots.append(live.slot)
-                self._sort_free()
-                exits.append(live.to_exit(rc))
+                exits.append(self._reap(live, rc))
                 continue
             now = time.monotonic()
             if live.kill_at is not None and now >= live.kill_at and not live.killed:
@@ -281,18 +245,6 @@ class LocalExecutor:
                 live.proc.terminate()
                 live.termed = True
         return exits
-
-    def cancel(self, task_id: str, hard: bool = False) -> bool:
-        live = self._live.get(task_id)
-        if live is None:
-            return False
-        if hard:
-            live.proc.kill()
-            live.killed = True
-        else:
-            live.proc.terminate()
-            live.termed = True
-        return True
 
     def drain(self) -> list[TaskExit]:
         """Stop everything: SIGTERM at once, SIGKILL after the grace window.
@@ -317,10 +269,7 @@ class LocalExecutor:
                         live.proc.kill()
                         live.killed = True
                     continue
-                del self._live[task_id]
-                self._free_slots.append(live.slot)
-                self._sort_free()
-                exits.append(live.to_exit(rc))
+                exits.append(self._reap(live, rc))
             if self._live:
                 time.sleep(POLL_INTERVAL)
         return exits
@@ -329,6 +278,66 @@ class LocalExecutor:
         if self._live:
             self.drain()
         self._closed = True
+
+
+def child_env(fault_handshake: bool = False) -> dict[str, str]:
+    """Environment for a runtime child process (a worker or a shard batch).
+
+    The parent's environment with this package's source root first on
+    ``PYTHONPATH``.  With *fault_handshake* (worker spawns) the armed
+    fault table is handed over: non-``worker.*`` faults are copied into
+    ``REPRO_FAULTS`` so in-worker fault points fire end to end, while
+    the ``worker.*`` family is *consumed here*, one probe per spawn — a
+    firing probe dooms exactly the worker being spawned, which keeps
+    ``times=N`` accounting in one process even across retries.
+    """
+    env = dict(os.environ)
+    package_root = str(Path(__file__).resolve().parents[2])
+    existing = env.get("PYTHONPATH", "")
+    if package_root not in existing.split(os.pathsep):
+        env["PYTHONPATH"] = (
+            package_root + (os.pathsep + existing if existing else "")
+        )
+    if not fault_handshake:
+        return env
+    entries = []
+    passthrough = faults.env_spec(exclude_prefix="worker.")
+    if passthrough:
+        entries.append(passthrough)
+    for name in faults.armed_names(prefix="worker."):
+        if faults.fault_active(name):
+            entries.append(f"{name}:times=1")
+    if entries:
+        env[faults.FAULTS_ENV_VAR] = ",".join(entries)
+    else:
+        env.pop(faults.FAULTS_ENV_VAR, None)
+    return env
+
+
+@contextmanager
+def handle_signals(
+    handler, signals: tuple[int, ...] = (signal.SIGINT, signal.SIGTERM)
+) -> Iterator[None]:
+    """Install *handler* for *signals* inside the block, then restore.
+
+    The caller owns the policy (what the first and a repeated signal
+    do); this owns the mechanics.  A signal that cannot be handled here
+    (off the main thread, unsupported platform) is left alone.
+    """
+    previous = {}
+    for sig in signals:
+        try:
+            previous[sig] = signal.signal(sig, handler)
+        except (ValueError, OSError):
+            pass
+    try:
+        yield
+    finally:
+        for sig, old in previous.items():
+            try:
+                signal.signal(sig, old)
+            except (ValueError, OSError):
+                pass
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,9 @@ One *job* is one optimization of one network — a scripted flow
 worker subprocess under :mod:`repro.runtime.supervisor`.  This module
 holds everything about jobs that must survive a crash:
 
-* :class:`JobSpec` — the serializable description of what to run;
+* :class:`JobSpec` — the serializable description of what to run, and
+  :func:`load_network`, which builds the circuit its ``network``
+  locator names (for the worker, the CLI and the serving tier alike);
 * :func:`degraded` — the retry ladder: each retry runs with *weaker
   parameters* (``verify=cec → sim``, halved conflict budget, halved cut
   limit, large cuts back to the precomputed NPN-4 tier) so a job that
@@ -18,6 +20,9 @@ holds everything about jobs that must survive a crash:
   a crash mid-append loses at most the event being written, never the
   file).  Replaying the journal reconstructs the exact batch state, so a
   ``kill -9`` of the supervisor loses nothing;
+* :func:`result_summary` / :func:`adopt_result` / :func:`job_summary` —
+  the one projection of a worker result into the journal and the
+  report, and the one routine that adopts a finished result artifact;
 * :class:`BatchReport` — the merged outcome (per-job statuses, worker
   utilization, merged :class:`~repro.runtime.metrics.PassMetrics`),
   written atomically next to the journal.
@@ -40,12 +45,13 @@ and validates, in which case it is adopted as ``done`` without re-running.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator
 
+from .codec import Record, merge, rounded, then
 from .metrics import PassMetrics
 
 __all__ = [
@@ -53,13 +59,16 @@ __all__ = [
     "JobRecord",
     "JobJournal",
     "BatchReport",
+    "RESULT_KEYS",
+    "adopt_result",
     "degraded",
+    "job_summary",
+    "load_network",
     "load_result_artifact",
-    "JOB_STATES",
+    "network_kind",
+    "result_fields",
+    "result_summary",
 ]
-
-#: The states a job moves through (see the module docstring's diagram).
-JOB_STATES = ("pending", "running", "done", "failed", "quarantined")
 
 #: Floors for the degradation ladder — degrade, never disable.
 MIN_CONFLICT_LIMIT = 100
@@ -67,12 +76,13 @@ MIN_CUT_LIMIT = 2
 
 
 @dataclass(frozen=True)
-class JobSpec:
+class JobSpec(Record):
     """Serializable description of one batch optimization job.
 
-    ``network`` locates the input circuit: ``{"generate": name}`` with an
-    optional ``"width"`` for the built-in EPFL generators, or
-    ``{"blif": path}`` / ``{"bench": path}`` for files.  ``mode`` selects
+    ``network`` locates the input circuit (see :func:`load_network`):
+    ``{"generate": name}`` with an optional ``"width"`` for the built-in
+    EPFL generators, or ``{"blif": path}`` / ``{"bench": path}`` /
+    ``{"aag": path}`` for files.  ``mode`` selects
     the runner: ``"flow"`` applies ``script`` once, ``"converge"``
     repeats ``variant`` to a fixpoint (``max_passes`` bound).
     """
@@ -110,64 +120,71 @@ class JobSpec:
     #: that do not operate on a network, e.g. "db-improve"
     payload: dict | None = None
 
-    def to_dict(self) -> dict:
-        data = {
-            "job_id": self.job_id,
-            "network": dict(self.network),
-            "script": list(self.script),
-            "mode": self.mode,
-            "variant": self.variant,
-            "max_passes": self.max_passes,
-            "verify": self.verify,
-            "sat_backend": self.sat_backend,
-            "time_limit": self.time_limit,
-            "conflict_limit": self.conflict_limit,
-            "cut_limit": self.cut_limit,
-            "cut_size": self.cut_size,
-            "npn_store": self.npn_store,
-            "mem_limit_mb": self.mem_limit_mb,
-            "db": self.db,
-            "output": self.output,
-            "progress": self.progress,
-            "payload": self.payload,
-        }
-        return data
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "JobSpec":
-        payload = data.get("payload")
-        return cls(
-            job_id=str(data["job_id"]),
-            network=dict(data["network"]),
-            script=tuple(data.get("script", ("BF",))),
-            mode=str(data.get("mode", "flow")),
-            variant=str(data.get("variant", "BF")),
-            max_passes=int(data.get("max_passes", 10)),
-            verify=str(data.get("verify", "sim")),
-            sat_backend=str(data.get("sat_backend", "internal")),
-            time_limit=_opt_float(data.get("time_limit")),
-            conflict_limit=_opt_int(data.get("conflict_limit")),
-            cut_limit=_opt_int(data.get("cut_limit")),
-            cut_size=_opt_int(data.get("cut_size")),
-            npn_store=_opt_str(data.get("npn_store")),
-            mem_limit_mb=_opt_int(data.get("mem_limit_mb")),
-            db=_opt_str(data.get("db")),
-            output=_opt_str(data.get("output")),
-            progress=_opt_str(data.get("progress")),
-            payload=dict(payload) if payload is not None else None,
+def _optional(cast, value):
+    return None if value is None else cast(value)
+
+
+# ----------------------------------------------------------------------
+# network locators
+# ----------------------------------------------------------------------
+
+#: the circuit sources a network locator can name
+NETWORK_KINDS = ("generate", "blif", "bench", "aag")
+
+
+def network_kind(locator) -> str:
+    """Validate a network locator and return the source it names.
+
+    Raises :class:`ValueError` unless *locator* is a dict with exactly
+    one of :data:`NETWORK_KINDS`, and a file source is a string.
+    """
+    if not isinstance(locator, dict):
+        raise ValueError("'network' must be an object")
+    kinds = [kind for kind in NETWORK_KINDS if kind in locator]
+    if len(kinds) != 1:
+        raise ValueError(
+            "network needs exactly one of 'generate', 'blif', 'bench', 'aag'"
         )
+    kind = kinds[0]
+    if kind != "generate" and not isinstance(locator[kind], str):
+        raise ValueError(f"'{kind}' must be a string")
+    return kind
 
 
-def _opt_float(value) -> float | None:
-    return None if value is None else float(value)
+def load_network(locator: dict, inline: bool = False):
+    """Build the MIG that a network locator names.
 
+    ``{"generate": name[, "width": w]}`` runs a built-in generator;
+    ``{"blif" | "bench" | "aag": source}`` parses a circuit (ASCII
+    AIGER through the AIG facade), where *source* is a file path, or the
+    text itself with *inline* (serve uploads).  Locator errors raise
+    :class:`ValueError` (:func:`network_kind`); generator and parser
+    errors propagate unchanged.  Imports stay local so loading a
+    worker does not pay for parsers it never uses.
+    """
+    kind = network_kind(locator)
+    if kind == "generate":
+        from ..generators import resolve_generator
 
-def _opt_int(value) -> int | None:
-    return None if value is None else int(value)
+        return resolve_generator(
+            str(locator["generate"]),
+            width=_optional(int, locator.get("width")),
+        )
+    source = locator[kind]
+    with io.StringIO(source) if inline else open(source, encoding="utf-8") as fp:
+        if kind == "blif":
+            from ..io.blif import read_blif
 
+            return read_blif(fp)
+        if kind == "bench":
+            from ..io.bench import read_bench
 
-def _opt_str(value) -> str | None:
-    return None if value is None else str(value)
+            return read_bench(fp)
+        from ..aig.convert import aig_to_mig
+        from ..io.aiger import read_aag
+
+        return aig_to_mig(read_aag(fp))
 
 
 def degraded(spec: JobSpec) -> tuple[JobSpec, list[str]]:
@@ -374,7 +391,7 @@ class JobJournal:
                 if event == "start":
                     record.state = "running"
                     record.attempts = int(data.get("attempt", record.attempts + 1))
-                    record.pid = _opt_int(data.get("pid"))
+                    record.pid = _optional(int, data.get("pid"))
                     try:
                         record.attempt_spec = JobSpec.from_dict(data["spec"])
                     except (KeyError, TypeError, ValueError):
@@ -383,10 +400,10 @@ class JobJournal:
                     record.state = "done"
                     record.result = data.get("result")
                     record.adopted = bool(data.get("adopted", False))
-                elif event == "failed":
-                    record.state = "failed"
-                    record.last_error = _opt_str(data.get("error"))
-                    record.traceback = _opt_str(data.get("traceback"))
+                elif event in ("failed", "quarantined"):
+                    record.state = event
+                    record.last_error = _optional(str, data.get("error"))
+                    record.traceback = _optional(str, data.get("traceback"))
                     record.rusage = data.get("rusage")
                 elif event == "requeued":
                     record.state = "pending"
@@ -396,22 +413,26 @@ class JobJournal:
                         # The interrupted attempt never concluded; it is
                         # re-run under the same attempt number.
                         record.attempts = max(0, record.attempts - 1)
-                elif event == "quarantined":
-                    record.state = "quarantined"
-                    record.last_error = _opt_str(data.get("error"))
-                    record.traceback = _opt_str(data.get("traceback"))
-                    record.rusage = data.get("rusage")
                 else:
                     state.skipped_lines += 1
         return state
 
 
 # ----------------------------------------------------------------------
-# result artifacts
+# results
 # ----------------------------------------------------------------------
 
 #: keys a worker result artifact must carry to be adopted
 _RESULT_REQUIRED_KEYS = ("job_id", "status")
+
+#: the worker-result fields that travel into the journal and the report
+RESULT_KEYS = (
+    "size_before", "size_after", "depth_before", "depth_after",
+    "runtime", "verify", "output", "pid", "metrics", "steps",
+)
+
+#: the per-step fields a journaled result keeps
+_STEP_KEYS = ("step", "status", "verified", "runtime")
 
 
 def load_result_artifact(path: str | Path, job_id: str) -> dict | None:
@@ -432,25 +453,93 @@ def load_result_artifact(path: str | Path, job_id: str) -> dict | None:
     except (ValueError, OSError):
         quarantine(path)
         return None
-    if not isinstance(payload, dict) or any(
-        key not in payload for key in _RESULT_REQUIRED_KEYS
+    if (
+        not isinstance(payload, dict)
+        or any(key not in payload for key in _RESULT_REQUIRED_KEYS)
+        or str(payload["job_id"]) != job_id
     ):
         quarantine(path)
         return None
-    if str(payload["job_id"]) != job_id:
-        quarantine(path)
-        return None
     return payload
+
+
+def result_fields(result: dict, drop: tuple[str, ...] = ()) -> dict:
+    """The :data:`RESULT_KEYS` present in *result*, minus *drop*."""
+    return {
+        key: result[key] for key in RESULT_KEYS if key in result and key not in drop
+    }
+
+
+def result_summary(payload: dict) -> dict:
+    """The journal-worthy slice of a worker result (drop bulky fields)."""
+    summary = result_fields(payload, drop=("steps",))
+    summary["steps"] = [
+        {key: step.get(key) for key in _STEP_KEYS if key in step}
+        for step in payload.get("steps", [])
+    ]
+    return summary
+
+
+def adopt_result(
+    journal: JobJournal, record: JobRecord, path: str | Path, adopted: bool = False
+) -> dict | None:
+    """Journal *record* ``done`` if its result artifact at *path* is ok.
+
+    The one way a finished worker result enters the journal: a normal
+    exit, a drained worker that still completed, and a resume (or sweep
+    merge) adopting the artifact of a job a dead process left
+    ``running`` (*adopted*).  The ``done`` event is fsynced before the
+    record changes.  Returns the worker payload, or ``None`` when there
+    is no valid successful result.
+    """
+    job_id = record.spec.job_id
+    payload = load_result_artifact(path, job_id)
+    if payload is None or payload.get("status") != "ok":
+        return None
+    summary = result_summary(payload)
+    journal.done(job_id, summary, adopted=adopted)
+    record.state = "done"
+    record.result = summary
+    record.adopted = adopted
+    return payload
+
+
+def job_summary(record: JobRecord) -> dict:
+    """One job's entry in :attr:`BatchReport.jobs`."""
+    summary = {
+        "job_id": record.spec.job_id,
+        "state": record.state,
+        "attempts": record.attempts,
+    }
+    if record.adopted:
+        summary["adopted"] = True
+    if record.degradations:
+        summary["degradations"] = list(record.degradations)
+    if record.result is not None:
+        summary.update(result_fields(record.result, drop=("pid",)))
+    if record.last_error is not None:
+        summary["error"] = record.last_error
+    return summary
 
 
 # ----------------------------------------------------------------------
 # batch report
 # ----------------------------------------------------------------------
 
+#: the per-shard slice of a shard report kept by :meth:`BatchReport.merge_shard`
+_SHARD_SUMMARY_KEYS = (
+    "total", "done", "quarantined", "adopted", "retries",
+    "workers_used", "wall_seconds", "interrupted",
+)
+
 
 @dataclass
-class BatchReport:
-    """Merged outcome of one supervised batch run."""
+class BatchReport(Record):
+    """Merged outcome of one supervised batch run.
+
+    ``to_dict`` rounds ``wall_seconds`` to 6 digits and adds the derived
+    ``workers_used``; ``from_dict`` ignores it (:mod:`repro.runtime.codec`).
+    """
 
     total: int = 0
     done: int = 0
@@ -460,12 +549,12 @@ class BatchReport:
     retries: int = 0
     #: jobs whose result was adopted from a previous run on resume
     adopted: int = 0
-    wall_seconds: float = 0.0
+    wall_seconds: float = field(default=0.0, metadata=rounded(6))
     #: True when the run was stopped early by a shutdown request (the
     #: journal is resumable; unfinished jobs are pending, not lost)
     interrupted: bool = False
     #: peak number of simultaneously live workers
-    max_concurrent: int = 0
+    max_concurrent: int = field(default=0, metadata=then("workers_used"))
     #: worker slot label -> number of jobs that slot completed.  Labels
     #: are executor slot names (``"0"``, ``"1"``, …) for a single pool
     #: and shard-qualified (``"h0/0"``) after a sweep merge, so pools
@@ -483,10 +572,26 @@ class BatchReport:
         """Distinct worker slots (across all shards) that completed a job."""
         return sum(1 for count in self.jobs_per_slot.values() if count)
 
-    def count_slot(self, slot: int | str) -> None:
-        """Credit one completed job to executor slot *slot*."""
-        key = str(slot)
-        self.jobs_per_slot[key] = self.jobs_per_slot.get(key, 0) + 1
+    def count_done(
+        self, result: dict | None, adopted: bool = False, slot: int | str | None = None
+    ) -> None:
+        """Credit one ``done`` job (to executor slot *slot* when a worker
+        just finished it) and merge the metrics of its *result*."""
+        self.done += 1
+        if adopted:
+            self.adopted += 1
+        if slot is not None:
+            self.jobs_per_slot[str(slot)] = self.jobs_per_slot.get(str(slot), 0) + 1
+        metrics = (result or {}).get("metrics")
+        if isinstance(metrics, dict):
+            self.metrics.merge(PassMetrics.from_dict(metrics))
+
+    def count_journaled(self, record: JobRecord) -> None:
+        """Credit a job the journal already shows as terminal."""
+        if record.state == "done":
+            self.count_done(record.result, adopted=record.adopted)
+        elif record.state == "quarantined":
+            self.quarantined += 1
 
     def merge_shard(self, name: str, shard: "BatchReport") -> None:
         """Fold one shard's report into this (sweep-level) report.
@@ -496,78 +601,10 @@ class BatchReport:
         of every shard would otherwise collapse into one counter and
         under-report both utilization and ``workers_used``.
         """
-        self.total += shard.total
-        self.done += shard.done
-        self.quarantined += shard.quarantined
-        self.failed_attempts += shard.failed_attempts
-        self.retries += shard.retries
-        self.adopted += shard.adopted
+        slots = {f"{name}/{slot}": n for slot, n in shard.jobs_per_slot.items()}
+        # Counters, slot utilization and metrics sum; wall time does not.
+        merge(self, replace(shard, jobs_per_slot=slots, shards={}))
         self.interrupted = self.interrupted or shard.interrupted
-        self.max_concurrent += shard.max_concurrent
-        for slot, count in shard.jobs_per_slot.items():
-            key = f"{name}/{slot}"
-            self.jobs_per_slot[key] = self.jobs_per_slot.get(key, 0) + count
-        self.metrics.merge(shard.metrics)
-        for summary in shard.jobs:
-            entry = dict(summary)
-            entry["shard"] = name
-            self.jobs.append(entry)
-        self.shards[name] = {
-            "total": shard.total,
-            "done": shard.done,
-            "quarantined": shard.quarantined,
-            "adopted": shard.adopted,
-            "retries": shard.retries,
-            "workers_used": shard.workers_used,
-            "wall_seconds": round(shard.wall_seconds, 6),
-            "interrupted": shard.interrupted,
-        }
-
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "done": self.done,
-            "quarantined": self.quarantined,
-            "failed_attempts": self.failed_attempts,
-            "retries": self.retries,
-            "adopted": self.adopted,
-            "wall_seconds": round(self.wall_seconds, 6),
-            "interrupted": self.interrupted,
-            "max_concurrent": self.max_concurrent,
-            "workers_used": self.workers_used,
-            "jobs_per_slot": {str(k): v for k, v in self.jobs_per_slot.items()},
-            "shards": {name: dict(info) for name, info in self.shards.items()},
-            "metrics": self.metrics.to_dict(),
-            "jobs": list(self.jobs),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BatchReport":
-        """Rehydrate a report persisted by :meth:`to_dict` (shard merges
-        read per-shard ``report.json`` files written by other hosts)."""
-        report = cls(
-            total=int(data.get("total", 0)),
-            done=int(data.get("done", 0)),
-            quarantined=int(data.get("quarantined", 0)),
-            failed_attempts=int(data.get("failed_attempts", 0)),
-            retries=int(data.get("retries", 0)),
-            adopted=int(data.get("adopted", 0)),
-            wall_seconds=float(data.get("wall_seconds", 0.0)),
-            interrupted=bool(data.get("interrupted", False)),
-            max_concurrent=int(data.get("max_concurrent", 0)),
-            jobs_per_slot={
-                str(k): int(v)
-                for k, v in dict(data.get("jobs_per_slot", {})).items()
-            },
-            shards={
-                str(k): dict(v) for k, v in dict(data.get("shards", {})).items()
-            },
-            jobs=[dict(job) for job in data.get("jobs", [])],
-        )
-        metrics = data.get("metrics")
-        if isinstance(metrics, dict):
-            report.metrics = PassMetrics.from_dict(metrics)
-        return report
-
-    def iter_job_summaries(self) -> Iterator[dict]:
-        return iter(self.jobs)
+        self.jobs.extend({**summary, "shard": name} for summary in shard.jobs)
+        encoded = shard.to_dict()
+        self.shards[name] = {key: encoded[key] for key in _SHARD_SUMMARY_KEYS}

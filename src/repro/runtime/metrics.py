@@ -23,6 +23,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from . import codec
+
 __all__ = ["PassMetrics", "REJECT_REASONS"]
 
 #: The reasons a cut can be rejected by a rewriter, in pipeline order.
@@ -37,8 +39,11 @@ REJECT_REASONS = (
 
 
 @dataclass
-class PassMetrics:
+class PassMetrics(codec.Record):
     """Counters for one rewriting pass (or a merge of several).
+
+    ``to_dict`` also writes the derived rates (rounded to 4 digits) and
+    ``from_dict`` ignores them; both come from :mod:`repro.runtime.codec`.
 
     >>> m = PassMetrics(variant="BF")
     >>> with m.phase("enumerate"):
@@ -63,21 +68,29 @@ class PassMetrics:
     #: NPN database lookups that found an entry
     db_hits: int = 0
     #: NPN database lookups that missed (class without an entry)
-    db_misses: int = 0
+    db_misses: int = field(
+        default=0, metadata=codec.then("db_hit_rate", digits=4)
+    )
     #: NPN canonizations answered by the global memo table
     npn_cache_hits: int = 0
     #: NPN canonizations computed from scratch
-    npn_cache_misses: int = 0
+    npn_cache_misses: int = field(
+        default=0, metadata=codec.then("npn_cache_hit_rate", digits=4)
+    )
     #: cut truth tables computed (incrementally or by cone simulation)
     cut_functions_computed: int = 0
     #: cut truth tables answered by the per-pass (node, leaves) memo
-    cut_function_cache_hits: int = 0
+    cut_function_cache_hits: int = field(
+        default=0, metadata=codec.then("cut_function_hit_rate", digits=4)
+    )
     #: cut truth tables produced by the level-batched array evaluator
     batch_cut_functions: int = 0
     #: compiled network levels swept by the batch evaluator
     batch_levels: int = 0
     #: unique functions canonized through a vectorized lookup_batch sweep
-    batch_npn_lookups: int = 0
+    batch_npn_lookups: int = field(
+        default=0, metadata=codec.then("batch_function_fraction", digits=4)
+    )
     #: SAT solver counters accumulated from exact-synthesis calls; the
     #: ``sat_*`` keys match SynthesisResult and benchmarks/bench_exact.py
     sat_conflicts: int = 0
@@ -97,7 +110,9 @@ class PassMetrics:
     #: classes dropped from the dynamic database's in-memory LRU
     store_evictions: int = 0
     #: store entries shrunk or proven by background ``db improve`` work
-    store_improved: int = 0
+    store_improved: int = field(
+        default=0, metadata=codec.then("store_hit_rate", digits=4)
+    )
     #: gate constructions answered by the kernel's structural-hash table
     kernel_strash_hits: int = 0
     #: gate constructions simplified away by a kernel facade unit rule
@@ -105,7 +120,9 @@ class PassMetrics:
     #: 64-bit gate-words evaluated by the shared simulation engine
     sim_words: int = 0
     #: wall-clock seconds per phase ("enumerate", "rewrite", "cleanup", ...)
-    phase_seconds: dict[str, float] = field(default_factory=dict)
+    phase_seconds: dict[str, float] = field(
+        default_factory=dict, metadata=codec.rounded(6)
+    )
 
     # -- recording ---------------------------------------------------------
 
@@ -156,39 +173,9 @@ class PassMetrics:
             self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + elapsed
 
     def merge(self, other: "PassMetrics") -> None:
-        """Accumulate *other* into this object (for multi-pass totals)."""
-        self.nodes_visited += other.nodes_visited
-        self.nodes_rebuilt += other.nodes_rebuilt
-        self.cuts_enumerated += other.cuts_enumerated
-        self.cuts_considered += other.cuts_considered
-        self.cuts_admitted += other.cuts_admitted
-        self.db_hits += other.db_hits
-        self.db_misses += other.db_misses
-        self.npn_cache_hits += other.npn_cache_hits
-        self.npn_cache_misses += other.npn_cache_misses
-        self.cut_functions_computed += other.cut_functions_computed
-        self.cut_function_cache_hits += other.cut_function_cache_hits
-        self.batch_cut_functions += other.batch_cut_functions
-        self.batch_levels += other.batch_levels
-        self.batch_npn_lookups += other.batch_npn_lookups
-        self.sat_conflicts += other.sat_conflicts
-        self.sat_propagations += other.sat_propagations
-        self.sat_decisions += other.sat_decisions
-        self.sat_restarts += other.sat_restarts
-        self.sat_learned += other.sat_learned
-        self.record_backend_events(other.sat_backend_events)
-        self.store_hits += other.store_hits
-        self.store_disk_hits += other.store_disk_hits
-        self.store_synth += other.store_synth
-        self.store_evictions += other.store_evictions
-        self.store_improved += other.store_improved
-        self.kernel_strash_hits += other.kernel_strash_hits
-        self.kernel_unit_rules += other.kernel_unit_rules
-        self.sim_words += other.sim_words
-        for reason, count in other.cuts_rejected.items():
-            self.cuts_rejected[reason] = self.cuts_rejected.get(reason, 0) + count
-        for name, seconds in other.phase_seconds.items():
-            self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + seconds
+        """Accumulate *other* into this object (for multi-pass totals):
+        every int counter and every dict-valued counter is summed."""
+        codec.merge(self, other)
 
     # -- derived rates -----------------------------------------------------
 
@@ -233,92 +220,6 @@ class PassMetrics:
         return sum(self.phase_seconds.values())
 
     # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """Plain-JSON representation, including the derived rates."""
-        return {
-            "variant": self.variant,
-            "nodes_visited": self.nodes_visited,
-            "nodes_rebuilt": self.nodes_rebuilt,
-            "cuts_enumerated": self.cuts_enumerated,
-            "cuts_considered": self.cuts_considered,
-            "cuts_admitted": self.cuts_admitted,
-            "cuts_rejected": dict(self.cuts_rejected),
-            "db_hits": self.db_hits,
-            "db_misses": self.db_misses,
-            "db_hit_rate": round(self.db_hit_rate, 4),
-            "npn_cache_hits": self.npn_cache_hits,
-            "npn_cache_misses": self.npn_cache_misses,
-            "npn_cache_hit_rate": round(self.npn_cache_hit_rate, 4),
-            "cut_functions_computed": self.cut_functions_computed,
-            "cut_function_cache_hits": self.cut_function_cache_hits,
-            "cut_function_hit_rate": round(self.cut_function_hit_rate, 4),
-            "batch_cut_functions": self.batch_cut_functions,
-            "batch_levels": self.batch_levels,
-            "batch_npn_lookups": self.batch_npn_lookups,
-            "batch_function_fraction": round(self.batch_function_fraction, 4),
-            "sat_conflicts": self.sat_conflicts,
-            "sat_propagations": self.sat_propagations,
-            "sat_decisions": self.sat_decisions,
-            "sat_restarts": self.sat_restarts,
-            "sat_learned": self.sat_learned,
-            "sat_backend_events": dict(self.sat_backend_events),
-            "store_hits": self.store_hits,
-            "store_disk_hits": self.store_disk_hits,
-            "store_synth": self.store_synth,
-            "store_evictions": self.store_evictions,
-            "store_improved": self.store_improved,
-            "store_hit_rate": round(self.store_hit_rate, 4),
-            "kernel_strash_hits": self.kernel_strash_hits,
-            "kernel_unit_rules": self.kernel_unit_rules,
-            "sim_words": self.sim_words,
-            "phase_seconds": {k: round(v, 6) for k, v in self.phase_seconds.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PassMetrics":
-        """Inverse of :meth:`to_dict` (derived-rate keys are ignored)."""
-        metrics = cls(variant=data.get("variant", ""))
-        for name in (
-            "nodes_visited",
-            "nodes_rebuilt",
-            "cuts_enumerated",
-            "cuts_considered",
-            "cuts_admitted",
-            "db_hits",
-            "db_misses",
-            "npn_cache_hits",
-            "npn_cache_misses",
-            "cut_functions_computed",
-            "cut_function_cache_hits",
-            "batch_cut_functions",
-            "batch_levels",
-            "batch_npn_lookups",
-            "sat_conflicts",
-            "sat_propagations",
-            "sat_decisions",
-            "sat_restarts",
-            "sat_learned",
-            "store_hits",
-            "store_disk_hits",
-            "store_synth",
-            "store_evictions",
-            "store_improved",
-            "kernel_strash_hits",
-            "kernel_unit_rules",
-            "sim_words",
-        ):
-            setattr(metrics, name, int(data.get(name, 0)))
-        metrics.cuts_rejected = {
-            str(k): int(v) for k, v in data.get("cuts_rejected", {}).items()
-        }
-        metrics.sat_backend_events = {
-            str(k): int(v) for k, v in data.get("sat_backend_events", {}).items()
-        }
-        metrics.phase_seconds = {
-            str(k): float(v) for k, v in data.get("phase_seconds", {}).items()
-        }
-        return metrics
 
     def to_json(self) -> str:
         """Serialize to a JSON string."""

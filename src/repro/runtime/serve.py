@@ -53,7 +53,6 @@ import io
 import json
 import os
 import queue
-import signal
 import threading
 import time
 import uuid
@@ -63,10 +62,11 @@ from pathlib import Path
 
 from .artifacts import atomic_write_text, quarantine
 from .cache import ResultCache, request_key
-from .executors import LocalExecutor
+from .executors import LocalExecutor, handle_signals
 from .faults import arm_from_env, fault_active
-from .jobs import JobJournal, JobSpec
+from .jobs import JobJournal, JobSpec, load_network, network_kind, result_fields
 from .supervisor import Supervisor
+from .verify import VERIFY_MODES
 
 __all__ = ["OptimizationService", "ServeDaemon", "run_server"]
 
@@ -87,56 +87,21 @@ class BadRequest(ValueError):
     """A request the client must fix (maps to HTTP 400)."""
 
 
-def _load_request_network(network) -> "object":
-    """Parse the request's network into an in-memory MIG.
+def _parse_network(network):
+    """Parse the request's inline network upload (see :func:`load_network`).
 
-    Accepted forms: ``{"generate": name[, "width": w]}`` for the
-    built-in EPFL generators, or an inline text upload under exactly one
-    of ``"blif"``, ``"bench"``, ``"aag"`` (ASCII AIGER; converted
-    through the AIG facade).  Parsing happens in the daemon because the
-    canonical structural hash — the cache key — must be computed before
-    any work is scheduled.
+    Parsing happens in the daemon because the canonical structural hash
+    — the cache key — must be computed before any work is scheduled.
     """
-    if not isinstance(network, dict):
-        raise BadRequest("'network' must be an object")
-    kinds = [k for k in ("generate", "blif", "bench", "aag") if k in network]
-    if len(kinds) != 1:
-        raise BadRequest(
-            "network needs exactly one of 'generate', 'blif', 'bench', 'aag'"
-        )
-    kind = kinds[0]
     try:
-        if kind == "generate":
-            from ..generators import resolve_generator
-
-            try:
-                return resolve_generator(
-                    str(network["generate"]),
-                    width=(
-                        None if network.get("width") is None
-                        else int(network["width"])
-                    ),
-                )
-            except ValueError as exc:
-                raise BadRequest(str(exc))
-        text = network[kind]
-        if not isinstance(text, str):
-            raise BadRequest(f"'{kind}' upload must be a string")
-        if kind == "blif":
-            from ..io.blif import read_blif
-
-            return read_blif(io.StringIO(text))
-        if kind == "bench":
-            from ..io.bench import read_bench
-
-            return read_bench(io.StringIO(text))
-        from ..aig.convert import aig_to_mig
-        from ..io.aiger import read_aag
-
-        return aig_to_mig(read_aag(io.StringIO(text)))
-    except BadRequest:
-        raise
+        kind = network_kind(network)
+    except ValueError as exc:
+        raise BadRequest(str(exc)) from None
+    try:
+        return load_network(network, inline=True)
     except Exception as exc:  # noqa: BLE001 - client input boundary
+        if kind == "generate" and isinstance(exc, ValueError):
+            raise BadRequest(str(exc)) from exc
         raise BadRequest(f"could not parse {kind} network: {exc}") from exc
 
 
@@ -229,7 +194,7 @@ class OptimizationService:
             raise ValueError("num_workers must be >= 0")
         if queue_limit <= 0:
             raise ValueError("queue_limit must be positive")
-        if default_verify not in ("off", "sim", "cec"):
+        if default_verify not in VERIFY_MODES:
             raise ValueError("default_verify must be off/sim/cec")
         if default_cut_size is not None and default_cut_size not in (4, 5, 6):
             raise ValueError("default_cut_size must be 4, 5, or 6")
@@ -349,9 +314,7 @@ class OptimizationService:
             if replay_record is not None and replay_record.state == "done":
                 self._finalize_done(job, replay_record.result or {}, recovered=True)
             elif replay_record is not None and replay_record.state == "quarantined":
-                self._finalize_failed(
-                    job, replay_record.last_error or "quarantined", recovered=True
-                )
+                self._finalize_failed(job, replay_record.last_error or "quarantined")
             else:
                 job.resume = journal_path.exists()
                 with self._lock:
@@ -372,7 +335,7 @@ class OptimizationService:
         if not isinstance(request, dict):
             return 400, {"error": "bad-request", "detail": "body must be a JSON object"}
         try:
-            mig = _load_request_network(request.get("network"))
+            mig = _parse_network(request.get("network"))
             spec_fields = self._spec_fields(request)
         except BadRequest as exc:
             return 400, {"error": "bad-request", "detail": str(exc)}
@@ -441,7 +404,7 @@ class OptimizationService:
                 atomic_write_text(upload, network[kind])
                 locator = {kind: str(upload)}
         if "aag" in network:
-            # The worker reads BLIF/bench only; persist the parsed MIG.
+            # An AIGER upload is persisted as its parsed MIG, in BLIF.
             from ..io.blif import write_blif
 
             buf = io.StringIO()
@@ -505,7 +468,7 @@ class OptimizationService:
         if mode not in ("flow", "converge"):
             raise BadRequest("'mode' must be 'flow' or 'converge'")
         verify = str(request.get("verify", self.default_verify))
-        if verify not in ("off", "sim", "cec"):
+        if verify not in VERIFY_MODES:
             raise BadRequest("'verify' must be 'off', 'sim', or 'cec'")
         script = _validate_script(request.get("script", ["BF"]))
         variant = str(request.get("variant", "BF"))
@@ -572,7 +535,7 @@ class OptimizationService:
                 job.started_at = time.time()
                 self._running += 1
         if job.state != "running":
-            self._finalize_timeout(job, "deadline expired while queued")
+            self._finalize_failed(job, "deadline expired while queued", "timeout")
             return
 
         # The daemon routes through the same executor layer as batch and
@@ -617,21 +580,14 @@ class OptimizationService:
         error = (summary or {}).get("error") or "job did not complete"
         overdue = job.deadline_at is not None and time.time() >= job.deadline_at
         if "watchdog" in str(error) or overdue:
-            self._finalize_timeout(job, str(error))
+            self._finalize_failed(job, str(error), "timeout")
         else:
             self._finalize_failed(job, str(error))
 
     # -- outcomes ---------------------------------------------------------
 
     def _result_payload(self, job: ServeJob, summary: dict) -> dict:
-        result = {
-            key: summary[key]
-            for key in (
-                "size_before", "size_after", "depth_before", "depth_after",
-                "runtime", "verify", "steps", "metrics",
-            )
-            if key in summary
-        }
+        result = result_fields(summary, drop=("output", "pid"))
         result["cache_key"] = job.key
         blif_path = job.workdir / "result.blif"
         if blif_path.exists():
@@ -658,14 +614,13 @@ class OptimizationService:
     ) -> None:
         result = self._result_payload(job, summary)
         metrics = result.get("metrics") or {}
+        # Cache before publishing "done": a client that sees "done" and
+        # resubmits at once must hit the entry, not start a second run.
+        if job.spec.verify != "off" and self._fully_optimized(result):
+            if self.cache.get(job.key) is None:
+                self.cache.put(job.key, result)
         with self._lock:
-            job.state = "done"
             job.result = result
-            job.finished_at = time.time()
-            self.jobs[job.job_id] = job
-            if self._by_key.get(job.key) == job.job_id:
-                del self._by_key[job.key]
-            self.counters["completed"] += 1
             if recovered:
                 self.counters["adopted"] += 1
             for key in self.store_counters:
@@ -673,33 +628,27 @@ class OptimizationService:
                     self.store_counters[key] += int(metrics.get(key, 0) or 0)
                 except (TypeError, ValueError):
                     pass
-            self._idle.notify_all()
-        if job.spec.verify != "off" and self._fully_optimized(result):
-            if self.cache.get(job.key) is None:
-                self.cache.put(job.key, result)
+            self._settle(job, "done")
 
     def _finalize_failed(
-        self, job: ServeJob, error: str, recovered: bool = False
+        self, job: ServeJob, error: str, state: str = "failed"
     ) -> None:
+        """Publish a job that ended without a result (*state* ``failed``
+        or ``timeout``)."""
         with self._lock:
-            job.state = "failed"
             job.error = error
-            job.finished_at = time.time()
-            self.jobs[job.job_id] = job
-            if self._by_key.get(job.key) == job.job_id:
-                del self._by_key[job.key]
-            self.counters["failed"] += 1
-            self._idle.notify_all()
+            self._settle(job, state)
 
-    def _finalize_timeout(self, job: ServeJob, error: str) -> None:
-        with self._lock:
-            job.state = "timeout"
-            job.error = error
-            job.finished_at = time.time()
-            if self._by_key.get(job.key) == job.job_id:
-                del self._by_key[job.key]
-            self.counters["timeout"] += 1
-            self._idle.notify_all()
+    def _settle(self, job: ServeJob, state: str) -> None:
+        """Publish *job*'s terminal *state*, count it, and release its
+        coalescing key.  The caller holds the lock."""
+        job.state = state
+        job.finished_at = time.time()
+        self.jobs[job.job_id] = job
+        if self._by_key.get(job.key) == job.job_id:
+            del self._by_key[job.key]
+        self.counters["completed" if state == "done" else state] += 1
+        self._idle.notify_all()
 
     # -- polling ----------------------------------------------------------
 
@@ -714,7 +663,7 @@ class OptimizationService:
             and time.time() >= job.deadline_at
         ):
             # Typed timeout even if no runner ever picked the job up.
-            self._finalize_timeout(job, "deadline expired while queued")
+            self._finalize_failed(job, "deadline expired while queued", "timeout")
         payload = {
             "job_id": job.job_id,
             "status": job.state,
@@ -892,10 +841,6 @@ class ServeDaemon:
         self._thread: threading.Thread | None = None
 
     @property
-    def address(self) -> tuple[str, int]:
-        return self.httpd.server_address[:2]
-
-    @property
     def port(self) -> int:
         return self.httpd.server_address[1]
 
@@ -921,56 +866,34 @@ def run_server(
     workdir: str | Path,
     host: str = "127.0.0.1",
     port: int = 8731,
-    num_workers: int = 2,
-    queue_limit: int = 16,
-    cache_max_bytes: int | None = None,
-    max_attempts: int = 2,
-    grace: float = 2.0,
-    default_time_limit: float | None = None,
-    default_verify: str = "sim",
-    mem_limit_mb: int | None = None,
-    default_cut_size: int | None = None,
-    npn_store: str | Path | None = None,
     drain_grace: float = 30.0,
     verbose: bool = False,
+    **options,
 ) -> int:
     """Blocking entry point behind ``migopt serve``.
 
-    Runs until SIGTERM/SIGINT, then drains: admission stops, in-flight
-    jobs get *drain_grace* seconds to finish (stragglers are journaled
-    resumable), the stats snapshot is flushed, and the process exits 0.
+    *options* are :class:`OptimizationService`'s (``num_workers``,
+    ``queue_limit``, ``default_verify``, ...).  Runs until SIGTERM/SIGINT,
+    then drains: admission stops, in-flight jobs get *drain_grace*
+    seconds to finish (stragglers are journaled resumable), the stats
+    snapshot is flushed, and the process exits 0.
     """
     arm_from_env()
-    service = OptimizationService(
-        workdir,
-        num_workers=num_workers,
-        queue_limit=queue_limit,
-        cache_max_bytes=cache_max_bytes,
-        max_attempts=max_attempts,
-        grace=grace,
-        default_time_limit=default_time_limit,
-        default_verify=default_verify,
-        mem_limit_mb=mem_limit_mb,
-        default_cut_size=default_cut_size,
-        npn_store=npn_store,
-        verbose=verbose,
-    )
+    service = OptimizationService(workdir, verbose=verbose, **options)
     daemon = ServeDaemon(service, host, port, verbose=verbose)
     stop = threading.Event()
 
     def _handle(signum, frame):  # noqa: ARG001 - signal API
+        # Every signal asks for the same drain; a repeat changes nothing.
         stop.set()
 
-    previous = {}
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        previous[sig] = signal.signal(sig, _handle)
-    try:
+    with handle_signals(_handle):
         daemon.start()
-        bound_host, bound_port = daemon.address
+        bound_host, bound_port = daemon.httpd.server_address[:2]
         print(
             f"migopt serve: listening on http://{bound_host}:{bound_port} "
-            f"(workdir {service.workdir}, {num_workers} workers, "
-            f"queue limit {queue_limit})",
+            f"(workdir {service.workdir}, {service.num_workers} workers, "
+            f"queue limit {service.queue_limit})",
             flush=True,
         )
         stop.wait()
@@ -981,10 +904,4 @@ def run_server(
             + ("cleanly" if clean else "with journaled stragglers"),
             flush=True,
         )
-    finally:
-        for sig, handler in previous.items():
-            try:
-                signal.signal(sig, handler)
-            except (ValueError, OSError):
-                pass
     return 0

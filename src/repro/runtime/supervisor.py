@@ -25,8 +25,8 @@ level:
   every job exactly once.
 
 Since the executor-layer refactor the Supervisor is a pure *scheduler*:
-process launching, polling and the watchdog escalation live behind the
-:class:`~repro.runtime.executors.Executor` protocol.  The default
+process launching, polling and the watchdog escalation live in
+:mod:`repro.runtime.executors`.  Its
 :class:`~repro.runtime.executors.LocalExecutor` reproduces the historic
 fork pool exactly (``tests/runtime/test_executor_differential.py`` pins
 it against the frozen pre-refactor monolith); a sweep coordinator runs
@@ -49,18 +49,18 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from . import faults
 from .artifacts import atomic_write_text
-from .executors import Executor, ExecutorTask, LocalExecutor, TaskExit
+from .executors import ExecutorTask, LocalExecutor, TaskExit, child_env
 from .jobs import (
     BatchReport,
     JobJournal,
     JobRecord,
     JobSpec,
+    adopt_result,
     degraded,
+    job_summary,
     load_result_artifact,
 )
-from .metrics import PassMetrics
 
 __all__ = ["Supervisor", "run_batch", "spec_for_attempt"]
 
@@ -124,7 +124,7 @@ class Supervisor:
         default_time_limit: float | None = None,
         startup_margin: float = 1.0,
         verbose: bool = False,
-        executor: Executor | None = None,
+        executor: LocalExecutor | None = None,
     ) -> None:
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
@@ -175,7 +175,7 @@ class Supervisor:
     def _result_path(self, job_id: str) -> Path:
         return self.results_dir / f"{job_id}.json"
 
-    def _make_executor(self) -> Executor:
+    def _make_executor(self) -> LocalExecutor:
         return LocalExecutor(
             num_workers=self.num_workers,
             grace=self.grace,
@@ -225,26 +225,7 @@ class Supervisor:
 
         report.wall_seconds = time.monotonic() - started
         report.total = len(order)
-        for job_id in order:
-            record = records[job_id]
-            summary = {
-                "job_id": job_id,
-                "state": record.state,
-                "attempts": record.attempts,
-            }
-            if record.adopted:
-                summary["adopted"] = True
-            if record.degradations:
-                summary["degradations"] = list(record.degradations)
-            if record.result is not None:
-                for key in ("size_before", "size_after", "depth_before",
-                            "depth_after", "runtime", "verify", "output",
-                            "metrics", "steps"):
-                    if key in record.result:
-                        summary[key] = record.result[key]
-            if record.last_error is not None:
-                summary["error"] = record.last_error
-            report.jobs.append(summary)
+        report.jobs = [job_summary(records[job_id]) for job_id in order]
         atomic_write_text(
             self.report_path, json.dumps(report.to_dict(), sort_keys=True) + "\n"
         )
@@ -273,29 +254,14 @@ class Supervisor:
             record = records[job_id]
             if record.state == "running":
                 self._kill_orphan(record.pid)
-                payload = load_result_artifact(self._result_path(job_id), job_id)
-                if payload is not None and payload.get("status") == "ok":
-                    journal.done(job_id, self._result_summary(payload), adopted=True)
-                    record.state = "done"
-                    record.result = self._result_summary(payload)
-                    record.adopted = True
+                if adopt_result(
+                    journal, record, self._result_path(job_id), adopted=True
+                ):
                     continue
-                # Re-run the same attempt; the journal records the requeue
-                # so a replay after *another* crash stays consistent.
-                journal.requeued(job_id, ["resume:interrupted"])
-                record.state = "pending"
-                record.attempts = max(0, record.attempts - 1)
+                _requeue_interrupted(journal, record)
                 ready.append(job_id)
             elif record.state == "failed":
-                self._retry_or_quarantine(
-                    journal, record, job_id,
-                    error=record.last_error or "unknown failure",
-                    traceback=record.traceback,
-                    rusage=record.rusage,
-                    delayed=delayed,
-                    ready=ready,
-                    report=None,
-                )
+                self._retry_or_quarantine(journal, record, delayed, ready, None)
             elif record.state == "pending":
                 ready.append(job_id)
         return ready, delayed
@@ -329,17 +295,11 @@ class Supervisor:
         order: list[str],
         ready: list[str],
         delayed: dict[str, float],
-        executor: Executor,
+        executor: LocalExecutor,
     ) -> BatchReport:
         report = BatchReport()
         for record in records.values():
-            if record.state == "done":
-                report.done += 1
-                if record.adopted:
-                    report.adopted += 1
-                self._merge_metrics(report, record.result)
-            elif record.state == "quarantined":
-                report.quarantined += 1
+            report.count_journaled(record)
         pending: dict[str, _Pending] = {}
 
         while ready or delayed or pending:
@@ -386,10 +346,9 @@ class Supervisor:
     @staticmethod
     def _task_probe(record: JobRecord) -> ExecutorTask:
         """A capacity-probe task (host pinning is all an executor reads)."""
-        host = None
-        if record.spec.payload is not None:
-            host = record.spec.payload.get("host")
-        return ExecutorTask(task_id=record.spec.job_id, argv=(), host=host)
+        return ExecutorTask(
+            task_id=record.spec.job_id, argv=(), host=_pinned_host(record.spec)
+        )
 
     def _drain(
         self,
@@ -397,7 +356,7 @@ class Supervisor:
         records: dict[str, JobRecord],
         pending: dict[str, _Pending],
         report: BatchReport,
-        executor: Executor,
+        executor: LocalExecutor,
     ) -> None:
         """Stop the batch cleanly: no orphans, journal fully resumable.
 
@@ -414,19 +373,10 @@ class Supervisor:
         for task_exit in executor.drain():
             attempt = pending.pop(task_exit.task_id)
             record = records[attempt.job_id]
-            payload = load_result_artifact(attempt.result_path, attempt.job_id)
-            if payload is not None and payload.get("status") == "ok":
-                summary = self._result_summary(payload)
-                journal.done(attempt.job_id, summary)
-                record.state = "done"
-                record.result = summary
-                report.done += 1
-                report.count_slot(task_exit.slot)
-                self._merge_metrics(report, payload)
+            if adopt_result(journal, record, attempt.result_path):
+                report.count_done(record.result, slot=task_exit.slot)
             else:
-                journal.requeued(attempt.job_id, ["resume:interrupted"])
-                record.state = "pending"
-                record.attempts = max(0, record.attempts - 1)
+                _requeue_interrupted(journal, record)
             if self.verbose:
                 print(f"[supervisor] drained {attempt.job_id} ({record.state})")
 
@@ -435,7 +385,7 @@ class Supervisor:
         journal: JobJournal,
         record: JobRecord,
         job_id: str,
-        executor: Executor,
+        executor: LocalExecutor,
     ) -> _Pending:
         attempt = record.attempts + 1
         spec, notes = spec_for_attempt(record.spec, attempt)
@@ -457,18 +407,15 @@ class Supervisor:
             pass
         atomic_write_text(spec_path, json.dumps(spec.to_dict(), sort_keys=True) + "\n")
 
-        host = None
-        if spec.payload is not None:
-            host = spec.payload.get("host")
         task = ExecutorTask(
             task_id=job_id,
             argv=(sys.executable, "-m", "repro.runtime.worker",
                   str(spec_path), str(result_path)),
-            env=self._child_env(),
+            env=child_env(fault_handshake=True),
             cwd=str(self.workdir),
             log_path=str(self.workdir / "logs" / f"{job_id}.log"),
             time_limit=spec.time_limit,
-            host=host,
+            host=_pinned_host(spec),
         )
         handle = executor.submit(task)
         journal.start(job_id, attempt, handle.pid, spec)
@@ -483,35 +430,6 @@ class Supervisor:
             time_limit=spec.time_limit,
         )
 
-    def _child_env(self) -> dict[str, str]:
-        """Environment for a worker: import path + fault handshake.
-
-        Armed non-``worker.*`` faults are copied into ``REPRO_FAULTS`` so
-        in-worker fault points fire end-to-end.  The ``worker.*`` family
-        is instead *consumed here*, one probe per spawn: a firing probe
-        dooms exactly the worker being spawned, which keeps ``times=N``
-        accounting in one process even across retries.
-        """
-        env = dict(os.environ)
-        package_root = str(Path(__file__).resolve().parents[2])
-        existing = env.get("PYTHONPATH", "")
-        if package_root not in existing.split(os.pathsep):
-            env["PYTHONPATH"] = (
-                package_root + (os.pathsep + existing if existing else "")
-            )
-        entries = []
-        passthrough = faults.env_spec(exclude_prefix="worker.")
-        if passthrough:
-            entries.append(passthrough)
-        for name in faults.armed_names(prefix="worker."):
-            if faults.fault_active(name):
-                entries.append(f"{name}:times=1")
-        if entries:
-            env[faults.FAULTS_ENV_VAR] = ",".join(entries)
-        else:
-            env.pop(faults.FAULTS_ENV_VAR, None)
-        return env
-
     # -- completion -------------------------------------------------------
 
     def _finish(
@@ -525,22 +443,19 @@ class Supervisor:
         delayed: dict[str, float],
     ) -> None:
         job_id = attempt.job_id
-        payload = load_result_artifact(attempt.result_path, job_id)
-        if payload is not None and payload.get("status") == "ok":
-            summary = self._result_summary(payload)
-            journal.done(job_id, summary)
-            record.state = "done"
-            record.result = summary
-            report.done += 1
-            report.count_slot(task_exit.slot)
-            self._merge_metrics(report, payload)
+        payload = adopt_result(journal, record, attempt.result_path)
+        if payload is not None:
+            report.count_done(record.result, slot=task_exit.slot)
             if self.verbose:
                 print(f"[supervisor] done {job_id} "
-                      f"({summary.get('size_before')}->{summary.get('size_after')})")
+                      f"({payload.get('size_before')}->{payload.get('size_after')})")
             return
 
         traceback = rusage = None
-        if payload is not None:  # controlled in-worker failure
+        # Not adoptable: a controlled in-worker failure still left its
+        # artifact (error, traceback, rusage) behind.
+        payload = load_result_artifact(attempt.result_path, job_id)
+        if payload is not None:
             error = str(payload.get("error", "worker reported failure"))
             traceback = payload.get("traceback")
             rusage = payload.get("rusage")
@@ -569,25 +484,22 @@ class Supervisor:
         record.rusage = rusage
         if self.verbose:
             print(f"[supervisor] failed {job_id} attempt {attempt.attempt}: {error}")
-        self._retry_or_quarantine(
-            journal, record, job_id, error, traceback, rusage,
-            delayed, ready, report,
-        )
+        self._retry_or_quarantine(journal, record, delayed, ready, report)
 
     def _retry_or_quarantine(
         self,
         journal: JobJournal,
         record: JobRecord,
-        job_id: str,
-        error: str,
-        traceback: str | None,
-        rusage: dict | None,
         delayed: dict[str, float],
         ready: list[str],
         report: BatchReport | None,
     ) -> None:
+        """Requeue a ``failed`` job (after a backoff), or quarantine it
+        once its attempts are spent."""
+        job_id = record.spec.job_id
         if record.attempts >= self.max_attempts:
-            journal.quarantined(job_id, error, traceback, rusage)
+            error = record.last_error or "unknown failure"
+            journal.quarantined(job_id, error, record.traceback, record.rusage)
             record.state = "quarantined"
             if report is not None:
                 report.quarantined += 1
@@ -605,30 +517,18 @@ class Supervisor:
         else:
             ready.append(job_id)
 
-    @staticmethod
-    def _result_summary(payload: dict) -> dict:
-        """The journal-worthy slice of a worker result (drop bulky fields)."""
-        summary = {
-            key: payload[key]
-            for key in (
-                "size_before", "size_after", "depth_before", "depth_after",
-                "runtime", "verify", "output", "pid", "metrics",
-            )
-            if key in payload
-        }
-        summary["steps"] = [
-            {k: s.get(k) for k in ("step", "status", "verified", "runtime") if k in s}
-            for s in payload.get("steps", [])
-        ]
-        return summary
 
-    @staticmethod
-    def _merge_metrics(report: BatchReport, payload: dict | None) -> None:
-        if not payload:
-            return
-        metrics = payload.get("metrics")
-        if isinstance(metrics, dict):
-            report.metrics.merge(PassMetrics.from_dict(metrics))
+def _pinned_host(spec: JobSpec) -> str | None:
+    """The host a spec is pinned to (sweep shards), if any."""
+    return None if spec.payload is None else spec.payload.get("host")
+
+
+def _requeue_interrupted(journal: JobJournal, record: JobRecord) -> None:
+    """Journal an attempt that never concluded for a re-run at the same
+    attempt number; a replay after *another* crash stays consistent."""
+    journal.requeued(record.spec.job_id, ["resume:interrupted"])
+    record.state = "pending"
+    record.attempts = max(0, record.attempts - 1)
 
 
 def run_batch(

@@ -45,9 +45,17 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .artifacts import atomic_write_text
+from .codec import Record
 from .errors import ReproRuntimeError
-from .executors import ExecutorTask, HostSpec, ShardExecutor, parse_hosts
-from .jobs import BatchReport, JobJournal, JobSpec, load_result_artifact
+from .executors import ExecutorTask, HostSpec, ShardExecutor, child_env, parse_hosts
+from .jobs import (
+    NETWORK_KINDS,
+    BatchReport,
+    JobJournal,
+    JobSpec,
+    adopt_result,
+    job_summary,
+)
 
 __all__ = [
     "SweepSpec",
@@ -74,14 +82,18 @@ class SweepConflictError(ReproRuntimeError):
 # ----------------------------------------------------------------------
 
 
-def _normalize_script(script) -> tuple[str, ...]:
-    if isinstance(script, str):
-        return tuple(step for step in script.split(",") if step)
-    return tuple(str(step) for step in script)
+def _normalize_scripts(scripts) -> tuple[tuple[str, ...], ...]:
+    """Step tuples; a script may also be written as a ``"step,step"`` string."""
+    return tuple(
+        tuple(step for step in script.split(",") if step)
+        if isinstance(script, str)
+        else tuple(str(step) for step in script)
+        for script in scripts
+    )
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Record):
     """A declarative scenario matrix.
 
     ``instances`` entries locate circuits the way job specs do
@@ -106,53 +118,14 @@ class SweepSpec:
     mem_limit_mb: int | None = None
     npn_store: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "instances": [dict(inst) for inst in self.instances],
-            "scripts": [list(script) for script in self.scripts],
-            "cut_sizes": list(self.cut_sizes),
-            "sat_backends": list(self.sat_backends),
-            "conflict_limits": list(self.conflict_limits),
-            "verify": self.verify,
-            "time_limit": self.time_limit,
-            "mem_limit_mb": self.mem_limit_mb,
-            "npn_store": self.npn_store,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
         if "instances" not in data or not data["instances"]:
             raise ValueError("sweep spec needs a non-empty 'instances' list")
-        return cls(
-            name=str(data.get("name", "sweep")),
-            instances=tuple(dict(inst) for inst in data["instances"]),
-            scripts=tuple(
-                _normalize_script(script)
-                for script in data.get("scripts", [["BF"]])
-            ),
-            cut_sizes=tuple(int(c) for c in data.get("cut_sizes", [4])),
-            sat_backends=tuple(
-                str(b) for b in data.get("sat_backends", ["internal"])
-            ),
-            conflict_limits=tuple(
-                None if limit is None else int(limit)
-                for limit in data.get("conflict_limits", [None])
-            ),
-            verify=str(data.get("verify", "sim")),
-            time_limit=(
-                None if data.get("time_limit") is None
-                else float(data["time_limit"])
-            ),
-            mem_limit_mb=(
-                None if data.get("mem_limit_mb") is None
-                else int(data["mem_limit_mb"])
-            ),
-            npn_store=(
-                None if data.get("npn_store") is None
-                else str(data["npn_store"])
-            ),
-        )
+        data = {"name": "sweep", **data}
+        if "scripts" in data:
+            data["scripts"] = _normalize_scripts(data["scripts"])
+        return super().from_dict(data)
 
 
 _AXIS_KEYS = ("scripts", "cut_sizes", "sat_backends", "conflict_limits", "slug")
@@ -165,7 +138,7 @@ def _instance_slug(inst: dict) -> str:
         name = str(inst["generate"])
         width = inst.get("width")
         return name if width is None else f"{name}-w{int(width)}"
-    for key in ("blif", "bench"):
+    for key in NETWORK_KINDS:
         if key in inst:
             return Path(str(inst[key])).stem
     raise ValueError(f"sweep instance {inst!r} names no circuit source")
@@ -173,7 +146,7 @@ def _instance_slug(inst: dict) -> str:
 
 def _instance_network(inst: dict) -> dict:
     network = {k: v for k, v in inst.items() if k not in _AXIS_KEYS}
-    if not any(key in network for key in ("generate", "blif", "bench")):
+    if not any(key in network for key in NETWORK_KINDS):
         raise ValueError(f"sweep instance {inst!r} names no circuit source")
     return network
 
@@ -190,21 +163,15 @@ def expand_sweep(spec: SweepSpec) -> list[JobSpec]:
     for inst in spec.instances:
         slug = _instance_slug(inst)
         network = _instance_network(inst)
-        scripts = tuple(
-            _normalize_script(s) for s in inst.get("scripts", spec.scripts)
-        )
-        cut_sizes = tuple(int(c) for c in inst.get("cut_sizes", spec.cut_sizes))
-        backends = tuple(str(b) for b in inst.get("sat_backends", spec.sat_backends))
-        climits = tuple(
-            None if c is None else int(c)
-            for c in inst.get("conflict_limits", spec.conflict_limits)
-        )
-        for script in scripts:
+        # Axis overrides decode exactly like the spec's own axes.
+        overrides = {key: inst[key] for key in _AXIS_KEYS if key in inst}
+        axes = SweepSpec.from_dict({**spec.to_dict(), **overrides})
+        for script in axes.scripts:
             if not script:
                 raise ValueError(f"empty script in sweep instance {inst!r}")
-            for cut in cut_sizes:
-                for backend in backends:
-                    for climit in climits:
+            for cut in axes.cut_sizes:
+                for backend in axes.sat_backends:
+                    for climit in axes.conflict_limits:
                         job_id = f"{slug}.{'+'.join(script)}.c{cut}.{backend}"
                         if climit is not None:
                             job_id += f".k{climit}"
@@ -277,17 +244,6 @@ def _load_state(workdir: Path) -> dict | None:
         return json.load(fp)
 
 
-def _coordinator_env() -> dict[str, str]:
-    env = dict(os.environ)
-    package_root = str(Path(__file__).resolve().parents[2])
-    existing = env.get("PYTHONPATH", "")
-    if package_root not in existing.split(os.pathsep):
-        env["PYTHONPATH"] = (
-            package_root + (os.pathsep + existing if existing else "")
-        )
-    return env
-
-
 def _shard_argv(
     directory: Path,
     jobs_per_shard: int,
@@ -322,7 +278,6 @@ class _ShardState:
     attempts: int = 0
     running: bool = False
     finished: bool = False
-    last_exit: int | None = None
 
 
 @dataclass
@@ -441,7 +396,7 @@ def run_sweep(
                 ))
 
     executor = ShardExecutor(hosts, grace=max(grace, 5.0))
-    env = _coordinator_env()
+    env = child_env()
     interrupted = False
     try:
         while True:
@@ -453,11 +408,10 @@ def run_sweep(
             for name, shard in shard_states.items():
                 if shard.running or shard.finished:
                     continue
-                if not _shard_unfinished(shard.directory):
-                    shard.finished = True
-                    progressed = True
-                    continue
-                if shard.attempts >= shard_attempts:
+                if (
+                    not _shard_unfinished(shard.directory)
+                    or shard.attempts >= shard_attempts
+                ):
                     shard.finished = True
                     progressed = True
                     continue
@@ -481,7 +435,6 @@ def run_sweep(
             for task_exit in executor.poll():
                 shard = shard_states[str(task_exit.slot)]
                 shard.running = False
-                shard.last_exit = task_exit.returncode
                 if not _shard_unfinished(shard.directory):
                     shard.finished = True
                 elif shard.attempts >= shard_attempts:
@@ -537,62 +490,20 @@ def _shard_report_from_journal(directory: Path) -> BatchReport:
     """
     journal_path = directory / "journal.jsonl"
     replay = JobJournal.replay(journal_path)
-    report = BatchReport()
-    report.total = len(replay.order)
-    adoptions: list[tuple[str, dict]] = []
-    for job_id in replay.order:
-        record = replay.records[job_id]
-        state = record.state
-        result = record.result
-        if state == "running":
-            payload = load_result_artifact(
-                directory / "results" / f"{job_id}.json", job_id
-            )
-            if payload is not None and payload.get("status") == "ok":
-                result = {
-                    key: payload[key]
-                    for key in ("size_before", "size_after", "depth_before",
-                                "depth_after", "runtime", "verify", "output",
-                                "metrics")
-                    if key in payload
-                }
-                result["steps"] = payload.get("steps", [])
-                adoptions.append((job_id, result))
-                state = "done"
-                record.adopted = True
-        summary = {
-            "job_id": job_id,
-            "state": state,
-            "attempts": record.attempts,
-        }
-        if record.adopted:
-            summary["adopted"] = True
-        if record.degradations:
-            summary["degradations"] = list(record.degradations)
-        if result is not None:
-            for key in ("size_before", "size_after", "depth_before",
-                        "depth_after", "runtime", "verify", "output",
-                        "metrics", "steps"):
-                if key in result:
-                    summary[key] = result[key]
-        if record.last_error is not None:
-            summary["error"] = record.last_error
-        report.jobs.append(summary)
-        if state == "done":
-            report.done += 1
-            if record.adopted:
-                report.adopted += 1
-            metrics = (result or {}).get("metrics")
-            if isinstance(metrics, dict):
-                from .metrics import PassMetrics
-
-                report.metrics.merge(PassMetrics.from_dict(metrics))
-        elif state == "quarantined":
-            report.quarantined += 1
-    if adoptions:
+    records = [replay.records[job_id] for job_id in replay.order]
+    running = [record for record in records if record.state == "running"]
+    if running:
         with JobJournal(journal_path) as journal:
-            for job_id, result in adoptions:
-                journal.done(job_id, result, adopted=True)
+            for record in running:
+                adopt_result(
+                    journal, record,
+                    directory / "results" / f"{record.spec.job_id}.json",
+                    adopted=True,
+                )
+    report = BatchReport(total=len(records))
+    for record in records:
+        report.jobs.append(job_summary(record))
+        report.count_journaled(record)
 
     report_path = directory / "report.json"
     if report_path.exists():

@@ -21,13 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.mig import Mig
-from ..core.simulate import equivalent_exhaustive, equivalent_random
+from ..core.simulate import (
+    EXHAUSTIVE_PI_LIMIT,
+    equivalent_exhaustive,
+    equivalent_random,
+)
 from .budget import Budget
 
-__all__ = ["VerificationReport", "verify_rewrite", "EXHAUSTIVE_PI_LIMIT"]
+__all__ = ["VERIFY_MODES", "VerificationReport", "verify_rewrite"]
 
-#: widest network checked by complete simulation (2**16 rows, still < 1 ms)
-EXHAUSTIVE_PI_LIMIT = 14
+#: the verification policies, weakest first
+VERIFY_MODES = ("off", "sim", "cec")
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,7 @@ def verify_rewrite(
     :class:`~repro.sat.portfolio.PortfolioSolver`) selects which solver
     lanes the CEC miter races; simulation paths ignore it.
     """
-    if mode not in ("off", "sim", "cec"):
+    if mode not in VERIFY_MODES:
         raise ValueError(f"unknown verification mode {mode!r}; use off/sim/cec")
     if mode == "off":
         return VerificationReport(None, "off")

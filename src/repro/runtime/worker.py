@@ -38,8 +38,9 @@ import traceback as traceback_module
 
 from .artifacts import atomic_write_text
 from .budget import Budget
+from .executors import handle_signals
 from .faults import arm_from_env, fault_active
-from .jobs import JobSpec
+from .jobs import JobSpec, load_network
 from .metrics import PassMetrics
 
 __all__ = ["run_job", "main"]
@@ -77,32 +78,6 @@ def _rusage_dict() -> dict | None:
         "stime": usage.ru_stime,
         "maxrss_kb": usage.ru_maxrss,
     }
-
-
-def _load_network(network: dict):
-    from ..core.mig import Mig  # noqa: F401 - type only
-
-    if "generate" in network:
-        from ..generators import resolve_generator
-
-        return resolve_generator(
-            str(network["generate"]),
-            width=(
-                None if network.get("width") is None
-                else int(network["width"])
-            ),
-        )
-    if "blif" in network:
-        from ..io.blif import read_blif
-
-        with open(network["blif"], "r", encoding="utf-8") as fp:
-            return read_blif(fp)
-    if "bench" in network:
-        from ..io.bench import read_bench
-
-        with open(network["bench"], "r", encoding="utf-8") as fp:
-            return read_bench(fp)
-    raise ValueError(f"job network spec {network!r} names no circuit source")
 
 
 def _open_progress(spec: JobSpec):
@@ -187,6 +162,18 @@ def _run_db_improve_job(spec: JobSpec, start: float) -> dict:
     }
 
 
+def _step_record(stats) -> dict:
+    """One flow step as the result artifact and the progress feed show it."""
+    return {
+        "step": stats.step,
+        "status": stats.status,
+        "verified": stats.verified,
+        "runtime": round(stats.runtime, 6),
+        "size_after": stats.size_after,
+        "depth_after": stats.depth_after,
+    }
+
+
 def run_job(spec: JobSpec) -> dict:
     """Execute one job in-process and return the result payload.
 
@@ -194,15 +181,16 @@ def run_job(spec: JobSpec) -> dict:
     without a subprocess; the supervised path adds the isolation around
     exactly this function.
     """
-    from ..database.npn_db import NpnDatabase
     from ..opt.flow import optimize_until_convergence, run_flow
+    from ..rewriting.dynamic_db import open_database
+    from ..rewriting.engine import VARIANTS
 
     start = time.perf_counter()
 
     if spec.mode == "db-improve":
         return _run_db_improve_job(spec, start)
 
-    mig = _load_network(spec.network)
+    mig = load_network(spec.network)
 
     progress = _open_progress(spec)
     if progress is not None:
@@ -216,19 +204,13 @@ def run_job(spec: JobSpec) -> dict:
         )
 
     needs_db = spec.mode == "converge" or any(
-        step.strip().upper() in _variant_names() for step in spec.script
+        step.strip().upper() in VARIANTS for step in spec.script
     )
     db = store = None
     if needs_db:
-        if spec.cut_size is not None and spec.cut_size != 4:
-            # Large-cut tier: a lazily populated dynamic database, backed
-            # by the shared persistent store when the spec names one.
-            from ..rewriting.dynamic_db import DynamicDatabase
-
-            db = DynamicDatabase(num_vars=spec.cut_size, store=spec.npn_store)
-            store = db.store
-        else:
-            db = NpnDatabase.load(spec.db)
+        # The large-cut tiers share the persistent store the spec names.
+        db = open_database(spec.cut_size, spec.db, spec.npn_store)
+        store = getattr(db, "store", None)
 
     budget = None
     if spec.time_limit is not None or spec.conflict_limit is not None:
@@ -254,31 +236,15 @@ def run_job(spec: JobSpec) -> dict:
         )
         steps_payload.append({"step": spec.variant, "status": "ok", "passes": passes})
         if progress is not None:
-            progress(
-                {
-                    "event": "step",
-                    "step": spec.variant,
-                    "status": "ok",
-                    "passes": passes,
-                    "size_after": result.num_gates,
-                    "depth_after": result.depth(),
-                }
-            )
+            progress({
+                "event": "step", **steps_payload[-1],
+                "size_after": result.num_gates, "depth_after": result.depth(),
+            })
     elif spec.mode == "flow":
         on_step = None
         if progress is not None:
             def on_step(stats):
-                progress(
-                    {
-                        "event": "step",
-                        "step": stats.step,
-                        "status": stats.status,
-                        "verified": stats.verified,
-                        "runtime": round(stats.runtime, 6),
-                        "size_after": stats.size_after,
-                        "depth_after": stats.depth_after,
-                    }
-                )
+                progress({"event": "step", **_step_record(stats)})
 
         result, history = run_flow(
             mig,
@@ -293,14 +259,7 @@ def run_job(spec: JobSpec) -> dict:
             sat_backend=spec.sat_backend,
         )
         for stats in history:
-            entry = {
-                "step": stats.step,
-                "status": stats.status,
-                "verified": stats.verified,
-                "runtime": round(stats.runtime, 6),
-                "size_after": stats.size_after,
-                "depth_after": stats.depth_after,
-            }
+            entry = _step_record(stats)
             if stats.error is not None:
                 entry["error"] = stats.error
             if stats.metrics is not None:
@@ -343,12 +302,6 @@ def run_job(spec: JobSpec) -> dict:
     return payload
 
 
-def _variant_names() -> tuple[str, ...]:
-    from ..rewriting.engine import VARIANTS
-
-    return VARIANTS
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -368,12 +321,9 @@ def main(argv: list[str] | None = None) -> int:
     if fault_active("worker.hang"):
         # Model a worker stuck in native code that ignores every deadline
         # *and* SIGTERM — only the supervisor's SIGKILL escalation ends it.
-        try:
-            signal.signal(signal.SIGTERM, signal.SIG_IGN)
-        except (ValueError, OSError):
-            pass
-        while True:
-            pass
+        with handle_signals(signal.SIG_IGN, (signal.SIGTERM,)):
+            while True:
+                pass
 
     if fault_active("worker.crash"):
         # Model a segfault: vanish without a result artifact.

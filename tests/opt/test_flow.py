@@ -250,6 +250,19 @@ class TestFlowMetrics:
         assert history[0].metrics.nodes_visited > 0
 
 
+    def test_cec_conflicts_are_counted(self, db, monkeypatch):
+        """The conflicts a step's CEC miter spends land in its metrics."""
+        import repro.opt.flow as flow_module
+        from repro.runtime.verify import VerificationReport
+
+        monkeypatch.setattr(
+            flow_module, "verify_rewrite",
+            lambda *args, **kwargs: VerificationReport(True, "cec", conflicts=7),
+        )
+        _, history = run_flow(epfl.adder(4), db, ["BF", "TFD"], verify="cec")
+        assert [step.metrics.sat_conflicts for step in history] == [7, 7]
+
+
 class TestStructuralCheck:
     """Satellite: ``Mig.check()`` runs after every pass under verify."""
 

@@ -150,6 +150,28 @@ class TestMetricsDrain:
         assert "store_hit_rate" in payload
 
 
+    def test_flow_counts_the_conflicts_its_syntheses_spent(self, tmp_path):
+        """Inline synthesis on a fresh store reports its solver counters
+        through the drain, so a cut-5 flow's ``sat_conflicts`` is the
+        sum of the conflicts recorded on the entries it synthesized."""
+        from repro.generators import resolve_generator
+        from repro.opt.flow import run_flow
+        from repro.runtime.metrics import PassMetrics
+
+        db5 = DynamicDatabase(
+            num_vars=5, improve_budget=100, store=tmp_path / "fresh.npn5"
+        )
+        _, history = run_flow(
+            resolve_generator("log2", width=5), db5, ["BF"], cut_size=5
+        )
+        totals = PassMetrics()
+        for step in history:
+            totals.merge(step.metrics)
+        spent = sum(entry.conflicts for entry in db5.entries.values())
+        assert totals.store_synth == len(db5.store) > 0
+        assert totals.sat_conflicts == spent > 0
+
+
 class TestPersistentTier:
     def test_warm_reopen_hits_disk_not_synthesis(self, tmp_path):
         from repro.database.store import NpnStore

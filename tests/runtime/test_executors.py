@@ -8,18 +8,21 @@ escalation, drain, host pinning) must hold for any process-shaped task.
 
 from __future__ import annotations
 
+import os
+import signal
 import sys
+import threading
 import time
 
 import pytest
 
 from repro.runtime.executors import (
-    Executor,
     ExecutorTask,
     HostSpec,
     LocalExecutor,
     ShardExecutor,
     TaskExit,
+    handle_signals,
     parse_hosts,
 )
 
@@ -48,10 +51,6 @@ def sleeper(task_id: str, seconds: float, **kwargs) -> ExecutorTask:
 
 
 class TestLocalExecutor:
-    def test_protocol_conformance(self):
-        assert isinstance(LocalExecutor(1), Executor)
-        assert isinstance(ShardExecutor(parse_hosts(default_shards=1)), Executor)
-
     def test_capacity_and_slot_reuse(self, tmp_path):
         executor = LocalExecutor(num_workers=2)
         try:
@@ -110,17 +109,6 @@ class TestLocalExecutor:
         finally:
             executor.close()
         assert "hello from task" in log.read_text(encoding="utf-8")
-
-    def test_cancel(self):
-        executor = LocalExecutor(num_workers=1, grace=0.5)
-        try:
-            executor.submit(sleeper("victim", 60))
-            executor.cancel("victim")
-            (task_exit,) = wait_exits(executor, 1, timeout=20.0)
-            assert task_exit.task_id == "victim"
-            assert task_exit.returncode != 0
-        finally:
-            executor.close()
 
 
 class TestHostParsing:
@@ -230,3 +218,31 @@ class TestSupervisorIntegration:
             wait_exits(executor, 1)
         finally:
             executor.close()
+
+
+class TestHandleSignals:
+    def test_handler_is_installed_then_the_previous_one_restored(self):
+        before = signal.getsignal(signal.SIGTERM)
+        seen = []
+        with handle_signals(lambda signum, frame: seen.append(signum)):
+            os.kill(os.getpid(), signal.SIGTERM)
+            deadline = time.monotonic() + 5.0
+            while not seen and time.monotonic() < deadline:
+                time.sleep(0.01)
+        assert seen == [signal.SIGTERM]
+        assert signal.getsignal(signal.SIGTERM) is before
+
+    def test_off_the_main_thread_it_leaves_handlers_alone(self):
+        before = signal.getsignal(signal.SIGINT)
+        entered = []
+
+        def body():
+            with handle_signals(signal.SIG_IGN):
+                entered.append(signal.getsignal(signal.SIGINT))
+
+        thread = threading.Thread(target=body)
+        thread.start()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert entered == [before]
+        assert signal.getsignal(signal.SIGINT) is before

@@ -11,6 +11,7 @@ from repro.runtime.jobs import (
     JobJournal,
     JobSpec,
     degraded,
+    load_network,
     load_result_artifact,
 )
 
@@ -234,6 +235,48 @@ class TestResultArtifact:
         path = tmp_path / "r.json"
         path.write_text(json.dumps({"job_id": "j"}))
         assert load_result_artifact(path, "j") is None
+
+
+
+class TestLoadNetwork:
+    """Every locator form names the same circuit, from a path or inline."""
+
+    def test_every_source_loads_the_same_function(self, tmp_path):
+        import io
+
+        from repro.aig.convert import mig_to_aig
+        from repro.core.simulate import check_equivalence
+        from repro.io.aiger import write_aag
+        from repro.io.bench import write_bench
+        from repro.io.blif import write_blif
+
+        reference = load_network({"generate": "adder", "width": 4})
+        texts = {}
+        for kind, write, network in (
+            ("blif", write_blif, reference),
+            ("bench", write_bench, reference),
+            ("aag", write_aag, mig_to_aig(reference)),
+        ):
+            buf = io.StringIO()
+            write(network, buf)
+            texts[kind] = buf.getvalue()
+            (tmp_path / f"adder.{kind}").write_text(texts[kind])
+        for kind, text in texts.items():
+            from_path = load_network({kind: str(tmp_path / f"adder.{kind}")})
+            inline = load_network({kind: text}, inline=True)
+            for mig in (from_path, inline):
+                assert check_equivalence(reference, mig), kind
+
+    @pytest.mark.parametrize("locator", [
+        None, {}, {"generate": "adder", "blif": "x.blif"}, {"blif": 3},
+    ])
+    def test_bad_locators_raise_value_error(self, locator):
+        with pytest.raises(ValueError):
+            load_network(locator)
+
+    def test_unknown_generator_is_a_value_error(self):
+        with pytest.raises(ValueError, match="nonesuch"):
+            load_network({"generate": "nonesuch"})
 
 
 class TestBatchReport:

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.runtime.cache import ResultCache
 from repro.runtime.faults import inject
 from repro.runtime.serve import (
     CRASH_EXIT_CODE,
@@ -254,6 +255,35 @@ class TestLifecycle:
             assert service.drain(timeout=30.0) is True
             service.close()
         assert json.loads((tmp_path / "serve" / "stats.json").read_text())
+
+    def test_immediate_repeat_after_done_is_a_cache_hit(self, tmp_path, monkeypatch):
+        """The cache entry is written before a job is published ``done``:
+        a client that resubmits the moment it sees ``done`` hits the
+        cache even when the cache write is slow, and no second job runs."""
+        put = ResultCache.put
+
+        def slow_put(cache, key, result):
+            time.sleep(1.0)
+            put(cache, key, result)
+
+        monkeypatch.setattr(ResultCache, "put", slow_put)
+        service = OptimizationService(tmp_path / "serve", num_workers=1)
+        service.start()
+        try:
+            code, payload = service.submit(dict(ADDER4))
+            assert code == 202
+            job_id = payload["job_id"]
+            status = _wait_terminal(lambda: service.job_status(job_id)[1])
+            assert status["status"] == "done", status
+
+            code2, hit = service.submit(dict(ADDER4))
+            assert code2 == 200 and hit["cached"] is True
+            jobs = service.stats()["jobs"]
+            assert jobs["cache_hits"] == 1
+            assert jobs["completed"] == 1 and jobs["queued"] == jobs["running"] == 0
+        finally:
+            assert service.drain(timeout=30.0) is True
+            service.close()
 
     def test_corrupt_cache_entry_reoptimizes_once_then_hits(self, tmp_path):
         """The cache-corruption drill: bad bytes under a live key are

@@ -22,9 +22,8 @@ import pytest
 from repro.core.simulate import equivalent_random
 from repro.io.blif import read_blif, write_blif
 from repro.runtime import faults
-from repro.runtime.jobs import JobJournal, JobSpec
+from repro.runtime.jobs import JobJournal, JobSpec, load_network
 from repro.runtime.supervisor import Supervisor, run_batch, spec_for_attempt
-from repro.runtime.worker import _load_network
 
 pytestmark = pytest.mark.skipif(
     not sys.platform.startswith("linux"),
@@ -64,7 +63,7 @@ def assert_output_valid(output: Path, reference_network: dict) -> None:
     with open(output, encoding="utf-8") as fp:
         optimized = read_blif(fp)
     optimized.check()
-    original = _load_network(reference_network)
+    original = load_network(reference_network)
     assert equivalent_random(original, optimized, num_rounds=4)
 
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import main
+import repro.cli
+from repro.cli import build_parser, main
 
 
 class TestStats:
@@ -251,3 +252,63 @@ class TestSweep:
         with pytest.raises(SystemExit, match="pre-submitted"):
             main(["batch", "--shard", "--generate", "adder",
                   "--workdir", str(tmp_path / "shard")])
+
+
+_WORKDIR = ["--workdir", "state"]
+
+#: every --verify spelling each command accepted before the flag was
+#: declared once, with the policy it selected then
+VERIFY_SPELLINGS = [
+    (["optimize"], "off"),
+    (["optimize", "--verify"], "sim"),
+    (["flow"], "off"),
+    (["flow", "--verify"], "sim"),
+    (["flow", "--verify", "off"], "off"),
+    (["flow", "--verify", "sim"], "sim"),
+    (["flow", "--verify", "cec"], "cec"),
+    (["batch", *_WORKDIR], "sim"),
+    (["batch", *_WORKDIR, "--verify", "off"], "off"),
+    (["batch", *_WORKDIR, "--verify", "sim"], "sim"),
+    (["batch", *_WORKDIR, "--verify", "cec"], "cec"),
+    (["serve", *_WORKDIR], "sim"),
+    (["serve", *_WORKDIR, "--verify", "off"], "off"),
+    (["serve", *_WORKDIR, "--verify", "sim"], "sim"),
+    (["serve", *_WORKDIR, "--verify", "cec"], "cec"),
+]
+
+
+class TestSharedFlags:
+    @pytest.mark.parametrize(
+        "argv, policy", VERIFY_SPELLINGS,
+        ids=[" ".join(argv) for argv, _ in VERIFY_SPELLINGS],
+    )
+    def test_verify_spelling_keeps_its_policy(self, argv, policy):
+        assert build_parser().parse_args(argv).verify == policy
+
+    def test_per_command_defaults_do_not_leak(self):
+        parser = build_parser()
+        serve = parser.parse_args(["serve", *_WORKDIR])
+        batch = parser.parse_args(["batch", *_WORKDIR])
+        sweep = parser.parse_args(["sweep", *_WORKDIR])
+        assert (serve.max_attempts, batch.max_attempts, sweep.max_attempts) == (2, 3, 3)
+        assert (serve.jobs, batch.jobs) == (2, 1)
+        assert parser.parse_args(["flow"]).script == "depth,BF,TFD"
+        assert batch.script == "BF"
+        assert parser.parse_args(["exact", "--tt", "0x6"]).budget == 200000
+
+    def test_optimize_verify_runs_the_verify_rewrite_policy(
+        self, capsys, monkeypatch
+    ):
+        modes = []
+        original = repro.cli.verify_rewrite
+
+        def spy(before, after, mode):
+            modes.append(mode)
+            return original(before, after, mode)
+
+        monkeypatch.setattr(repro.cli, "verify_rewrite", spy)
+        assert main(["optimize", "--generate", "adder", "--width", "4",
+                     "--verify"]) == 0
+        assert main(["optimize", "--generate", "adder", "--width", "4"]) == 0
+        assert modes == ["sim"]
+        assert capsys.readouterr().out.count("equivalence: OK") == 1

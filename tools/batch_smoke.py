@@ -39,7 +39,7 @@ sys.path.insert(0, str(SRC))
 from repro.core.simulate import equivalent_random  # noqa: E402
 from repro.io.blif import read_blif  # noqa: E402
 from repro.runtime.supervisor import run_batch  # noqa: E402
-from repro.runtime.worker import _load_network  # noqa: E402
+from repro.runtime.jobs import load_network  # noqa: E402
 
 GENERATED = ("adder", "sine", "max")
 WIDTH = 6
@@ -151,7 +151,7 @@ def main() -> int:
             with open(output, encoding="utf-8") as fp:
                 optimized = read_blif(fp)
             optimized.check()
-            original = _load_network({"generate": name, "width": WIDTH})
+            original = load_network({"generate": name, "width": WIDTH})
             assert equivalent_random(original, optimized, num_rounds=4), (
                 f"{name}: output not equivalent to input"
             )

@@ -42,7 +42,7 @@ sys.path.insert(0, str(SRC))
 
 from repro.core.simulate import equivalent_random  # noqa: E402
 from repro.io.blif import read_blif  # noqa: E402
-from repro.runtime.worker import _load_network  # noqa: E402
+from repro.runtime.jobs import load_network  # noqa: E402
 
 INSTANCE = {"generate": "max", "width": 6}
 REQUEST = {"network": INSTANCE, "script": ["BF"], "verify": "sim"}
@@ -130,7 +130,7 @@ def main() -> int:
 
         optimized = read_blif(io.StringIO(result["blif"]))
         optimized.check()
-        original = _load_network(INSTANCE)
+        original = load_network(INSTANCE)
         assert equivalent_random(original, optimized, num_rounds=4), (
             "served result not equivalent to the submitted network"
         )

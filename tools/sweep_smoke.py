@@ -37,7 +37,7 @@ sys.path.insert(0, str(SRC))
 
 from repro.core.simulate import equivalent_random  # noqa: E402
 from repro.io.blif import read_blif  # noqa: E402
-from repro.runtime.worker import _load_network  # noqa: E402
+from repro.runtime.jobs import load_network  # noqa: E402
 
 #: small instances, two per shard, so the kill lands mid-sweep
 INSTANCES = (
@@ -224,7 +224,7 @@ def main() -> int:
                     f"{inst['generate']}-w{inst.get('width')}"
                 )
             )
-            original = _load_network(network)
+            original = load_network(network)
             assert equivalent_random(original, optimized, num_rounds=4), (
                 f"{job['job_id']}: output not equivalent to input"
             )
