@@ -25,11 +25,12 @@ cuts (proper supersets of another cut of the same node) are pruned.  The
 (priority cuts, ref. [11] of the paper).
 
 :func:`enumerate_cut_set` is the hot-path entry point used by the
-rewriters: it additionally records each cut's *provenance* (which fanin
-cuts it was merged from) so :meth:`CutSet.function` can derive cut truth
-tables incrementally — expanding and combining the fanin cut functions —
-instead of re-simulating the cut cone from scratch, and memoize them per
-``(node, leaves)`` across the pass.
+rewriters: it additionally records the flat cut-function program
+(:class:`_CutProgram`) that evaluates every cut truth table in one
+executor run, and each cut's *provenance* (which fanin cuts it was
+merged from) so :meth:`CutSet.function` can derive a single cut truth
+table incrementally — expanding and combining the fanin cut functions —
+instead of re-simulating the cut cone from scratch.
 
 All traversals here are explicit-stack iterative so that deep (chain-
 shaped) networks never hit Python's recursion limit.
@@ -41,14 +42,8 @@ import numpy as np
 
 from ..runtime.metrics import PassMetrics
 from .kernel import Network
-from .simengine import (
-    _PATTERN_IDS,
-    evaluate_cut_levels,
-    evaluate_cut_program,
-    expansion_lut,
-    expansion_pid,
-)
-from .truth_table import tt_extend, tt_maj, tt_mask
+from .simengine import _PATTERN_IDS, evaluate_cut_program, expansion_pid
+from .truth_table import tt_maj, tt_mask
 
 __all__ = [
     "CutSet",
@@ -64,9 +59,10 @@ __all__ = [
 #: Truth table of the single-variable projection x0 (trivial/PI cuts).
 _TT_X0 = 0b10
 
-#: width masks indexed by variable count (cuts have at most 6 leaves —
-#: the large-cut pipeline records 5/6-variable programs too)
+#: width masks indexed by variable count; a program table fills at most
+#: 64 bits, so recorded cuts have at most 6 leaves
 _MASKS = (0b1, 0b11, 0xF, 0xFF, 0xFFFF, 0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF)
+_MAX_PROGRAM_VARS = len(_MASKS) - 1
 
 
 class _CutProgram:
@@ -81,21 +77,19 @@ class _CutProgram:
     (1 + max child level), so the executor sweeps a few wide levels even
     on chain-shaped networks whose *network* depth is in the hundreds.
 
-    Recording rides along the merge loop — the slots, leaf walks and
-    dict probes a post-hoc compiler would redo are captured while the
-    enumerator already holds them — which is what makes the batch
-    pipeline essentially free to set up (docs/PERFORMANCE.md).
+    Recording rides along the merge loop — the slots and leaf walks are
+    captured while the enumerator already holds them — which is what
+    makes the pipeline essentially free to set up (docs/PERFORMANCE.md).
     """
 
     __slots__ = (
-        "arity", "keys", "nv", "slot_lev", "init_idx", "init_vals",
+        "arity", "nv", "slot_lev", "init_idx", "init_vals",
         "row_out", "row_lev", "row_mask", "row_child", "row_sign",
         "row_pid",
     )
 
     def __init__(self, arity: int) -> None:
         self.arity = arity
-        self.keys: list[tuple[int, tuple[int, ...]]] = []
         self.nv: list[int] = []
         self.slot_lev: list[int] = []
         self.init_idx: list[int] = []
@@ -107,11 +101,8 @@ class _CutProgram:
         self.row_sign: list[int] = []
         self.row_pid: list[int] = []
 
-    def add_init(
-        self, key: tuple[int, tuple[int, ...]], num_vars: int, value: int
-    ) -> int:
+    def add_init(self, num_vars: int, value: int) -> int:
         slot = len(self.nv)
-        self.keys.append(key)
         self.nv.append(num_vars)
         self.slot_lev.append(0)
         self.init_idx.append(slot)
@@ -165,12 +156,11 @@ def _merge3(
 
     Inputs are ``(leaves, signature, cone_size, slot)`` entries; the
     result carries the provenance — the three child *entries* each union
-    was merged from — as raw material for incremental cut functions (the
-    leaf tuples feed the scalar memo, the slots feed the compiled batch
-    program).  The merged cone size is ``1 + size1 + size2 + size3``; it
-    equals the true cone gate count only when the fanin cones are
-    disjoint, which the FFR-restricted enumeration mode guarantees (see
-    :func:`_enumerate`).
+    was merged from — as raw material for cut functions (the leaf tuples
+    feed the lazy memo, the slots feed the recorded program).  The
+    merged cone size is ``1 + size1 + size2 + size3``; it equals the true
+    cone gate count only when the fanin cones are disjoint, which the
+    FFR-restricted enumeration mode guarantees (see :func:`_enumerate`).
     """
     result: dict[tuple[int, ...], tuple[int, int, tuple]] = {}
     for e1 in set1:
@@ -266,14 +256,13 @@ def _enumerate(
     include_trivial: bool,
     metrics: PassMetrics | None,
     ffr_fanout: list[int] | None = None,
-    compile_functions: bool = False,
-) -> tuple[list[list[tuple[int, ...]]], dict, dict, "_CutProgram | None"]:
+    program: _CutProgram | None = None,
+) -> tuple[list[list[tuple[int, ...]]], dict, dict]:
     """Shared enumeration core.
 
-    Returns per-node cut lists, cut provenance, per-cut cone sizes, and
-    — with *compile_functions* — the flat :class:`_CutProgram` for
-    batched truth-table evaluation, recorded alongside the merge at
-    negligible extra cost.
+    Returns per-node cut lists, cut provenance and per-cut cone sizes.
+    A given *program* records the flat cut-function program alongside
+    the merge at negligible extra cost.
 
     With *ffr_fanout* (a fanout-count list), enumeration is restricted to
     fanout-free cuts: merging never expands through a gate with fanout
@@ -292,23 +281,18 @@ def _enumerate(
     if arity not in (2, 3):
         raise ValueError(f"unsupported gate arity {arity}")
     num_nodes = mig.num_nodes
-    program = _CutProgram(arity) if compile_functions else None
     work: list[list[tuple[tuple[int, ...], int, int, int]]] = [
         [] for _ in range(num_nodes)
     ]
-    slot = program.add_init((0, ()), 0, 0) if program is not None else 0
+    slot = program.add_init(0, 0) if program is not None else 0
     work[0] = [((), 0, 0, slot)]
     for node in range(1, mig.num_pis + 1):
         leaves = (node,)
-        slot = (
-            program.add_init((node, leaves), 1, _TT_X0)
-            if program is not None
-            else 0
-        )
+        slot = program.add_init(1, _TT_X0) if program is not None else 0
         work[node] = [(leaves, _signature(leaves), 0, slot)]
     provenance: dict[tuple[int, tuple[int, ...]], tuple] = {}
     cone_sizes: dict[tuple[int, tuple[int, ...]], int] = {}
-    #: node -> slot of its trivial singleton cut (compile mode): the
+    #: node -> slot of its trivial singleton cut (recording mode): the
     #: inserted trivial and the FFR shared-leaf source must share one
     #: slot, they are the same (node, leaves) key.
     trivial_slots: dict[int, int] = {}
@@ -323,10 +307,9 @@ def _enumerate(
         # The slot bookkeeping below (gate-cut recording, trivial-cut
         # init slots) is fully inlined with the list append methods
         # bound once: one attribute walk per *pass*, not per cut, keeps
-        # the ride-along compile nearly free.
+        # the ride-along recording nearly free.
         nslots = len(program.nv)
         slot_lev = program.slot_lev
-        p_keys_append = program.keys.append
         p_nv_append = program.nv.append
         p_slot_lev_append = slot_lev.append
         init_idx_append = program.init_idx.append
@@ -355,7 +338,6 @@ def _enumerate(
                         if slot is None:
                             slot = nslots
                             nslots += 1
-                            p_keys_append((child, trivial))
                             p_nv_append(1)
                             p_slot_lev_append(0)
                             init_idx_append(slot)
@@ -420,55 +402,45 @@ def _enumerate(
         entries = []
         for leaves, sig, size, child_entries in merged:
             if program is not None:
+                slot = nslots
+                nslots += 1
                 num_leaves = len(leaves)
-                if num_leaves > 6:
-                    # The batch program covers cuts up to 6 leaves (the
-                    # wide-pattern executor and the dynamic NPN database
-                    # do); anything beyond drops it entirely and the
-                    # pass stays on the scalar memo.
-                    program = None
-                    slot = 0
-                else:
-                    slot = nslots
-                    nslots += 1
-                    p_keys_append((node, leaves))
-                    p_nv_append(num_leaves)
-                    mask = _MASKS[num_leaves]
-                    lev = 0
-                    index = leaves.index
-                    for s, entry in zip(fanins, child_entries):
-                        child_slot = entry[3]
-                        child_lev = slot_lev[child_slot]
-                        if child_lev > lev:
-                            lev = child_lev
-                        row_child_append(child_slot)
-                        row_sign_append(s & 1)
-                        child_leaves = entry[0]
-                        if child_leaves == leaves:
-                            row_pid_append(0)
-                        else:
-                            # Positions of the (sorted) child leaves
-                            # within the (sorted) union leaves — the
-                            # child is a subset by merge construction,
-                            # so every index probe hits.
-                            pat = (num_leaves, tuple(map(index, child_leaves)))
-                            pid = pid_get(pat)
-                            row_pid_append(
-                                pid if pid is not None
-                                else expansion_pid(*pat)
-                            )
-                    lev += 1
-                    p_slot_lev_append(lev)
-                    row_out_append(slot)
-                    row_lev_append(lev)
-                    row_mask_append(mask)
+                p_nv_append(num_leaves)
+                mask = _MASKS[num_leaves]
+                lev = 0
+                index = leaves.index
+                for s, entry in zip(fanins, child_entries):
+                    child_slot = entry[3]
+                    child_lev = slot_lev[child_slot]
+                    if child_lev > lev:
+                        lev = child_lev
+                    row_child_append(child_slot)
+                    row_sign_append(s & 1)
+                    child_leaves = entry[0]
+                    if child_leaves == leaves:
+                        row_pid_append(0)
+                    else:
+                        # Positions of the (sorted) child leaves within
+                        # the (sorted) union leaves — the child is a
+                        # subset by merge construction, so every index
+                        # probe hits.
+                        pat = (num_leaves, tuple(map(index, child_leaves)))
+                        pid = pid_get(pat)
+                        row_pid_append(
+                            pid if pid is not None else expansion_pid(*pat)
+                        )
+                lev += 1
+                p_slot_lev_append(lev)
+                row_out_append(slot)
+                row_lev_append(lev)
+                row_mask_append(mask)
             else:
                 slot = 0
             entries.append((leaves, sig, size, slot))
             # The merge's provenance triple is stored as-is (full child
             # entries, leaves at index 0): rebuilding a leaves-only
-            # tuple per cut was measurable, and in batch mode the memo
-            # is complete so most provenance is never consulted.
+            # tuple per cut was measurable, and the rewriters read the
+            # program's tables, so most provenance is never consulted.
             key = (node, leaves)
             prov_set(key, (fanins, child_entries))
             if ffr:
@@ -478,7 +450,6 @@ def _enumerate(
             if program is not None:
                 slot = nslots
                 nslots += 1
-                p_keys_append((node, trivial))
                 p_nv_append(1)
                 p_slot_lev_append(0)
                 init_idx_append(slot)
@@ -499,7 +470,7 @@ def _enumerate(
         total_cuts += len(entries)
     if metrics is not None:
         metrics.cuts_enumerated += total_cuts
-    return work, provenance, cone_sizes, program
+    return work, provenance, cone_sizes
 
 
 def enumerate_cuts(
@@ -516,7 +487,7 @@ def enumerate_cuts(
     order).  The constant node has the single empty cut; a PI has its
     singleton cut.
     """
-    entries, _, _, _ = _enumerate(mig, k, cut_limit, include_trivial, metrics)
+    entries, _, _ = _enumerate(mig, k, cut_limit, include_trivial, metrics)
     return [[entry[0] for entry in node_entries] for node_entries in entries]
 
 
@@ -527,21 +498,25 @@ def enumerate_cut_set(
     include_trivial: bool = True,
     metrics: PassMetrics | None = None,
     ffr_fanout: list[int] | None = None,
-    compile_functions: bool = False,
 ) -> "CutSet":
-    """Enumerate cuts and return a :class:`CutSet` with lazy cut functions.
+    """Enumerate cuts and return a :class:`CutSet` with their cut functions.
 
+    The flat cut-function program is recorded during the merge, so
+    :meth:`CutSet.compute_functions` evaluates every cut table in one
+    executor run.  Its tables hold at most 64 bits, hence ``k <= 6``.
     With *ffr_fanout* (see :func:`_enumerate`), only fanout-free cuts are
     produced and :meth:`CutSet.cone_size` knows each cut's exact cone
-    gate count.  With *compile_functions*, the flat batch program is
-    recorded during the merge so a later
-    :meth:`CutSet.compute_functions` skips the post-hoc compile.
+    gate count.
     """
-    entries, provenance, cone_sizes, program = _enumerate(
-        mig, k, cut_limit, include_trivial, metrics, ffr_fanout,
-        compile_functions,
+    if k > _MAX_PROGRAM_VARS:
+        raise ValueError(
+            f"cut functions cover at most {_MAX_PROGRAM_VARS} leaves, got k={k}"
+        )
+    program = _CutProgram(mig.arity)
+    entries, provenance, cone_sizes = _enumerate(
+        mig, k, cut_limit, include_trivial, metrics, ffr_fanout, program
     )
-    return CutSet(mig, entries, provenance, metrics, cone_sizes, program)
+    return CutSet(mig, entries, provenance, program, metrics, cone_sizes)
 
 
 # -- expansion tables for incremental cut functions -------------------------
@@ -599,13 +574,14 @@ def _expand(
 
 
 class CutSet:
-    """Enumerated cuts of a network plus memoized incremental cut functions.
+    """Enumerated cuts of a network plus their cut functions.
 
     ``cut_set[node]`` is the list of leaf tuples of *node* (the same shape
-    :func:`enumerate_cuts` returns); :meth:`function` yields the local
-    function of a cut, computed bottom-up from the fanin cut functions the
-    cut was merged from and cached per ``(node, leaves)`` for the lifetime
-    of the object — i.e. across one rewriting pass.
+    :func:`enumerate_cuts` returns).  :meth:`slot_tables` and
+    :meth:`batch_tt4s` serve every cut function at once from the program
+    recorded during enumeration; :meth:`function` derives a single one
+    lazily from the fanin cut functions the cut was merged from, cached
+    per ``(node, leaves)`` for the lifetime of the object.
     """
 
     def __init__(
@@ -613,9 +589,9 @@ class CutSet:
         mig: Network,
         entries: list[list[tuple[tuple[int, ...], int, int, int]]],
         provenance: dict[tuple[int, tuple[int, ...]], tuple],
+        program: _CutProgram,
         metrics: PassMetrics | None = None,
         cone_sizes: dict[tuple[int, tuple[int, ...]], int] | None = None,
-        program: "_CutProgram | None" = None,
     ) -> None:
         self.mig = mig
         #: per-node ``(leaves, signature, cone_size, slot)`` entries as
@@ -629,13 +605,13 @@ class CutSet:
         self.metrics = metrics
         self._cone_sizes = cone_sizes or {}
         self._program = program
-        # Batch-evaluation state (compute_functions): flat per-slot truth
-        # tables, the slots of non-trivial gate cuts, and per-slot var
-        # counts.  None until/unless the batch path ran.
-        self._batch_values: np.ndarray | None = None
-        self._batch_gate_slots: np.ndarray | None = None
-        self._batch_nv: np.ndarray | None = None
-        self._slot_tables: tuple[int, list[int]] | None = None
+        # Program results (compute_functions): flat per-slot truth
+        # tables, per-slot var counts, the slots of non-trivial gate
+        # cuts, and the tables extended to one width.
+        self._values: np.ndarray | None = None
+        self._nv: np.ndarray | None = None
+        self._gate_slots: np.ndarray | None = None
+        self._extended: tuple[int, np.ndarray] | None = None
 
     @property
     def cuts(self) -> list[list[tuple[int, ...]]]:
@@ -648,38 +624,77 @@ class CutSet:
             ]
         return c
 
-    def slot_tables(self, num_vars: int) -> list[int] | None:
-        """Per-slot truth tables extended to *num_vars* variables.
+    def compute_functions(self) -> int:
+        """Evaluate every enumerated cut function in one executor run.
 
-        Indexed by entry slot (``entries[node][i][3]``).  Available only
-        when the ride-along program ran (``compute_functions`` on a
-        compiled cut set); the extension is the vectorized counterpart
-        of :func:`repro.core.truth_table.tt_extend`, so the values are
-        bit-identical to the scalar path.  With this list in hand the
-        rewrite loop answers every cut-function query with one list
-        index — no tuple key, no dict probe, no per-cut extension.
+        Runs the program recorded during enumeration through
+        :func:`repro.core.simengine.evaluate_cut_program`, so a whole
+        provenance level of cuts costs a handful of numpy ops instead of
+        one Python bigint recursion per cut.  The tables are
+        **bit-identical to the lazy** :meth:`function` **derivation**
+        (same expansion definition, same gate semantics), so downstream
+        decisions cannot diverge.  Idempotent; returns the number of
+        gate-cut tables.
         """
-        if self._program is None:
-            return None
-        if self._batch_values is None and self.compute_functions() is None:
-            return None
-        cached = self._slot_tables
+        program = self._program
+        if self._values is None:
+            self._values = program.evaluate()
+            self._nv = np.fromiter(program.nv, np.int64, len(program.nv))
+            self._gate_slots = np.fromiter(
+                program.row_out, np.int64, len(program.row_out)
+            )
+            if self.metrics is not None:
+                self.metrics.batch_cut_functions += len(program.row_out)
+                self.metrics.batch_levels += max(program.row_lev, default=0)
+        return len(program.row_out)
+
+    def _extended_tables(self, num_vars: int) -> np.ndarray:
+        """Per-slot tables extended to *num_vars* variables (cached).
+
+        The vectorized counterpart of
+        :func:`repro.core.truth_table.tt_extend`.
+        """
+        cached = self._extended
         if cached is not None and cached[0] == num_vars:
             return cached[1]
+        self.compute_functions()
         # Extending to 6 variables shifts by 32 — only safe unsigned.
         v = (
-            self._batch_values.astype(np.uint64)  # type: ignore[union-attr]
+            self._values.astype(np.uint64)  # type: ignore[union-attr]
             if num_vars >= 6
-            else self._batch_values.copy()  # type: ignore[union-attr]
+            else self._values.copy()  # type: ignore[union-attr]
         )
-        nv = self._batch_nv
+        nv = self._nv
         for k in range(num_vars):
             grow = nv <= k
             if grow.any():
                 v[grow] |= v[grow] << (1 << k)
-        tables = v.tolist()
-        self._slot_tables = (num_vars, tables)
-        return tables
+        self._extended = (num_vars, v)
+        return v
+
+    def slot_tables(self, num_vars: int) -> list[int]:
+        """Per-slot truth tables extended to *num_vars* variables.
+
+        Indexed by entry slot (``entries[node][i][3]``); bit-identical to
+        :meth:`function` extended by ``tt_extend``.  With this list in
+        hand the rewrite loop answers every cut-function query with one
+        list index — no tuple key, no dict probe, no per-cut extension.
+        """
+        return self._extended_tables(num_vars).tolist()
+
+    def batch_tt4s(self, num_vars: int) -> np.ndarray:
+        """Extended (``num_vars``-input) tables of all non-trivial gate cuts.
+
+        Returns the **deduplicated, sorted** tt array — the input of one
+        :meth:`repro.database.npn_db.NpnDatabase.lookup_batch` sweep.
+        """
+        v = self._extended_tables(num_vars)[self._gate_slots]
+        # Sort plus adjacent-difference mask: the values and dtype of
+        # np.unique, which would import numpy.ma on a worker's first pass.
+        v.sort()
+        keep = np.ones(v.size, dtype=bool)
+        np.not_equal(v[1:], v[:-1], out=keep[1:])
+        return v[keep]
 
     def cone_size(self, node: int, leaves: tuple[int, ...]) -> int | None:
         """Exact cone gate count of a cut, or None.
@@ -694,179 +709,6 @@ class CutSet:
 
     def __len__(self) -> int:
         return len(self.cuts)
-
-    def compute_functions(self) -> int | None:
-        """Batch-evaluate every enumerated cut function in one sweep.
-
-        Compiles the cut provenance DAG into per-level steps — gather the
-        fanin cut tables, re-express them onto the union leaf set through
-        :func:`repro.core.simengine.expansion_lut` tables, complement,
-        combine — and runs it through
-        :func:`repro.core.simengine.evaluate_cut_levels`, so a whole
-        level of cuts costs a handful of numpy ops instead of one Python
-        bigint recursion per cut.  The results fill the same per-pass
-        memo :meth:`function` consults, **bit-identical to the lazy
-        scalar derivation** (same expansion definition, same gate
-        semantics), so downstream decisions cannot diverge.
-
-        Returns the number of gate-cut tables computed, or ``None`` when
-        the cut set is non-conformant for batching (a cut wider than 4
-        variables, or provenance missing) — callers then simply stay on
-        the lazy scalar path.
-        """
-        if self._batch_values is not None:
-            return int(self._batch_gate_slots.size)  # type: ignore[union-attr]
-        program = self._program
-        if program is not None:
-            # Fast path: the flat program was recorded during the merge
-            # (enumerate_cut_set(compile_functions=True)) — assemble the
-            # arrays and run the executor, no second pass over the cuts.
-            values = program.evaluate()
-            self._functions.update(zip(program.keys, values.tolist()))
-            self._batch_values = values
-            self._batch_gate_slots = np.fromiter(
-                program.row_out, np.int64, len(program.row_out)
-            )
-            self._batch_nv = np.fromiter(
-                program.nv, np.int64, len(program.nv)
-            )
-            if self.metrics is not None:
-                self.metrics.batch_cut_functions += len(program.row_out)
-                self.metrics.batch_levels += max(program.row_lev, default=0)
-            return len(program.row_out)
-        mig = self.mig
-        arity = mig.arity
-        if arity not in (2, 3):
-            return None
-        levels = mig.levels()
-        provenance = self._provenance
-        slots: dict[tuple[int, tuple[int, ...]], int] = {}
-        keys: list[tuple[int, tuple[int, ...]]] = []
-        nv_list: list[int] = []
-        init_idx: list[int] = []
-        init_vals: list[int] = []
-        gate_slots: list[int] = []
-        by_level: dict[int, list[tuple[int, tuple[int, ...], tuple]]] = {}
-        for node, node_cuts in enumerate(self.cuts):
-            for leaves in node_cuts:
-                key = (node, leaves)
-                if key in slots:
-                    continue
-                if len(leaves) > 4:
-                    return None
-                idx = len(keys)
-                slots[key] = idx
-                keys.append(key)
-                nv_list.append(len(leaves))
-                if leaves == (node,):
-                    init_idx.append(idx)
-                    init_vals.append(_TT_X0)
-                elif node == 0:
-                    init_idx.append(idx)
-                    init_vals.append(0)
-                else:
-                    prov = provenance.get(key)
-                    if prov is None:
-                        return None
-                    by_level.setdefault(levels[node], []).append(
-                        (idx, leaves, prov)
-                    )
-                    gate_slots.append(idx)
-        masks = tuple(tt_mask(v) for v in range(5))
-        level_steps = []
-        for lev in sorted(by_level):
-            entries = by_level[lev]
-            out_idx = np.array([e[0] for e in entries], dtype=np.int64)
-            out_mask = np.array(
-                [masks[len(e[1])] for e in entries], dtype=np.int64
-            )
-            pos_steps = []
-            for p in range(arity):
-                child_idx: list[int] = []
-                comp: list[int] = []
-                groups: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-                for i, (idx, lv, prov) in enumerate(entries):
-                    fan_signals, fan_entries = prov
-                    s = fan_signals[p]
-                    cl = fan_entries[p][0]
-                    cidx = slots.get((s >> 1, cl))
-                    if cidx is None:
-                        return None
-                    child_idx.append(cidx)
-                    comp.append(masks[len(lv)] if s & 1 else 0)
-                    if cl != lv:
-                        # Positions of the (sorted) child leaves within
-                        # the (sorted) union leaves — same merge walk as
-                        # the scalar _expand.
-                        positions = []
-                        j = 0
-                        src_len = len(cl)
-                        for pos_i, leaf in enumerate(lv):
-                            if j < src_len and cl[j] == leaf:
-                                positions.append(pos_i)
-                                j += 1
-                        if j != src_len:
-                            return None
-                        groups.setdefault((len(lv), tuple(positions)), []).append(i)
-                group_list = tuple(
-                    (expansion_lut(dl, pos), np.array(sel, dtype=np.int64))
-                    for (dl, pos), sel in groups.items()
-                )
-                pos_steps.append(
-                    (
-                        np.array(child_idx, dtype=np.int64),
-                        np.array(comp, dtype=np.int64),
-                        group_list,
-                    )
-                )
-            level_steps.append((out_idx, out_mask, tuple(pos_steps)))
-        values = evaluate_cut_levels(
-            len(keys),
-            np.array(init_idx, dtype=np.int64),
-            np.array(init_vals, dtype=np.int64),
-            level_steps,
-            arity,
-        )
-        self._functions.update(zip(keys, values.tolist()))
-        self._batch_values = values
-        self._batch_gate_slots = np.array(gate_slots, dtype=np.int64)
-        self._batch_nv = np.array(nv_list, dtype=np.int64)
-        if self.metrics is not None:
-            self.metrics.batch_cut_functions += len(gate_slots)
-            self.metrics.batch_levels += len(level_steps)
-        return len(gate_slots)
-
-    def batch_tt4s(self, num_vars: int) -> np.ndarray:
-        """Extended (``num_vars``-input) tables of all non-trivial gate cuts.
-
-        Returns the **deduplicated, sorted** tt array — the input of one
-        :meth:`repro.database.npn_db.NpnDatabase.lookup_batch` sweep.
-        Vectorized over the batch store when :meth:`compute_functions`
-        ran; otherwise derives each table through the lazy scalar memo
-        (still profitable: the downstream NPN canonization is batched
-        either way).
-        """
-        if self._batch_values is not None:
-            sel = self._batch_gate_slots
-            v = self._batch_values[sel]
-            # Extending to 6 variables shifts by 32 — only safe unsigned.
-            v = v.astype(np.uint64) if num_vars >= 6 else v.copy()
-            nv = self._batch_nv[sel]
-            for k in range(num_vars):
-                grow = nv <= k
-                if grow.any():
-                    v[grow] |= v[grow] << (1 << k)
-            return np.unique(v)
-        out: set[int] = set()
-        function = self.function
-        for node in self.mig.gates():
-            for leaves in self.cuts[node]:
-                if leaves == (node,):
-                    continue
-                out.add(tt_extend(function(node, leaves), len(leaves), num_vars))
-        return np.array(
-            sorted(out), dtype=np.uint64 if num_vars >= 6 else np.int64
-        )
 
     def function(self, root: int, leaves: tuple[int, ...]) -> int:
         """Local function of cut ``(root, leaves)`` over its leaves.

@@ -256,15 +256,20 @@ _BATCH_MEMO: dict[tuple[int, int], tuple[int, NPNTransform]] = {}
 #: case; the persistent NPN store is the real cross-pass memory there)
 _BATCH_MEMO_CAP = 1 << 17
 
+#: [hits, misses] of :data:`_BATCH_MEMO`, one per input table of a
+#: top-level :func:`npn_canonize_batch` call (see canonize_cache_info)
+_BATCH_COUNTS = [0, 0]
+
 
 def canonize_cache_clear() -> None:
-    """Clear every canonization memo (scalar lru + batch dict).
+    """Clear every canonization memo (scalar lru + batch dict) and its counts.
 
     The cold-path benchmark protocol calls this between repeats so both
     pipelines pay their full per-pass canonization cost.
     """
     _canonize_cached.cache_clear()
     _BATCH_MEMO.clear()
+    _BATCH_COUNTS[:] = [0, 0]
 
 
 def npn_canonize_batch(
@@ -309,6 +314,10 @@ def npn_canonize_batch(
         memo = _BATCH_MEMO
         known = [memo.get((num_vars, int(f))) for f in F]
         missing = [i for i, pair in enumerate(known) if pair is None]
+        # Misses are counted below, where tables are computed: the
+        # recursive call sees only this call's misses, so every input
+        # of the top-level call counts exactly once.
+        _BATCH_COUNTS[0] += F.size - len(missing)
         if not missing:
             return known  # type: ignore[return-value]
         if len(missing) < F.size:
@@ -318,6 +327,7 @@ def npn_canonize_batch(
             for i, pair in zip(missing, fresh):
                 known[i] = pair
             return known  # type: ignore[return-value]
+    _BATCH_COUNTS[1] += F.size
     fc = F ^ dtype(mask)
     ones_f = np.bitwise_count(F.astype(np.uint64)).astype(np.int64)
     ones_fc = np.bitwise_count(fc.astype(np.uint64)).astype(np.int64)
@@ -382,12 +392,19 @@ def npn_canonize_batch(
 
 
 def canonize_cache_info():
-    """Hit/miss statistics of the global canonization memo table.
+    """Hit/miss statistics of the global canonization memo tables.
 
-    Passes snapshot this before/after to report per-pass NPN cache rates
-    in :class:`repro.runtime.metrics.PassMetrics`.
+    ``hits`` and ``misses`` sum the scalar lru and the batch memo (one
+    probe per input table of a :func:`npn_canonize_batch` call);
+    ``maxsize`` and ``currsize`` describe the lru.  Passes snapshot this
+    before/after to report per-pass NPN cache rates in
+    :class:`repro.runtime.metrics.PassMetrics`.
     """
-    return _canonize_cached.cache_info()
+    info = _canonize_cached.cache_info()
+    return info._replace(
+        hits=info.hits + _BATCH_COUNTS[0],
+        misses=info.misses + _BATCH_COUNTS[1],
+    )
 
 
 def npn_representative(f: int, num_vars: int) -> int:

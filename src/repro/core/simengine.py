@@ -49,7 +49,6 @@ __all__ = [
     "expansion_lut",
     "expansion_pid",
     "expansion_lut2d",
-    "evaluate_cut_levels",
     "evaluate_cut_program",
     "projection_int",
     "projection_columns",
@@ -538,9 +537,10 @@ def _gather_expand(
         out[reg] = lut2d[pid[reg], vals[reg].astype(np.int64)].astype(dtype)
     wide = pid < 0
     if wide.any():
-        for wpid in np.unique(pid[wide]).tolist():
+        # A set, not np.unique: that would import numpy.ma on first use.
+        for wpid in set(pid[wide].tolist()):
             rows = pid == wpid
-            src_minterm, weights = _WIDE_PATTERNS[int(wpid)]
+            src_minterm, weights = _WIDE_PATTERNS[wpid]
             bits = (
                 vals[rows].astype(np.uint64)[:, None] >> src_minterm[None, :]
             ) & np.uint64(1)
@@ -563,16 +563,16 @@ def evaluate_cut_program(
 ) -> np.ndarray:
     """Run a flat cut-function program; returns the per-slot tables.
 
-    The fast sibling of :func:`evaluate_cut_levels`: instead of one
-    python-built step tuple per network level, the whole program arrives
-    as flat arrays — one row per gate cut, ``(n, arity)`` child slots /
-    complement masks / expansion pattern ids — already levelized by
-    *lev*, the cut's depth in the **provenance DAG** (1 + max child
-    level).  Provenance depth is bounded by the cut cone depth, not the
-    network depth, so deep chain-shaped networks compress into a handful
-    of wide sweeps.  Per level, one ``lut2d[pid, values[child]]`` gather
-    re-expresses every fanin table onto its cut's leaf set in a single
-    fancy index — no per-group scatter loops.
+    The batch counterpart of :func:`cone_function` /
+    ``CutSet.function``: the whole program arrives as flat arrays — one
+    row per gate cut, ``(n, arity)`` child slots / complement masks /
+    expansion pattern ids — already levelized by *lev*, the cut's depth
+    in the **provenance DAG** (1 + max child level).  Provenance depth is
+    bounded by the cut cone depth, not the network depth, so deep
+    chain-shaped networks compress into a handful of wide sweeps.  Per
+    level, one ``lut2d[pid, values[child]]`` gather re-expresses every
+    fanin table onto its cut's leaf set in a single fancy index — no
+    per-group scatter loops.
 
     Results are bit-identical to the scalar ``CutSet.function``
     derivation (same expansion tables, same gate semantics).
@@ -617,61 +617,6 @@ def evaluate_cut_program(
         else:
             res = v[:, 0] & v[:, 1]
         values[out_idx[s:e]] = res & out_mask[s:e]
-    return values
-
-
-def evaluate_cut_levels(
-    num_slots: int,
-    init_idx: np.ndarray,
-    init_vals: np.ndarray,
-    levels: Sequence[tuple],
-    arity: int,
-) -> np.ndarray:
-    """Run a compiled cut-function program; returns the per-slot tables.
-
-    This is the batch counterpart of :func:`cone_function` /
-    ``CutSet.function``: instead of deriving one cut truth table at a
-    time through Python bigint recursion, the compiler
-    (``repro.core.cuts.CutSet.compute_functions``) flattens the cut
-    provenance DAG into per-level steps and this executor evaluates a
-    whole level of cuts per numpy sweep.
-
-    * ``num_slots`` — total number of cut slots (one int64 table each);
-    * ``init_idx`` / ``init_vals`` — slots with known seed tables
-      (trivial cuts, PI projections, the constant cut);
-    * ``levels`` — one step per network level, each a tuple
-      ``(out_idx, out_mask, pos_steps)`` where ``pos_steps`` holds, per
-      gate fanin position, ``(child_idx, comp_mask, groups)``: the child
-      slot to gather, the per-cut complement mask (0 or the width mask),
-      and ``groups`` — ``(lut, sel)`` pairs applying
-      :func:`expansion_lut` tables to the sub-batches that need leaf
-      re-expression;
-    * ``arity`` — 3 combines positions with majority, 2 with AND.
-
-    Every step reads only slots written by earlier levels (or seeds), so
-    one pass over *levels* completes the whole DAG.
-    """
-    if arity not in (2, 3):
-        raise ValueError(f"unsupported gate arity {arity}")
-    values = np.zeros(num_slots, dtype=np.int64)
-    if init_idx.size:
-        values[init_idx] = init_vals
-    for out_idx, out_mask, pos_steps in levels:
-        operands = []
-        for child_idx, comp_mask, groups in pos_steps:
-            v = values[child_idx]
-            for lut, sel in groups:
-                v[sel] = lut[v[sel]]
-            v ^= comp_mask
-            operands.append(v)
-        if arity == 3:
-            a, b, c = operands
-            res = (a & b) | (a & c) | (b & c)
-        else:
-            a, b = operands
-            res = a & b
-        res &= out_mask
-        values[out_idx] = res
     return values
 
 

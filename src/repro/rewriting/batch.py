@@ -1,38 +1,22 @@
-"""Batch policy and precompute shared by the rewriting passes.
+"""The set-up and tear-down shared by the rewriting passes.
 
-The array-native hot path (docs/PERFORMANCE.md) has two independently
-useful stages:
+Both traversals (Algorithms 1 and 2 of the paper) run one candidate
+pipeline (docs/PERFORMANCE.md):
 
-1. **Function batch** — :meth:`repro.core.cuts.CutSet.compute_functions`
-   evaluates every enumerated cut truth table level-by-level through the
-   simulation engine, so a whole level costs a handful of numpy ops.
-2. **Lookup batch** — :meth:`repro.core.cuts.CutSet.batch_tt4s` collects
-   the deduplicated extended tables and
+1. **Enumerate** — :func:`repro.core.cuts.enumerate_cut_set` collects the
+   k-feasible cuts and records, in the same merge loop, the flat program
+   that evaluates every cut truth table.
+2. **Batch** — :meth:`repro.core.cuts.CutSet.batch_tt4s` runs that program
+   and collects the deduplicated extended tables, and
    :meth:`repro.database.npn_db.NpnDatabase.lookup_batch` canonizes them
-   in one vectorized NPN sweep; the rewriter then answers each per-cut
-   consult from the resulting table via ``db.lookup_in``.
+   in one vectorized NPN sweep.  The rewriter then reads each cut's table
+   from :meth:`~repro.core.cuts.CutSet.slot_tables` by slot and answers
+   each per-cut consult from the lookup table via ``db.lookup_in``.
 
-Both stages are bit-identical to the scalar pipeline (same expansion
+Both stages are bit-identical to the scalar derivation (same expansion
 definition, same canonical tie-breaks), so the *chosen rewrites cannot
-differ* — only where the arithmetic runs.  ``tests/rewriting/
-test_differential.py`` pins this against a frozen scalar oracle.
-
-The ``batch`` parameter accepted by the rewriters and by
-:func:`repro.rewriting.engine.functional_hashing`:
-
-``False``
-    fully scalar pipeline (the pre-batch behaviour).
-``"auto"`` (default)
-    engage both stages on networks with at least :data:`BATCH_MIN_GATES`
-    gates.  The function batch used to require a width heuristic on top
-    (level-parallel evaluation had a post-hoc compile step to amortize);
-    since the program is recorded *during* enumeration and executes over
-    provenance-DAG levels — bounded by cut cone depth, not network depth
-    — it pays off on chain-shaped networks too, so gate count is the
-    only gate.
-``True`` / ``"full"``
-    force both stages regardless of size (tiny-network coverage in the
-    differential tests rides on this).
+differ* from it.  ``tests/rewriting/test_differential.py`` pins this
+against a frozen scalar oracle.
 
 This module deliberately imports no numpy: the arrays flow opaquely from
 ``CutSet`` to ``NpnDatabase`` (enforced by ``tools/check_layers.py`` —
@@ -41,66 +25,77 @@ rewriting passes orchestrate batches, the kernel layer owns the math).
 
 from __future__ import annotations
 
-from ..core.cuts import CutSet
+from ..core.cuts import CutSet, enumerate_cut_set
+from ..core.mig import Mig
 from ..database.npn_db import NpnDatabase
 from ..runtime.metrics import PassMetrics
 
-__all__ = [
-    "BATCH_MIN_GATES",
-    "resolve_batch",
-    "prepare_lookup_table",
-]
-
-#: Below this gate count the scalar loop wins — batch setup is pure
-#: overhead on networks that rewrite in well under a millisecond.  The
-#: bound sat at 128 while the function batch carried a post-hoc compile
-#: step; with the program recorded during enumeration the crossover is
-#: much earlier — even a 96-gate adder spends milliseconds on cold
-#: scalar canonizations the vectorized NPN sweep amortizes.
-BATCH_MIN_GATES = 32
-
-
-def resolve_batch(batch, num_gates: int, depth: int) -> tuple[bool, bool]:
-    """Return ``(function_batch, lookup_batch)`` for a ``batch`` setting.
-
-    *depth* is accepted for interface stability; the former width
-    heuristic it fed is obsolete now that the batch program rides along
-    enumeration (see the module docstring).
-    """
-    if batch is False:
-        return False, False
-    if batch is True or batch == "full":
-        return True, True
-    if batch == "auto":
-        engage = num_gates >= BATCH_MIN_GATES
-        return engage, engage
-    raise ValueError(
-        f"batch must be False, True, 'auto' or 'full', got {batch!r}"
-    )
+__all__ = ["prepare_lookup_table", "start_pass", "finish_pass"]
 
 
 def prepare_lookup_table(
-    cuts: CutSet,
-    db: NpnDatabase,
-    function_batch: bool,
-    lookup_batch: bool,
-    metrics: PassMetrics | None = None,
+    cuts: CutSet, db: NpnDatabase, metrics: PassMetrics | None = None
 ):
-    """Run the enabled precompute stages; return the lookup table or ``None``.
+    """Canonize every gate-cut function of *cuts* in one sweep.
 
     With the table in hand a rewriter consults ``db.lookup_in(tt, table)``
     instead of ``db.lookup(tt)`` — identical contract (counters, fault
-    hooks, ``KeyError`` on miss), canonization already paid.  ``None``
-    means "stay fully scalar".  A cut set the batch evaluator cannot
-    handle (cuts wider than 4 inputs, missing provenance) silently falls
-    back to collecting the tables through the scalar memo — the NPN sweep
-    is still batched.
+    hooks, ``KeyError`` on miss), canonization already paid.  Cut tables
+    of up to ``db.num_vars`` (at most 6) inputs are covered.
     """
-    if not lookup_batch:
-        return None
-    if function_batch:
-        cuts.compute_functions()
     table = db.lookup_batch(cuts.batch_tt4s(db.num_vars))
     if metrics is not None:
         metrics.batch_npn_lookups += len(table)
     return table
+
+
+def start_pass(
+    mig: Mig,
+    db: NpnDatabase,
+    fanout_free: bool,
+    cut_size: int,
+    cut_limit: int,
+    metrics: PassMetrics,
+):
+    """Enumerate the cuts of *mig* and canonize their functions.
+
+    Returns ``(levels, cuts, tables, lookup)``: the per-node levels of
+    *mig*, the :class:`~repro.core.cuts.CutSet`, the per-slot cut truth
+    tables extended to ``db.num_vars`` inputs, and ``db.lookup`` answered
+    from the pass's batch table.  Callers hold *cuts* until the pass
+    ends: freeing its program lists before the rewrite loop raised the
+    flow-suite benchmark's peak RSS by about 8 % (glibc heap growth).
+    """
+    if cut_size > db.num_vars:
+        raise ValueError(f"cut size {cut_size} exceeds database arity {db.num_vars}")
+    levels = mig.levels()
+    with metrics.phase("enumerate"):
+        # F-variants enumerate only fanout-free cuts (shared gates become
+        # leaves), so no per-cut admissibility walk is needed later.
+        cuts = enumerate_cut_set(
+            mig,
+            k=cut_size,
+            cut_limit=cut_limit,
+            metrics=metrics,
+            ffr_fanout=mig.fanout_counts() if fanout_free else None,
+        )
+    with metrics.phase("batch"):
+        table = prepare_lookup_table(cuts, db, metrics)
+        tables = cuts.slot_tables(db.num_vars)
+    lookup_in = db.lookup_in
+    return levels, cuts, tables, lambda tt: lookup_in(tt, table)
+
+
+def finish_pass(new: Mig, db: NpnDatabase, metrics: PassMetrics) -> Mig:
+    """Clean up the construction network *new*; account the pass."""
+    with metrics.phase("cleanup"):
+        # The construction network only ever saw new.maj, so the
+        # renumbering fast path is byte-identical to cleanup().
+        result = new.compact()
+    # Kernel counters of the construction network and the cleaned copy.
+    metrics.record_network(new)
+    metrics.record_network(result)
+    if hasattr(db, "drain_metrics"):
+        # Dynamic databases account their tier counters per pass.
+        db.drain_metrics(metrics)
+    return result

@@ -13,13 +13,13 @@ size; sharing between leaf cones is not modelled), exactly as in the
 paper's Algorithm 2 bookkeeping; the final network is measured after
 dead-node cleanup.
 
-Hot-path engineering (docs/PERFORMANCE.md): cut truth tables come from
-the :class:`~repro.core.cuts.CutSet` incremental memo instead of cone
-re-simulation; for the F-variants, cut enumeration itself is restricted
-to fanout-free cuts (shared gates become leaves) so no per-cut
-admissibility walk runs at all and exact cone sizes fall out of the
-merge; and every event is counted in an optional
-:class:`~repro.runtime.metrics.PassMetrics`.
+Hot-path engineering (docs/PERFORMANCE.md): cut truth tables and their
+NPN classes are precomputed for the whole pass
+(:mod:`repro.rewriting.batch`) instead of cone re-simulation; for the
+F-variants, cut enumeration itself is restricted to fanout-free cuts
+(shared gates become leaves) so no per-cut admissibility walk runs at
+all and exact cone sizes fall out of the merge; and every event is
+counted in an optional :class:`~repro.runtime.metrics.PassMetrics`.
 """
 
 from __future__ import annotations
@@ -28,12 +28,11 @@ from bisect import insort
 from itertools import product
 from typing import NamedTuple
 
-from ..core.cuts import cut_cone_nodes, enumerate_cut_set
+from ..core.cuts import cut_cone_nodes
 from ..core.mig import CONST0, Mig, make_signal
-from ..core.truth_table import tt_extend
 from ..database.npn_db import NpnDatabase
 from ..runtime.metrics import PassMetrics
-from .batch import prepare_lookup_table, resolve_batch
+from .batch import finish_pass, start_pass
 
 __all__ = ["rewrite_bottom_up"]
 
@@ -119,41 +118,15 @@ def rewrite_bottom_up(
     cut_limit: int = 8,
     candidate_limit: int = 3,
     combination_limit: int = 16,
-    batch="auto",
     metrics: PassMetrics | None = None,
 ) -> Mig:
-    """Run one bottom-up functional-hashing pass; returns the optimized MIG.
-
-    ``batch`` selects the array-native precompute (see
-    :mod:`repro.rewriting.batch`); every setting chooses byte-identical
-    rewrites — only where the truth-table and NPN arithmetic runs moves.
-    """
-    if cut_size > db.num_vars:
-        raise ValueError(f"cut size {cut_size} exceeds database arity {db.num_vars}")
+    """Run one bottom-up functional-hashing pass; returns the optimized MIG."""
     if metrics is None:
         metrics = PassMetrics()
-    fanout = mig.fanout_counts()
-    levels = mig.levels()
-    # Resolved *before* enumeration so the merge loop can record the
-    # batch program inline (see repro.core.cuts._CutProgram).
-    function_batch, lookup_batch = resolve_batch(
-        batch, mig.num_gates, max(levels, default=0)
+    levels, cuts, tables, db_lookup = start_pass(
+        mig, db, fanout_free, cut_size, cut_limit, metrics
     )
-    with metrics.phase("enumerate"):
-        # F-variants enumerate only fanout-free cuts (shared gates become
-        # leaves), so no per-cut admissibility walk is needed later.
-        cuts = enumerate_cut_set(
-            mig,
-            k=cut_size,
-            cut_limit=cut_limit,
-            metrics=metrics,
-            ffr_fanout=fanout if fanout_free else None,
-            compile_functions=function_batch,
-        )
-    with metrics.phase("batch"):
-        table = prepare_lookup_table(
-            cuts, db, function_batch, lookup_batch, metrics
-        )
+    all_entries = cuts.entries
     new = Mig.like(mig)
 
     cand: list[list[_Candidate] | None] = [None] * mig.num_nodes
@@ -166,21 +139,10 @@ def rewrite_bottom_up(
     considered = admitted_total = rebuilt = db_hits = db_misses = 0
     trivial_r = invalid_r = miss_r = no_gain_r = depth_r = 0
     cf_hits = 0
-    cut_function = cuts.function
-    functions_get = cuts._functions.get
-    if table is None:
-        db_lookup = db.lookup
-    else:
-        db_lookup = lambda tt: db.lookup_in(tt, table)  # noqa: E731
     num_vars = db.num_vars
     new_maj = new.maj
     instantiated_depth_entry = db.instantiated_depth_entry
     rebuild_entry = db.rebuild_entry
-    all_entries = cuts.entries
-    # With the compiled batch in place every cut answers from one list
-    # index into the per-slot extended tables; otherwise the loop stays
-    # on the (node, leaves)-keyed memo.
-    slot_tables = cuts.slot_tables(num_vars) if table is not None else None
     pad_signals = [CONST0] * num_vars
     pad_depths = [0] * num_vars
 
@@ -219,23 +181,9 @@ def rewrite_bottom_up(
                         continue
                     cone_gates = len(internal)
                 num_leaves = len(leaves)
-                if slot_tables is not None:
-                    # Batch fast path: the slot's table is already
-                    # extended to num_vars — a straight list index.
-                    tt4 = slot_tables[cut_entry[3]]
-                    cf_hits += 1
-                else:
-                    # Memo probe inlined (same bookkeeping as
-                    # cuts.function's fast path, counter flushed below).
-                    tt = functions_get((node, leaves))
-                    if tt is None:
-                        tt = cut_function(node, leaves)
-                    else:
-                        cf_hits += 1
-                    tt4 = (
-                        tt if num_leaves == num_vars
-                        else tt_extend(tt, num_leaves, num_vars)
-                    )
+                # The slot's table is already extended to num_vars.
+                tt4 = tables[cut_entry[3]]
+                cf_hits += 1
                 try:
                     entry, transform = db_lookup(tt4)
                 except KeyError:
@@ -304,14 +252,4 @@ def rewrite_bottom_up(
             metrics.cuts_rejected[reason] = (
                 metrics.cuts_rejected.get(reason, 0) + count
             )
-    with metrics.phase("cleanup"):
-        # The construction network only ever saw new.maj, so the
-        # renumbering fast path is byte-identical to cleanup().
-        result = new.compact()
-    # Kernel counters of the construction network and the cleaned copy.
-    metrics.record_network(new)
-    metrics.record_network(result)
-    if hasattr(db, "drain_metrics"):
-        # Dynamic databases account their tier counters per pass.
-        db.drain_metrics(metrics)
-    return result
+    return finish_pass(new, db, metrics)

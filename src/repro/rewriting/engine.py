@@ -79,7 +79,6 @@ def functional_hashing(
     cut_size: int = 4,
     cut_limit: int = 8,
     candidate_limit: int = 3,
-    batch="auto",
     metrics: PassMetrics | None = None,
     return_stats: bool = False,
 ) -> Mig | tuple[Mig, RewriteStats]:
@@ -89,10 +88,6 @@ def functional_hashing(
     the stats carry the populated :class:`PassMetrics` of the pass; sizes
     and depths are only measured in that mode, keeping the plain call free
     of extra traversals.
-
-    ``batch`` selects the array-native precompute pipeline (see
-    :mod:`repro.rewriting.batch` for the policy); it never changes which
-    rewrites are chosen, only how their arithmetic is evaluated.
     """
     top_down, fanout_free, depth_preserving = _parse_variant(variant)
     if metrics is None:
@@ -109,7 +104,6 @@ def functional_hashing(
             fanout_free=fanout_free,
             cut_size=cut_size,
             cut_limit=cut_limit,
-            batch=batch,
             metrics=metrics,
         )
     else:
@@ -121,7 +115,6 @@ def functional_hashing(
             cut_size=cut_size,
             cut_limit=cut_limit,
             candidate_limit=candidate_limit,
-            batch=batch,
             metrics=metrics,
         )
     runtime = time.perf_counter() - start

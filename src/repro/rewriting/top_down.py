@@ -23,21 +23,20 @@ Variants (Sec. IV / Sec. V-C acronyms):
 
 Hot-path engineering (docs/PERFORMANCE.md): the traversal uses an
 explicit work stack instead of recursion (no ``sys.setrecursionlimit``
-games, deep chain MIGs are fine), cut truth tables come from the
-:class:`~repro.core.cuts.CutSet` incremental memo, the F-variants
-enumerate only fanout-free cuts (shared gates become leaves, so no
-per-cut admissibility walk runs), and every event is counted in an
+games, deep chain MIGs are fine), cut truth tables and their NPN classes
+are precomputed for the whole pass (:mod:`repro.rewriting.batch`), the
+F-variants enumerate only fanout-free cuts (shared gates become leaves,
+so no per-cut admissibility walk runs), and every event is counted in an
 optional :class:`~repro.runtime.metrics.PassMetrics`.
 """
 
 from __future__ import annotations
 
-from ..core.cuts import cut_cone_nodes, enumerate_cut_set
+from ..core.cuts import cut_cone_nodes
 from ..core.mig import CONST0, Mig, make_signal
-from ..core.truth_table import tt_extend
 from ..database.npn_db import NpnDatabase
 from ..runtime.metrics import PassMetrics
-from .batch import prepare_lookup_table, resolve_batch
+from .batch import finish_pass, start_pass
 
 __all__ = ["rewrite_top_down"]
 
@@ -49,45 +48,15 @@ def rewrite_top_down(
     fanout_free: bool = False,
     cut_size: int = 4,
     cut_limit: int = 12,
-    batch="auto",
     metrics: PassMetrics | None = None,
 ) -> Mig:
-    """Run one top-down functional-hashing pass; returns the optimized MIG.
-
-    ``batch`` selects the array-native precompute (see
-    :mod:`repro.rewriting.batch`); every setting chooses byte-identical
-    rewrites — only where the truth-table and NPN arithmetic runs moves.
-    """
-    if cut_size > db.num_vars:
-        raise ValueError(f"cut size {cut_size} exceeds database arity {db.num_vars}")
+    """Run one top-down functional-hashing pass; returns the optimized MIG."""
     if metrics is None:
         metrics = PassMetrics()
-    fanout = mig.fanout_counts()
-    levels = mig.levels()
-    # Resolved *before* enumeration so the merge loop can record the
-    # batch program inline (see repro.core.cuts._CutProgram).
-    function_batch, lookup_batch = resolve_batch(
-        batch, mig.num_gates, max(levels, default=0)
+    levels, cuts, tables, db_lookup = start_pass(
+        mig, db, fanout_free, cut_size, cut_limit, metrics
     )
-    with metrics.phase("enumerate"):
-        # F-variants enumerate only fanout-free cuts (shared gates become
-        # leaves), so no per-cut admissibility walk is needed later.
-        cuts = enumerate_cut_set(
-            mig,
-            k=cut_size,
-            cut_limit=cut_limit,
-            metrics=metrics,
-            ffr_fanout=fanout if fanout_free else None,
-            compile_functions=function_batch,
-        )
-    with metrics.phase("batch"):
-        table = prepare_lookup_table(
-            cuts, db, function_batch, lookup_batch, metrics
-        )
-    if table is None:
-        db_lookup = db.lookup
-    else:
-        db_lookup = lambda tt: db.lookup_in(tt, table)  # noqa: E731
+    all_entries = cuts.entries
     new = Mig.like(mig)
 
     memo: dict[int, int] = {0: 0}
@@ -101,26 +70,25 @@ def rewrite_top_down(
         threaded to the emit step so rebuilding pays no second lookup.
         """
         best = None
-        for leaves in cuts[node]:
+        for cut_entry in all_entries[node]:
+            leaves = cut_entry[0]
             if leaves == (node,) or node in leaves:
                 metrics.reject("trivial")
                 continue
             metrics.cuts_considered += 1
             if fanout_free:
                 # Restricted enumeration: fanout-free by construction,
-                # exact cone size known from the merge.
-                cone_gates = cuts.cone_size(node, leaves)
-                if cone_gates is None:
-                    metrics.reject("invalid-cone")
-                    continue
+                # exact cone size rode along from the merge.
+                cone_gates = cut_entry[2]
             else:
                 internal = cut_cone_nodes(mig, node, leaves, None)
                 if internal is None:
                     metrics.reject("invalid-cone")
                     continue
                 cone_gates = len(internal)
-            tt = cuts.function(node, leaves)
-            tt4 = tt_extend(tt, len(leaves), db.num_vars)
+            # The slot's table is already extended to db.num_vars.
+            tt4 = tables[cut_entry[3]]
+            metrics.cut_function_cache_hits += 1
             try:
                 entry, transform = db_lookup(tt4)
             except KeyError:
@@ -192,14 +160,4 @@ def rewrite_top_down(
     with metrics.phase("rewrite"):
         for s, name in zip(mig.outputs, mig.output_names):
             new.add_po(opt(s >> 1) ^ (s & 1), name)
-    with metrics.phase("cleanup"):
-        # The construction network only ever saw new.maj, so the
-        # renumbering fast path is byte-identical to cleanup().
-        result = new.compact()
-    # Kernel counters of the construction network and the cleaned copy.
-    metrics.record_network(new)
-    metrics.record_network(result)
-    if hasattr(db, "drain_metrics"):
-        # Dynamic databases account their tier counters per pass.
-        db.drain_metrics(metrics)
-    return result
+    return finish_pass(new, db, metrics)

@@ -13,11 +13,15 @@ instance (``repro.generators.random_layered``) through one full B pass
 under the runtime's budget machinery — the array-native cut pipeline
 (docs/PERFORMANCE.md) is what makes this complete in minutes instead of
 tripping the budget.  It is slow-marked; CI runs it in the nightly job.
+
+Every serve or batch worker runs its first pass in a fresh interpreter,
+so that pass must not drag in modules it does not need.
 """
 
 from __future__ import annotations
 
 import os
+import subprocess
 import sys
 
 import pytest
@@ -57,6 +61,27 @@ def test_no_recursion_limit_tampering():
     for module in (top_down, bottom_up):
         source = open(module.__file__).read()
         assert "setrecursionlimit(" not in source
+
+
+def test_first_pass_does_not_import_numpy_ma():
+    """``np.unique`` imports ``numpy.ma`` on its first call, milliseconds
+    every fresh worker would pay; the pass deduplicates without it."""
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import sys\n"
+        "from repro.database.npn_db import NpnDatabase\n"
+        "from repro.generators import epfl\n"
+        "from repro.rewriting import functional_hashing\n"
+        "functional_hashing(epfl.adder(16), NpnDatabase.load(), 'BF')\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_deep_chain_pass_completes(db):

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.core.mig import Mig, signal_not
+from repro.core.npn import canonize_cache_clear
 from repro.rewriting.bottom_up import rewrite_bottom_up
 from repro.rewriting.engine import functional_hashing
 from repro.rewriting.top_down import rewrite_top_down
@@ -54,10 +55,14 @@ class TestExactCounters:
         assert metrics.db_hits == 20
         assert metrics.db_misses == 0
         assert metrics.nodes_rebuilt == 7
-        # Incremental cut functions: 20 computed, 20 child sub-lookups
-        # answered from the per-pass memo.
-        assert metrics.cut_functions_computed == 20
+        # Cut functions: all 20 gate-cut tables come from one program run
+        # over 5 provenance levels, and each of the 20 considered cuts
+        # reads its table; 8 distinct tables are canonized.
+        assert metrics.cut_functions_computed == 0
         assert metrics.cut_function_cache_hits == 20
+        assert metrics.batch_cut_functions == 20
+        assert metrics.batch_levels == 5
+        assert metrics.batch_npn_lookups == 8
 
     def test_bottom_up_fanout_free(self, db):
         mig = build_counters_mig()
@@ -114,13 +119,19 @@ class TestExactCounters:
 
     def test_engine_fills_variant_and_npn_counters(self, db):
         mig = build_counters_mig()
+        canonize_cache_clear()
         metrics = PassMetrics()
         functional_hashing(mig, db, "BF", metrics=metrics)
         assert metrics.variant == "BF"
-        # Every db lookup canonizes once; the global memo answers repeats.
+        # Every distinct cut table is canonized once, through the batch
+        # memo; a second pass finds all of them there.
         assert metrics.npn_cache_hits + metrics.npn_cache_misses == (
-            metrics.db_hits + metrics.db_misses
-        )
+            metrics.batch_npn_lookups
+        ) == 2
+        again = PassMetrics()
+        functional_hashing(mig, db, "BF", metrics=again)
+        assert again.npn_cache_hits == 2
+        assert again.npn_cache_misses == 0
 
     def test_return_stats_carries_metrics(self, db):
         mig = build_counters_mig()
