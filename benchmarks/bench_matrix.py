@@ -21,8 +21,7 @@ from pathlib import Path
 from flows import _batch_jobs, standing_sweep_spec
 from harness import RESULTS_DIR
 
-from repro.runtime.executors import parse_hosts
-from repro.runtime.sweep import SweepSpec, run_sweep
+from repro.runtime.sweep import SweepSpec, parse_hosts, run_sweep
 
 MATRIX_PATH = RESULTS_DIR / "MATRIX.jsonl"
 

@@ -130,7 +130,7 @@ _SHARED_FLAGS: dict[str, dict] = {
     "--script": dict(
         default="BF",
         help="comma-separated flow steps (variants, depth, depth-fast, "
-        "strash, fraig); batch applies them to every job "
+        "strash, fraig, remap); batch applies them to every job "
         "(default: %(default)s)",
     ),
     "--verify": dict(
@@ -329,9 +329,27 @@ def _batch_specs(args: argparse.Namespace) -> list:
     return specs
 
 
-def _run_batch_command(args: argparse.Namespace) -> int:
+def _drain_on_signal(command: str, drain):
+    """The Ctrl-C policy of ``migopt batch`` and ``sweep``: the first
+    SIGINT/SIGTERM prints a message and calls *drain*, which stops the
+    children and journals unfinished jobs resumable for ``--resume``;
+    the second raises ``KeyboardInterrupt``."""
     import signal
 
+    caught = []
+
+    def handler(signum, frame):  # noqa: ARG001 - signal API
+        if caught:
+            raise KeyboardInterrupt
+        caught.append(signum)
+        print(f"\n{command}: caught {signal.Signals(signum).name}, draining "
+              "(signal again to abort hard)...", flush=True)
+        drain()
+
+    return handler
+
+
+def _run_batch_command(args: argparse.Namespace) -> int:
     from .runtime import faults
     from .runtime.supervisor import Supervisor
 
@@ -350,19 +368,8 @@ def _run_batch_command(args: argparse.Namespace) -> int:
         verbose=True,
     )
 
-    # Ctrl-C / SIGTERM drain instead of tearing down: the scheduling loop
-    # stops launching, SIGTERMs live workers (SIGKILL after --grace), and
-    # journals every unfinished job resumable — `--resume` continues it.
-    def _drain_signal(signum, frame):  # noqa: ARG001 - signal API
-        if supervisor.shutdown_requested:
-            # Second signal: the user really wants out now.
-            raise KeyboardInterrupt
-        print(f"\nbatch: caught {signal.Signals(signum).name}, draining "
-              "(signal again to abort hard)...", flush=True)
-        supervisor.request_shutdown()
-
     try:
-        with handle_signals(_drain_signal):
+        with handle_signals(_drain_on_signal("batch", supervisor.request_shutdown)):
             report = supervisor.run(
                 specs, resume=args.resume or getattr(args, "shard", False)
             )
@@ -390,10 +397,9 @@ def _run_batch_command(args: argparse.Namespace) -> int:
 
 def _run_sweep_command(args: argparse.Namespace) -> int:
     import json
-    import signal
+    import threading
 
-    from .runtime.executors import parse_hosts
-    from .runtime.sweep import SweepConflictError, SweepSpec, run_sweep
+    from .runtime.sweep import SweepConflictError, SweepSpec, parse_hosts, run_sweep
 
     spec = None
     if args.spec:
@@ -410,17 +416,9 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
         raise SystemExit("specify a sweep with --spec FILE (or --resume an "
                          "existing sweep workdir)")
 
-    shutdown = {"requested": False}
-
-    def _drain_signal(signum, frame):  # noqa: ARG001 - signal API
-        if shutdown["requested"]:
-            raise KeyboardInterrupt
-        print(f"\nsweep: caught {signal.Signals(signum).name}, draining "
-              "shards (signal again to abort hard)...", flush=True)
-        shutdown["requested"] = True
-
+    shutdown = threading.Event()
     try:
-        with handle_signals(_drain_signal):
+        with handle_signals(_drain_on_signal("sweep", shutdown.set)):
             run = run_sweep(
                 args.workdir,
                 spec=spec,
@@ -433,7 +431,7 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
                 backoff_base=args.backoff,
                 shard_attempts=args.shard_attempts,
                 matrix_path=args.matrix,
-                shutdown_check=lambda: shutdown["requested"],
+                shutdown_check=shutdown.is_set,
                 verbose=True,
             )
     except (FileExistsError, ValueError) as exc:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from ..core.mig import Mig, signal_not
 from ..database.npn_db import NpnDatabase
@@ -50,9 +50,19 @@ from ..runtime.verify import verify_rewrite
 from .depth_opt import optimize_depth
 from .size_opt import strash_rebuild
 
-__all__ = ["FlowStepStats", "run_flow", "optimize_until_convergence"]
+__all__ = [
+    "FlowStepStats",
+    "check_steps",
+    "needs_database",
+    "run_flow",
+    "optimize_until_convergence",
+]
 
 _ON_ERROR_POLICIES = ("raise", "rollback", "skip")
+
+#: the flow steps besides the functional-hashing variants (``VARIANTS``,
+#: matched case-insensitively); ``remap`` reads the NPN database too
+_OTHER_STEPS = ("depth", "depth-fast", "strash", "fraig", "remap")
 
 
 @dataclass(frozen=True)
@@ -86,8 +96,6 @@ def _apply_step(
     name = step.strip()
     upper = name.upper()
     if upper in VARIANTS:
-        if db is None:
-            raise ValueError(f"step {step!r} needs an NPN database")
         metrics = PassMetrics(variant=upper)
         kwargs = {}
         if cut_limit is not None:
@@ -105,33 +113,32 @@ def _apply_step(
         from .fraig import fraig
 
         return fraig(mig, budget=budget), None
-    if name == "remap":
-        if db is None:
-            raise ValueError("step 'remap' needs an NPN database")
-        from .remap import remap_resynth
+    # remap: the one step left that check_steps admits
+    from .remap import remap_resynth
 
-        return remap_resynth(mig, db), None
-    raise ValueError(
-        f"unknown flow step {step!r}; expected one of {VARIANTS} or "
-        "'depth', 'depth-fast', 'strash', 'fraig', 'remap'"
+    return remap_resynth(mig, db), None
+
+
+def needs_database(script: Iterable[str]) -> bool:
+    """Whether any step of *script* reads the NPN database."""
+    return any(
+        step.strip().upper() in VARIANTS or step.strip() == "remap"
+        for step in script
     )
 
 
-def _validate_script(db: NpnDatabase | None, script: list[str]) -> None:
-    """Reject unknown steps (and variant steps without a db) up front.
+def check_steps(script: Iterable[str]) -> None:
+    """Raise ``ValueError`` for a step that no flow runs.
 
-    Script typos are caller bugs, not runtime faults — they must raise
-    regardless of the ``on_error`` policy.
+    Script typos are caller bugs, not runtime faults: :func:`run_flow`
+    raises them whatever its ``on_error`` policy, and serve answers 400.
     """
     for step in script:
         name = step.strip()
-        if name.upper() in VARIANTS or name == "remap":
-            if db is None:
-                raise ValueError(f"step {step!r} needs an NPN database")
-        elif name not in ("depth", "depth-fast", "strash", "fraig"):
+        if name.upper() not in VARIANTS and name not in _OTHER_STEPS:
             raise ValueError(
-                f"unknown flow step {step!r}; expected one of {VARIANTS} or "
-                "'depth', 'depth-fast', 'strash', 'fraig', 'remap'"
+                f"unknown flow step {step!r}; expected one of {VARIANTS} "
+                f"or {_OTHER_STEPS}"
             )
 
 
@@ -212,7 +219,9 @@ def run_flow(
         raise ValueError(
             f"unknown on_error policy {on_error!r}; expected one of {_ON_ERROR_POLICIES}"
         )
-    _validate_script(db, script)
+    check_steps(script)
+    if db is None and needs_database(script):
+        raise ValueError(f"script {list(script)} needs an NPN database")
     if verify == "cec" and sat_backend != "internal":
         from ..sat.portfolio import resolve_backend
 
@@ -341,80 +350,25 @@ def optimize_until_convergence(
 
     Returns the converged MIG and the number of productive passes.
 
-    Runs under the same fault-tolerant runtime as :func:`run_flow`: a
-    shared *budget* stops the iteration cleanly between passes (partial
-    progress is kept, never discarded), *verify* checks every pass
-    against its input, and *on_error* decides whether a failing or
-    miscompiled pass raises (``"raise"``) or is rolled back — the
-    last-known-good network is returned (``"rollback"``/``"skip"``).
+    Each pass is one :func:`run_flow` call on ``[variant]`` with the
+    shared *budget*, *verify* and *on_error* policy.  A pass that does
+    not end ``ok`` (budget spent, failed, rolled back) or does not
+    shrink the network stops the iteration, and the network from before
+    that pass is returned: partial progress is kept, never discarded.
     Pass a :class:`PassMetrics` to accumulate hot-path counters across
     all executed passes.
     """
-    if on_error not in _ON_ERROR_POLICIES:
-        raise ValueError(
-            f"unknown on_error policy {on_error!r}; expected one of {_ON_ERROR_POLICIES}"
-        )
-    if verify == "cec" and sat_backend != "internal":
-        from ..sat.portfolio import resolve_backend
-
-        cec_backend = resolve_backend(sat_backend, budget=budget) or "internal"
-    else:
-        cec_backend = "internal"
     current = mig
-    passes = 0
-    for _ in range(max_passes):
-        if budget is not None and budget.expired():
-            break
-        pass_metrics = PassMetrics(variant=variant.upper())
-        kwargs = {}
-        if cut_limit is not None:
-            kwargs["cut_limit"] = cut_limit
-        if cut_size is not None:
-            kwargs["cut_size"] = cut_size
-        try:
-            nxt = functional_hashing(
-                current, db, variant, metrics=pass_metrics, **kwargs
-            )
-        except BudgetExhausted:
-            break
-        except Exception:  # noqa: BLE001 - policy boundary
-            if on_error == "raise":
-                raise
-            break
-        if metrics is not None:
-            metrics.merge(pass_metrics)
-            metrics.variant = variant.upper()
-
-        if fault_active("flow.wrong-rewrite"):
-            nxt = _miscompiled(nxt)
-        if fault_active("flow.corrupt-structure"):
-            nxt = _structure_corrupted(nxt)
-
-        try:
-            _checked(nxt, verify)
-        except ValueError as exc:
-            if on_error == "raise":
-                raise VerificationFailed(step=variant, method="structural") from exc
-            break  # roll back to the last structurally valid network
-
-        report = verify_rewrite(
-            current, nxt, mode=verify, budget=budget, sat_backend=cec_backend
+    for passes in range(max_passes):
+        nxt, (stats,) = run_flow(
+            current, db, [variant], budget=budget, verify=verify,
+            on_error=on_error, cut_limit=cut_limit, cut_size=cut_size,
+            sat_backend=sat_backend,
         )
-        if metrics is not None:
-            metrics.record_network(current)
-            metrics.record_network(nxt)
-            metrics.record_backend_events(report.backend_events)
-            metrics.sat_conflicts += report.conflicts
-        if report.refuted:
-            if on_error == "raise":
-                raise VerificationFailed(
-                    step=variant,
-                    method=report.method,
-                    counterexample=report.counterexample,
-                )
-            break  # roll back to the last verified network and stop
-        if nxt.num_gates >= current.num_gates:
-            break
+        if metrics is not None and stats.metrics is not None:
+            metrics.merge(stats.metrics)
+            metrics.variant = variant.upper()
+        if stats.status != "ok" or nxt.num_gates >= current.num_gates:
+            return current, passes
         current = nxt
-        passes += 1
-    return current, passes
+    return current, max_passes

@@ -16,17 +16,17 @@ The robustness substrate shared by every layer of the reproduction:
 * :mod:`repro.runtime.jobs` — batch job specs, the network loader
   (``load_network``), the retry/degradation ladder, the crash-recoverable
   JSONL job journal, and the one job-result summary and adoption path;
-* :mod:`repro.runtime.executors` — the execution layer: the fork-based
-  ``LocalExecutor`` worker pool (submit/poll/drain), the
-  ``ShardExecutor`` that runs one task per (pseudo-)host for distributed
-  sweeps, the child-process environment and the SIGINT/SIGTERM helper;
+* :mod:`repro.runtime.executors` — the one process pool: the fork-based
+  ``LocalExecutor`` (submit/poll/drain) with the one stop ladder
+  (SIGTERM → grace → SIGKILL, for the watchdog and a drain alike), the
+  child-process environment and the SIGINT/SIGTERM helper;
 * :mod:`repro.runtime.supervisor` — the supervised parallel batch
-  runtime: journal-backed scheduling and the retry ladder, executing
-  through an executor with the hard wall-clock watchdog
-  (SIGTERM → grace → SIGKILL);
+  runtime: journal-backed scheduling and the retry ladder over its own
+  ``LocalExecutor``;
 * :mod:`repro.runtime.sweep` — sharded multi-host sweeps: declarative
-  scenario matrices expanded to per-host journal shards, merged
-  exactly-once, published as trend rows to ``MATRIX.jsonl``;
+  scenario matrices expanded to per-host journal shards, run one shard
+  per host through ``HostSpec`` command templates, merged exactly-once,
+  published as trend rows to ``MATRIX.jsonl``;
 * :mod:`repro.runtime.worker` — the worker subprocess entry point
   (``python -m repro.runtime.worker``).
 
@@ -40,18 +40,10 @@ from .errors import (
     ReproRuntimeError,
     VerificationFailed,
 )
-from .executors import (
-    ExecutorTask,
-    HostSpec,
-    LocalExecutor,
-    ShardExecutor,
-    TaskExit,
-    TaskHandle,
-    parse_hosts,
-)
+from .executors import ExecutorTask, LocalExecutor, TaskExit, TaskHandle
 from .jobs import BatchReport, JobJournal, JobSpec, load_network
 from .supervisor import Supervisor, run_batch
-from .sweep import SweepConflictError, SweepSpec, run_sweep
+from .sweep import HostSpec, SweepConflictError, SweepSpec, parse_hosts, run_sweep
 from .verify import VerificationReport, verify_rewrite
 
 __all__ = [
@@ -65,7 +57,6 @@ __all__ = [
     "JobSpec",
     "LocalExecutor",
     "ReproRuntimeError",
-    "ShardExecutor",
     "Supervisor",
     "SweepConflictError",
     "SweepSpec",

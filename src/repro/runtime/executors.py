@@ -1,24 +1,19 @@
-"""The pluggable executor layer: *where* job processes run.
+"""The process pool: *where* a runtime child runs and *how* it stops.
 
 PR 3's :class:`~repro.runtime.supervisor.Supervisor` was both the batch
 *scheduler* (journal, retry ladder, adoption) and the *process pool*
-(fork, poll, SIGTERM→SIGKILL watchdog).  This module extracts the second
-role so the scheduler no longer cares whether an attempt runs as a local
-fork, or — one level up — a whole journal shard runs as an independent
-``migopt batch --shard`` invocation on another host:
+(fork, poll, SIGTERM→SIGKILL watchdog).  This module holds the second
+role for every runtime child — supervisor workers and sweep shards:
 
 * :class:`LocalExecutor` — ``submit`` / ``poll`` / ``drain`` over
   :class:`ExecutorTask` descriptions (an argv, an environment, an
-  optional wall-clock watchdog): today's fork-based worker pool, re-platformed
-  byte-for-byte: slot allocation, the startup-margin-padded watchdog and
-  the SIGTERM→grace→SIGKILL escalation are exactly the pre-refactor
-  supervisor's (pinned by ``tests/runtime/test_executor_differential``);
-* :class:`ShardExecutor` — one task per *journal shard*: the argv is
-  wrapped in a per-host command template (``$REPRO_SWEEP_HOSTS``; plain
-  names run local subprocesses, ``name=ssh hostA {cmd}``-style templates
-  reach real fleets) and pinned to its host slot, so a sweep coordinator
-  (:mod:`repro.runtime.sweep`) schedules shards exactly the way the
-  supervisor schedules workers;
+  optional wall-clock watchdog), re-platformed from the pre-refactor
+  supervisor (slot allocation and watchdog pinned by
+  ``tests/runtime/test_executor_differential``).  It owns the one stop
+  ladder: each task has a SIGTERM instant and a SIGKILL instant
+  ``grace`` seconds later, and :meth:`~LocalExecutor.poll` sends each
+  signal once its instant passes.  The watchdog sets the instants at
+  launch; :meth:`~LocalExecutor.drain` moves them to now;
 * :func:`child_env` — the environment every runtime child process gets;
 * :func:`handle_signals` — the one place SIGINT/SIGTERM handlers are
   installed and restored (``migopt batch`` / ``sweep`` / ``serve``).
@@ -45,19 +40,12 @@ __all__ = [
     "TaskHandle",
     "TaskExit",
     "LocalExecutor",
-    "HostSpec",
-    "ShardExecutor",
     "child_env",
     "handle_signals",
-    "parse_hosts",
-    "HOSTS_ENV_VAR",
 ]
 
 #: scheduler tick shared with the supervisor loop
 POLL_INTERVAL = 0.02
-
-#: environment variable naming the sweep fleet (see :func:`parse_hosts`)
-HOSTS_ENV_VAR = "REPRO_SWEEP_HOSTS"
 
 
 @dataclass(frozen=True)
@@ -68,8 +56,6 @@ class ExecutorTask:
     at ``launch + time_limit + startup_margin`` and SIGKILLed ``grace``
     seconds later (both executor parameters).  ``None`` disables it —
     shard tasks supervise their own workers and get no outer deadline.
-    ``host`` pins the task to a named host slot; only executors with
-    named slots (:class:`ShardExecutor`) honor it.
     """
 
     task_id: str
@@ -78,7 +64,6 @@ class ExecutorTask:
     cwd: str | None = None
     log_path: str | None = None
     time_limit: float | None = None
-    host: str | None = None
 
 
 @dataclass(frozen=True)
@@ -87,7 +72,7 @@ class TaskHandle:
 
     task_id: str
     pid: int
-    slot: int | str
+    slot: int
 
 
 @dataclass
@@ -96,7 +81,7 @@ class TaskExit:
 
     task_id: str
     returncode: int
-    slot: int | str
+    slot: int
     runtime: float
     #: the watchdog fired (SIGTERM)
     termed: bool = False
@@ -110,7 +95,7 @@ class _Live:
 
     task_id: str
     proc: subprocess.Popen
-    slot: int | str
+    slot: int
     started: float
     #: SIGTERM instant (None = no wall-clock watchdog for this task)
     term_at: float | None
@@ -152,7 +137,7 @@ class LocalExecutor:
         self.grace = grace
         self.startup_margin = startup_margin
         self._live: dict[str, _Live] = {}
-        self._free_slots: list[int | str] = list(range(num_workers))
+        self._free_slots: list[int] = list(range(num_workers))
         self._closed = False
 
     # -- capacity ----------------------------------------------------------
@@ -161,28 +146,19 @@ class LocalExecutor:
     def running_count(self) -> int:
         return len(self._live)
 
-    def has_capacity(self, task: ExecutorTask) -> bool:  # noqa: ARG002
+    def has_capacity(self) -> bool:
         return bool(self._free_slots)
 
     # -- lifecycle ---------------------------------------------------------
-
-    def _spawn_argv(self, task: ExecutorTask, slot: int | str) -> list[str]:
-        """The concrete argv for *task* (hook for host wrapping)."""
-        del slot
-        return list(task.argv)
-
-    def _take_slot(self, task: ExecutorTask) -> int | str:
-        return self._free_slots.pop(0)
 
     def submit(self, task: ExecutorTask) -> TaskHandle:
         if self._closed:
             raise RuntimeError("executor is closed")
         if task.task_id in self._live:
             raise ValueError(f"task {task.task_id!r} is already running")
-        if not self.has_capacity(task):
+        if not self.has_capacity():
             raise RuntimeError("no free executor slot")
-        slot = self._take_slot(task)
-        argv = self._spawn_argv(task, slot)
+        slot = self._free_slots.pop(0)
         stderr = subprocess.DEVNULL
         log_fp = None
         if task.log_path is not None:
@@ -192,7 +168,7 @@ class LocalExecutor:
             stderr = log_fp
         try:
             proc = subprocess.Popen(
-                argv,
+                task.argv,
                 env=task.env,
                 stdout=subprocess.DEVNULL,
                 stderr=stderr,
@@ -200,7 +176,7 @@ class LocalExecutor:
             )
         except Exception:
             self._free_slots.append(slot)
-            self._sort_free()
+            self._free_slots.sort()
             raise
         finally:
             if log_fp is not None:
@@ -216,17 +192,11 @@ class LocalExecutor:
         )
         return TaskHandle(task_id=task.task_id, pid=proc.pid, slot=slot)
 
-    def _sort_free(self) -> None:
-        try:
-            self._free_slots.sort()
-        except TypeError:  # mixed named/indexed slots — keep FIFO order
-            pass
-
     def _reap(self, live: _Live, returncode: int) -> TaskExit:
         """Retire a finished task and free its slot."""
         del self._live[live.task_id]
         self._free_slots.append(live.slot)
-        self._sort_free()
+        self._free_slots.sort()
         return live.to_exit(returncode)
 
     def poll(self) -> list[TaskExit]:
@@ -247,32 +217,26 @@ class LocalExecutor:
         return exits
 
     def drain(self) -> list[TaskExit]:
-        """Stop everything: SIGTERM at once, SIGKILL after the grace window.
+        """Stop everything through the watchdog ladder, then reap it.
 
-        Identical escalation to the pre-refactor supervisor's drain; the
-        caller decides per exit whether the task's work survives (result
-        adoption) or is requeued.
+        Each task not yet SIGTERMed gets its SIGTERM instant set to now
+        and its SIGKILL instant to ``grace`` later; a task the watchdog
+        already SIGTERMed keeps its own SIGKILL instant, so no task is
+        SIGKILLed sooner than ``grace`` after its SIGTERM.  :meth:`poll`
+        then runs until the pool is empty.  The caller decides per exit
+        whether the task's work survives (result adoption) or is
+        requeued.
         """
+        now = time.monotonic()
         for live in self._live.values():
             if not live.termed:
-                live.proc.terminate()
-                live.termed = True
-        kill_deadline = time.monotonic() + self.grace
+                live.term_at, live.kill_at = now, now + self.grace
         exits: list[TaskExit] = []
-        while self._live:
-            now = time.monotonic()
-            for task_id in list(self._live):
-                live = self._live[task_id]
-                rc = live.proc.poll()
-                if rc is None:
-                    if now >= kill_deadline and not live.killed:
-                        live.proc.kill()
-                        live.killed = True
-                    continue
-                exits.append(self._reap(live, rc))
-            if self._live:
-                time.sleep(POLL_INTERVAL)
-        return exits
+        while True:
+            exits.extend(self.poll())
+            if not self._live:
+                return exits
+            time.sleep(POLL_INTERVAL)
 
     def close(self) -> None:
         if self._live:
@@ -338,107 +302,3 @@ def handle_signals(
                 signal.signal(sig, old)
             except (ValueError, OSError):
                 pass
-
-
-# ----------------------------------------------------------------------
-# sharded execution
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HostSpec:
-    """One host of a sweep fleet.
-
-    Without a *template* the task argv runs as a plain local subprocess
-    (the "subprocess per host" mode every test and the CI drill use).
-    With one, the template tokens are executed instead, with the
-    ``{cmd}`` token replaced by the task argv — e.g. ``ssh hostA {cmd}``
-    prepends an ssh hop.  A template without ``{cmd}`` has the argv
-    appended.
-    """
-
-    name: str
-    template: tuple[str, ...] | None = None
-
-    def wrap(self, argv: list[str]) -> list[str]:
-        if not self.template:
-            return list(argv)
-        wrapped: list[str] = []
-        spliced = False
-        for token in self.template:
-            if token == "{cmd}":
-                wrapped.extend(argv)
-                spliced = True
-            else:
-                wrapped.append(token)
-        if not spliced:
-            wrapped.extend(argv)
-        return wrapped
-
-
-def parse_hosts(
-    value: str | None = None, default_shards: int = 2
-) -> list[HostSpec]:
-    """The sweep fleet from ``$REPRO_SWEEP_HOSTS`` (or *value*).
-
-    Entries are ``;``-separated (templates contain spaces and commas):
-    a bare ``name`` runs shards as local subprocesses, ``name=ssh node7
-    {cmd}`` runs them through the given command template.  Unset or
-    empty, the fleet defaults to *default_shards* local pseudo-hosts
-    named ``h0..hN`` — multi-host semantics, one machine.
-    """
-    if value is None:
-        value = os.environ.get(HOSTS_ENV_VAR, "")
-    entries = [entry.strip() for entry in value.split(";") if entry.strip()]
-    if not entries:
-        return [HostSpec(f"h{i}") for i in range(max(1, default_shards))]
-    hosts: list[HostSpec] = []
-    seen: set[str] = set()
-    for entry in entries:
-        name, _, template = entry.partition("=")
-        name = name.strip()
-        if not name or "/" in name or name != Path(name).name:
-            raise ValueError(f"invalid sweep host name {name!r}")
-        if name in seen:
-            raise ValueError(f"duplicate sweep host {name!r}")
-        seen.add(name)
-        tokens = tuple(template.split()) if template.strip() else None
-        hosts.append(HostSpec(name=name, template=tokens))
-    return hosts
-
-
-class ShardExecutor(LocalExecutor):
-    """Runs one task per host slot, through each host's command template.
-
-    The slots are the host *names*; a task with ``host`` set is pinned
-    to that slot (a sweep shard must land on the host that owns its
-    journal shard), an unpinned task takes any free host.  Everything
-    else — watchdog, drain, exits — is inherited.
-    """
-
-    def __init__(self, hosts: list[HostSpec], grace: float = 5.0,
-                 startup_margin: float = 1.0) -> None:
-        if not hosts:
-            raise ValueError("ShardExecutor needs at least one host")
-        super().__init__(num_workers=len(hosts), grace=grace,
-                         startup_margin=startup_margin)
-        self.hosts = {host.name: host for host in hosts}
-        if len(self.hosts) != len(hosts):
-            raise ValueError("duplicate host names in sweep fleet")
-        self._free_slots = [host.name for host in hosts]
-
-    def has_capacity(self, task: ExecutorTask) -> bool:
-        if task.host is not None:
-            return task.host in self._free_slots
-        return bool(self._free_slots)
-
-    def _take_slot(self, task: ExecutorTask) -> int | str:
-        if task.host is not None:
-            if task.host not in self.hosts:
-                raise ValueError(f"unknown sweep host {task.host!r}")
-            self._free_slots.remove(task.host)
-            return task.host
-        return self._free_slots.pop(0)
-
-    def _spawn_argv(self, task: ExecutorTask, slot: int | str) -> list[str]:
-        return self.hosts[str(slot)].wrap(list(task.argv))

@@ -62,7 +62,7 @@ from pathlib import Path
 
 from .artifacts import atomic_write_text, quarantine
 from .cache import ResultCache, request_key
-from .executors import LocalExecutor, handle_signals
+from .executors import handle_signals
 from .faults import arm_from_env, fault_active
 from .jobs import JobJournal, JobSpec, load_network, network_kind, result_fields
 from .supervisor import Supervisor
@@ -72,10 +72,6 @@ __all__ = ["OptimizationService", "ServeDaemon", "run_server"]
 
 #: request body cap — a network upload past this is a 413, not an OOM
 MAX_BODY_BYTES = 32 * 1024 * 1024
-
-#: non-variant flow steps accepted in scripts (variants come from the
-#: rewriting engine at validation time)
-_PLAIN_STEPS = ("depth", "depth-fast", "strash", "fraig")
 
 #: exit code of the injected serve.crash fault
 CRASH_EXIT_CODE = 86
@@ -105,23 +101,19 @@ def _parse_network(network):
         raise BadRequest(f"could not parse {kind} network: {exc}") from exc
 
 
-def _validate_script(script) -> tuple[str, ...]:
-    from ..rewriting.engine import VARIANTS
+def _parse_script(script) -> tuple[str, ...]:
+    from ..opt.flow import check_steps
 
     if isinstance(script, str):
         script = [s for s in script.split(",") if s]
     if not isinstance(script, (list, tuple)) or not script:
         raise BadRequest("'script' must be a non-empty list of step names")
-    steps = []
-    for step in script:
-        name = str(step).strip()
-        if name.upper() not in VARIANTS and name.lower() not in _PLAIN_STEPS:
-            raise BadRequest(
-                f"unknown flow step {name!r}; variants {list(VARIANTS)} "
-                f"or {list(_PLAIN_STEPS)}"
-            )
-        steps.append(name)
-    return tuple(steps)
+    steps = tuple(str(step).strip() for step in script)
+    try:
+        check_steps(steps)
+    except ValueError as exc:
+        raise BadRequest(str(exc)) from None
+    return steps
 
 
 def _opt_number(request: dict, key: str, cast, minimum=None):
@@ -150,7 +142,6 @@ class ServeJob:
     #: queued | running | done | failed | timeout
     state: str = "queued"
     cached: bool = False
-    resume: bool = False
     started_at: float | None = None
     finished_at: float | None = None
     result: dict | None = None
@@ -279,9 +270,9 @@ class OptimizationService:
         supervisor journal: a terminal journal reinstates the outcome
         without re-running anything (and back-fills the cache if the
         crash hit between completion and the cache write); anything else
-        re-enters the queue with ``resume=True`` so the supervisor's own
-        resume logic — including adopting an already-written result
-        artifact — guarantees the job completes exactly once.
+        re-enters the queue, and the supervisor's resume logic —
+        including adopting an already-written result artifact —
+        guarantees the job completes exactly once.
         """
         if not self.jobs_dir.exists():
             return
@@ -316,7 +307,6 @@ class OptimizationService:
             elif replay_record is not None and replay_record.state == "quarantined":
                 self._finalize_failed(job, replay_record.last_error or "quarantined")
             else:
-                job.resume = journal_path.exists()
                 with self._lock:
                     self.jobs[job_id] = job
                     self._by_key.setdefault(key, job_id)
@@ -470,10 +460,10 @@ class OptimizationService:
         verify = str(request.get("verify", self.default_verify))
         if verify not in VERIFY_MODES:
             raise BadRequest("'verify' must be 'off', 'sim', or 'cec'")
-        script = _validate_script(request.get("script", ["BF"]))
+        script = _parse_script(request.get("script", ["BF"]))
         variant = str(request.get("variant", "BF"))
         if mode == "converge":
-            _validate_script([variant])
+            _parse_script([variant])
         deadline = _opt_number(request, "deadline", float, minimum=0.0)
         time_limit = _opt_number(request, "time_limit", float, minimum=0.0)
         if deadline is not None:
@@ -538,10 +528,6 @@ class OptimizationService:
             self._finalize_failed(job, "deadline expired while queued", "timeout")
             return
 
-        # The daemon routes through the same executor layer as batch and
-        # sweep; the explicit LocalExecutor is owned here, reused across
-        # the resume retry, and closed when the job settles.
-        executor = LocalExecutor(num_workers=1, grace=self.grace)
         supervisor = Supervisor(
             job.workdir / "super",
             num_workers=1,
@@ -549,16 +535,14 @@ class OptimizationService:
             max_attempts=self.max_attempts,
             backoff_base=0.1,
             default_time_limit=self.default_time_limit,
-            executor=executor,
         )
         with self._lock:
             self._active_supervisors[job.job_id] = supervisor
         try:
-            report = supervisor.run([job.spec], resume=job.resume)
-        except FileExistsError:
+            # A fresh job directory has no journal, so resuming is the
+            # same run; a recovered one continues its journal.
             report = supervisor.run([job.spec], resume=True)
         finally:
-            executor.close()
             with self._lock:
                 self._active_supervisors.pop(job.job_id, None)
                 self._running = max(0, self._running - 1)
@@ -572,7 +556,6 @@ class OptimizationService:
             # Drained mid-run: the journal holds a resumable state.
             with self._lock:
                 job.state = "queued"
-                job.resume = True
             return
         if summary is not None and summary.get("state") == "done":
             self._finalize_done(job, summary)
@@ -766,6 +749,9 @@ class _Handler(BaseHTTPRequestHandler):
     service: OptimizationService  # injected by ServeDaemon
     verbose = False
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two sends; with Nagle's algorithm on,
+    # the body waits for the client's delayed ACK (~40 ms per response).
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):  # noqa: D102 - quiet by default
         if self.verbose:

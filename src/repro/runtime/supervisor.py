@@ -25,14 +25,14 @@ level:
   every job exactly once.
 
 Since the executor-layer refactor the Supervisor is a pure *scheduler*:
-process launching, polling and the watchdog escalation live in
-:mod:`repro.runtime.executors`.  Its
-:class:`~repro.runtime.executors.LocalExecutor` reproduces the historic
-fork pool exactly (``tests/runtime/test_executor_differential.py`` pins
-it against the frozen pre-refactor monolith); a sweep coordinator runs
-whole journal *shards* through a
-:class:`~repro.runtime.executors.ShardExecutor` instead — same
-scheduling discipline, one level up (:mod:`repro.runtime.sweep`).
+process launching, polling and the SIGTERM→grace→SIGKILL ladder (for
+the watchdog and for a drain alike) live in the
+:class:`~repro.runtime.executors.LocalExecutor` each :meth:`Supervisor.run`
+creates and closes.  It reproduces the historic fork pool exactly
+(``tests/runtime/test_executor_differential.py`` pins it against the
+frozen pre-refactor monolith); a sweep coordinator runs whole journal
+*shards* on the same pool — same scheduling discipline, one level up
+(:mod:`repro.runtime.sweep`).
 
 The public entry point is :func:`run_batch`; the ``migopt batch`` CLI
 subcommand and ``benchmarks/flows.py`` are thin wrappers around it.
@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .artifacts import atomic_write_text
-from .executors import ExecutorTask, LocalExecutor, TaskExit, child_env
+from .executors import POLL_INTERVAL, ExecutorTask, LocalExecutor, TaskExit, child_env
 from .jobs import (
     BatchReport,
     JobJournal,
@@ -63,9 +63,6 @@ from .jobs import (
 )
 
 __all__ = ["Supervisor", "run_batch", "spec_for_attempt"]
-
-#: scheduler tick — how often the executor is polled
-_POLL_INTERVAL = 0.02
 
 
 def spec_for_attempt(base: JobSpec, attempt: int) -> tuple[JobSpec, list[str]]:
@@ -94,7 +91,7 @@ class _Pending:
 
 
 class Supervisor:
-    """Schedules jobs from the journal across an executor's task slots.
+    """Schedules jobs from the journal across a worker pool's slots.
 
     *workdir* holds everything the batch persists::
 
@@ -109,9 +106,6 @@ class Supervisor:
     healthy worker that honors its in-process budget is never killed;
     *backoff_base* seconds doubles per failed attempt (kept small in
     tests); *default_time_limit* applies to specs without their own.
-    *executor* overrides where attempts run (default: a fresh
-    :class:`LocalExecutor` per :meth:`run`, reproducing the historic
-    fork pool).
     """
 
     def __init__(
@@ -124,7 +118,6 @@ class Supervisor:
         default_time_limit: float | None = None,
         startup_margin: float = 1.0,
         verbose: bool = False,
-        executor: LocalExecutor | None = None,
     ) -> None:
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
@@ -138,7 +131,6 @@ class Supervisor:
         self.default_time_limit = default_time_limit
         self.startup_margin = startup_margin
         self.verbose = verbose
-        self.executor = executor
         self.specs_dir = self.workdir / "specs"
         self.results_dir = self.workdir / "results"
         self._shutdown = threading.Event()
@@ -175,13 +167,6 @@ class Supervisor:
     def _result_path(self, job_id: str) -> Path:
         return self.results_dir / f"{job_id}.json"
 
-    def _make_executor(self) -> LocalExecutor:
-        return LocalExecutor(
-            num_workers=self.num_workers,
-            grace=self.grace,
-            startup_margin=self.startup_margin,
-        )
-
     # -- batch entry ------------------------------------------------------
 
     def run(self, specs: list[JobSpec], resume: bool = False) -> BatchReport:
@@ -204,8 +189,11 @@ class Supervisor:
 
         replay = JobJournal.replay(self.journal_path)
         started = time.monotonic()
-        executor = self.executor if self.executor is not None else self._make_executor()
-        owns_executor = self.executor is None
+        executor = LocalExecutor(
+            num_workers=self.num_workers,
+            grace=self.grace,
+            startup_margin=self.startup_margin,
+        )
         try:
             with JobJournal(self.journal_path) as journal:
                 records = replay.records
@@ -220,8 +208,7 @@ class Supervisor:
                 ready, delayed = self._recover(journal, records, order)
                 report = self._loop(journal, records, order, ready, delayed, executor)
         finally:
-            if owns_executor:
-                executor.close()
+            executor.close()
 
         report.wall_seconds = time.monotonic() - started
         report.total = len(order)
@@ -316,9 +303,7 @@ class Supervisor:
                 progressed = True
 
             # Fill free executor slots.
-            while ready and executor.has_capacity(
-                self._task_probe(records[ready[0]])
-            ):
+            while ready and executor.has_capacity():
                 job_id = ready.pop(0)
                 pending[job_id] = self._spawn(
                     journal, records[job_id], job_id, executor
@@ -340,15 +325,8 @@ class Supervisor:
             if not progressed:
                 # Nothing to do but wait: sleep until the next deadline of
                 # interest (retry eligibility or watchdog escalation).
-                time.sleep(_POLL_INTERVAL)
+                time.sleep(POLL_INTERVAL)
         return report
-
-    @staticmethod
-    def _task_probe(record: JobRecord) -> ExecutorTask:
-        """A capacity-probe task (host pinning is all an executor reads)."""
-        return ExecutorTask(
-            task_id=record.spec.job_id, argv=(), host=_pinned_host(record.spec)
-        )
 
     def _drain(
         self,
@@ -415,7 +393,6 @@ class Supervisor:
             cwd=str(self.workdir),
             log_path=str(self.workdir / "logs" / f"{job_id}.log"),
             time_limit=spec.time_limit,
-            host=_pinned_host(spec),
         )
         handle = executor.submit(task)
         journal.start(job_id, attempt, handle.pid, spec)
@@ -516,11 +493,6 @@ class Supervisor:
             delayed[job_id] = time.monotonic() + backoff
         else:
             ready.append(job_id)
-
-
-def _pinned_host(spec: JobSpec) -> str | None:
-    """The host a spec is pinned to (sweep shards), if any."""
-    return None if spec.payload is None else spec.payload.get("host")
 
 
 def _requeue_interrupted(journal: JobJournal, record: JobRecord) -> None:

@@ -5,10 +5,13 @@ A *sweep* is the tier above a batch: the cross product of
 :class:`~repro.runtime.jobs.JobSpec` cells, the cells are partitioned
 into per-host **journal shards** (``shard-<host>/journal.jsonl`` — each
 shard is a complete, self-contained ``migopt batch`` workdir), and every
-shard runs as one independent ``migopt batch --shard`` invocation
-scheduled through a :class:`~repro.runtime.executors.ShardExecutor`
-(local subprocess per host by default; ``$REPRO_SWEEP_HOSTS`` command
-templates, e.g. ``ssh``, for real fleets).
+shard runs as one independent ``migopt batch --shard`` invocation on a
+:class:`~repro.runtime.executors.LocalExecutor` with one slot per host.
+Each host's :class:`HostSpec` wraps the shard argv (a plain local
+subprocess by default; ``$REPRO_SWEEP_HOSTS`` command templates, e.g.
+``ssh``, for real fleets).  One shard per host and one slot per host
+make the host of every task implicit, and a drain stops the shards
+through the executor's watchdog ladder.
 
 The exactly-once semantics come for free from PR 3's journal: a shard
 owns its jobs' journal, so killing any shard — or the coordinator — and
@@ -47,7 +50,7 @@ from pathlib import Path
 from .artifacts import atomic_write_text
 from .codec import Record
 from .errors import ReproRuntimeError
-from .executors import ExecutorTask, HostSpec, ShardExecutor, child_env, parse_hosts
+from .executors import ExecutorTask, LocalExecutor, child_env
 from .jobs import (
     NETWORK_KINDS,
     BatchReport,
@@ -58,6 +61,9 @@ from .jobs import (
 )
 
 __all__ = [
+    "HOSTS_ENV_VAR",
+    "HostSpec",
+    "parse_hosts",
     "SweepSpec",
     "SweepConflictError",
     "expand_sweep",
@@ -72,9 +78,79 @@ __all__ = [
 #: coordinator tick while shards run
 _POLL_INTERVAL = 0.1
 
+#: environment variable naming the sweep fleet (see :func:`parse_hosts`)
+HOSTS_ENV_VAR = "REPRO_SWEEP_HOSTS"
+
 
 class SweepConflictError(ReproRuntimeError):
     """One job id appears in more than one shard journal."""
+
+
+# ----------------------------------------------------------------------
+# the fleet
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class HostSpec:
+    """One host of a sweep fleet.
+
+    Without a *template* the task argv runs as a plain local subprocess
+    (the "subprocess per host" mode of the default pseudo-host fleet).
+    With one, the template tokens are executed instead, with the
+    ``{cmd}`` token replaced by the task argv — e.g. ``ssh hostA {cmd}``
+    prepends an ssh hop.  A template without ``{cmd}`` has the argv
+    appended.
+    """
+
+    name: str
+    template: tuple[str, ...] | None = None
+
+    def wrap(self, argv: list[str]) -> list[str]:
+        if not self.template:
+            return list(argv)
+        wrapped: list[str] = []
+        spliced = False
+        for token in self.template:
+            if token == "{cmd}":
+                wrapped.extend(argv)
+                spliced = True
+            else:
+                wrapped.append(token)
+        if not spliced:
+            wrapped.extend(argv)
+        return wrapped
+
+
+def parse_hosts(
+    value: str | None = None, default_shards: int = 2
+) -> list[HostSpec]:
+    """The sweep fleet from ``$REPRO_SWEEP_HOSTS`` (or *value*).
+
+    Entries are ``;``-separated (templates contain spaces and commas):
+    a bare ``name`` runs shards as local subprocesses, ``name=ssh node7
+    {cmd}`` runs them through the given command template.  Unset or
+    empty, the fleet defaults to *default_shards* local pseudo-hosts
+    named ``h0..hN`` — multi-host semantics, one machine.
+    """
+    if value is None:
+        value = os.environ.get(HOSTS_ENV_VAR, "")
+    entries = [entry.strip() for entry in value.split(";") if entry.strip()]
+    if not entries:
+        return [HostSpec(f"h{i}") for i in range(max(1, default_shards))]
+    hosts: list[HostSpec] = []
+    seen: set[str] = set()
+    for entry in entries:
+        name, _, template = entry.partition("=")
+        name = name.strip()
+        if not name or "/" in name or name != Path(name).name:
+            raise ValueError(f"invalid sweep host name {name!r}")
+        if name in seen:
+            raise ValueError(f"duplicate sweep host {name!r}")
+        seen.add(name)
+        tokens = tuple(template.split()) if template.strip() else None
+        hosts.append(HostSpec(name=name, template=tokens))
+    return hosts
 
 
 # ----------------------------------------------------------------------
@@ -395,7 +471,7 @@ def run_sweep(
                     job, output=str(directory / "outputs" / f"{job.job_id}.blif")
                 ))
 
-    executor = ShardExecutor(hosts, grace=max(grace, 5.0))
+    executor = LocalExecutor(num_workers=len(hosts), grace=max(grace, 5.0))
     env = child_env()
     interrupted = False
     try:
@@ -415,25 +491,22 @@ def run_sweep(
                     shard.finished = True
                     progressed = True
                     continue
-                task = ExecutorTask(
-                    task_id=name,
-                    argv=_shard_argv(shard.directory, jobs_per_shard, grace,
-                                     max_attempts, backoff_base),
-                    env=env,
-                    log_path=str(workdir / "logs" / f"shard-{name}.log"),
-                    host=name,
-                )
-                if not executor.has_capacity(task):
-                    continue
+                argv = _shard_argv(shard.directory, jobs_per_shard, grace,
+                                   max_attempts, backoff_base)
                 shard.attempts += 1
                 shard.running = True
-                executor.submit(task)
+                executor.submit(ExecutorTask(
+                    task_id=name,
+                    argv=tuple(shard.host.wrap(argv)),
+                    env=env,
+                    log_path=str(workdir / "logs" / f"shard-{name}.log"),
+                ))
                 progressed = True
                 if verbose:
                     print(f"[sweep] launch shard {name} "
                           f"attempt {shard.attempts}")
             for task_exit in executor.poll():
-                shard = shard_states[str(task_exit.slot)]
+                shard = shard_states[task_exit.task_id]
                 shard.running = False
                 if not _shard_unfinished(shard.directory):
                     shard.finished = True

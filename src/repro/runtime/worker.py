@@ -181,9 +181,8 @@ def run_job(spec: JobSpec) -> dict:
     without a subprocess; the supervised path adds the isolation around
     exactly this function.
     """
-    from ..opt.flow import optimize_until_convergence, run_flow
+    from ..opt.flow import needs_database, optimize_until_convergence, run_flow
     from ..rewriting.dynamic_db import open_database
-    from ..rewriting.engine import VARIANTS
 
     start = time.perf_counter()
 
@@ -203,11 +202,8 @@ def run_job(spec: JobSpec) -> dict:
             }
         )
 
-    needs_db = spec.mode == "converge" or any(
-        step.strip().upper() in VARIANTS for step in spec.script
-    )
     db = store = None
-    if needs_db:
+    if spec.mode == "converge" or needs_database(spec.script):
         # The large-cut tiers share the persistent store the spec names.
         db = open_database(spec.cut_size, spec.db, spec.npn_store)
         store = getattr(db, "store", None)

@@ -1,9 +1,9 @@
-"""Unit tests for the pluggable executor layer.
+"""Unit tests for the executor layer, the one process pool.
 
-These drive :class:`LocalExecutor` and :class:`ShardExecutor` with plain
-shell-level subprocesses (``sleep``, ``true``), independent of the
-optimization worker — the executor contract (slot accounting, watchdog
-escalation, drain, host pinning) must hold for any process-shaped task.
+These drive :class:`LocalExecutor` with plain Python subprocesses,
+independent of the optimization worker — the executor contract (slot
+accounting, watchdog escalation, drain) must hold for any
+process-shaped task.
 """
 
 from __future__ import annotations
@@ -18,12 +18,9 @@ import pytest
 
 from repro.runtime.executors import (
     ExecutorTask,
-    HostSpec,
     LocalExecutor,
-    ShardExecutor,
     TaskExit,
     handle_signals,
-    parse_hosts,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -50,6 +47,38 @@ def sleeper(task_id: str, seconds: float, **kwargs) -> ExecutorTask:
     )
 
 
+def stubborn(task_id: str, tmp_path, **kwargs):
+    """A task that survives SIGTERM, noting each one in a ``termed`` file.
+
+    Returns the task and its ``ready`` and ``termed`` paths; the child
+    writes ``ready`` only once its SIGTERM handler is installed.
+    """
+    ready, termed = tmp_path / f"{task_id}.ready", tmp_path / f"{task_id}.termed"
+    code = (
+        "import pathlib, signal, sys, time\n"
+        "termed = pathlib.Path(sys.argv[2])\n"
+        "signal.signal(signal.SIGTERM, lambda *_: termed.write_text('termed'))\n"
+        "pathlib.Path(sys.argv[1]).write_text('ready')\n"
+        "while True:\n"
+        "    time.sleep(0.01)\n"
+    )
+    task = ExecutorTask(
+        task_id=task_id,
+        argv=(sys.executable, "-c", code, str(ready), str(termed)),
+        **kwargs,
+    )
+    return task, ready, termed
+
+
+def poll_until(executor, path, timeout: float = 30.0) -> None:
+    """Poll *executor* (which runs its watchdog) until *path* exists."""
+    deadline = time.monotonic() + timeout
+    while not path.exists():
+        assert time.monotonic() < deadline, f"{path.name} never appeared"
+        assert not executor.poll(), "the task exited early"
+        time.sleep(0.01)
+
+
 class TestLocalExecutor:
     def test_capacity_and_slot_reuse(self, tmp_path):
         executor = LocalExecutor(num_workers=2)
@@ -58,7 +87,7 @@ class TestLocalExecutor:
             b = executor.submit(sleeper("b", 0))
             # Historic fork-pool discipline: lowest free slot first.
             assert (a.slot, b.slot) == (0, 1)
-            assert not executor.has_capacity(sleeper("c", 0))
+            assert not executor.has_capacity()
             exits = wait_exits(executor, 2)
             assert {e.task_id for e in exits} == {"a", "b"}
             assert all(e.returncode == 0 for e in exits)
@@ -95,6 +124,43 @@ class TestLocalExecutor:
         finally:
             executor.close()
 
+    def test_drain_kills_a_task_that_ignores_sigterm_after_grace(self, tmp_path):
+        grace = 0.5
+        executor = LocalExecutor(num_workers=1, grace=grace)
+        try:
+            task, ready, _ = stubborn("stubborn", tmp_path)
+            executor.submit(task)
+            poll_until(executor, ready)
+            began = time.monotonic()
+            (task_exit,) = executor.drain()
+            elapsed = time.monotonic() - began
+        finally:
+            executor.close()
+        assert task_exit.termed and task_exit.killed
+        assert task_exit.returncode == -signal.SIGKILL
+        assert elapsed >= grace
+
+    def test_drain_keeps_the_watchdogs_kill_instant(self, tmp_path):
+        """A task the watchdog already SIGTERMed dies at its own SIGKILL
+        instant when a drain lands, not a full grace after the drain."""
+        grace = 3.0
+        executor = LocalExecutor(num_workers=1, grace=grace, startup_margin=0.0)
+        try:
+            task, ready, termed = stubborn("hog", tmp_path, time_limit=0.2)
+            executor.submit(task)
+            poll_until(executor, ready)
+            poll_until(executor, termed)  # the watchdog's SIGTERM landed
+            termed_at = time.monotonic()
+            time.sleep(1.5)
+            (task_exit,) = executor.drain()
+            drained_at = time.monotonic()
+        finally:
+            executor.close()
+        assert task_exit.termed and task_exit.killed
+        # Killed about grace after the watchdog's SIGTERM: well before
+        # grace after the drain began (1.5 s after that SIGTERM).
+        assert grace - 0.5 < drained_at - termed_at < grace + 1.0
+
     def test_task_log_is_captured(self, tmp_path):
         log = tmp_path / "task.log"
         executor = LocalExecutor(num_workers=1)
@@ -109,115 +175,6 @@ class TestLocalExecutor:
         finally:
             executor.close()
         assert "hello from task" in log.read_text(encoding="utf-8")
-
-
-class TestHostParsing:
-    def test_default_pseudo_hosts(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_HOSTS", raising=False)
-        hosts = parse_hosts(default_shards=3)
-        assert [h.name for h in hosts] == ["h0", "h1", "h2"]
-        assert all(h.template is None for h in hosts)
-
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv(
-            "REPRO_SWEEP_HOSTS",
-            "local; remote=ssh buildbox {cmd}",
-        )
-        hosts = parse_hosts(default_shards=1)
-        assert [h.name for h in hosts] == ["local", "remote"]
-        assert hosts[0].template is None
-        assert hosts[1].wrap(["migopt", "batch"]) == [
-            "ssh", "buildbox", "migopt", "batch",
-        ]
-
-    def test_rejects_duplicate_and_unsafe_names(self):
-        with pytest.raises(ValueError):
-            parse_hosts("a;a")
-        with pytest.raises(ValueError):
-            parse_hosts("../evil")
-
-    def test_template_without_cmd_token_appends(self):
-        host = HostSpec("h", template=("nice", "-n", "10"))
-        assert host.wrap(["echo", "hi"]) == ["nice", "-n", "10", "echo", "hi"]
-
-
-class TestShardExecutor:
-    def test_host_pinning(self):
-        hosts = parse_hosts("h0;h1")
-        executor = ShardExecutor(hosts)
-        try:
-            pinned = sleeper("s1", 0, host="h1")
-            assert executor.has_capacity(pinned)
-            handle = executor.submit(pinned)
-            assert handle.slot == "h1"
-            # h1 is busy: another h1-pinned task must wait, h0 is free.
-            assert not executor.has_capacity(sleeper("s2", 0, host="h1"))
-            assert executor.has_capacity(sleeper("s3", 0, host="h0"))
-            (task_exit,) = wait_exits(executor, 1)
-            assert task_exit.slot == "h1"
-        finally:
-            executor.close()
-
-    def test_unknown_host_is_rejected(self):
-        executor = ShardExecutor(parse_hosts("h0"))
-        try:
-            # An unknown host never has capacity, so submit refuses it.
-            assert not executor.has_capacity(sleeper("bad", 0, host="h9"))
-            with pytest.raises((ValueError, RuntimeError)):
-                executor.submit(sleeper("bad", 0, host="h9"))
-        finally:
-            executor.close()
-
-    def test_template_wraps_the_command(self, tmp_path):
-        marker = tmp_path / "wrapped"
-        # A template that records its invocation proves the argv splice.
-        hosts = [HostSpec("h0", template=(
-            sys.executable, "-c",
-            "import subprocess, sys, pathlib; "
-            f"pathlib.Path({str(marker)!r}).write_text('ran'); "
-            "sys.exit(subprocess.call(sys.argv[1:]))",
-            "{cmd}",
-        ))]
-        executor = ShardExecutor(hosts)
-        try:
-            executor.submit(ExecutorTask(
-                task_id="t",
-                argv=(sys.executable, "-c", "pass"),
-                host="h0",
-            ))
-            (task_exit,) = wait_exits(executor, 1)
-            assert task_exit.returncode == 0
-        finally:
-            executor.close()
-        assert marker.read_text(encoding="utf-8") == "ran"
-
-
-class TestSupervisorIntegration:
-    def test_supervisor_accepts_an_injected_executor(self, tmp_path):
-        """An explicitly owned executor is reused and left open."""
-        from repro.runtime.jobs import JobSpec
-        from repro.runtime.supervisor import Supervisor
-
-        executor = LocalExecutor(num_workers=1)
-        try:
-            supervisor = Supervisor(
-                tmp_path / "batch", num_workers=1, backoff_base=0.05,
-                executor=executor,
-            )
-            spec = JobSpec(
-                job_id="fa",
-                network={"generate": "adder", "width": 6},
-                script=("BF",),
-                verify="sim",
-                time_limit=60.0,
-            )
-            report = supervisor.run([spec])
-            assert report.done == 1
-            # Still usable: the supervisor must not have closed it.
-            executor.submit(sleeper("post", 0))
-            wait_exits(executor, 1)
-        finally:
-            executor.close()
 
 
 class TestHandleSignals:

@@ -8,6 +8,7 @@ the actual ``migopt serve`` CLI in a subprocess and kill it.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
@@ -90,6 +91,17 @@ class TestValidation:
             {"network": {"generate": "adder", "width": 4}, "script": ["ZZ"]}
         )
         assert code == 400 and "ZZ" in payload["detail"]
+
+    def test_every_flow_step_is_admitted(self, idle_service):
+        """Admission reads the flow's step table: the standing matrix's
+        round trip is accepted."""
+        code, _ = idle_service.submit(dict(ADDER4, script=["BF", "remap", "BF"]))
+        assert code == 202
+
+    def test_steps_the_flow_rejects_are_400(self, idle_service):
+        """Step names are case-sensitive; the flow would reject this one."""
+        code, payload = idle_service.submit(dict(ADDER4, script=["Depth"]))
+        assert code == 400 and "Depth" in payload["detail"]
 
     def test_bad_verify(self, idle_service):
         code, _ = idle_service.submit(
@@ -397,6 +409,22 @@ class TestHttpLayer:
         served.service.initiate_drain()
         assert _request(base, "GET", "/readyz")[0] == 503
         assert _request(base, "GET", "/healthz")[0] == 200
+
+    def test_keep_alive_responses_do_not_stall(self, daemon):
+        """Headers and body of a response leave without a Nagle delay."""
+        served, _ = daemon
+        conn = http.client.HTTPConnection("127.0.0.1", served.port, timeout=10)
+        try:
+            began = time.monotonic()
+            for _ in range(20):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.monotonic() - began
+        finally:
+            conn.close()
+        assert elapsed < 0.4
 
     def test_stats_endpoint(self, daemon):
         _, base = daemon

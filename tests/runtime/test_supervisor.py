@@ -85,6 +85,17 @@ class TestSpecForAttempt:
         assert spec3a.cut_limit == 2
 
 
+class TestWorkerJob:
+    def test_remap_only_script_gets_the_database(self, tmp_path):
+        """``remap`` reads the NPN database, so the worker opens one."""
+        from repro.runtime.worker import run_job
+
+        payload = run_job(tiny_spec("remap", tmp_path, script=("remap",)))
+        assert payload["status"] == "ok"
+        assert [step["status"] for step in payload["steps"]] == ["ok"]
+        assert_output_valid(Path(payload["output"]), {"generate": "adder", "width": 6})
+
+
 class TestBatch:
     def test_batch_completes_and_uses_the_pool(self, tmp_path, full_adder):
         blif_path = tmp_path / "full_adder.blif"

@@ -14,15 +14,16 @@ import sys
 
 import pytest
 
-from repro.runtime.executors import HostSpec, parse_hosts
 from repro.runtime.jobs import BatchReport, JobJournal, JobSpec
 from repro.runtime.sweep import (
+    HostSpec,
     SweepConflictError,
     SweepSpec,
     assign_shards,
     expand_sweep,
     matrix_rows,
     merge_sweep,
+    parse_hosts,
     publish_matrix,
     run_sweep,
     shard_dir,
@@ -114,6 +115,36 @@ class TestExpandSweep:
     def test_instance_without_a_source_is_refused(self):
         with pytest.raises(ValueError):
             expand_sweep(make_spec(instances=[{"width": 6}]))
+
+
+class TestHostParsing:
+    def test_default_pseudo_hosts(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SWEEP_HOSTS", raising=False)
+        hosts = parse_hosts(default_shards=3)
+        assert [h.name for h in hosts] == ["h0", "h1", "h2"]
+        assert all(h.template is None for h in hosts)
+
+    def test_env_overrides(self, monkeypatch):
+        monkeypatch.setenv(
+            "REPRO_SWEEP_HOSTS",
+            "local; remote=ssh buildbox {cmd}",
+        )
+        hosts = parse_hosts(default_shards=1)
+        assert [h.name for h in hosts] == ["local", "remote"]
+        assert hosts[0].template is None
+        assert hosts[1].wrap(["migopt", "batch"]) == [
+            "ssh", "buildbox", "migopt", "batch",
+        ]
+
+    def test_rejects_duplicate_and_unsafe_names(self):
+        with pytest.raises(ValueError):
+            parse_hosts("a;a")
+        with pytest.raises(ValueError):
+            parse_hosts("../evil")
+
+    def test_template_without_cmd_token_appends(self):
+        host = HostSpec("h", template=("nice", "-n", "10"))
+        assert host.wrap(["echo", "hi"]) == ["nice", "-n", "10", "echo", "hi"]
 
 
 class TestAssignShards:
@@ -337,6 +368,27 @@ class TestRunSweepEndToEnd:
         assert resumed.report.done == 2
         assert all(job["attempts"] == 1 for job in resumed.report.jobs)
         assert len(matrix.read_text(encoding="utf-8").splitlines()) == 2
+
+    def test_template_host_wraps_its_shard_command(self, tmp_path):
+        """One plain host and one templated host run the same sweep."""
+        marker = tmp_path / "wrapped"
+        # The template records its invocation, then runs the shard argv.
+        template = HostSpec("h1", template=(
+            sys.executable, "-c",
+            "import subprocess, sys, pathlib; "
+            f"pathlib.Path({str(marker)!r}).write_text('ran'); "
+            "sys.exit(subprocess.call(sys.argv[1:]))",
+            "{cmd}",
+        ))
+        run = run_sweep(
+            tmp_path / "sweep", spec=make_spec(),
+            hosts=[HostSpec("h0"), template],
+            jobs_per_shard=1, grace=1.0, backoff_base=0.05,
+        )
+        assert run.report.total == 2
+        assert all(job["state"] == "done" for job in run.report.jobs)
+        assert set(run.report.shards) == {"h0", "h1"}
+        assert marker.read_text(encoding="utf-8") == "ran"
 
     def test_interrupted_sweep_resumes_to_completion(self, tmp_path):
         """Coordinator shutdown before any shard launches; --resume picks
