@@ -1,16 +1,17 @@
-"""The standing scenario matrix — sharded sweep into MATRIX.jsonl.
+"""The standing scenario matrix — one supervised sweep into MATRIX.jsonl.
 
 Runs the 18-scenario standing matrix (``flows.STANDING_MATRIX_INSTANCES``:
 8 arithmetic + 6 random/control instances, 64/128-bit generator widths,
-and a mapped-then-reoptimized round trip) through the sharded sweep
-runtime and appends one sim-verified trend row per scenario to
+and a mapped-then-reoptimized round trip) as one sweep — one batch on
+one :class:`~repro.runtime.supervisor.Supervisor` — and appends one
+sim-verified trend row per scenario to
 ``benchmarks/results/MATRIX.jsonl``.  The file is append-only: each run
 adds a generation, and ``tools/matrix_report.py`` renders the
 per-scenario trend (and fails on a >5% quality regression against the
 previous generation).
 
-Environment knobs: ``REPRO_BENCH_JOBS`` bounds total worker parallelism
-across shards, ``REPRO_SWEEP_HOSTS`` redirects shards at real hosts.
+Environment knob: ``REPRO_BENCH_JOBS`` sets the worker count
+(default: up to 4, one per core; 0 falls back to 2).
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from pathlib import Path
 from flows import _batch_jobs, standing_sweep_spec
 from harness import RESULTS_DIR
 
-from repro.runtime.sweep import SweepSpec, parse_hosts, run_sweep
+from repro.runtime.supervisor import Supervisor
+from repro.runtime.sweep import SweepSpec, run_sweep
 
 MATRIX_PATH = RESULTS_DIR / "MATRIX.jsonl"
 
@@ -29,17 +31,9 @@ MATRIX_PATH = RESULTS_DIR / "MATRIX.jsonl"
 def run_standing_matrix(matrix_path: Path = MATRIX_PATH):
     """Run the standing sweep; returns the :class:`SweepRun`."""
     spec = SweepSpec.from_dict(standing_sweep_spec())
-    shards = 2
-    jobs_per_shard = max(1, (_batch_jobs() or 2) // shards)
     with tempfile.TemporaryDirectory(prefix="repro-matrix-") as workdir:
-        return run_sweep(
-            workdir,
-            spec=spec,
-            hosts=parse_hosts(default_shards=shards),
-            shards=shards,
-            jobs_per_shard=jobs_per_shard,
-            matrix_path=matrix_path,
-        )
+        supervisor = Supervisor(workdir, num_workers=_batch_jobs() or 2)
+        return run_sweep(supervisor, spec=spec, matrix_path=matrix_path)
 
 
 def test_standing_matrix(benchmark):
@@ -47,7 +41,7 @@ def test_standing_matrix(benchmark):
     report = run.report
     print(
         f"\nstanding matrix: {report.done}/{report.total} scenarios done, "
-        f"{report.quarantined} quarantined, {len(report.shards)} shards, "
+        f"{report.quarantined} quarantined, {report.workers_used} workers, "
         f"{run.published_rows} trend rows -> {run.matrix_path}"
     )
     assert report.done == report.total, [

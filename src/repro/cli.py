@@ -13,6 +13,7 @@ Modeled on the CirKit-style flows the paper's implementation shipped in::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -198,16 +199,15 @@ _SHARED_FLAGS: dict[str, dict] = {
     ),
     "--quiet": dict(action="store_true", help="print no progress"),
     "--workdir": dict(
-        required=True, metavar="DIR",
+        required=True, metavar="DIR", type=os.path.abspath,
         help="state directory: journal, specs, results, outputs and report "
-        "(a sweep adds sweep.json and one batch workdir per shard; serve "
-        "adds its result cache)",
+        "(a sweep adds sweep.json; serve adds its result cache)",
     ),
     "--resume": dict(
         action="store_true",
         help="continue an interrupted run from its journal: finished jobs "
-        "are kept, orphaned running jobs are re-queued (a sweep reuses the "
-        "shard assignment persisted in sweep.json)",
+        "are kept, orphaned running jobs are re-queued (a sweep takes its "
+        "spec from sweep.json unless --spec is given)",
     ),
     "--grace": dict(
         type=float, default=2.0, metavar="SECONDS",
@@ -285,13 +285,6 @@ def _batch_specs(args: argparse.Namespace) -> list:
     for kind in ("blif", "bench"):
         for path in getattr(args, kind):
             networks.append((Path(path).stem, {kind: str(Path(path).resolve())}))
-    if getattr(args, "shard", False):
-        if networks:
-            raise SystemExit(
-                "--shard takes its job list from the pre-submitted journal; "
-                "drop --generate/--blif/--bench"
-            )
-        return []
     if not networks and not args.resume:
         raise SystemExit(
             "specify circuits with --generate NAMES, --blif FILE, or "
@@ -349,7 +342,10 @@ def _drain_on_signal(command: str, drain):
     return handler
 
 
-def _run_batch_command(args: argparse.Namespace) -> int:
+def _run_supervised(args: argparse.Namespace, run) -> int:
+    """The body of ``migopt batch`` and ``sweep``: a Supervisor from the
+    shared flags, ``run(supervisor)`` (which returns the BatchReport)
+    under the drain-on-signal policy, the summary, and the exit code."""
     from .runtime import faults
     from .runtime.supervisor import Supervisor
 
@@ -358,7 +354,6 @@ def _run_batch_command(args: argparse.Namespace) -> int:
     # probes and the worker handshake see them.
     faults.arm_from_env()
 
-    specs = _batch_specs(args)
     supervisor = Supervisor(
         args.workdir,
         num_workers=args.jobs,
@@ -367,16 +362,14 @@ def _run_batch_command(args: argparse.Namespace) -> int:
         backoff_base=args.backoff,
         verbose=True,
     )
-
+    handler = _drain_on_signal(args.command, supervisor.request_shutdown)
     try:
-        with handle_signals(_drain_on_signal("batch", supervisor.request_shutdown)):
-            report = supervisor.run(
-                specs, resume=args.resume or getattr(args, "shard", False)
-            )
-    except FileExistsError as exc:
+        with handle_signals(handler):
+            report = run(supervisor)
+    except (FileExistsError, FileNotFoundError) as exc:
         raise SystemExit(str(exc))
     print(
-        f"batch: {report.done}/{report.total} done, "
+        f"{args.command}: {report.done}/{report.total} done, "
         f"{report.quarantined} quarantined, {report.retries} retries, "
         f"{report.adopted} adopted, {report.workers_used} workers used, "
         f"{report.wall_seconds:.2f}s"
@@ -395,11 +388,17 @@ def _run_batch_command(args: argparse.Namespace) -> int:
     return _finish_run(args, report)
 
 
+def _run_batch_command(args: argparse.Namespace) -> int:
+    specs = _batch_specs(args)
+    return _run_supervised(
+        args, lambda supervisor: supervisor.run(specs, resume=args.resume)
+    )
+
+
 def _run_sweep_command(args: argparse.Namespace) -> int:
     import json
-    import threading
 
-    from .runtime.sweep import SweepConflictError, SweepSpec, parse_hosts, run_sweep
+    from .runtime.sweep import SweepConflictError, SweepSpec, expand_sweep, run_sweep
 
     spec = None
     if args.spec:
@@ -410,55 +409,22 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
                 data = json.load(fp)
         try:
             spec = SweepSpec.from_dict(data)
-        except ValueError as exc:
+            expand_sweep(spec)
+        except (ValueError, SweepConflictError) as exc:
             raise SystemExit(f"bad sweep spec: {exc}")
     elif not args.resume:
         raise SystemExit("specify a sweep with --spec FILE (or --resume an "
                          "existing sweep workdir)")
 
-    shutdown = threading.Event()
-    try:
-        with handle_signals(_drain_on_signal("sweep", shutdown.set)):
-            run = run_sweep(
-                args.workdir,
-                spec=spec,
-                hosts=parse_hosts(default_shards=args.shards),
-                shards=args.shards,
-                jobs_per_shard=args.jobs_per_shard,
-                resume=args.resume,
-                grace=args.grace,
-                max_attempts=args.max_attempts,
-                backoff_base=args.backoff,
-                shard_attempts=args.shard_attempts,
-                matrix_path=args.matrix,
-                shutdown_check=shutdown.is_set,
-                verbose=True,
-            )
-    except (FileExistsError, ValueError) as exc:
-        raise SystemExit(str(exc))
-    except SweepConflictError as exc:
-        raise SystemExit(f"sweep merge conflict: {exc}")
+    def run(supervisor):
+        swept = run_sweep(supervisor, spec, resume=args.resume,
+                          matrix_path=args.matrix)
+        if swept.matrix_path is not None:
+            print(f"matrix: {swept.published_rows} trend rows -> "
+                  f"{swept.matrix_path}")
+        return swept.report
 
-    report = run.report
-    print(
-        f"sweep: {report.done}/{report.total} done, "
-        f"{report.quarantined} quarantined, {report.adopted} adopted, "
-        f"{len(report.shards)} shards"
-        + (" [interrupted]" if report.interrupted else "")
-    )
-    for name in sorted(report.shards):
-        shard = report.shards[name]
-        print(f"  shard {name:12} {shard['done']}/{shard['total']} done, "
-              f"{shard['quarantined']} quarantined, "
-              f"{shard['adopted']} adopted")
-    for summary in report.jobs:
-        if summary["state"] != "done":
-            print(f"  {summary['job_id']:40} {summary['state']}"
-                  + (f"  ({summary.get('error', 'unknown error')})"
-                     if summary["state"] == "quarantined" else ""))
-    if run.matrix_path is not None:
-        print(f"matrix: {run.published_rows} trend rows -> {run.matrix_path}")
-    return _finish_run(args, report)
+    return _run_supervised(args, run)
 
 
 def _finish_run(args: argparse.Namespace, report) -> int:
@@ -560,43 +526,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="add an ISCAS .bench circuit as a job (repeatable)",
     )
     p_batch.add_argument(
-        "--shard", action="store_true",
-        help="run as one shard of a sweep: take the job list from the "
-        "journal that `migopt sweep` pre-submitted into --workdir "
-        "(implies --resume)",
-    )
-    p_batch.add_argument(
         "--no-outputs", action="store_true",
         help="skip writing optimized networks to workdir/outputs/",
     )
 
     p_sweep = sub.add_parser(
         "sweep",
-        help="sharded multi-host sweep over a declarative scenario matrix "
-        "(instances x scripts x cut sizes x SAT backends x budgets); "
-        "shards via $REPRO_SWEEP_HOSTS, resumes exactly-once",
-        parents=[_flags("--workdir", "--resume", "--grace", "--max-attempts",
-                        "--backoff", "--report")],
+        help="a declarative scenario matrix (instances x scripts x cut "
+        "sizes x SAT backends x budgets) run as one supervised batch; "
+        "resumes exactly-once",
+        parents=[_flags("--jobs", "--workdir", "--resume", "--grace",
+                        "--max-attempts", "--backoff", "--report", jobs=2)],
     )
     p_sweep.add_argument(
         "--spec", metavar="FILE",
         help="sweep spec JSON ('-' for stdin): {name, instances, scripts, "
         "cut_sizes, sat_backends, conflict_limits, verify, time_limit}; "
         "instances may override any axis locally",
-    )
-    p_sweep.add_argument(
-        "--shards", type=int, default=2, metavar="N",
-        help="number of local pseudo-host shards when $REPRO_SWEEP_HOSTS "
-        "is unset (default: 2)",
-    )
-    p_sweep.add_argument(
-        "--jobs-per-shard", type=int, default=1, metavar="N",
-        help="worker processes inside each shard's batch (default: 1)",
-    )
-    p_sweep.add_argument(
-        "--shard-attempts", type=int, default=3, metavar="N",
-        help="relaunches per shard process before the sweep gives up on "
-        "its remaining jobs (default: 3)",
     )
     p_sweep.add_argument(
         "--matrix", metavar="PATH",

@@ -15,7 +15,9 @@ The robustness substrate shared by every layer of the reproduction:
   every persisted record's ``to_dict``/``from_dict``;
 * :mod:`repro.runtime.jobs` — batch job specs, the network loader
   (``load_network``), the retry/degradation ladder, the crash-recoverable
-  JSONL job journal, and the one job-result summary and adoption path;
+  JSONL job journal (and the torn-tail-safe ``open_log`` /
+  ``append_record`` every runtime JSONL log appends through), and the
+  one job-result summary and adoption path;
 * :mod:`repro.runtime.executors` — the one process pool: the fork-based
   ``LocalExecutor`` (submit/poll/drain) with the one stop ladder
   (SIGTERM → grace → SIGKILL, for the watchdog and a drain alike), the
@@ -23,9 +25,8 @@ The robustness substrate shared by every layer of the reproduction:
 * :mod:`repro.runtime.supervisor` — the supervised parallel batch
   runtime: journal-backed scheduling and the retry ladder over its own
   ``LocalExecutor``;
-* :mod:`repro.runtime.sweep` — sharded multi-host sweeps: declarative
-  scenario matrices expanded to per-host journal shards, run one shard
-  per host through ``HostSpec`` command templates, merged exactly-once,
+* :mod:`repro.runtime.sweep` — sweeps: a declarative scenario matrix
+  expanded to job cells, run as one batch on one ``Supervisor`` and
   published as trend rows to ``MATRIX.jsonl``;
 * :mod:`repro.runtime.worker` — the worker subprocess entry point
   (``python -m repro.runtime.worker``).
@@ -43,7 +44,7 @@ from .errors import (
 from .executors import ExecutorTask, LocalExecutor, TaskExit, TaskHandle
 from .jobs import BatchReport, JobJournal, JobSpec, load_network
 from .supervisor import Supervisor, run_batch
-from .sweep import HostSpec, SweepConflictError, SweepSpec, parse_hosts, run_sweep
+from .sweep import SweepConflictError, SweepSpec, run_sweep
 from .verify import VerificationReport, verify_rewrite
 
 __all__ = [
@@ -52,7 +53,6 @@ __all__ = [
     "BudgetExhausted",
     "CorruptArtifact",
     "ExecutorTask",
-    "HostSpec",
     "JobJournal",
     "JobSpec",
     "LocalExecutor",
@@ -65,7 +65,6 @@ __all__ = [
     "VerificationFailed",
     "VerificationReport",
     "load_network",
-    "parse_hosts",
     "run_batch",
     "run_sweep",
     "verify_rewrite",

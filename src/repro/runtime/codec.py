@@ -3,11 +3,10 @@
 :class:`~repro.runtime.jobs.JobSpec`, :class:`~repro.runtime.sweep.
 SweepSpec`, :class:`~repro.runtime.jobs.BatchReport` and
 :class:`~repro.runtime.metrics.PassMetrics` are dataclasses whose
-``to_dict`` / ``from_dict`` (and the counter sums of ``PassMetrics.merge``
-and ``BatchReport.merge_shard``) are derived from ``dataclasses.fields``
-and the type hints, resolved once per class, instead of being written
-out field by field.  Field metadata carries
-the few per-field rules the persisted formats have:
+``to_dict`` / ``from_dict`` (and the counter sums of ``PassMetrics.merge``)
+are derived from ``dataclasses.fields`` and the type hints, resolved
+once per class, instead of being written out field by field.  Field
+metadata carries the few per-field rules the persisted formats have:
 
 * :func:`rounded` — a float, or the float values of a dict, is written
   rounded to that many digits;

@@ -1,9 +1,9 @@
 """The process pool: *where* a runtime child runs and *how* it stops.
 
-PR 3's :class:`~repro.runtime.supervisor.Supervisor` was both the batch
-*scheduler* (journal, retry ladder, adoption) and the *process pool*
-(fork, poll, SIGTERM→SIGKILL watchdog).  This module holds the second
-role for every runtime child — supervisor workers and sweep shards:
+The :class:`~repro.runtime.supervisor.Supervisor` is the batch
+*scheduler* (journal, retry ladder, adoption); this module is its
+*process pool* (fork, poll, SIGTERM→SIGKILL watchdog), the one place a
+runtime child process is launched and stopped:
 
 * :class:`LocalExecutor` — ``submit`` / ``poll`` / ``drain`` over
   :class:`ExecutorTask` descriptions (an argv, an environment, an
@@ -14,7 +14,7 @@ role for every runtime child — supervisor workers and sweep shards:
   ``grace`` seconds later, and :meth:`~LocalExecutor.poll` sends each
   signal once its instant passes.  The watchdog sets the instants at
   launch; :meth:`~LocalExecutor.drain` moves them to now;
-* :func:`child_env` — the environment every runtime child process gets;
+* :func:`child_env` — the environment every worker process gets;
 * :func:`handle_signals` — the one place SIGINT/SIGTERM handlers are
   installed and restored (``migopt batch`` / ``sweep`` / ``serve``).
 
@@ -54,8 +54,7 @@ class ExecutorTask:
 
     ``time_limit`` arms the wall-clock watchdog: the process is SIGTERMed
     at ``launch + time_limit + startup_margin`` and SIGKILLed ``grace``
-    seconds later (both executor parameters).  ``None`` disables it —
-    shard tasks supervise their own workers and get no outer deadline.
+    seconds later (both executor parameters).  ``None`` disables it.
     """
 
     task_id: str
@@ -244,16 +243,16 @@ class LocalExecutor:
         self._closed = True
 
 
-def child_env(fault_handshake: bool = False) -> dict[str, str]:
-    """Environment for a runtime child process (a worker or a shard batch).
+def child_env() -> dict[str, str]:
+    """Environment for a worker process.
 
     The parent's environment with this package's source root first on
-    ``PYTHONPATH``.  With *fault_handshake* (worker spawns) the armed
-    fault table is handed over: non-``worker.*`` faults are copied into
-    ``REPRO_FAULTS`` so in-worker fault points fire end to end, while
-    the ``worker.*`` family is *consumed here*, one probe per spawn — a
-    firing probe dooms exactly the worker being spawned, which keeps
-    ``times=N`` accounting in one process even across retries.
+    ``PYTHONPATH``, and the armed fault table handed over:
+    non-``worker.*`` faults are copied into ``REPRO_FAULTS`` so
+    in-worker fault points fire end to end, while the ``worker.*``
+    family is *consumed here*, one probe per spawn — a firing probe
+    dooms exactly the worker being spawned, which keeps ``times=N``
+    accounting in one process even across retries.
     """
     env = dict(os.environ)
     package_root = str(Path(__file__).resolve().parents[2])
@@ -262,8 +261,6 @@ def child_env(fault_handshake: bool = False) -> dict[str, str]:
         env["PYTHONPATH"] = (
             package_root + (os.pathsep + existing if existing else "")
         )
-    if not fault_handshake:
-        return env
     entries = []
     passthrough = faults.env_spec(exclude_prefix="worker.")
     if passthrough:

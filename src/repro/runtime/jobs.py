@@ -16,14 +16,17 @@ holds everything about jobs that must survive a crash:
   optimized, result before quarantine;
 * :class:`JobJournal` — an append-only JSONL event log.  Every event is
   flushed and fsynced before the supervisor acts on it, and replay
-  tolerates a torn final line (the PR 1 artifact rules applied to a log:
-  a crash mid-append loses at most the event being written, never the
+  tolerates a torn final line (the artifact rules applied to a log: a
+  crash mid-append loses at most the event being written, never the
   file).  Replaying the journal reconstructs the exact batch state, so a
-  ``kill -9`` of the supervisor loses nothing;
+  ``kill -9`` of the supervisor loses nothing.  :func:`open_log` and
+  :func:`append_record` are that discipline for every JSONL log the
+  runtime appends to (the journal, a worker's progress feed, the sweep
+  trend matrix);
 * :func:`result_summary` / :func:`adopt_result` / :func:`job_summary` —
   the one projection of a worker result into the journal and the
   report, and the one routine that adopts a finished result artifact;
-* :class:`BatchReport` — the merged outcome (per-job statuses, worker
+* :class:`BatchReport` — the outcome (per-job statuses, worker
   utilization, merged :class:`~repro.runtime.metrics.PassMetrics`),
   written atomically next to the journal.
 
@@ -51,7 +54,7 @@ import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .codec import Record, merge, rounded, then
+from .codec import Record, rounded, then
 from .metrics import PassMetrics
 
 __all__ = [
@@ -61,11 +64,13 @@ __all__ = [
     "BatchReport",
     "RESULT_KEYS",
     "adopt_result",
+    "append_record",
     "degraded",
     "job_summary",
     "load_network",
     "load_result_artifact",
     "network_kind",
+    "open_log",
     "result_fields",
     "result_summary",
 ]
@@ -272,22 +277,53 @@ class JournalReplay:
         ]
 
 
+def open_log(path: str | Path):
+    """Open the JSONL log at *path* for appending, creating its directory.
+
+    A crash mid-append leaves a torn last line.  When the file does not
+    end in a newline, one is written first, so the next record starts a
+    line of its own instead of being glued onto the torn one (a reader
+    would then skip both).
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fp = open(path, "a+b")
+    try:
+        end = fp.seek(0, os.SEEK_END)
+        if end:
+            fp.seek(end - 1)
+            if fp.read(1) != b"\n":
+                fp.write(b"\n")
+    except BaseException:
+        fp.close()
+        raise
+    return fp
+
+
+def append_record(fp, record: dict) -> None:
+    """Append *record* to a log from :func:`open_log` as one JSON line,
+    flushed and fsynced before returning."""
+    fp.write((json.dumps(record, sort_keys=True) + "\n").encode("utf-8"))
+    fp.flush()
+    os.fsync(fp.fileno())
+
+
 class JobJournal:
     """Append-only, fsynced JSONL event log for a batch.
 
-    Writes follow the PR 1 crash-safety rules adapted to a log: each
-    event is one JSON line appended with ``O_APPEND`` semantics, flushed
-    and fsynced before :meth:`append` returns, so the supervisor never
-    acts on an event that could be lost.  A crash mid-append leaves at
-    most one torn final line, which :meth:`replay` discards (torn or
+    Writes follow the crash-safety rules adapted to a log: each event is
+    one JSON line appended with ``O_APPEND`` semantics, flushed and
+    fsynced before :meth:`append` returns, so the supervisor never acts
+    on an event that could be lost.  A crash mid-append leaves at most
+    one torn final line, which :meth:`replay` discards (torn or
     otherwise malformed lines are counted in ``skipped_lines``, mirroring
-    the NPN database loader).
+    the NPN database loader); :func:`open_log` starts the next event on
+    a fresh line.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fp = open(self.path, "ab")
+        self._fp = open_log(self.path)
 
     def close(self) -> None:
         if self._fp is not None:
@@ -304,12 +340,7 @@ class JobJournal:
 
     def append(self, event: str, job_id: str, **payload) -> None:
         """Durably record one event before the caller acts on it."""
-        record = {"event": event, "job": job_id}
-        record.update(payload)
-        line = json.dumps(record, sort_keys=True) + "\n"
-        self._fp.write(line.encode("utf-8"))
-        self._fp.flush()
-        os.fsync(self._fp.fileno())
+        append_record(self._fp, {"event": event, "job": job_id, **payload})
 
     def submit(self, spec: JobSpec) -> None:
         self.append("submit", spec.job_id, spec=spec.to_dict())
@@ -486,9 +517,9 @@ def adopt_result(
     """Journal *record* ``done`` if its result artifact at *path* is ok.
 
     The one way a finished worker result enters the journal: a normal
-    exit, a drained worker that still completed, and a resume (or sweep
-    merge) adopting the artifact of a job a dead process left
-    ``running`` (*adopted*).  The ``done`` event is fsynced before the
+    exit, a drained worker that still completed, and a resume adopting
+    the artifact of a job a dead supervisor left ``running``
+    (*adopted*).  The ``done`` event is fsynced before the
     record changes.  Returns the worker payload, or ``None`` when there
     is no valid successful result.
     """
@@ -526,16 +557,9 @@ def job_summary(record: JobRecord) -> dict:
 # batch report
 # ----------------------------------------------------------------------
 
-#: the per-shard slice of a shard report kept by :meth:`BatchReport.merge_shard`
-_SHARD_SUMMARY_KEYS = (
-    "total", "done", "quarantined", "adopted", "retries",
-    "workers_used", "wall_seconds", "interrupted",
-)
-
-
 @dataclass
 class BatchReport(Record):
-    """Merged outcome of one supervised batch run.
+    """Outcome of one supervised batch run.
 
     ``to_dict`` rounds ``wall_seconds`` to 6 digits and adds the derived
     ``workers_used``; ``from_dict`` ignores it (:mod:`repro.runtime.codec`).
@@ -555,13 +579,9 @@ class BatchReport(Record):
     interrupted: bool = False
     #: peak number of simultaneously live workers
     max_concurrent: int = field(default=0, metadata=then("workers_used"))
-    #: worker slot label -> number of jobs that slot completed.  Labels
-    #: are executor slot names (``"0"``, ``"1"``, …) for a single pool
-    #: and shard-qualified (``"h0/0"``) after a sweep merge, so pools
-    #: from different shards never alias each other's slot 0.
+    #: executor slot name (``"0"``, ``"1"``, …) -> number of jobs that
+    #: slot completed
     jobs_per_slot: dict[str, int] = field(default_factory=dict)
-    #: shard name -> per-shard summary, populated by :meth:`merge_shard`
-    shards: dict[str, dict] = field(default_factory=dict)
     #: merged hot-path counters from every successful job
     metrics: PassMetrics = field(default_factory=PassMetrics)
     #: per-job summaries in submit order
@@ -569,7 +589,7 @@ class BatchReport(Record):
 
     @property
     def workers_used(self) -> int:
-        """Distinct worker slots (across all shards) that completed a job."""
+        """Distinct worker slots that completed a job."""
         return sum(1 for count in self.jobs_per_slot.values() if count)
 
     def count_done(
@@ -592,19 +612,3 @@ class BatchReport(Record):
             self.count_done(record.result, adopted=record.adopted)
         elif record.state == "quarantined":
             self.quarantined += 1
-
-    def merge_shard(self, name: str, shard: "BatchReport") -> None:
-        """Fold one shard's report into this (sweep-level) report.
-
-        Slot utilization is namespaced per shard (``<name>/<slot>``):
-        the pre-sweep accounting assumed a single worker pool, so slot 0
-        of every shard would otherwise collapse into one counter and
-        under-report both utilization and ``workers_used``.
-        """
-        slots = {f"{name}/{slot}": n for slot, n in shard.jobs_per_slot.items()}
-        # Counters, slot utilization and metrics sum; wall time does not.
-        merge(self, replace(shard, jobs_per_slot=slots, shards={}))
-        self.interrupted = self.interrupted or shard.interrupted
-        self.jobs.extend({**summary, "shard": name} for summary in shard.jobs)
-        encoded = shard.to_dict()
-        self.shards[name] = {key: encoded[key] for key in _SHARD_SUMMARY_KEYS}

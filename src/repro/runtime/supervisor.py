@@ -30,9 +30,8 @@ the watchdog and for a drain alike) live in the
 :class:`~repro.runtime.executors.LocalExecutor` each :meth:`Supervisor.run`
 creates and closes.  It reproduces the historic fork pool exactly
 (``tests/runtime/test_executor_differential.py`` pins it against the
-frozen pre-refactor monolith); a sweep coordinator runs whole journal
-*shards* on the same pool — same scheduling discipline, one level up
-(:mod:`repro.runtime.sweep`).
+frozen pre-refactor monolith).  A sweep (:mod:`repro.runtime.sweep`) is
+one batch on one Supervisor.
 
 The public entry point is :func:`run_batch`; the ``migopt batch`` CLI
 subcommand and ``benchmarks/flows.py`` are thin wrappers around it.
@@ -123,7 +122,9 @@ class Supervisor:
             raise ValueError("num_workers must be positive")
         if max_attempts <= 0:
             raise ValueError("max_attempts must be positive")
-        self.workdir = Path(workdir)
+        # Workers run in the workdir, so every path they are handed must
+        # be absolute.
+        self.workdir = Path(workdir).absolute()
         self.num_workers = num_workers
         self.grace = grace
         self.max_attempts = max_attempts
@@ -389,7 +390,7 @@ class Supervisor:
             task_id=job_id,
             argv=(sys.executable, "-m", "repro.runtime.worker",
                   str(spec_path), str(result_path)),
-            env=child_env(fault_handshake=True),
+            env=child_env(),
             cwd=str(self.workdir),
             log_path=str(self.workdir / "logs" / f"{job_id}.log"),
             time_limit=spec.time_limit,

@@ -40,7 +40,7 @@ from .artifacts import atomic_write_text
 from .budget import Budget
 from .executors import handle_signals
 from .faults import arm_from_env, fault_active
-from .jobs import JobSpec, load_network
+from .jobs import JobSpec, append_record, load_network, open_log
 from .metrics import PassMetrics
 
 __all__ = ["run_job", "main"]
@@ -92,19 +92,13 @@ def _open_progress(spec: JobSpec):
     if spec.progress is None:
         return None
     try:
-        path = spec.progress
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        fp = open(path, "ab")
+        fp = open_log(spec.progress)
     except OSError:
         return None
 
     def append(record: dict) -> None:
         try:
-            record = dict(record)
-            record["ts"] = time.time()
-            fp.write((json.dumps(record, sort_keys=True) + "\n").encode("utf-8"))
-            fp.flush()
-            os.fsync(fp.fileno())
+            append_record(fp, {**record, "ts": time.time()})
         except (OSError, ValueError, TypeError):
             pass
 

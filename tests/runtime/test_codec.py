@@ -86,7 +86,6 @@ def golden_objects() -> dict:
         interrupted=True,
         max_concurrent=2,
         jobs_per_slot={"h0/0": 2, "h1/0": 1, "h1/1": 0},
-        shards={"h0": {"total": 3, "done": 2}, "h1": {"total": 2, "done": 1}},
         metrics=golden_metrics(),
         jobs=[
             {"job_id": "a", "state": "done", "attempts": 1, "shard": "h0"},
@@ -222,7 +221,6 @@ batch_reports = st.builds(
     interrupted=st.booleans(),
     max_concurrent=_count,
     jobs_per_slot=st.dictionaries(_text, _count, max_size=3),
-    shards=st.dictionaries(_text, _json_dict, max_size=3),
     metrics=pass_metrics(),
     jobs=st.lists(_json_dict, max_size=3),
 )

@@ -209,6 +209,26 @@ class TestJournalReplay:
         assert replay.records == {} and replay.order == []
 
 
+def test_append_after_torn_tail_starts_a_fresh_line(tmp_path):
+    """An event appended after a crash mid-append must not be glued onto
+    the torn line, or replay would skip both."""
+    path = tmp_path / "journal.jsonl"
+    spec = make_spec()
+    with JobJournal(path) as journal:
+        journal.submit(spec)
+        journal.start("job-1", 1, 10, spec)
+    with open(path, "ab") as fp:
+        fp.write(b'{"event": "done", "job": "job-1", "resu')  # crash mid-append
+    with JobJournal(path) as journal:
+        journal.done("job-1", {"size_after": 7}, adopted=True)
+    replay = JobJournal.replay(path)
+    record = replay.records["job-1"]
+    assert (record.state, record.adopted, record.result) == (
+        "done", True, {"size_after": 7}
+    )
+    assert replay.skipped_lines == 1
+
+
 class TestResultArtifact:
     def test_valid_artifact(self, tmp_path):
         path = tmp_path / "r.json"

@@ -1,33 +1,33 @@
-"""Tests for the sweep layer: matrix expansion, sharding, and the merge.
+"""Tests for the sweep layer: matrix expansion, one supervised run, and
+the trend rows it publishes.
 
-The journal-merge edge cases here are the satellite coverage the sharded
-design demands: duplicate job ids across shards (must refuse loudly), a
-shard journal with a torn tail (must replay), and adoption of a result
-artifact whose shard died mid-write (must count exactly once, durably).
-The live SIGKILL version of the same drill is ``tools/sweep_smoke.py``.
+A sweep is one batch on one Supervisor, so exactly-once resume, torn
+journal tails and result adoption are the batch journal's and are
+tested with it (``test_jobs.py``, ``test_supervisor.py``).  The live
+SIGKILL drill of a sweep is ``tools/sweep_smoke.py``.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
-from repro.runtime.jobs import BatchReport, JobJournal, JobSpec
+from repro.runtime.jobs import BatchReport
+from repro.runtime.supervisor import Supervisor
 from repro.runtime.sweep import (
-    HostSpec,
     SweepConflictError,
     SweepSpec,
-    assign_shards,
     expand_sweep,
     matrix_rows,
-    merge_sweep,
-    parse_hosts,
     publish_matrix,
     run_sweep,
-    shard_dir,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
+from matrix_report import load_rows  # noqa: E402
 
 pytestmark = pytest.mark.skipif(
     not sys.platform.startswith("linux"),
@@ -117,183 +117,12 @@ class TestExpandSweep:
             expand_sweep(make_spec(instances=[{"width": 6}]))
 
 
-class TestHostParsing:
-    def test_default_pseudo_hosts(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_HOSTS", raising=False)
-        hosts = parse_hosts(default_shards=3)
-        assert [h.name for h in hosts] == ["h0", "h1", "h2"]
-        assert all(h.template is None for h in hosts)
-
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv(
-            "REPRO_SWEEP_HOSTS",
-            "local; remote=ssh buildbox {cmd}",
-        )
-        hosts = parse_hosts(default_shards=1)
-        assert [h.name for h in hosts] == ["local", "remote"]
-        assert hosts[0].template is None
-        assert hosts[1].wrap(["migopt", "batch"]) == [
-            "ssh", "buildbox", "migopt", "batch",
-        ]
-
-    def test_rejects_duplicate_and_unsafe_names(self):
-        with pytest.raises(ValueError):
-            parse_hosts("a;a")
-        with pytest.raises(ValueError):
-            parse_hosts("../evil")
-
-    def test_template_without_cmd_token_appends(self):
-        host = HostSpec("h", template=("nice", "-n", "10"))
-        assert host.wrap(["echo", "hi"]) == ["nice", "-n", "10", "echo", "hi"]
-
-
-class TestAssignShards:
-    HOSTS = [HostSpec("h0"), HostSpec("h1")]
-
-    def test_round_robin_is_deterministic_and_balanced(self):
-        jobs = [f"job{i}" for i in range(5)]
-        assignment = assign_shards(jobs, self.HOSTS)
-        assert assignment == assign_shards(jobs, self.HOSTS)
-        load = {"h0": 0, "h1": 0}
-        for host in assignment.values():
-            load[host] += 1
-        assert sorted(load.values()) == [2, 3]
-
-    def test_existing_assignments_are_kept_verbatim(self):
-        """A resumed sweep must not move jobs between shard journals."""
-        existing = {"job0": "h1", "job1": "h1"}
-        assignment = assign_shards(
-            ["job0", "job1", "job2", "job3"], self.HOSTS, existing
-        )
-        assert assignment["job0"] == "h1"
-        assert assignment["job1"] == "h1"
-        # New jobs flow to the least-loaded host first.
-        assert assignment["job2"] == "h0"
-        assert assignment["job3"] == "h0"
-
-
-def shard_journal(workdir, host: str) -> JobJournal:
-    directory = shard_dir(workdir, host)
-    directory.mkdir(parents=True, exist_ok=True)
-    return JobJournal(directory / "journal.jsonl")
-
-
-def tiny_spec(job_id: str, workdir, host: str) -> JobSpec:
-    return JobSpec(
-        job_id=job_id,
-        network={"generate": "adder", "width": 6},
-        script=("BF",),
-        verify="sim",
-        time_limit=60.0,
-        output=str(shard_dir(workdir, host) / "outputs" / f"{job_id}.blif"),
-    )
-
-
-OK_RESULT = {
-    "size_before": 30, "size_after": 25,
-    "depth_before": 9, "depth_after": 8,
-    "runtime": 0.5, "verify": "sim",
-    "steps": [{"step": "BF", "status": "ok"}],
-}
-
-
-class TestMergeEdgeCases:
-    def test_duplicate_job_ids_across_shards_conflict(self, tmp_path):
-        for host in ("h0", "h1"):
-            with shard_journal(tmp_path, host) as journal:
-                journal.submit(tiny_spec("dup.BF.c4.internal", tmp_path, host))
-        with pytest.raises(SweepConflictError, match="dup.BF.c4.internal"):
-            merge_sweep(tmp_path, ["h0", "h1"])
-
-    def test_torn_tail_shard_journal_is_tolerated(self, tmp_path):
-        with shard_journal(tmp_path, "h0") as journal:
-            journal.submit(tiny_spec("a.BF.c4.internal", tmp_path, "h0"))
-            journal.done("a.BF.c4.internal", dict(OK_RESULT))
-        journal_path = shard_dir(tmp_path, "h0") / "journal.jsonl"
-        # A shard SIGKILLed mid-append leaves a half-written last line.
-        with open(journal_path, "ab") as fp:
-            fp.write(b'{"event": "done", "job": "a.BF.c4.in')
-        report = merge_sweep(tmp_path, ["h0"])
-        assert (report.total, report.done) == (1, 1)
-        assert report.jobs[0]["state"] == "done"
-
-    def test_adoption_of_artifact_from_dead_shard(self, tmp_path):
-        """A job left 'running' with a valid result artifact is adopted —
-        durably, so a re-merge still counts it exactly once."""
-        job_id = "a.BF.c4.internal"
-        spec = tiny_spec(job_id, tmp_path, "h0")
-        directory = shard_dir(tmp_path, "h0")
-        with shard_journal(tmp_path, "h0") as journal:
-            journal.submit(spec)
-            journal.start(job_id, attempt=1, pid=4242, spec=spec)
-        results = directory / "results"
-        results.mkdir(parents=True)
-        payload = {"job_id": job_id, "status": "ok", **OK_RESULT}
-        (results / f"{job_id}.json").write_text(
-            json.dumps(payload), encoding="utf-8"
-        )
-
-        report = merge_sweep(tmp_path, ["h0"])
-        assert (report.total, report.done, report.adopted) == (1, 1, 1)
-        (summary,) = report.jobs
-        assert summary["state"] == "done"
-        assert summary["adopted"] is True
-        assert summary["size_after"] == 25
-
-        # The adoption was journaled: merging again must not double-count
-        # (and must not need the artifact any more).
-        (results / f"{job_id}.json").unlink()
-        again = merge_sweep(tmp_path, ["h0"])
-        assert (again.total, again.done, again.adopted) == (1, 1, 1)
-
-    def test_corrupt_artifact_is_not_adopted(self, tmp_path):
-        job_id = "a.BF.c4.internal"
-        spec = tiny_spec(job_id, tmp_path, "h0")
-        directory = shard_dir(tmp_path, "h0")
-        with shard_journal(tmp_path, "h0") as journal:
-            journal.submit(spec)
-            journal.start(job_id, attempt=1, pid=4242, spec=spec)
-        results = directory / "results"
-        results.mkdir(parents=True)
-        (results / f"{job_id}.json").write_text(
-            '{"job_id": "a.BF.c4.internal", "status"', encoding="utf-8"
-        )
-        report = merge_sweep(tmp_path, ["h0"])
-        assert report.done == 0
-        assert report.jobs[0]["state"] == "running"
-
-
-class TestShardSlotAccounting:
-    def test_merge_shard_namespaces_and_sums_utilization(self):
-        """Regression: slot utilization was keyed by bare slot index, so
-        slot 0 of every shard collapsed into one counter."""
-        merged = BatchReport()
-        shard_a = BatchReport()
-        shard_a.total = shard_a.done = 3
-        shard_a.jobs_per_slot = {0: 2, 1: 1}
-        shard_a.max_concurrent = 2
-        shard_b = BatchReport()
-        shard_b.total = shard_b.done = 2
-        shard_b.jobs_per_slot = {0: 2}
-        shard_b.max_concurrent = 1
-        merged.merge_shard("h0", shard_a)
-        merged.merge_shard("h1", shard_b)
-        assert merged.jobs_per_slot == {"h0/0": 2, "h0/1": 1, "h1/0": 2}
-        assert sum(merged.jobs_per_slot.values()) == 5
-        assert merged.max_concurrent == 3
-        assert merged.total == merged.done == 5
-        assert set(merged.shards) == {"h0", "h1"}
-        # Round-trips through the persisted form.
-        revived = BatchReport.from_dict(merged.to_dict())
-        assert revived.jobs_per_slot == merged.jobs_per_slot
-
-
 class TestMatrixRows:
     def _report(self) -> BatchReport:
         report = BatchReport()
         report.jobs = [
             {"job_id": "adder-w6.BF.c4.internal", "state": "done",
-             "shard": "h0", "size_before": 30, "size_after": 25,
+             "size_before": 30, "size_after": 25,
              "depth_before": 9, "depth_after": 8, "runtime": 0.5,
              "verify": "sim", "steps": [{"step": "BF", "status": "ok"}]},
             {"job_id": "max-w6.BF.c4.internal", "state": "quarantined"},
@@ -309,7 +138,6 @@ class TestMatrixRows:
         (row,) = rows
         assert row["scenario"] == "adder-w6.BF.c4.internal"
         assert row["sweep"] == "test-sweep"
-        assert row["shard"] == "h0"
         assert row["verified"] is True
         assert row["network"] == {"generate": "adder", "width": 6}
         assert row["cut_size"] == 4
@@ -333,84 +161,69 @@ class TestMatrixRows:
         assert rows[0]["verified"] is False
 
 
+def test_publish_after_torn_tail_keeps_every_row(tmp_path):
+    """A publisher killed mid-row leaves a torn line; the next publish
+    starts a fresh line, so only the torn row is lost."""
+    matrix = tmp_path / "MATRIX.jsonl"
+    publish_matrix(matrix, [{"scenario": "a"}])
+    with open(matrix, "ab") as fp:
+        fp.write(b'{"scenario": "b", "size_')
+    publish_matrix(matrix, [{"scenario": "c"}, {"scenario": "d"}])
+    assert [row["scenario"] for row in load_rows(matrix)] == ["a", "c", "d"]
+
+
+def make_supervisor(workdir) -> Supervisor:
+    return Supervisor(workdir, num_workers=2, grace=1.0, backoff_base=0.05)
+
+
 class TestRunSweepEndToEnd:
     def test_sweep_runs_resumes_and_publishes(self, tmp_path):
         spec = make_spec()
         workdir = tmp_path / "sweep"
         matrix = tmp_path / "MATRIX.jsonl"
-        run = run_sweep(
-            workdir, spec=spec, hosts=parse_hosts("h0;h1"),
-            jobs_per_shard=1, grace=1.0, backoff_base=0.05,
-            matrix_path=matrix,
-        )
+        run = run_sweep(make_supervisor(workdir), spec=spec, matrix_path=matrix)
         report = run.report
         assert (report.total, report.done, report.quarantined) == (2, 2, 0)
         assert not report.interrupted
-        # Per-shard utilization: namespaced slots, one job each.
-        assert set(report.jobs_per_slot) == {"h0/0", "h1/0"}
-        assert sum(report.jobs_per_slot.values()) == 2
-        assert set(report.shards) == {"h0", "h1"}
         assert run.published_rows == 2
+        assert len(matrix.read_text(encoding="utf-8").splitlines()) == 2
         assert (workdir / "report.json").exists()
-        assert (workdir / "sweep.json").exists()
+        state = json.loads((workdir / "sweep.json").read_text(encoding="utf-8"))
+        assert SweepSpec.from_dict(state["spec"]) == spec
         for job in report.jobs:
             assert job["state"] == "done"
             assert job["attempts"] == 1
+            assert Path(job["output"]).parent == workdir / "outputs"
 
         # Same workdir without --resume is refused.
         with pytest.raises(FileExistsError):
-            run_sweep(workdir, spec=spec, jobs_per_shard=1)
+            run_sweep(make_supervisor(workdir), spec=spec)
 
         # A resume of the finished sweep is a no-op: nothing reruns,
         # nothing publishes twice.
-        resumed = run_sweep(workdir, resume=True, jobs_per_shard=1,
-                            grace=1.0, backoff_base=0.05)
+        resumed = run_sweep(make_supervisor(workdir), resume=True)
         assert resumed.report.done == 2
+        assert resumed.report.workers_used == 0
         assert all(job["attempts"] == 1 for job in resumed.report.jobs)
         assert len(matrix.read_text(encoding="utf-8").splitlines()) == 2
 
-    def test_template_host_wraps_its_shard_command(self, tmp_path):
-        """One plain host and one templated host run the same sweep."""
-        marker = tmp_path / "wrapped"
-        # The template records its invocation, then runs the shard argv.
-        template = HostSpec("h1", template=(
-            sys.executable, "-c",
-            "import subprocess, sys, pathlib; "
-            f"pathlib.Path({str(marker)!r}).write_text('ran'); "
-            "sys.exit(subprocess.call(sys.argv[1:]))",
-            "{cmd}",
-        ))
-        run = run_sweep(
-            tmp_path / "sweep", spec=make_spec(),
-            hosts=[HostSpec("h0"), template],
-            jobs_per_shard=1, grace=1.0, backoff_base=0.05,
-        )
-        assert run.report.total == 2
-        assert all(job["state"] == "done" for job in run.report.jobs)
-        assert set(run.report.shards) == {"h0", "h1"}
-        assert marker.read_text(encoding="utf-8") == "ran"
-
     def test_interrupted_sweep_resumes_to_completion(self, tmp_path):
-        """Coordinator shutdown before any shard launches; --resume picks
-        the persisted plan up and finishes every cell exactly once."""
-        spec = make_spec()
+        """A shutdown before any job launches; a resume without a spec
+        picks the persisted one up and finishes every cell exactly once."""
         workdir = tmp_path / "sweep"
-        run = run_sweep(
-            workdir, spec=spec, hosts=parse_hosts("h0;h1"),
-            jobs_per_shard=1, grace=1.0, backoff_base=0.05,
-            shutdown_check=lambda: True,
-        )
+        matrix = tmp_path / "MATRIX.jsonl"
+        interrupted = make_supervisor(workdir)
+        interrupted.request_shutdown()
+        run = run_sweep(interrupted, spec=make_spec(), matrix_path=matrix)
         assert run.report.interrupted
-        assert run.report.done == 0
-        # The plan is durable: assignment fixed before any launch.
-        state = json.loads(
-            (workdir / "sweep.json").read_text(encoding="utf-8")
-        )
-        assert len(state["assignment"]) == 2
+        assert (run.report.done, run.published_rows) == (0, 0)
+        assert not matrix.exists()
 
-        resumed = run_sweep(workdir, resume=True, jobs_per_shard=1,
-                            grace=1.0, backoff_base=0.05)
+        resumed = run_sweep(make_supervisor(workdir), resume=True)
         assert not resumed.report.interrupted
         assert resumed.report.done == 2
-        assert resumed.assignment == state["assignment"]
         assert all(job["attempts"] == 1 for job in resumed.report.jobs)
+
+    def test_resume_without_spec_or_state_is_refused(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            run_sweep(make_supervisor(tmp_path / "sweep"), resume=True)

@@ -187,6 +187,17 @@ class TestBatch:
         assert payload["done"] == 1
         assert payload["jobs"][0]["job_id"] == "adder-w6"
 
+    def test_batch_in_a_relative_workdir(self, capsys, tmp_path, monkeypatch):
+        """Workers run inside the workdir; a relative --workdir must not
+        send them looking for their spec relative to it a second time."""
+        monkeypatch.chdir(tmp_path)
+        assert main(
+            ["batch", "--generate", "adder", "--width", "6",
+             "--workdir", "batch", "--backoff", "0.05"]
+        ) == 0
+        assert "1/1 done" in capsys.readouterr().out
+        assert (tmp_path / "batch" / "outputs" / "adder-w6.blif").exists()
+
 
 class TestSweep:
     def _spec(self, tmp_path):
@@ -213,17 +224,18 @@ class TestSweep:
         code = main(
             ["sweep", "--workdir", str(workdir),
              "--spec", str(self._spec(tmp_path)),
-             "--shards", "2", "--backoff", "0.05", "--grace", "1",
+             "--jobs", "2", "--backoff", "0.05", "--grace", "1",
              "--matrix", str(matrix), "--report", str(report_path)]
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "2/2 done" in out
-        assert "shard h0" in out and "shard h1" in out
+        assert "sweep: 2/2 done" in out
+        assert "shard" not in out
+        assert "matrix: 2 trend rows" in out
         assert len(matrix.read_text().splitlines()) == 2
         payload = json.loads(report_path.read_text())
         assert payload["done"] == 2
-        assert set(payload["shards"]) == {"h0", "h1"}
+        assert "shards" not in payload
 
     def test_sweep_requires_spec_or_resume(self, tmp_path):
         with pytest.raises(SystemExit, match="spec"):
@@ -247,11 +259,6 @@ class TestSweep:
         with pytest.raises(SystemExit, match="resume"):
             main(["sweep", "--workdir", str(workdir),
                   "--spec", str(spec_path)])
-
-    def test_shard_flag_rejects_explicit_circuits(self, tmp_path):
-        with pytest.raises(SystemExit, match="pre-submitted"):
-            main(["batch", "--shard", "--generate", "adder",
-                  "--workdir", str(tmp_path / "shard")])
 
 
 _WORKDIR = ["--workdir", "state"]
@@ -291,7 +298,7 @@ class TestSharedFlags:
         batch = parser.parse_args(["batch", *_WORKDIR])
         sweep = parser.parse_args(["sweep", *_WORKDIR])
         assert (serve.max_attempts, batch.max_attempts, sweep.max_attempts) == (2, 3, 3)
-        assert (serve.jobs, batch.jobs) == (2, 1)
+        assert (serve.jobs, batch.jobs, sweep.jobs) == (2, 1, 2)
         assert parser.parse_args(["flow"]).script == "depth,BF,TFD"
         assert batch.script == "BF"
         assert parser.parse_args(["exact", "--tt", "0x6"]).budget == 200000

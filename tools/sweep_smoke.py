@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
-"""CI chaos drill for the sharded sweep runtime.
+"""CI chaos drill for the sweep runtime.
 
-Launches a real 2-shard ``migopt sweep``, waits for the first job to
-land, then SIGKILLs one shard batch process *and* the coordinator —
-the double failure the journal-shard design must absorb.  Resumes with
-``migopt sweep --resume`` and asserts:
+Launches a real ``migopt sweep --jobs 2``, waits for the first job to
+land in its journal, then SIGKILLs one worker *and* the sweep process —
+the double failure the batch journal must absorb.  Resumes with
+``migopt sweep --resume`` (no ``--spec``: it comes from ``sweep.json``)
+and asserts:
 
 * the resumed sweep exits cleanly with every scenario done;
 * every job completed **exactly once** across both runs (one ``done``
-  journal event, in exactly one shard journal);
+  event per job in the one journal);
 * every output parses, passes ``Mig.check()``, and is functionally
   equivalent to its input;
 * the trend matrix gained one verified row per scenario.
+
+The resumed supervisor reaps the orphaned worker itself, so the drill
+resumes right after the kill.
 
 Exit code 0 means the drill passed.  Usage::
 
@@ -39,7 +43,7 @@ from repro.core.simulate import equivalent_random  # noqa: E402
 from repro.io.blif import read_blif  # noqa: E402
 from repro.runtime.jobs import load_network  # noqa: E402
 
-#: small instances, two per shard, so the kill lands mid-sweep
+#: small instances, three per worker, so the kill lands mid-sweep
 INSTANCES = (
     {"generate": "adder", "width": 8},
     {"generate": "sine", "width": 8},
@@ -76,8 +80,7 @@ def sweep_argv(workdir: Path, spec_path: Path | None, matrix: Path) -> list[str]
     argv = [
         sys.executable, "-m", "repro.cli", "sweep",
         "--workdir", str(workdir),
-        "--shards", "2",
-        "--jobs-per-shard", "1",
+        "--jobs", "2",
         "--grace", "1",
         "--backoff", "0.05",
         "--matrix", str(matrix),
@@ -95,8 +98,8 @@ def child_env() -> dict[str, str]:
     return env
 
 
-def find_shard_pids() -> list[int]:
-    """Live ``migopt batch --shard`` processes, via /proc cmdline scan."""
+def find_worker_pids(workdir: Path) -> list[int]:
+    """Live workers of the sweep in *workdir*, via /proc cmdline scan."""
     pids = []
     for entry in Path("/proc").iterdir():
         if not entry.name.isdigit():
@@ -106,7 +109,9 @@ def find_shard_pids() -> list[int]:
         except OSError:
             continue
         args = [arg.decode("utf-8", "replace") for arg in cmdline]
-        if "repro.cli" in args and "--shard" in args:
+        if "repro.runtime.worker" in args and any(
+            arg.startswith(str(workdir)) for arg in args
+        ):
             pids.append(int(entry.name))
     return pids
 
@@ -130,48 +135,38 @@ def main() -> int:
     matrix = base / "MATRIX.jsonl"
     spec_path = base / "spec.json"
     spec_path.write_text(json.dumps(sweep_spec()) + "\n", encoding="utf-8")
-    shard_journals = [workdir / f"shard-h{i}" / "journal.jsonl" for i in (0, 1)]
+    journal = workdir / "journal.jsonl"
 
     try:
-        print("[smoke] launching 2-shard sweep coordinator")
-        coordinator = subprocess.Popen(
+        print("[smoke] launching a 2-worker sweep")
+        sweep = subprocess.Popen(
             sweep_argv(workdir, spec_path, matrix), env=child_env()
         )
         deadline = time.monotonic() + 180
         while time.monotonic() < deadline:
-            if coordinator.poll() is not None:
+            if sweep.poll() is not None:
                 print("[smoke] sweep finished before the kill (fast machine)")
                 break
-            done = sum(
-                1 for journal in shard_journals
-                for event in journal_events(journal)
-                if event.get("event") == "done"
-            )
-            if done >= 1:
+            if any(e.get("event") == "done" for e in journal_events(journal)):
                 break
             time.sleep(0.05)
         else:
-            coordinator.kill()
-            coordinator.wait()
+            sweep.kill()
+            sweep.wait()
             print("[smoke] FAIL: no job completed within 180s", file=sys.stderr)
             return 1
 
-        if coordinator.poll() is None:
-            shard_pids = find_shard_pids()
-            if shard_pids:
-                print(f"[smoke] SIGKILLing shard batch pid {shard_pids[0]}")
+        if sweep.poll() is None:
+            worker_pids = find_worker_pids(workdir)
+            if worker_pids:
+                print(f"[smoke] SIGKILLing worker pid {worker_pids[0]}")
                 try:
-                    os.kill(shard_pids[0], signal.SIGKILL)
+                    os.kill(worker_pids[0], signal.SIGKILL)
                 except ProcessLookupError:
                     pass
-            print(f"[smoke] SIGKILLing coordinator pid {coordinator.pid}")
-            coordinator.send_signal(signal.SIGKILL)
-            coordinator.wait(timeout=30)
-            # Orphaned shard processes keep their own journals consistent;
-            # let any stragglers drain before resuming on the same dirs.
-            straggler_deadline = time.monotonic() + 60
-            while find_shard_pids() and time.monotonic() < straggler_deadline:
-                time.sleep(0.1)
+            print(f"[smoke] SIGKILLing sweep pid {sweep.pid}")
+            sweep.send_signal(signal.SIGKILL)
+            sweep.wait(timeout=30)
 
         print("[smoke] resuming the sweep")
         resumed = subprocess.run(
@@ -191,22 +186,14 @@ def main() -> int:
         )
         assert report["quarantined"] == 0, report["quarantined"]
 
-        # Exactly-once: one done event per job, in exactly one shard.
+        # Exactly-once: one done event per job in the one journal.
         done_counts: dict[str, int] = {}
-        owners: dict[str, set[str]] = {}
-        for journal in shard_journals:
-            for event in journal_events(journal):
-                job = event.get("job")
-                if job:
-                    owners.setdefault(job, set()).add(journal.parent.name)
-                if event.get("event") == "done":
-                    done_counts[job] = done_counts.get(job, 0) + 1
+        for event in journal_events(journal):
+            if event.get("event") == "done":
+                done_counts[event["job"]] = done_counts.get(event["job"], 0) + 1
         assert len(done_counts) == total, sorted(done_counts)
         assert all(count == 1 for count in done_counts.values()), (
             f"jobs must complete exactly once; done events: {done_counts}"
-        )
-        assert all(len(shards) == 1 for shards in owners.values()), (
-            f"each job must live in exactly one shard journal: {owners}"
         )
 
         # Every output parses, checks, and matches its input.
@@ -238,8 +225,8 @@ def main() -> int:
         assert all(row["verified"] for row in rows), rows
 
         adopted = report["adopted"]
-        print(f"[smoke] PASS: {total}/{total} done exactly once across "
-              f"2 shards, {adopted} adopted, {verified} outputs verified, "
+        print(f"[smoke] PASS: {total}/{total} done exactly once, "
+              f"{adopted} adopted, {verified} outputs verified, "
               f"{len(rows)} matrix rows")
         return 0
     finally:
