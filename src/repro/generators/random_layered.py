@@ -36,9 +36,11 @@ def layered_mig(
     Every gate draws its three fanins (with random complementation) from
     the previous *locality* layers — wide levels, shallow local cones,
     plenty of reconvergence.  Construction strashing may merge some
-    draws, so the loop runs until the gate count is reached; the result
-    has **at least** ``num_gates`` gates only when the random draws
-    permit, and never more than ``num_gates``.
+    draws, so the loop runs until the gate count is reached, or until
+    the recent layers hold fewer than three distinct nodes (from which
+    no majority gate can be made); the result has **at least**
+    ``num_gates`` gates only when the random draws permit, and never
+    more than ``num_gates``.
     """
     if num_gates < 0:
         raise ValueError("num_gates must be non-negative")
@@ -49,6 +51,8 @@ def layered_mig(
         pool: list[int] = []
         for layer in layers[-locality:]:
             pool.extend(layer)
+        if len({s >> 1 for s in pool}) < 3:
+            break  # every draw repeats a node, so no gate can ever be added
         layer_target = min(width, num_gates - mig.num_gates)
         new_layer: list[int] = []
         for _ in range(layer_target):

@@ -1,4 +1,12 @@
-"""File formats: structural Verilog, BLIF, and AIGER."""
+"""File formats: structural Verilog, BLIF, ISCAS .bench and AIGER.
+
+The three readers (BLIF, .bench, ASCII and binary AIGER) share one
+iterative signal resolver, :mod:`repro.io.netlist`: definitions may come
+in any order and chain to any depth, and a structural defect — an
+undriven signal, a combinational cycle, a duplicate definition, an input
+declared twice or redefined — raises :class:`ValueError`, as does a
+malformed cover, gate or AND row.  Serve turns these into HTTP 400.
+"""
 
 from .verilog import write_verilog
 from .blif import read_blif, write_blif

@@ -4,7 +4,11 @@ AIGER is the standard exchange format for And-Inverter Graphs (and the
 format the real EPFL benchmark suite ships in).  Literal conventions match
 this package exactly: literal ``2*v`` is variable ``v``, ``2*v+1`` its
 complement, ``0``/``1`` the constants.  Only combinational networks are
-supported (no latches), which covers the paper's entire scope.
+supported (no latches), which covers the paper's entire scope.  Both
+readers resolve AND rows through :func:`repro.io.netlist.resolve`, so
+rows may come in any order and chain to any depth; an odd or constant
+lhs, a literal defined twice, a cycle or an undriven literal raises
+:class:`ValueError`.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 from typing import BinaryIO, TextIO
 
 from ..aig.aig import Aig
+from .netlist import check_inputs, define, resolve
 
 __all__ = ["write_aag", "read_aag", "write_aig_binary", "read_aig_binary"]
 
@@ -142,33 +147,26 @@ def _assemble(
     and_rows: list[tuple[int, int, int]],
     names: dict[str, str],
 ) -> Aig:
-    num_in = len(input_lits)
     aig = Aig(name="aiger")
-    # literal in file -> signal in the AIG
-    lit_map: dict[int, int] = {0: 0, 1: 1}
+    # even literal in the file -> signal in the AIG; odd literals complement
+    signals: dict[int, int] = {0: 0}
     for i, lit in enumerate(input_lits):
         if lit != 2 * (i + 1):
             raise ValueError("non-canonical input literal ordering")
-        signal = aig.add_pi(names.get(f"i{i}", f"x{i}"))
-        lit_map[lit] = signal
-        lit_map[lit ^ 1] = signal ^ 1
-    # AND rows may be in any order in aag; process by dependency.
-    pending = dict((lhs, (rhs0, rhs1)) for lhs, rhs0, rhs1 in and_rows)
+        signals[lit] = aig.add_pi(names.get(f"i{i}", f"x{i}"))
+    ands: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
+    for lhs, rhs0, rhs1 in and_rows:
+        if lhs & 1 or lhs <= 1:
+            raise ValueError(f"AND lhs {lhs} is not an even literal above 1")
+        define(ands, lhs, ((rhs0 & ~1, rhs1 & ~1), (rhs0, rhs1)), "literal")
+    check_inputs(input_lits, ands, "literal")
 
-    def resolve(lit: int) -> int:
-        if lit in lit_map:
-            return lit_map[lit]
-        base = lit & ~1
-        if base not in pending:
-            raise ValueError(f"literal {lit} is undriven")
-        rhs0, rhs1 = pending[base]
-        signal = aig.and_(resolve(rhs0), resolve(rhs1))
-        lit_map[base] = signal
-        lit_map[base ^ 1] = signal ^ 1
-        return lit_map[lit]
+    def make(fanins: tuple[int, int], rhs: tuple[int, int]) -> int:
+        return aig.and_(signals[fanins[0]] ^ (rhs[0] & 1), signals[fanins[1]] ^ (rhs[1] & 1))
 
-    for lhs in sorted(pending):
-        resolve(lhs)
+    # AND rows may come in any order in aag: every row is built, by
+    # ascending lhs, then whatever the outputs still need.
+    resolve([*sorted(ands), *(lit & ~1 for lit in output_lits)], signals, ands, make, "literal")
     for i, lit in enumerate(output_lits):
-        aig.add_po(resolve(lit), names.get(f"o{i}", f"y{i}"))
+        aig.add_po(signals[lit & ~1] ^ (lit & 1), names.get(f"o{i}", f"y{i}"))
     return aig

@@ -8,9 +8,11 @@ academic tools) describes combinational logic as named gates::
     t = AND(a, b)
     f = NOT(t)
 
-Reading maps each gate to majority logic; writing decomposes majority
-gates into the AND/OR/NOT vocabulary.  Only combinational constructs are
-supported (no DFF), matching the paper's scope.
+Reading checks each gate's operand count, maps it to majority logic and
+resolves signals through :func:`repro.io.netlist.resolve`; writing
+decomposes majority gates into the AND/OR/NOT vocabulary.  Only
+combinational constructs are supported (no DFF), matching the paper's
+scope.
 """
 
 from __future__ import annotations
@@ -19,17 +21,42 @@ import re
 from typing import TextIO
 
 from ..core.mig import CONST0, CONST1, Mig, signal_not
+from .netlist import check_inputs, define, resolve
 
 __all__ = ["read_bench", "write_bench"]
 
 _LINE_RE = re.compile(r"^\s*(\S+)\s*=\s*([A-Za-z][A-Za-z0-9]*)\s*\(([^)]*)\)\s*$")
 
 
+#: Operand count of each gate: (minimum, maximum or None for any).
+_ARITY = {
+    "AND": (1, None),
+    "NAND": (1, None),
+    "OR": (1, None),
+    "NOR": (1, None),
+    "XOR": (1, None),
+    "XNOR": (1, None),
+    "NOT": (1, 1),
+    "BUF": (1, 1),
+    "BUFF": (1, 1),
+    "MAJ": (3, 3),
+    "CONST0": (0, 0),
+    "GND": (0, 0),
+    "CONST1": (0, 0),
+    "VDD": (0, 0),
+}
+
+
 def read_bench(fp: TextIO) -> Mig:
-    """Read a combinational .bench file into an MIG."""
+    """Read a combinational .bench file into an MIG.
+
+    Gates may appear in any order and chain to any depth.  An unknown
+    gate, a wrong operand count, a cycle, a signal defined twice or an
+    undriven one raises :class:`ValueError`.
+    """
     inputs: list[str] = []
     outputs: list[str] = []
-    gates: dict[str, tuple[str, list[str]]] = {}
+    gates: dict[str, tuple[list[str], str]] = {}
     for raw in fp:
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -45,13 +72,19 @@ def read_bench(fp: TextIO) -> Mig:
         if match is None:
             raise ValueError(f"unsupported .bench line: {line!r}")
         target, op, arg_text = match.groups()
+        op = op.upper()
         args = [a.strip() for a in arg_text.split(",") if a.strip()]
-        gates[target] = (op.upper(), args)
+        if op not in _ARITY:
+            raise ValueError(f"unsupported .bench gate {op!r}")
+        low, high = _ARITY[op]
+        if len(args) < low or (high is not None and len(args) > high):
+            count = f"exactly {low}" if low == high else f"at least {low}"
+            raise ValueError(f"{op} gate {target!r} takes {count} operands, got {len(args)}")
+        define(gates, target, (args, op))
+    check_inputs(inputs, gates)
 
     mig = Mig(name="bench")
-    signals: dict[str, int] = {}
-    for name in inputs:
-        signals[name] = mig.add_pi(name)
+    signals = {name: mig.add_pi(name) for name in inputs}
 
     def tree(op_fn, operands: list[int]) -> int:
         acc = operands[0]
@@ -59,44 +92,31 @@ def read_bench(fp: TextIO) -> Mig:
             acc = op_fn(acc, s)
         return acc
 
-    def build(name: str) -> int:
-        if name in signals:
-            return signals[name]
-        if name not in gates:
-            raise ValueError(f"undriven signal {name!r}")
-        op, arg_names = gates[name]
-        args = [build(a) for a in arg_names]
+    def make(arg_names: list[str], op: str) -> int:
+        args = [signals[a] for a in arg_names]
         if op == "AND":
-            signal = tree(mig.and_, args)
-        elif op == "NAND":
-            signal = signal_not(tree(mig.and_, args))
-        elif op == "OR":
-            signal = tree(mig.or_, args)
-        elif op == "NOR":
-            signal = signal_not(tree(mig.or_, args))
-        elif op == "XOR":
-            signal = tree(mig.xor, args)
-        elif op == "XNOR":
-            signal = signal_not(tree(mig.xor, args))
-        elif op == "NOT":
-            signal = signal_not(args[0])
-        elif op in ("BUF", "BUFF"):
-            signal = args[0]
-        elif op == "MAJ":
-            if len(args) != 3:
-                raise ValueError("MAJ gate requires exactly three operands")
-            signal = mig.maj(*args)
-        elif op == "CONST0" or (op == "GND" and not args):
-            signal = CONST0
-        elif op == "CONST1" or (op == "VDD" and not args):
-            signal = CONST1
-        else:
-            raise ValueError(f"unsupported .bench gate {op!r}")
-        signals[name] = signal
-        return signal
+            return tree(mig.and_, args)
+        if op == "NAND":
+            return signal_not(tree(mig.and_, args))
+        if op == "OR":
+            return tree(mig.or_, args)
+        if op == "NOR":
+            return signal_not(tree(mig.or_, args))
+        if op == "XOR":
+            return tree(mig.xor, args)
+        if op == "XNOR":
+            return signal_not(tree(mig.xor, args))
+        if op == "NOT":
+            return signal_not(args[0])
+        if op in ("BUF", "BUFF"):
+            return args[0]
+        if op == "MAJ":
+            return mig.maj(*args)
+        return CONST0 if op in ("CONST0", "GND") else CONST1
 
+    resolve(outputs, signals, gates, make)
     for name in outputs:
-        mig.add_po(build(name), name)
+        mig.add_po(signals[name], name)
     return mig
 
 

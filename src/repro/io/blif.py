@@ -2,20 +2,25 @@
 
 The Berkeley Logic Interchange Format is the lingua franca of academic
 logic-synthesis tools (ABC, SIS, mockturtle).  Writing emits one
-``.names`` cover per majority gate; reading accepts arbitrary
-combinational single-output covers and converts each to majority gates
-through the heuristic synthesizer (covers with up to 6 inputs).
+``.names`` cover per majority gate.  Reading accepts arbitrary
+combinational single-output covers of up to 6 inputs.  Like functional
+hashing itself, it synthesizes each distinct cover once: the heuristic
+synthesizer's gates for a cover are cached as a template
+(:func:`cover_template`) and replayed for every cover with the same
+rows.  Signals are resolved by :func:`repro.io.netlist.resolve`.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TextIO
 
-from ..core.mig import CONST0, CONST1, Mig, signal_not
+from ..core.mig import CONST0, Mig
 from ..core.truth_table import tt_mask
 from ..exact.heuristic import heuristic_mig
+from .netlist import check_inputs, define, resolve
 
-__all__ = ["write_blif", "read_blif"]
+__all__ = ["write_blif", "read_blif", "cover_template"]
 
 
 def write_blif(mig: Mig, fp: TextIO, model_name: str | None = None) -> None:
@@ -62,17 +67,16 @@ def write_blif(mig: Mig, fp: TextIO, model_name: str | None = None) -> None:
 def read_blif(fp: TextIO) -> Mig:
     """Read a combinational BLIF model into an MIG.
 
-    Supports ``.names`` covers with up to 6 inputs (converted to majority
-    logic via the heuristic synthesizer), in any topological order.
+    Supports ``.names`` covers with up to 6 inputs, in any order and to
+    any depth.  Each cover becomes the majority gates of its cached
+    template (:func:`cover_template`); a malformed cover, a cycle, a
+    signal defined twice or an undriven one raises :class:`ValueError`.
     """
     inputs: list[str] = []
     outputs: list[str] = []
     model = "blif"
     covers: dict[str, tuple[list[str], list[tuple[str, str]]]] = {}
-    current: tuple[list[str], list[tuple[str, str]]] | None = None
-
-    def tokens_of(line: str) -> list[str]:
-        return line.split()
+    rows: list[tuple[str, str]] | None = None
 
     # Join continuation lines.
     text = fp.read().replace("\\\n", " ")
@@ -80,7 +84,7 @@ def read_blif(fp: TextIO) -> Mig:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tok = tokens_of(line)
+        tok = line.split()
         if tok[0] == ".model":
             model = tok[1] if len(tok) > 1 else model
         elif tok[0] == ".inputs":
@@ -88,76 +92,92 @@ def read_blif(fp: TextIO) -> Mig:
         elif tok[0] == ".outputs":
             outputs.extend(tok[1:])
         elif tok[0] == ".names":
-            target = tok[-1]
-            current = (tok[1:-1], [])
-            covers[target] = current
+            if len(tok) < 2:
+                raise ValueError(".names line without a target signal")
+            rows = []
+            define(covers, tok[-1], (tok[1:-1], rows))
         elif tok[0] in (".end", ".exdc"):
-            current = None
+            rows = None
         elif tok[0].startswith("."):
             raise ValueError(f"unsupported BLIF construct: {tok[0]}")
         else:
-            if current is None:
+            if rows is None:
                 raise ValueError(f"cover row outside .names: {line!r}")
-            if len(tok) == 1:
-                current[1].append(("", tok[0]))
-            else:
-                current[1].append((tok[0], tok[1]))
+            if len(tok) > 2:
+                raise ValueError(f"cover row with more than two columns: {line!r}")
+            rows.append(("", tok[0]) if len(tok) == 1 else (tok[0], tok[1]))
+    check_inputs(inputs, covers)
 
     mig = Mig(name=model)
-    signals: dict[str, int] = {}
-    for name in inputs:
-        signals[name] = mig.add_pi(name)
+    signals = {name: mig.add_pi(name) for name in inputs}
 
-    def build(name: str) -> int:
-        if name in signals:
-            return signals[name]
-        if name not in covers:
-            raise ValueError(f"undriven signal {name!r}")
-        fanin_names, rows = covers[name]
-        fanins = [build(n) for n in fanin_names]
-        signals[name] = _cover_to_signal(mig, fanins, rows, len(fanin_names))
-        return signals[name]
+    def make(fanins: list[str], cover_rows: list[tuple[str, str]]) -> int:
+        rows = tuple(cover_rows)
+        synthesize = cover_template if len(rows) <= _MAX_CACHED_ROWS else cover_template.__wrapped__
+        return _inline(mig, synthesize(len(fanins), rows), [signals[name] for name in fanins])
 
+    resolve(outputs, signals, covers, make)
     for name in outputs:
-        mig.add_po(build(name), name)
+        mig.add_po(signals[name], name)
     return mig
 
 
-def _cover_to_signal(mig: Mig, fanins: list[int], rows: list[tuple[str, str]], n: int) -> int:
-    """Convert a SOP cover to an MIG signal over already-built fanins."""
-    if n == 0:
-        # Constant: empty cover is 0; any "1" row makes it 1.
-        return CONST1 if any(out == "1" for _, out in rows) else CONST0
+#: A template is the gate list of the cover's function synthesized by
+#: :func:`heuristic_mig` (already cleaned up): the fanin triples of its
+#: gates, numbered after the constant and the cover's inputs, and its
+#: output signal.
+Template = tuple[tuple[tuple[int, int, int], ...], int]
+
+#: Distinct rows a cover of at most 6 inputs can have (each column 0, 1
+#: or -).  Longer covers repeat rows; they are built but not cached, so
+#: one cache entry stays small whatever an upload contains.
+_MAX_CACHED_ROWS = 3**6
+
+
+@lru_cache(maxsize=256)
+def cover_template(n: int, rows: tuple[tuple[str, str], ...]) -> Template:
+    """Validate an *n*-input cover and synthesize its gate template.
+
+    Netlists repeat a handful of covers many times (``write_blif`` emits
+    one per majority polarity pattern), so the template is cached on the
+    cover text; the cache is bounded because serve parses untrusted
+    uploads in a long-lived daemon.  Errors are raised, never cached.
+    """
     if n > 6:
         raise ValueError(f"cover with {n} inputs exceeds the supported maximum of 6")
-    on_rows = [pattern for pattern, out in rows if out == "1"]
-    off_rows = [pattern for pattern, out in rows if out == "0"]
-    if on_rows and off_rows:
-        raise ValueError("BLIF cover mixes on-set and off-set rows")
-    patterns = on_rows or off_rows
+    outs = set()
     tt = 0
-    for m in range(1 << n):
-        for pattern in patterns:
-            if all(
-                ch == "-" or int(ch) == ((m >> i) & 1)
-                for i, ch in enumerate(pattern)
-            ):
+    for pattern, out in rows:
+        if len(pattern) != n:
+            raise ValueError(f"cover row {pattern!r} has {len(pattern)} columns for {n} inputs")
+        if out not in ("0", "1"):
+            raise ValueError(f"cover row output {out!r} is neither 0 nor 1")
+        if pattern.strip("01-"):
+            raise ValueError(f"cover row {pattern!r} has a column other than 0, 1 or -")
+        outs.add(out)
+        care = sum(1 << i for i, ch in enumerate(pattern) if ch != "-")
+        value = sum(1 << i for i, ch in enumerate(pattern) if ch == "1")
+        for m in range(1 << n):
+            if m & care == value:
                 tt |= 1 << m
-                break
-    if off_rows:
+    if len(outs) > 1:
+        raise ValueError("BLIF cover mixes on-set and off-set rows")
+    if "0" in outs:
         tt ^= tt_mask(n)
     sub = heuristic_mig(tt, n)
-    # Inline `sub` into `mig`, substituting fanins for its PIs.
-    mapping: dict[int, int] = {0: 0}
-    for i in range(n):
-        mapping[1 + i] = fanins[i]
-    for node in sub.gates():
-        a, b, c = sub.fanins(node)
-        mapping[node] = mig.maj(
-            mapping[a >> 1] ^ (a & 1),
-            mapping[b >> 1] ^ (b & 1),
-            mapping[c >> 1] ^ (c & 1),
+    return tuple(sub.fanins(g) for g in sub.gates()), sub.outputs[0]
+
+
+def _inline(mig: Mig, template: Template, fanins: list[int]) -> int:
+    """Replay *template* in *mig* over already-built *fanins*."""
+    gates, out = template
+    nodes = [CONST0, *fanins]
+    for a, b, c in gates:
+        nodes.append(
+            mig.maj(
+                nodes[a >> 1] ^ (a & 1),
+                nodes[b >> 1] ^ (b & 1),
+                nodes[c >> 1] ^ (c & 1),
+            )
         )
-    out = sub.outputs[0]
-    signal = mapping[out >> 1] ^ (out & 1)
-    return signal
+    return nodes[out >> 1] ^ (out & 1)

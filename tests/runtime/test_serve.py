@@ -11,6 +11,7 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -456,6 +457,21 @@ class TestHttpLayer:
         except urllib.error.HTTPError as exc:
             assert exc.code == 429
             assert exc.headers.get("Retry-After") == "1"
+
+    def test_cyclic_upload_is_400_naming_the_cycle(self, daemon):
+        """A reader error is the client's: 400, and the daemon serves on."""
+        _, base = daemon
+        cyclic = (
+            ".model loop\n.inputs a\n.outputs f\n"
+            ".names a g f\n11 1\n.names f g\n1 1\n.end\n"
+        )
+        code, payload = _request(
+            base, "POST", "/jobs", {"network": {"blif": cyclic}, "script": ["BF"]}
+        )
+        assert code == 400 and payload["error"] == "bad-request"
+        assert re.search(r"cycle through signal '[fg]'", payload["detail"]), payload
+        assert _request(base, "GET", "/readyz")[0] == 200
+        assert _request(base, "POST", "/jobs", dict(ADDER4))[0] == 202
 
     def test_malformed_json_body(self, daemon):
         _, base = daemon

@@ -10,9 +10,13 @@ a real subprocess:
    ``Mig.check()``, and is functionally equivalent to the input;
 3. resubmit the identical request and assert a **cache hit** with a
    byte-identical result payload (the optimizer ran exactly once);
-4. restart the daemon on the same workdir and assert the cache is still
+   resubmit it once more as an inline BLIF upload of the same network
+   (same structural hash, so again a byte-identical hit);
+4. upload a two-gate cyclic BLIF and assert a 400 that names the cycle,
+   with the daemon still ready;
+5. restart the daemon on the same workdir and assert the cache is still
    **warm across the restart** (hit without re-optimizing);
-5. SIGTERM the daemon and assert a **graceful drain**: exit code 0 and
+6. SIGTERM the daemon and assert a **graceful drain**: exit code 0 and
    a flushed stats snapshot.
 
 Exit code 0 means the drill passed.  Usage::
@@ -41,11 +45,16 @@ SRC = REPO_ROOT / "src"
 sys.path.insert(0, str(SRC))
 
 from repro.core.simulate import equivalent_random  # noqa: E402
-from repro.io.blif import read_blif  # noqa: E402
+from repro.io.blif import read_blif, write_blif  # noqa: E402
 from repro.runtime.jobs import load_network  # noqa: E402
 
 INSTANCE = {"generate": "max", "width": 6}
 REQUEST = {"network": INSTANCE, "script": ["BF"], "verify": "sim"}
+#: f = a & g, g = f: a combinational cycle through f and g
+CYCLIC_BLIF = (
+    ".model loop\n.inputs a\n.outputs f\n"
+    ".names a g f\n11 1\n.names f g\n1 1\n.end\n"
+)
 
 
 def request(base: str, method: str, path: str, body=None, timeout=15):
@@ -141,10 +150,32 @@ def main() -> int:
         assert json.dumps(hit["result"], sort_keys=True) == json.dumps(
             result, sort_keys=True
         ), "cache hit must be byte-identical to the original result"
+
+        print("[smoke] resubmitting it as an inline BLIF upload")
+        text = io.StringIO()
+        write_blif(original, text)
+        code, hit = request(
+            base, "POST", "/jobs", dict(REQUEST, network={"blif": text.getvalue()})
+        )
+        assert code == 200 and hit["cached"] is True, (code, hit)
+        assert json.dumps(hit["result"], sort_keys=True) == json.dumps(
+            result, sort_keys=True
+        ), "the uploaded BLIF must hit the generated network's cache entry"
         code, stats = request(base, "GET", "/stats")
         assert stats["jobs"]["completed"] == 1, stats
-        assert stats["jobs"]["cache_hits"] == 1, stats
-        print("[smoke] cache hit verified, optimizer ran exactly once")
+        assert stats["jobs"]["cache_hits"] == 2, stats
+        print("[smoke] cache hits verified, optimizer ran exactly once")
+
+        print("[smoke] uploading a cyclic BLIF")
+        code, rejected = request(
+            base, "POST", "/jobs", dict(REQUEST, network={"blif": CYCLIC_BLIF})
+        )
+        assert code == 400 and "cycle through signal" in rejected["detail"], (
+            code, rejected,
+        )
+        code, _ = request(base, "GET", "/readyz")
+        assert code == 200, "daemon not ready after a rejected upload"
+        print(f"[smoke] rejected: {rejected['detail']}")
 
         print("[smoke] SIGTERM -> graceful drain")
         proc.send_signal(signal.SIGTERM)
@@ -166,8 +197,8 @@ def main() -> int:
         out, _ = proc.communicate(timeout=90)
         assert proc.returncode == 0, f"drain exit {proc.returncode}: {out}"
 
-        print("[smoke] PASS: optimize once, cache hit, warm restart, "
-              "clean drain")
+        print("[smoke] PASS: optimize once, cache hits, cycle rejected, "
+              "warm restart, clean drain")
         return 0
     finally:
         if proc is not None and proc.poll() is None:
