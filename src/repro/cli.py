@@ -149,7 +149,7 @@ _SHARED_FLAGS: dict[str, dict] = {
         "batch and serve: per job, the supervisor hard-kills (SIGTERM, "
         "then SIGKILL after --grace) workers that overrun it; serve uses "
         "it for requests without a 'deadline' of their own; db improve: "
-        "the whole improvement pass",
+        "the whole pass in-process, each class with --jobs N",
     ),
     "--conflict-limit": dict(
         type=int, metavar="N",
@@ -593,11 +593,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_db_gen = db_sub.add_parser(
         "generate",
         help="generate/improve the NPN-4 database (tree phase + SAT phase; "
-        "see python -m repro.database.generate)",
+        "also run as python -m repro.database.generate)",
         parents=[_flags("--budget", "--jobs", "--sat-backend", "--quiet",
                         jobs=0)],
     )
-    p_db_gen.add_argument("--out", default=None, help="output JSONL path")
+    p_db_gen.add_argument(
+        "--out",
+        default=os.path.join(os.path.dirname(__file__), "database", "data",
+                             "npn4.jsonl"),
+        help="output JSONL path, resumed when it exists (default: the "
+        "packaged database)",
+    )
     p_db_gen.add_argument(
         "--sat-seconds", type=float, default=0.0,
         help="time for the SAT improvement phase (0 = trees only)",
@@ -754,21 +760,15 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "db":
         if args.db_command == "generate":
-            from .database.generate import main as db_generate_main
+            from .database.generate import generate_database
 
-            forwarded = ["--budget", str(args.budget),
-                         "--sat-seconds", str(args.sat_seconds),
-                         "--jobs", str(args.jobs),
-                         "--sat-backend", args.sat_backend]
-            if args.out is not None:
-                forwarded += ["--out", args.out]
-            if args.fresh:
-                forwarded.append("--fresh")
-            if args.largest_first:
-                forwarded.append("--largest-first")
-            if args.quiet:
-                forwarded.append("--quiet")
-            return db_generate_main(forwarded)
+            generate_database(
+                args.out, budget=args.budget, sat_seconds=args.sat_seconds,
+                fresh=args.fresh, largest_first=args.largest_first,
+                jobs=args.jobs, sat_backend=args.sat_backend,
+                verbose=not args.quiet,
+            )
+            return 0
         if args.db_command == "improve":
             from .database.store import NpnStore, improve_store
 

@@ -7,13 +7,14 @@ Two phases:
    representatives.  This is complete in under a minute and already
    near-optimal (``L(f) <= C(f) + 2``).
 2. **SAT phase** — exact synthesis (Sec. III of the paper) improves and
-   certifies entries: ascending UNSAT proofs from ``k = 1`` establish
-   lower bounds; descending SAT searches from the current upper bound
-   shrink entries.  An entry becomes ``proven`` when the sizes meet.
-   Every call runs under a conflict budget; progress is checkpointed to
-   the JSONL file after every class so partial runs are always usable.
+   certifies entries: :class:`~repro.exact.synthesis.ExactSynthesizer`
+   refutes sizes bottom up below each entry, and a descending SAT search
+   from the entry shrinks it when the ascent stalls.  An entry becomes
+   ``proven`` when every smaller size is refuted.  Every call runs under
+   a conflict budget; progress is checkpointed to the JSONL file after
+   every class so partial runs are always usable.
 
-Run as a module::
+``python -m repro.database.generate ARGS`` is ``migopt db generate ARGS``::
 
     python -m repro.database.generate --out src/repro/database/data/npn4.jsonl \
         --sat-seconds 3600 --budget 30000
@@ -21,23 +22,24 @@ Run as a module::
 
 from __future__ import annotations
 
-import argparse
 import time
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterator
 
 from ..core.npn import enumerate_npn_classes
-from ..exact.bounds import mig_size_lower_bound
 from ..exact.encoding import encode_exact_mig
+from ..exact.synthesis import ExactSynthesizer
 from ..exact.trees import TreeSynthesizer
+from ..runtime.budget import Budget
 from .npn_db import DbEntry, NpnDatabase, entry_from_json, entry_to_json
 
 __all__ = [
+    "generate_database",
     "generate_tree_database",
     "improve_class",
+    "improve_entries",
     "improve_with_sat",
-    "improve_with_sat_parallel",
-    "main",
 ]
 
 
@@ -82,35 +84,6 @@ def generate_tree_database(
     return db
 
 
-def _solve_size(
-    spec: int,
-    num_vars: int,
-    k: int,
-    budget: int | None,
-    deadline: float | None = None,
-    seed_rows: list[int] | None = None,
-    portfolio=None,
-) -> tuple[bool | None, DbEntry | None, int, list[int]]:
-    """One exact-synthesis decision.
-
-    Returns ``(answer, entry-if-SAT, conflicts, rows)`` where *rows* is
-    the CEGAR row set after the call — carried into the next size when
-    ascending (a refutation over a row subset refutes the full spec).
-    """
-    encoding = encode_exact_mig(spec, num_vars, k, portfolio=portfolio)
-    answer = encoding.solve_cegar(
-        conflict_budget=budget, deadline=deadline, seed_rows=seed_rows
-    )
-    conflicts = encoding.builder.solver.conflicts
-    if answer is True:
-        mig = encoding.extract_mig()
-        if mig.simulate()[0] != spec:
-            raise AssertionError(f"extracted MIG wrong for 0x{spec:x} at k={k}")
-        entry = DbEntry.from_mig(spec, mig, proven=False, conflicts=conflicts)
-        return True, entry, conflicts, encoding.rows
-    return answer, None, conflicts, encoding.rows
-
-
 def improve_class(
     rep: int,
     entry: DbEntry,
@@ -121,94 +94,149 @@ def improve_class(
 ) -> tuple[DbEntry, int]:
     """Improve/certify one database entry by exact synthesis.
 
-    The single unit of SAT-phase work, shared verbatim by the serial
-    loop (:func:`improve_with_sat`) and the supervised workers
-    (``db-improve`` jobs), so both paths produce identical entries for
+    The single unit of SAT-phase work, shared verbatim by the in-process
+    and the supervised (``db-improve`` jobs) paths of
+    :func:`improve_entries`, so both produce identical entries for
     identical budgets.  Returns the new entry and the conflicts spent.
 
-    Ascending UNSAT proofs start at the exhaustive lower bound
-    (:func:`repro.exact.bounds.mig_size_lower_bound`) and carry the
-    CEGAR counterexample rows from each refuted size into the next; a
-    descending SAT sweep from the current upper bound handles budget
-    exhaustion.
+    :class:`~repro.exact.synthesis.ExactSynthesizer` tries the sizes
+    below *entry* bottom up, with *entry* as its upper bound.  When a
+    size exhausts the *budget* conflicts, a descending SAT sweep from
+    ``entry.size - 1`` down to the highest refuted size still looks for
+    a smaller witness; it skips the size that stalled, which the
+    deterministic solver would only stall on again.
 
     *sat_backend* selects the solver lanes (``internal`` keeps the
     deterministic single-solver path; ``auto``/``portfolio`` race
     external binaries, trading bit-for-bit run determinism for speed —
     entries are still verified by simulation before they are admitted).
     """
-    portfolio = None
-    if sat_backend != "internal":
-        from ..sat.portfolio import resolve_backend
-
-        portfolio = resolve_backend(sat_backend)
     start = time.perf_counter()
-    total_conflicts = 0
-    best = entry
-    lower = mig_size_lower_bound(rep, num_vars)
-    refuted_below = max(0, lower - 1)  # sizes <= refuted_below are impossible
-    k = max(1, lower)
-    exhausted = False
-    unknown_at: int | None = None
-    carried_rows: list[int] | None = None
-    while k < best.size:
-        if deadline is not None and time.monotonic() > deadline:
-            exhausted = True
-            break
-        answer, found, conflicts, rows = _solve_size(
-            rep, num_vars, k, budget, deadline, seed_rows=carried_rows,
-            portfolio=portfolio,
-        )
-        total_conflicts += conflicts
-        if answer is False:
-            refuted_below = k
-            carried_rows = rows
-            k += 1
-            continue
-        if answer is True:
-            assert found is not None
-            best = found
-            break
-        exhausted = True
-        unknown_at = k  # deterministic solver: don't retry this size
-        break
-    # Descending SAT improvements when the ascent stalled.
-    if exhausted:
-        k2 = best.size - 1
-        while k2 > refuted_below:
+    synth = ExactSynthesizer(
+        conflict_budget=budget,
+        max_gates=entry.size - 1,
+        budget=Budget(deadline=deadline),
+        sat_backend=sat_backend,
+    )
+    result = synth.synthesize(rep, num_vars, upper_bound=entry.to_mig())
+    best, proven, conflicts = entry, result.proven, result.conflicts
+    if result.size < entry.size:
+        best = DbEntry.from_mig(rep, result.mig, proven=proven)
+    outcomes = result.k_outcomes
+    if "unknown" in outcomes.values():
+        stalled = max(k for k, o in outcomes.items() if o == "unknown")
+        refuted = max(k for k, o in outcomes.items() if o in ("unsat", "skipped"))
+        for k in range(entry.size - 1, refuted, -1):
             if deadline is not None and time.monotonic() > deadline:
                 break
-            if k2 == unknown_at:
-                k2 -= 1
+            if k == stalled:
                 continue
-            answer, found, conflicts, _rows = _solve_size(
-                rep, num_vars, k2, budget, deadline, portfolio=portfolio
-            )
-            total_conflicts += conflicts
-            if answer is True and found is not None:
-                best = found
-            k2 -= 1
-    proven = best.size == refuted_below + 1 or best.size == 0
-    new_entry = DbEntry(
-        rep=rep,
-        num_vars=best.num_vars,
-        size=best.size,
-        depth=best.depth,
+            encoding = encode_exact_mig(rep, num_vars, k, portfolio=synth.portfolio)
+            answer = encoding.solve_cegar(conflict_budget=budget, deadline=deadline)
+            conflicts += encoding.builder.solver.conflicts
+            if answer is True:
+                mig = encoding.extract_mig()
+                if mig.simulate()[0] != rep:
+                    raise AssertionError(f"extracted MIG wrong for 0x{rep:x} at k={k}")
+                best = DbEntry.from_mig(rep, mig, proven=False)
+        proven = best.size == refuted + 1
+    new_entry = replace(
+        best,
         proven=proven,
-        gates=best.gates,
-        output=best.output,
+        conflicts=conflicts,
         generation_time=entry.generation_time + (time.perf_counter() - start),
-        conflicts=total_conflicts,
     )
-    return new_entry, total_conflicts
+    return new_entry, conflicts
 
 
-def _sat_phase_order(db: NpnDatabase, largest_first: bool) -> list[int]:
-    return sorted(
-        db.entries,
-        key=lambda rep: (db.entries[rep].size, rep),
-        reverse=largest_first,
-    )
+def improve_entries(
+    entries: list[DbEntry],
+    num_vars: int,
+    budget: int | None,
+    time_limit: float | None = None,
+    jobs: int = 0,
+    workdir: str | Path | None = None,
+    sat_backend: str = "internal",
+) -> Iterator[tuple[DbEntry, DbEntry | None, int]]:
+    """Run :func:`improve_class` over *entries*; yield ``(old, new, conflicts)``.
+
+    With ``jobs == 0`` the classes run in-process, in order, under one
+    deadline *time_limit* seconds from now: the pass ends at the first
+    class that would start after it.  Otherwise each class is one
+    ``db-improve`` job under :func:`repro.runtime.supervisor.run_batch`
+    with *jobs* workers in *workdir* (default: a fresh temp dir):
+    process isolation, a watchdog per job and a crash-safe journal.
+    There *time_limit* bounds each class, and a *workdir* that already
+    holds a journal resumes — classes whose jobs completed are adopted
+    from their result artifacts without re-running.  Whatever the worker
+    claimed, its entry is admitted only if it simulates to its
+    representative; a class whose job did not complete, or whose entry
+    was refused, yields ``new=None``.
+    """
+    if jobs <= 0:
+        deadline = None if time_limit is None else time.monotonic() + time_limit
+        for entry in entries:
+            if deadline is not None and time.monotonic() > deadline:
+                return
+            new_entry, conflicts = improve_class(
+                entry.rep, entry, num_vars, budget, deadline, sat_backend=sat_backend
+            )
+            yield entry, new_entry, conflicts
+        return
+
+    import tempfile
+
+    from ..runtime.jobs import JobSpec, load_result_artifact
+    from ..runtime.supervisor import run_batch
+
+    if not entries:
+        return
+    if workdir is None:
+        workdir = tempfile.mkdtemp(prefix="npn-improve-")
+    workdir = Path(workdir)
+    width = 1 << (num_vars - 2)  # hex digits of a truth table
+    by_job = {f"db-0x{entry.rep:0{width}x}": entry for entry in entries}
+    specs = [
+        JobSpec(
+            job_id=job_id,
+            network={},
+            mode="db-improve",
+            verify="sim",
+            sat_backend=sat_backend,
+            # The worker searches at least 0.5 s and keeps 0.5 s to write
+            # its result; the watchdog must allow it that second.
+            time_limit=None if time_limit is None else max(1.0, time_limit),
+            conflict_limit=budget,
+            payload={
+                "rep": entry.rep,
+                "num_vars": num_vars,
+                "budget": budget,
+                "entry": entry_to_json(entry),
+            },
+        )
+        for job_id, entry in by_job.items()
+    ]
+    resume = (workdir / "journal.jsonl").exists()
+    report = run_batch(specs, workdir, num_workers=jobs, resume=resume)
+    done = {str(job.get("job_id")) for job in report.jobs if job.get("state") == "done"}
+    for job_id, old in by_job.items():
+        # The full worker payload lives in the result artifact (the
+        # journal keeps only a summary slice); done jobs always have one.
+        payload = None
+        if job_id in done:
+            payload = load_result_artifact(workdir / "results" / f"{job_id}.json", job_id)
+        new_entry = None
+        if payload is not None and payload.get("status") == "ok":
+            try:
+                new_entry = entry_from_json(payload["entry"])
+            except (KeyError, TypeError, ValueError):
+                pass
+        # Admit nothing unverified, whatever the worker claimed.
+        if new_entry is not None and (
+            new_entry.rep != old.rep or new_entry.to_mig().simulate()[0] != old.rep
+        ):
+            new_entry = None
+        yield old, new_entry, 0 if new_entry is None else int(payload.get("conflicts", 0))
 
 
 def improve_with_sat(
@@ -219,200 +247,72 @@ def improve_with_sat(
     verbose: bool = False,
     largest_first: bool = False,
     sat_backend: str = "internal",
+    jobs: int = 0,
+    workdir: str | Path | None = None,
 ) -> dict[str, int]:
-    """Phase 2: improve/certify database entries by exact synthesis.
+    """Phase 2: improve/certify the unproven entries by exact synthesis.
 
     Processes classes in increasing current-size order (cheapest proofs
     first) by default; ``largest_first`` reverses it, prioritizing size
-    *reduction* of the biggest entries over minimality proofs.
-    Returns statistics: how many entries were improved and proven.
+    *reduction* of the biggest entries over minimality proofs.  The
+    classes run through :func:`improve_entries`: in-process with
+    ``jobs=0``, else as *jobs* supervised workers in *workdir* (default:
+    ``<out_path>.jobs`` when *out_path* is given).  Without a
+    *time_limit* the database content does not depend on *jobs*; every
+    class is checkpointed to *out_path*.
+    Returns statistics: classes visited, improved and proven, and the
+    class jobs that did not complete.
     """
-    deadline = None if time_limit is None else time.monotonic() + time_limit
-    stats = {"visited": 0, "improved": 0, "proven": 0}
-    for rep in _sat_phase_order(db, largest_first):
-        entry = db.entries[rep]
-        if entry.proven:
-            continue
-        if deadline is not None and time.monotonic() > deadline:
-            break
-        stats["visited"] += 1
-        new_entry, total_conflicts = improve_class(
-            rep, entry, db.num_vars, budget, deadline, sat_backend=sat_backend
-        )
-        if new_entry.size < entry.size:
-            stats["improved"] += 1
-        if new_entry.proven:
-            stats["proven"] += 1
-        db.entries[rep] = new_entry
-        if out_path is not None:
-            db.save(out_path)
-        if verbose:
-            print(
-                f"sat 0x{rep:04x}: size {entry.size} -> {new_entry.size} "
-                f"proven={new_entry.proven} "
-                f"({new_entry.generation_time - entry.generation_time:.1f}s, "
-                f"{total_conflicts} conflicts)"
-            )
-    return stats
-
-
-def improve_with_sat_parallel(
-    db: NpnDatabase,
-    budget: int = 30000,
-    time_limit: float | None = None,
-    out_path: str | Path | None = None,
-    verbose: bool = False,
-    largest_first: bool = False,
-    jobs: int = 2,
-    workdir: str | Path | None = None,
-    sat_backend: str = "internal",
-) -> dict[str, int]:
-    """Phase 2 across worker subprocesses via the supervised batch runtime.
-
-    One ``db-improve`` job per unproven class, scheduled by
-    :class:`repro.runtime.supervisor.Supervisor`: process isolation, a
-    SIGTERM→SIGKILL watchdog per job, and the crash-safe job journal.
-    When *workdir* (default: ``<out_path>.jobs``) already holds a
-    journal, the batch *resumes* — classes whose jobs completed are
-    adopted from their result artifacts without re-running.
-
-    Entries come back identical to :func:`improve_with_sat` for the same
-    *budget* (same :func:`improve_class`, deterministic solver) — the
-    database content does not depend on the worker count.
-    """
-    from ..runtime.jobs import JobSpec, load_result_artifact
-    from ..runtime.supervisor import run_batch
-
-    if workdir is None:
-        if out_path is None:
-            raise ValueError("improve_with_sat_parallel needs out_path or workdir")
+    if workdir is None and out_path is not None:
         workdir = Path(str(out_path) + ".jobs")
-    workdir = Path(workdir)
-
-    pending = [rep for rep in _sat_phase_order(db, largest_first)
-               if not db.entries[rep].proven]
-    stats = {"visited": 0, "improved": 0, "proven": 0}
-    if not pending:
-        return stats
-
-    per_job_limit = None
-    if time_limit is not None:
-        # Deadlines are per class in the parallel path: the supervisor
-        # watchdog enforces wall clock per job, not across the batch.
-        per_job_limit = max(1.0, time_limit)
-
-    specs = [
-        JobSpec(
-            job_id=f"db-0x{rep:04x}",
-            network={},
-            mode="db-improve",
-            verify="sim",
-            sat_backend=sat_backend,
-            time_limit=per_job_limit,
-            conflict_limit=budget,
-            payload={
-                "rep": rep,
-                "num_vars": db.num_vars,
-                "budget": budget,
-                "entry": entry_to_json(db.entries[rep]),
-            },
-        )
-        for rep in pending
-    ]
-
-    resume = (workdir / "journal.jsonl").exists()
-    report = run_batch(specs, workdir, num_workers=jobs, resume=resume)
-
-    failed: list[str] = []
-    for summary in report.jobs:
-        job_id = str(summary.get("job_id"))
-        if summary.get("state") != "done":
-            failed.append(job_id)
-            continue
-        # The full worker payload lives in the result artifact (the
-        # journal keeps only a summary slice); done jobs always have one.
-        payload = load_result_artifact(workdir / "results" / f"{job_id}.json", job_id)
-        if payload is None or payload.get("status") != "ok" or "entry" not in payload:
-            failed.append(job_id)
-            continue
-        new_entry = entry_from_json(payload["entry"])
-        rep = new_entry.rep
-        old = db.entries[rep]
-        # Admit nothing unverified into the database, whatever the
-        # worker claimed: rebuild and simulate the entry here.
-        if new_entry.to_mig().simulate()[0] != rep:
-            failed.append(str(summary.get("job_id")))
+    pending = sorted((entry for entry in db.entries.values() if not entry.proven),
+                     key=lambda entry: (entry.size, entry.rep), reverse=largest_first)
+    stats = {"visited": 0, "improved": 0, "proven": 0, "failed_jobs": 0}
+    for old, new_entry, conflicts in improve_entries(
+        pending, db.num_vars, budget, time_limit, jobs, workdir, sat_backend
+    ):
+        if new_entry is None:
+            stats["failed_jobs"] += 1
             continue
         stats["visited"] += 1
         if new_entry.size < old.size:
             stats["improved"] += 1
         if new_entry.proven:
             stats["proven"] += 1
-        db.entries[rep] = new_entry
+        db.entries[old.rep] = new_entry
+        if out_path is not None:
+            db.save(out_path)
         if verbose:
-            adopted = " (adopted)" if summary.get("adopted") else ""
             print(
-                f"sat 0x{rep:04x}: size {old.size} -> {new_entry.size} "
-                f"proven={new_entry.proven}{adopted}"
+                f"sat 0x{old.rep:04x}: size {old.size} -> {new_entry.size} "
+                f"proven={new_entry.proven} "
+                f"({new_entry.generation_time - old.generation_time:.1f}s, "
+                f"{conflicts} conflicts)"
             )
-    if out_path is not None:
-        db.save(out_path)
-    if failed and verbose:
-        print(f"sat phase: {len(failed)} class jobs did not complete: "
-              f"{', '.join(sorted(failed))}")
-    stats["failed_jobs"] = len(failed)
     return stats
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Command-line entry point."""
-    parser = argparse.ArgumentParser(description="Generate the NPN-4 MIG database")
-    parser.add_argument(
-        "--out",
-        default=str(Path(__file__).parent / "data" / "npn4.jsonl"),
-        help="output JSONL path",
-    )
-    parser.add_argument("--budget", type=int, default=30000, help="conflicts per SAT call")
-    parser.add_argument(
-        "--sat-seconds", type=float, default=0.0,
-        help="time for the SAT improvement phase (0 = trees only)",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="load the existing output file and continue from the last "
-        "completed class (this is also the default when the file exists)",
-    )
-    parser.add_argument(
-        "--fresh", action="store_true",
-        help="ignore an existing output file and regenerate from scratch",
-    )
-    parser.add_argument(
-        "--largest-first", action="store_true",
-        help="process the biggest entries first (prioritize size reduction)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=0, metavar="N",
-        help="run the SAT phase across N supervised worker subprocesses "
-        "(0 = in-process serial; the database content is identical either "
-        "way, and a killed parallel run resumes from its job journal)",
-    )
-    parser.add_argument(
-        "--sat-backend", choices=("auto", "internal", "portfolio"),
-        default="internal",
-        help="SAT solver lanes for the improvement phase: 'internal' is the "
-        "deterministic in-process solver; 'auto'/'portfolio' race external "
-        "kissat/CaDiCaL binaries when discovered (every entry is still "
-        "verified by simulation before admission)",
-    )
-    parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
+def generate_database(
+    out_path: str | Path,
+    budget: int = 30000,
+    sat_seconds: float = 0.0,
+    fresh: bool = False,
+    largest_first: bool = False,
+    jobs: int = 0,
+    sat_backend: str = "internal",
+    verbose: bool = True,
+) -> NpnDatabase:
+    """``migopt db generate``: the tree phase, then the SAT phase.
 
-    out = Path(args.out)
+    An existing *out_path* is resumed unless *fresh*; the SAT phase runs
+    for *sat_seconds* (0 = trees only) through :func:`improve_with_sat`.
+    The verified database is saved to *out_path* and returned.
+    """
+    out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    verbose = not args.quiet
 
     partial: NpnDatabase | None = None
-    if out.exists() and (args.resume or not args.fresh):
+    if out.exists() and not fresh:
         # Tolerant load: truncated trailing lines from a killed run are
         # skipped, everything that parses is kept.
         partial = NpnDatabase.load(out)
@@ -430,38 +330,31 @@ def main(argv: list[str] | None = None) -> int:
             print(f"tree database written: {len(db)} entries, "
                   f"size histogram {db.size_histogram()}")
 
-    if args.sat_seconds > 0:
+    if sat_seconds > 0:
         if verbose:
-            mode = f"{args.jobs} workers" if args.jobs > 0 else "in-process"
-            print(f"phase 2: SAT improvement for {args.sat_seconds:.0f}s ({mode}) ...")
-        if args.jobs > 0:
-            stats = improve_with_sat_parallel(
-                db,
-                budget=args.budget,
-                time_limit=args.sat_seconds,
-                out_path=out,
-                verbose=verbose,
-                largest_first=args.largest_first,
-                jobs=args.jobs,
-                sat_backend=args.sat_backend,
-            )
-        else:
-            stats = improve_with_sat(
-                db,
-                budget=args.budget,
-                time_limit=args.sat_seconds,
-                out_path=out,
-                verbose=verbose,
-                largest_first=args.largest_first,
-                sat_backend=args.sat_backend,
-            )
+            mode = f"{jobs} workers" if jobs > 0 else "in-process"
+            print(f"phase 2: SAT improvement for {sat_seconds:.0f}s ({mode}) ...")
+        stats = improve_with_sat(
+            db,
+            budget=budget,
+            time_limit=sat_seconds,
+            out_path=out,
+            verbose=verbose,
+            largest_first=largest_first,
+            sat_backend=sat_backend,
+            jobs=jobs,
+        )
         if verbose:
             print(f"sat phase: {stats}")
             print(f"final histogram: {db.size_histogram()}")
     db.verify()
     db.save(out)
-    return 0
+    return db
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    import sys
+
+    from ..cli import main
+
+    raise SystemExit(main(["db", "generate", *sys.argv[1:]]))

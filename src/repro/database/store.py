@@ -306,106 +306,42 @@ def improve_store(
 ) -> dict:
     """Budget-bounded exact tightening of unproven store entries.
 
-    The store twin of the NPN-4 SAT phase (``migopt db generate``): every
-    unproven entry becomes one ``db-improve`` :class:`~repro.runtime.
-    jobs.JobSpec` — the exact per-class unit the PR 3 supervised batch
-    runtime already runs — and the improved witnesses are folded back
-    through :meth:`NpnStore.put`, whose monotone rule guarantees the
-    pass only ever shrinks or proves entries.  With ``jobs=0`` the
-    classes are improved serially in-process (no subprocess tax for
-    small backlogs); either path produces identical store content.
+    The store twin of the NPN-4 SAT phase (``migopt db generate``): the
+    unproven entries, largest first, run through the same driver,
+    :func:`repro.database.generate.improve_entries` — in-process with
+    ``jobs=0`` (no subprocess tax for small backlogs), else as supervised
+    ``db-improve`` jobs in *workdir* (default: a fresh temp dir).  The
+    improved witnesses are folded back through :meth:`NpnStore.put`,
+    whose monotone rule guarantees the pass only ever shrinks or proves
+    entries; either path produces identical store content.
 
     Returns a summary dict (classes attempted / improved / proven,
     conflicts spent).
     """
-    from ..database.generate import improve_class
+    from .generate import improve_entries
 
-    work = sorted(store.unproven(), key=lambda e: (-e.size, e.rep))
-    if limit is not None:
-        work = work[:limit]
+    work = sorted(store.unproven(), key=lambda e: (-e.size, e.rep))[:limit]
     summary = {
         "attempted": len(work), "improved": 0, "proven": 0,
         "conflicts": 0, "rejected": 0,
     }
     if not work:
         return summary
-
-    def fold(new_entry: DbEntry, conflicts: int) -> None:
-        old = store.get(new_entry.rep)
+    for old, new_entry, conflicts in improve_entries(
+        work, store.num_vars, budget, time_limit, jobs, workdir, sat_backend
+    ):
+        if new_entry is None:
+            continue
         summary["conflicts"] += conflicts
-        if old is not None and not _accepts(old, new_entry):
+        if not _accepts(old, new_entry):
             summary["rejected"] += 1
-            return
-        if store.put(new_entry):
-            if old is not None and new_entry.size < old.size:
+        elif store.put(new_entry):
+            if new_entry.size < old.size:
                 summary["improved"] += 1
-            if new_entry.proven and (old is None or not old.proven):
+            if new_entry.proven and not old.proven:
                 summary["proven"] += 1
-
-    if jobs <= 0:
-        import time as time_module
-
-        deadline = None
-        if time_limit is not None:
-            deadline = time_module.monotonic() + time_limit
-        for entry in work:
-            if deadline is not None and time_module.monotonic() >= deadline:
-                break
-            new_entry, conflicts = improve_class(
-                entry.rep, entry, store.num_vars, budget, deadline,
-                sat_backend=sat_backend,
-            )
-            fold(new_entry, conflicts)
-        store.compact()
-        return summary
-
-    import tempfile
-
-    from ..runtime.jobs import JobSpec, load_result_artifact
-    from ..runtime.supervisor import run_batch
-
-    if workdir is None:
-        workdir = tempfile.mkdtemp(prefix="npnstore-improve-")
-    workdir = Path(workdir)
-    # Same JobSpec shape as the NPN-4 SAT phase (generate.py), so the
-    # supervisor's retry/degradation ladder and resume semantics apply
-    # unchanged; only the arity and the destination differ.
-    specs = [
-        JobSpec(
-            job_id=f"store-0x{entry.rep:0{1 << (store.num_vars - 2)}x}",
-            network={},
-            mode="db-improve",
-            verify="sim",
-            conflict_limit=budget,
-            time_limit=time_limit,
-            sat_backend=sat_backend,
-            payload={
-                "rep": entry.rep,
-                "num_vars": store.num_vars,
-                "budget": budget,
-                "entry": entry_to_json(entry),
-            },
-        )
-        for entry in work
-    ]
-    resume = (workdir / "journal.jsonl").exists()
-    report = run_batch(specs, workdir, num_workers=jobs, resume=resume,
-                       verbose=verbose)
-    for job in report.jobs:
-        if job.get("state") != "done":
-            continue
-        job_id = str(job.get("job_id"))
-        payload = load_result_artifact(
-            workdir / "results" / f"{job_id}.json", job_id)
-        if payload is None or payload.get("status") != "ok" or "entry" not in payload:
-            continue
-        try:
-            new_entry = entry_from_json(payload["entry"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            continue
-        # Admit nothing unverified, whatever the worker claimed.
-        if new_entry.to_mig().simulate()[0] != new_entry.rep:
-            continue
-        fold(new_entry, int(payload.get("conflicts", 0)))
+        if verbose:
+            print(f"improve 0x{old.rep:x}: size {old.size} -> {new_entry.size} "
+                  f"proven={new_entry.proven} ({conflicts} conflicts)")
     store.compact()
     return summary

@@ -44,13 +44,6 @@ def _terminal_functions(num_vars: int) -> list[int]:
     return terminals
 
 
-def compute_length_table_with_sets(
-    num_vars: int = 4, max_length: int = 12
-) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Like :func:`compute_length_table` but also return the per-cost sets."""
-    return _length_dp(num_vars, max_length)
-
-
 def cached_length_table(num_vars: int = 4) -> np.ndarray:
     """L(f) table with a persistent on-disk cache.
 
@@ -102,12 +95,6 @@ def compute_length_table(num_vars: int = 4, max_length: int = 12) -> np.ndarray:
     inner loops run bit-parallel in numpy; complement closure halves the
     outer enumeration since ``<a'b'c'> = <abc>'``.
     """
-    return _length_dp(num_vars, max_length)[0]
-
-
-def _length_dp(
-    num_vars: int, max_length: int
-) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     if num_vars > 4:
         raise ValueError("length DP is exhaustive; supported up to 4 variables")
     size = 1 << (1 << num_vars)
@@ -146,7 +133,7 @@ def _length_dp(
             by_cost[cost] = np.unique(np.concatenate(new_found))
         else:
             by_cost[cost] = np.empty(0, dtype=np.uint16)
-    return length, by_cost
+    return length
 
 
 def _dp_step(

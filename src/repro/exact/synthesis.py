@@ -107,7 +107,6 @@ class ExactSynthesizer:
         conflict_budget: int | None = None,
         max_gates: int = 12,
         verify: bool = True,
-        use_cegar: bool = True,
         budget: Budget | None = None,
         carry_rows: bool = True,
         use_lower_bound: bool = True,
@@ -117,7 +116,6 @@ class ExactSynthesizer:
         self.conflict_budget = conflict_budget
         self.max_gates = max_gates
         self.verify = verify
-        self.use_cegar = use_cegar
         #: shared runtime budget; checked between sizes, charged per call
         self.budget = budget
         #: seed each size's CEGAR loop with the rows that refuted k - 1
@@ -224,14 +222,11 @@ class ExactSynthesizer:
             encoding = encode_exact_mig(
                 spec, num_vars, k, portfolio=self.portfolio, budget=budget
             )
-            if self.use_cegar:
-                answer = encoding.solve_cegar(
-                    conflict_budget=call_budget,
-                    deadline=deadline,
-                    seed_rows=carried_rows if self.carry_rows else None,
-                )
-            else:
-                answer = encoding.solve(conflict_budget=call_budget, deadline=deadline)
+            answer = encoding.solve_cegar(
+                conflict_budget=call_budget,
+                deadline=deadline,
+                seed_rows=carried_rows if self.carry_rows else None,
+            )
             solver = encoding.builder.solver
             call_conflicts = solver.conflicts
             total_conflicts += call_conflicts
@@ -262,8 +257,10 @@ class ExactSynthesizer:
             )
 
         if upper_bound is not None:
-            # Every size below the upper bound was refuted: it is optimal.
-            return result(upper_bound, upper_bound.num_gates, True)
+            # Optimal only when every size below it was refuted, not when
+            # max_gates stopped the loop short of the bound.
+            proven = limit == upper_bound.num_gates - 1
+            return result(upper_bound, upper_bound.num_gates, proven)
         return result(None, None, False)
 
 

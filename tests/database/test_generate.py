@@ -12,11 +12,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.npn import enumerate_npn_classes
-from repro.database.generate import (
-    generate_tree_database,
-    improve_with_sat,
-    improve_with_sat_parallel,
-)
+from repro.database.generate import generate_tree_database, improve_with_sat
 from repro.database.npn_db import NpnDatabase
 
 
@@ -234,7 +230,7 @@ class TestDbImproveWorkerJob:
 
 
 class TestParallelSatPhase:
-    """`improve_with_sat_parallel` must be a drop-in for the serial loop."""
+    """`improve_with_sat(jobs=N)` must be a drop-in for the serial loop."""
 
     BUDGET = 300000
 
@@ -244,7 +240,7 @@ class TestParallelSatPhase:
 
         par_db = NpnDatabase(list(tree_db3.entries.values()), 3)
         out = tmp_path / "npn3-par.jsonl"
-        stats = improve_with_sat_parallel(
+        stats = improve_with_sat(
             par_db,
             budget=self.BUDGET,
             out_path=out,
@@ -268,10 +264,10 @@ class TestParallelSatPhase:
         driver.write_text(
             "import sys\n"
             "from repro.database.generate import (\n"
-            "    generate_tree_database, improve_with_sat_parallel)\n"
+            "    generate_tree_database, improve_with_sat)\n"
             "db = generate_tree_database(num_vars=3)\n"
-            "improve_with_sat_parallel(db, budget=%d, out_path=sys.argv[1],\n"
-            "                          jobs=1, workdir=sys.argv[2])\n" % self.BUDGET
+            "improve_with_sat(db, budget=%d, out_path=sys.argv[1],\n"
+            "                 jobs=1, workdir=sys.argv[2])\n" % self.BUDGET
         )
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -317,7 +313,7 @@ class TestParallelSatPhase:
         # Resume with the same workdir: completed jobs are adopted from
         # their artifacts, the rest run, and the result matches serial.
         par_db = generate_tree_database(num_vars=3)
-        stats = improve_with_sat_parallel(
+        stats = improve_with_sat(
             par_db, budget=self.BUDGET, out_path=out, jobs=2, workdir=workdir
         )
         assert stats["failed_jobs"] == 0

@@ -79,6 +79,18 @@ class TestUpperBounds:
         assert result.proven
         assert result.size == 3
 
+    def test_max_gates_below_bound_leaves_it_unproven(self):
+        # 0x0016 needs 4 gates; max_gates=2 stops the loop long before
+        # the heuristic bound, so sizes 3..bound-1 were never tried.
+        ub = heuristic_mig(0x0016, 4)
+        assert ub.num_gates > 4
+        result = ExactSynthesizer(conflict_budget=1000, max_gates=2).synthesize(
+            0x0016, 4, upper_bound=ub
+        )
+        assert result.mig is ub
+        assert max(result.k_outcomes) == 2
+        assert not result.proven
+
     def test_bad_upper_bound_rejected(self):
         wrong = heuristic_mig(tt_var(3, 0), 3)
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ cd "$(dirname "$0")/.."
 SAT_SECONDS="${1:-0}"
 if [ "$SAT_SECONDS" -gt 0 ]; then
     python -m repro.database.generate --out src/repro/database/data/npn4.jsonl \
-        --resume --sat-seconds "$SAT_SECONDS" --budget 60000
+        --sat-seconds "$SAT_SECONDS" --budget 60000
 fi
 python -m pytest tests/ -q
 python -m pytest benchmarks/ --benchmark-only -q -s
