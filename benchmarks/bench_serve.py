@@ -7,7 +7,9 @@ in-process :class:`repro.runtime.serve.OptimizationService`:
 
 * **cold** — submit a network, run the full supervised optimization
   (worker subprocess, per-step verification), and time acceptance to
-  completion;
+  completion.  The first cold job of a service also starts the fork
+  server every worker is forked from, so it alone pays for interpreter
+  start-up and ``import repro``; later cold jobs pay for a fork;
 * **hit** — resubmit the identical request and time the synchronous
   cached answer (the entire request→hash→lookup→respond path);
 * **ingest** — the daemon-side request overhead alone (parse + canonical

@@ -18,10 +18,12 @@ The robustness substrate shared by every layer of the reproduction:
   JSONL job journal (and the torn-tail-safe ``open_log`` /
   ``append_record`` every runtime JSONL log appends through), and the
   one job-result summary and adoption path;
-* :mod:`repro.runtime.executors` — the one process pool: the fork-based
-  ``LocalExecutor`` (submit/poll/drain) with the one stop ladder
-  (SIGTERM → grace → SIGKILL, for the watchdog and a drain alike), the
-  child-process environment and the SIGINT/SIGTERM helper;
+* :mod:`repro.runtime.executors` — the one process pool: the
+  ``ForkServer`` every worker is forked from (one pre-imported process,
+  so a job pays no interpreter start-up), the ``LocalExecutor``
+  (submit/poll/drain) with the one stop ladder (SIGTERM → grace →
+  SIGKILL, for the watchdog and a drain alike), the child-process
+  environment and the SIGINT/SIGTERM helper;
 * :mod:`repro.runtime.supervisor` — the supervised parallel batch
   runtime: journal-backed scheduling and the retry ladder over its own
   ``LocalExecutor``;
@@ -29,7 +31,7 @@ The robustness substrate shared by every layer of the reproduction:
   expanded to job cells, run as one batch on one ``Supervisor`` and
   published as trend rows to ``MATRIX.jsonl``;
 * :mod:`repro.runtime.worker` — the worker subprocess entry point
-  (``python -m repro.runtime.worker``).
+  (``python -m repro.runtime.worker``, also the fork server's).
 
 See ``docs/ROBUSTNESS.md`` for the full model.
 """

@@ -2,9 +2,20 @@
 
 The :class:`~repro.runtime.supervisor.Supervisor` is the batch
 *scheduler* (journal, retry ladder, adoption); this module is its
-*process pool* (fork, poll, SIGTERM→SIGKILL watchdog), the one place a
-runtime child process is launched and stopped:
+*process pool* (fork server, poll, SIGTERM→SIGKILL watchdog), the one
+place a runtime child process is launched and stopped:
 
+* :class:`ForkServer` — how a child starts.  On its first spawn it
+  execs ``python -m repro.runtime.worker --fork-server FD``
+  (:func:`repro.runtime.worker.serve_forks`), a single-threaded process
+  that imports the worker, flow and parser modules once and then forks
+  one child per task, so a job no longer pays for interpreter start-up
+  and ``import repro``.  The child applies its task's stdio, log, cwd
+  and environment, then runs the worker in-process; any other argv is
+  ``exec``'d.  The server reports each child's pid and then its exit
+  code over that task's own channel.  Only the server forks: the owner
+  (a supervisor, or serve with its HTTP and runner threads) starts it by
+  fork + exec, as it would any subprocess;
 * :class:`LocalExecutor` — ``submit`` / ``poll`` / ``drain`` over
   :class:`ExecutorTask` descriptions (an argv, an environment, an
   optional wall-clock watchdog), re-platformed from the pre-refactor
@@ -12,9 +23,12 @@ runtime child process is launched and stopped:
   ``tests/runtime/test_executor_differential``).  It owns the one stop
   ladder: each task has a SIGTERM instant and a SIGKILL instant
   ``grace`` seconds later, and :meth:`~LocalExecutor.poll` sends each
-  signal once its instant passes.  The watchdog sets the instants at
-  launch; :meth:`~LocalExecutor.drain` moves them to now;
+  signal to the child's pid once its instant passes.  The watchdog sets
+  the instants at launch; :meth:`~LocalExecutor.drain` moves them to
+  now;
 * :func:`child_env` — the environment every worker process gets;
+* :func:`kill_if_worker` — the ``/proc``-checked SIGKILL of a worker
+  whose owner is gone;
 * :func:`handle_signals` — the one place SIGINT/SIGTERM handlers are
   installed and restored (``migopt batch`` / ``sweep`` / ``serve``).
 
@@ -24,9 +38,14 @@ Every executor is single-use: create, submit/poll until done (or
 
 from __future__ import annotations
 
+import json
 import os
+import select
 import signal
+import socket
 import subprocess
+import sys
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -39,13 +58,23 @@ __all__ = [
     "ExecutorTask",
     "TaskHandle",
     "TaskExit",
+    "ForkServer",
     "LocalExecutor",
     "child_env",
+    "kill_if_worker",
     "handle_signals",
 ]
 
 #: scheduler tick shared with the supervisor loop
 POLL_INTERVAL = 0.02
+
+#: the module every worker runs, and the fork server too; a task whose
+#: argv is ``python -m`` this module runs in a fork-server child without
+#: an exec
+WORKER_MODULE = "repro.runtime.worker"
+
+#: seconds to wait for the fork server to report a fork, or to exit
+_SERVER_TIMEOUT = 30.0
 
 
 @dataclass(frozen=True)
@@ -93,7 +122,9 @@ class _Live:
     """Executor-side state of one running process."""
 
     task_id: str
-    proc: subprocess.Popen
+    pid: int
+    #: carries the exit code from the fork server (end-of-file: it died)
+    channel: socket.socket
     slot: int
     started: float
     #: SIGTERM instant (None = no wall-clock watchdog for this task)
@@ -102,6 +133,27 @@ class _Live:
     kill_at: float | None
     termed: bool = False
     killed: bool = False
+
+    def returncode(self) -> int | None:
+        """The exit code once the server reported it, else None."""
+        try:
+            message = self.channel.recv(64)
+        except BlockingIOError:
+            return None
+        except OSError:
+            message = b""
+        if message:
+            return int(message)
+        # The server died before the child: stop the child if it still
+        # runs our worker, and report it killed so the retry ladder runs.
+        kill_if_worker(self.pid)
+        return -signal.SIGKILL
+
+    def send_signal(self, signum: int) -> None:
+        try:
+            os.kill(self.pid, signum)
+        except ProcessLookupError:
+            pass  # exited; the server reports its exit code
 
     def to_exit(self, returncode: int) -> TaskExit:
         return TaskExit(
@@ -114,14 +166,125 @@ class _Live:
         )
 
 
+class ForkServer:
+    """A pre-imported process that forks every worker (see module docs).
+
+    Nothing starts at construction: the server process starts on the
+    first :meth:`spawn`, and a fresh one on the spawn after it died.
+    :meth:`close` ends and reaps it, so worker rusage still reaches the
+    owner's ``RUSAGE_CHILDREN``.  Threads may share one server, as
+    serve's runner threads do.  When the owner dies the server exits on
+    end-of-file of its control channel and leaves running children
+    alone, as cold workers outlive a killed supervisor.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._proc: subprocess.Popen | None = None
+        self._control: socket.socket | None = None
+
+    @property
+    def pid(self) -> int | None:
+        """The pid of the running server, or None."""
+        proc = self._proc
+        if proc is None or proc.poll() is not None:
+            return None
+        return proc.pid
+
+    def spawn(
+        self, task: ExecutorTask, log_fd: int | None = None
+    ) -> tuple[int, socket.socket]:
+        """Fork a child for *task*, its stderr on *log_fd* (else /dev/null).
+
+        Returns the child's pid and a non-blocking channel that becomes
+        readable when the child exits: it then reads the exit code, in
+        ``Popen.returncode`` form, or end-of-file if the server died.
+        """
+        request = json.dumps({
+            "argv": list(task.argv),
+            "env": dict(os.environ) if task.env is None else task.env,
+            "cwd": task.cwd or os.getcwd(),
+        }).encode()
+        ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+        try:
+            fds = [theirs.fileno()] + ([] if log_fd is None else [log_fd])
+            with self._lock:
+                if self._control is None:
+                    self._start()
+                try:
+                    socket.send_fds(self._control, [request], fds)
+                except ConnectionError:
+                    # The server died since the last spawn.
+                    self._start()
+                    socket.send_fds(self._control, [request], fds)
+            theirs.close()
+            ours.settimeout(_SERVER_TIMEOUT)
+            reply = ours.recv(64)
+            if not reply:
+                raise ChildProcessError("the fork server did not fork")
+            ours.setblocking(False)
+            return int(reply), ours
+        except BaseException:
+            ours.close()
+            theirs.close()
+            raise
+
+    def close(self) -> None:
+        """End the server (if it runs) and reap it."""
+        with self._lock:
+            self._stop()
+
+    def _start(self) -> None:
+        """Start a fresh server in place of any previous one (lock held)."""
+        self._stop()
+        ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+        env = _import_env()
+        env.pop(faults.FAULTS_ENV_VAR, None)
+        # numpy's OpenBLAS starts a thread pool at import.  Its fork
+        # handler stops the pool first, but Python 3.12 warns on any fork
+        # of a process with threads; no worker calls into BLAS.
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            self._proc = subprocess.Popen(
+                (sys.executable, "-m", WORKER_MODULE,
+                 "--fork-server", str(theirs.fileno())),
+                env=env,
+                # Every child keeps these, as a worker's stdin and stdout.
+                stdin=subprocess.DEVNULL,
+                stdout=subprocess.DEVNULL,
+                pass_fds=(theirs.fileno(),),
+            )
+        except BaseException:
+            ours.close()
+            raise
+        finally:
+            theirs.close()
+        self._control = ours
+
+    def _stop(self) -> None:
+        if self._control is not None:
+            self._control.close()
+            self._control = None
+        if self._proc is not None:
+            # The server exits on end-of-file of its control channel.
+            try:
+                self._proc.wait(timeout=_SERVER_TIMEOUT)
+            except subprocess.TimeoutExpired:
+                self._proc.kill()
+                self._proc.wait()
+            self._proc = None
+
+
 class LocalExecutor:
-    """The fork-based worker pool, extracted from the PR 3 supervisor.
+    """The worker pool, extracted from the original supervisor.
 
     *num_workers* slots are allocated lowest-index-first and returned to
     the free list on exit (identical to the pre-refactor supervisor, so
     per-slot utilization accounting is unchanged).  *startup_margin* pads
     every task watchdog for interpreter start-up; *grace* is the
-    SIGTERM→SIGKILL escalation window.
+    SIGTERM→SIGKILL escalation window.  Every task is forked from
+    *fork_server*; without one the executor owns a server of its own,
+    started on the first submit and ended by :meth:`close`.
     """
 
     def __init__(
@@ -129,12 +292,15 @@ class LocalExecutor:
         num_workers: int = 1,
         grace: float = 2.0,
         startup_margin: float = 1.0,
+        fork_server: ForkServer | None = None,
     ) -> None:
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
         self.num_workers = num_workers
         self.grace = grace
         self.startup_margin = startup_margin
+        self._owns_server = fork_server is None
+        self.fork_server = ForkServer() if fork_server is None else fork_server
         self._live: dict[str, _Live] = {}
         self._free_slots: list[int] = list(range(num_workers))
         self._closed = False
@@ -158,22 +324,16 @@ class LocalExecutor:
         if not self.has_capacity():
             raise RuntimeError("no free executor slot")
         slot = self._free_slots.pop(0)
-        stderr = subprocess.DEVNULL
         log_fp = None
-        if task.log_path is not None:
-            log_path = Path(task.log_path)
-            log_path.parent.mkdir(parents=True, exist_ok=True)
-            log_fp = open(log_path, "ab")
-            stderr = log_fp
         try:
-            proc = subprocess.Popen(
-                task.argv,
-                env=task.env,
-                stdout=subprocess.DEVNULL,
-                stderr=stderr,
-                cwd=task.cwd,
+            if task.log_path is not None:
+                log_path = Path(task.log_path)
+                log_path.parent.mkdir(parents=True, exist_ok=True)
+                log_fp = open(log_path, "ab")
+            pid, channel = self.fork_server.spawn(
+                task, None if log_fp is None else log_fp.fileno()
             )
-        except Exception:
+        except BaseException:
             self._free_slots.append(slot)
             self._free_slots.sort()
             raise
@@ -186,14 +346,15 @@ class LocalExecutor:
             term_at = started + task.time_limit + self.startup_margin
             kill_at = term_at + self.grace
         self._live[task.task_id] = _Live(
-            task_id=task.task_id, proc=proc, slot=slot, started=started,
-            term_at=term_at, kill_at=kill_at,
+            task_id=task.task_id, pid=pid, channel=channel, slot=slot,
+            started=started, term_at=term_at, kill_at=kill_at,
         )
-        return TaskHandle(task_id=task.task_id, pid=proc.pid, slot=slot)
+        return TaskHandle(task_id=task.task_id, pid=pid, slot=slot)
 
     def _reap(self, live: _Live, returncode: int) -> TaskExit:
         """Retire a finished task and free its slot."""
         del self._live[live.task_id]
+        live.channel.close()
         self._free_slots.append(live.slot)
         self._free_slots.sort()
         return live.to_exit(returncode)
@@ -202,18 +363,26 @@ class LocalExecutor:
         exits: list[TaskExit] = []
         for task_id in list(self._live):
             live = self._live[task_id]
-            rc = live.proc.poll()
+            rc = live.returncode()
             if rc is not None:
                 exits.append(self._reap(live, rc))
                 continue
             now = time.monotonic()
             if live.kill_at is not None and now >= live.kill_at and not live.killed:
-                live.proc.kill()
+                live.send_signal(signal.SIGKILL)
                 live.killed = True
             elif live.term_at is not None and now >= live.term_at and not live.termed:
-                live.proc.terminate()
+                live.send_signal(signal.SIGTERM)
                 live.termed = True
         return exits
+
+    def wait(self, timeout: float) -> None:
+        """Sleep until a task's exit is reported, or *timeout* seconds."""
+        channels = [live.channel for live in self._live.values()]
+        if channels:
+            select.select(channels, [], [], timeout)
+        else:
+            time.sleep(timeout)
 
     def drain(self) -> list[TaskExit]:
         """Stop everything through the watchdog ladder, then reap it.
@@ -235,12 +404,46 @@ class LocalExecutor:
             exits.extend(self.poll())
             if not self._live:
                 return exits
-            time.sleep(POLL_INTERVAL)
+            self.wait(POLL_INTERVAL)
 
     def close(self) -> None:
         if self._live:
             self.drain()
         self._closed = True
+        if self._owns_server:
+            self.fork_server.close()
+
+
+def kill_if_worker(pid: int) -> None:
+    """SIGKILL *pid* if ``/proc`` shows it still runs our worker module.
+
+    A fork-server child carries the server's command line, which names
+    the worker module too.  A recycled pid must never be shot, so
+    without ``/proc`` (off Linux) nothing is killed.
+    """
+    try:
+        cmdline = Path(f"/proc/{pid}/cmdline").read_bytes()
+    except OSError:
+        return
+    if WORKER_MODULE.encode() not in cmdline:
+        return
+    try:
+        os.kill(pid, signal.SIGKILL)
+    except OSError:
+        pass
+
+
+def _import_env() -> dict[str, str]:
+    """The parent's environment with this package's source root first on
+    ``PYTHONPATH``."""
+    env = dict(os.environ)
+    package_root = str(Path(__file__).resolve().parents[2])
+    existing = env.get("PYTHONPATH", "")
+    if package_root not in existing.split(os.pathsep):
+        env["PYTHONPATH"] = (
+            package_root + (os.pathsep + existing if existing else "")
+        )
+    return env
 
 
 def child_env() -> dict[str, str]:
@@ -252,15 +455,11 @@ def child_env() -> dict[str, str]:
     in-worker fault points fire end to end, while the ``worker.*``
     family is *consumed here*, one probe per spawn — a firing probe
     dooms exactly the worker being spawned, which keeps ``times=N``
-    accounting in one process even across retries.
+    accounting in one process even across retries.  A fork-server child
+    takes this environment in place of the server's before the worker
+    arms its faults from it.
     """
-    env = dict(os.environ)
-    package_root = str(Path(__file__).resolve().parents[2])
-    existing = env.get("PYTHONPATH", "")
-    if package_root not in existing.split(os.pathsep):
-        env["PYTHONPATH"] = (
-            package_root + (os.pathsep + existing if existing else "")
-        )
+    env = _import_env()
     entries = []
     passthrough = faults.env_spec(exclude_prefix="worker.")
     if passthrough:

@@ -6,7 +6,10 @@ requests carry a network (inline BLIF/bench/AIGER-ASCII upload or a
 generator spec) plus flow parameters, each request becomes a
 :class:`~repro.runtime.jobs.JobSpec` run under its own per-job
 supervisor (process isolation, watchdog, retry-with-degradation,
-crash-safe journal), and results are memoized in a content-addressed
+crash-safe journal), every worker forks from the one
+:class:`~repro.runtime.executors.ForkServer` the daemon owns (started by
+the first cold job, so a request pays no interpreter start-up or
+``import repro``), and results are memoized in a content-addressed
 :class:`~repro.runtime.cache.ResultCache` keyed by the canonical
 structural hash of (network, flow, budgets) — the paper's functional
 hashing premise applied to whole requests, so duplicate-laden traffic
@@ -62,7 +65,7 @@ from pathlib import Path
 
 from .artifacts import atomic_write_text, quarantine
 from .cache import ResultCache, request_key
-from .executors import handle_signals
+from .executors import ForkServer, handle_signals
 from .faults import arm_from_env, fault_active
 from .jobs import JobJournal, JobSpec, load_network, network_kind, result_fields
 from .supervisor import Supervisor
@@ -212,6 +215,9 @@ class OptimizationService:
         self.jobs: dict[str, ServeJob] = {}
         self._by_key: dict[str, str] = {}
         self._active_supervisors: dict[str, Supervisor] = {}
+        #: every request's workers fork from it; it starts on the first
+        #: cold job, not here, and ends in :meth:`close`
+        self.fork_server = ForkServer()
         self.draining = threading.Event()
         self.started_at = time.time()
         self.counters = {
@@ -248,11 +254,13 @@ class OptimizationService:
             self._threads.append(thread)
 
     def close(self) -> None:
-        """Stop the runner pool and flush the final stats snapshot."""
+        """Stop the runner pool and the fork server, and flush the final
+        stats snapshot."""
         for _ in self._threads:
             self._queue.put(_STOP)
         for thread in self._threads:
             thread.join(timeout=10.0)
+        self.fork_server.close()
         try:
             atomic_write_text(
                 self.workdir / "stats.json",
@@ -535,6 +543,7 @@ class OptimizationService:
             max_attempts=self.max_attempts,
             backoff_base=0.1,
             default_time_limit=self.default_time_limit,
+            fork_server=self.fork_server,
         )
         with self._lock:
             self._active_supervisors[job.job_id] = supervisor

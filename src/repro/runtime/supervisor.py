@@ -6,9 +6,10 @@ a CDCL run that ignores its poll points, a memory blowup, a hard crash —
 by moving each job into its own subprocess and supervising it at the OS
 level:
 
-* **process isolation** — every job runs ``python -m
-  repro.runtime.worker`` with its own address-space rlimit; spec and
-  result travel through atomically written JSON files;
+* **process isolation** — every job runs the worker
+  (:mod:`repro.runtime.worker`) in its own process, forked from a
+  pre-imported fork server, with its own address-space rlimit; spec
+  and result travel through atomically written JSON files;
 * **hard wall-clock watchdog** — a job past its time limit is sent
   SIGTERM; one that ignores it (see the ``worker.hang`` fault) is
   SIGKILLed after a grace period.  The batch always finishes;
@@ -30,8 +31,11 @@ the watchdog and for a drain alike) live in the
 :class:`~repro.runtime.executors.LocalExecutor` each :meth:`Supervisor.run`
 creates and closes.  It reproduces the historic fork pool exactly
 (``tests/runtime/test_executor_differential.py`` pins it against the
-frozen pre-refactor monolith).  A sweep (:mod:`repro.runtime.sweep`) is
-one batch on one Supervisor.
+frozen pre-refactor monolith).  Its workers fork from the
+:class:`~repro.runtime.executors.ForkServer` the Supervisor is given
+(serve shares one across requests), or else from one that
+:meth:`Supervisor.run` starts and ends itself.  A sweep
+(:mod:`repro.runtime.sweep`) is one batch on one Supervisor.
 
 The public entry point is :func:`run_batch`; the ``migopt batch`` CLI
 subcommand and ``benchmarks/flows.py`` are thin wrappers around it.
@@ -41,7 +45,6 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 import sys
 import threading
 import time
@@ -49,7 +52,16 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .artifacts import atomic_write_text
-from .executors import POLL_INTERVAL, ExecutorTask, LocalExecutor, TaskExit, child_env
+from .executors import (
+    POLL_INTERVAL,
+    WORKER_MODULE,
+    ExecutorTask,
+    ForkServer,
+    LocalExecutor,
+    TaskExit,
+    child_env,
+    kill_if_worker,
+)
 from .jobs import (
     BatchReport,
     JobJournal,
@@ -105,6 +117,8 @@ class Supervisor:
     healthy worker that honors its in-process budget is never killed;
     *backoff_base* seconds doubles per failed attempt (kept small in
     tests); *default_time_limit* applies to specs without their own.
+    Workers fork from *fork_server* when given (the caller owns it), else
+    from a server each :meth:`run` starts and ends.
     """
 
     def __init__(
@@ -117,6 +131,7 @@ class Supervisor:
         default_time_limit: float | None = None,
         startup_margin: float = 1.0,
         verbose: bool = False,
+        fork_server: ForkServer | None = None,
     ) -> None:
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
@@ -132,6 +147,7 @@ class Supervisor:
         self.default_time_limit = default_time_limit
         self.startup_margin = startup_margin
         self.verbose = verbose
+        self.fork_server = fork_server
         self.specs_dir = self.workdir / "specs"
         self.results_dir = self.workdir / "results"
         self._shutdown = threading.Event()
@@ -194,6 +210,7 @@ class Supervisor:
             num_workers=self.num_workers,
             grace=self.grace,
             startup_margin=self.startup_margin,
+            fork_server=self.fork_server,
         )
         try:
             with JobJournal(self.journal_path) as journal:
@@ -206,7 +223,9 @@ class Supervisor:
                     records[spec.job_id] = JobRecord(spec=spec)
                     order.append(spec.job_id)
 
-                ready, delayed = self._recover(journal, records, order)
+                ready, delayed = self._recover(
+                    journal, records, order, executor.fork_server.pid
+                )
                 report = self._loop(journal, records, order, ready, delayed, executor)
         finally:
             executor.close()
@@ -226,11 +245,13 @@ class Supervisor:
         journal: JobJournal,
         records: dict[str, JobRecord],
         order: list[str],
+        server_pid: int | None,
     ) -> tuple[list[str], dict[str, float]]:
         """Re-queue interrupted jobs; returns (ready ids, delayed id->eligible_at).
 
         ``running`` records belong to a supervisor that died: their
-        orphaned workers are killed, and each job either adopts an
+        orphaned workers are killed (sparing *server_pid*, the fork
+        server in use), and each job either adopts an
         already-complete valid result artifact (exactly-once: no re-run)
         or is re-queued at the same attempt number.  ``failed`` records
         (a crash between the failure and its requeue/quarantine decision)
@@ -241,7 +262,7 @@ class Supervisor:
         for job_id in order:
             record = records[job_id]
             if record.state == "running":
-                self._kill_orphan(record.pid)
+                self._kill_orphan(record.pid, server_pid)
                 if adopt_result(
                     journal, record, self._result_path(job_id), adopted=True
                 ):
@@ -255,24 +276,16 @@ class Supervisor:
         return ready, delayed
 
     @staticmethod
-    def _kill_orphan(pid: int | None) -> None:
+    def _kill_orphan(pid: int | None, server_pid: int | None = None) -> None:
         """Kill a worker left over from a dead supervisor (Linux-only check).
 
         The pid is only signalled when ``/proc`` shows it still runs our
-        worker module — a recycled pid must never be shot.
+        worker module — a recycled pid must never be shot.  A fork server
+        shows the same command line as its children, so *server_pid*, the
+        server this supervisor uses, is spared.
         """
-        if pid is None:
-            return
-        try:
-            cmdline = Path(f"/proc/{pid}/cmdline").read_bytes()
-        except OSError:
-            return
-        if b"repro.runtime.worker" not in cmdline:
-            return
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except OSError:
-            pass
+        if pid is not None and pid != server_pid:
+            kill_if_worker(pid)
 
     # -- scheduling loop --------------------------------------------------
 
@@ -324,9 +337,10 @@ class Supervisor:
                 progressed = True
 
             if not progressed:
-                # Nothing to do but wait: sleep until the next deadline of
-                # interest (retry eligibility or watchdog escalation).
-                time.sleep(POLL_INTERVAL)
+                # Nothing to do but wait: for an exit, or one tick until
+                # the next deadline of interest (retry eligibility or
+                # watchdog escalation).
+                executor.wait(POLL_INTERVAL)
         return report
 
     def _drain(
@@ -388,7 +402,7 @@ class Supervisor:
 
         task = ExecutorTask(
             task_id=job_id,
-            argv=(sys.executable, "-m", "repro.runtime.worker",
+            argv=(sys.executable, "-m", WORKER_MODULE,
                   str(spec_path), str(result_path)),
             env=child_env(),
             cwd=str(self.workdir),

@@ -6,6 +6,12 @@ runtime cannot provide: a CDCL run that ignores its poll points, a
 memory blowup, or a hard crash takes down *this* process only — the
 supervisor's watchdog and rlimits contain it.
 
+The runtime forks its workers from a fork server
+(:class:`~repro.runtime.executors.ForkServer`), which is this module run
+as ``--fork-server FD`` (:func:`serve_forks`): each forked child runs
+:func:`main` on its own ``SPEC_PATH RESULT_PATH``, as if started cold.
+Started on its own, the worker runs the same way.
+
 Protocol (see :mod:`repro.runtime.supervisor` for the other side):
 
 * argv: ``worker SPEC_PATH RESULT_PATH`` — the spec is a JSON file
@@ -29,21 +35,26 @@ healthy job exits politely well before the supervisor's hard watchdog
 
 from __future__ import annotations
 
+import gc
+import importlib
 import json
 import os
+import select
 import signal
+import socket
 import sys
 import time
 import traceback as traceback_module
+from typing import NoReturn
 
 from .artifacts import atomic_write_text
 from .budget import Budget
-from .executors import handle_signals
+from .executors import WORKER_MODULE, handle_signals
 from .faults import arm_from_env, fault_active
 from .jobs import JobSpec, append_record, load_network, open_log
 from .metrics import PassMetrics
 
-__all__ = ["run_job", "main"]
+__all__ = ["run_job", "serve_forks", "main"]
 
 #: exit code for the injected hard-crash fault (any nonzero would do;
 #: a distinctive value makes supervisor logs readable)
@@ -294,6 +305,9 @@ def run_job(spec: JobSpec) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 2 and argv[0] == "--fork-server":
+        serve_forks(int(argv[1]))
+        return 0
     if len(argv) != 2:
         print("usage: python -m repro.runtime.worker SPEC_PATH RESULT_PATH",
               file=sys.stderr)
@@ -332,6 +346,167 @@ def main(argv: list[str] | None = None) -> int:
         }
     atomic_write_text(result_path, json.dumps(payload, sort_keys=True) + "\n")
     return 0
+
+
+#: what the fork server imports besides this module before its first
+#: fork: the flow and its databases, the generators and the readers
+PRELOAD = (
+    "repro.opt.flow",
+    "repro.rewriting.dynamic_db",
+    "repro.database.generate",
+    "repro.database.store",
+    "repro.generators",
+    "repro.io.blif",
+    "repro.io.bench",
+    "repro.io.aiger",
+)
+
+#: largest spawn request (argv, environment, cwd) in bytes
+_MAX_REQUEST = 1 << 18
+
+
+def serve_forks(control_fd: int) -> None:
+    """The fork server's loop: ``python -m repro.runtime.worker --fork-server FD``.
+
+    The owner's side is :class:`~repro.runtime.executors.ForkServer`.
+    Returns once the owner closes the control channel (or dies).  Each
+    forked child runs :func:`main` on its own argv and exits with its
+    result; it never returns here.  Children are reaped as SIGCHLD wakes
+    the loop; a child that outlives the server is left running.
+    """
+    # A terminal's Ctrl-C reaches the whole process group; the owner's
+    # drain, not the server, decides what happens to the workers.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for name in PRELOAD:
+        try:
+            importlib.import_module(name)
+        except Exception:  # noqa: BLE001 - each child fails on it, as a cold worker would
+            pass
+    # The preloaded objects stay out of every child's collections: the
+    # child neither scans them nor copies their pages by touching them.
+    gc.freeze()
+    control = socket.socket(fileno=control_fd)
+    wake_r, wake_w = os.pipe()
+    os.set_blocking(wake_r, False)
+    os.set_blocking(wake_w, False)
+    signal.set_wakeup_fd(wake_w, warn_on_full_buffer=False)
+    signal.signal(signal.SIGCHLD, lambda signum, frame: None)
+    channels: dict[int, socket.socket] = {}
+    while True:
+        readable, _, _ = select.select([control, wake_r], [], [])
+        if wake_r in readable:
+            os.read(wake_r, 4096)  # SIGCHLD woke us; any rest wakes us again
+        _reap_children(channels)
+        if control not in readable:
+            continue
+        message, fds, _, _ = socket.recv_fds(control, _MAX_REQUEST, 2)
+        if not message:
+            return
+        channel = socket.socket(fileno=fds[0])
+        log_fd = fds[1] if len(fds) > 1 else None
+        sys.stdout.flush()
+        sys.stderr.flush()
+        try:
+            pid = os.fork()
+        except OSError:
+            # Out of processes or memory: this spawn fails in its owner,
+            # and the server keeps serving the children it has.
+            pid = None
+        if pid == 0:
+            _run_child(
+                json.loads(message), log_fd,
+                [control, channel, *channels.values()], (wake_r, wake_w),
+            )
+        if log_fd is not None:
+            os.close(log_fd)
+        if pid is None:
+            channel.close()
+            continue
+        channels[pid] = channel
+        _report(channel, pid)
+
+
+def _run_child(request: dict, log_fd, sockets, pipe) -> NoReturn:
+    """Run a fork-server child's task and exit with its code.
+
+    The worker exits as an interpreter would (``SystemExit``'s code; a
+    traceback and 1 on an uncaught exception), but without tearing the
+    preloaded modules down, which costs more than a small job's work.
+    """
+    code = 1
+    try:
+        try:
+            code = main(_enter_child(request, log_fd, sockets, pipe))
+        except SystemExit as exc:
+            code = exc.code
+        if code is None:
+            code = 0
+        elif not isinstance(code, int):
+            print(code, file=sys.stderr)
+            code = 1
+    except BaseException:  # noqa: BLE001 - the child must never return to the loop
+        code = 1
+        traceback_module.print_exc()
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+
+
+def _enter_child(request: dict, log_fd, sockets, pipe) -> list[str]:
+    """Turn a fork-server child into its task: return the worker's argv,
+    or exec any other argv."""
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    # A child holding the server's ends would hide the server's death
+    # from the owner, and another task's exit with it.
+    for sock in sockets:
+        sock.close()
+    for fd in pipe:
+        os.close(fd)
+    # stdin and stdout are the server's, /dev/null; stderr is the log.
+    if log_fd is None:
+        log_fd = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(log_fd, 2)
+    os.close(log_fd)
+    os.chdir(request["cwd"])
+    env = request["env"]
+    os.environ.clear()
+    os.environ.update(env)
+    argv = request["argv"]
+    if argv[0] == sys.executable and argv[1:3] == ["-m", WORKER_MODULE]:
+        sys.argv[1:] = argv[3:]
+        return argv[3:]
+    # As Popen does: an exec'd program starts with the signals the
+    # interpreter ignores back at their defaults.
+    for signum in (signal.SIGPIPE, signal.SIGXFSZ):
+        signal.signal(signum, signal.SIG_DFL)
+    os.execvpe(argv[0], argv, env)
+
+
+def _reap_children(channels: dict[int, socket.socket]) -> None:
+    """Report the exit code of every exited child on its channel."""
+    while channels:
+        try:
+            pid, status = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return
+        if pid == 0:
+            return
+        channel = channels.pop(pid, None)
+        if channel is not None:
+            _report(channel, os.waitstatus_to_exitcode(status))
+            channel.close()
+
+
+def _report(channel: socket.socket, value: int) -> None:
+    try:
+        channel.send(str(value).encode())
+    except OSError:
+        pass  # the owner stopped listening: it closed the task, or died
 
 
 if __name__ == "__main__":

@@ -113,19 +113,20 @@ class TestRequestShutdown:
         assert "resume:interrupted" in resumed.jobs[0]["degradations"]
 
     def test_completed_work_is_kept_on_interrupt(self, tmp_path):
-        """A worker that finishes during the drain window is journaled
-        done, not requeued — interrupt never discards finished work."""
+        """A job that completed before the interrupt stays journaled done,
+        not requeued — interrupt never discards finished work."""
         supervisor = Supervisor(
-            tmp_path / "batch", num_workers=2, grace=30.0, max_attempts=2,
+            tmp_path / "batch", num_workers=2, grace=1.0, max_attempts=2,
             backoff_base=0.05,
         )
         journal = supervisor.journal_path
         result = {}
 
         def run():
-            # Slot A: healthy tiny job.  Slot B: hung worker, so the loop
-            # is still mid-batch when the shutdown request lands.
-            with inject("worker.hang"):
+            # Slot A: the first spawn hangs, so the loop is still
+            # mid-batch when the shutdown request lands.  Slot B: a
+            # healthy tiny job.
+            with inject("worker.hang", times=1):
                 result["report"] = supervisor.run(
                     [_spec(job_id="hung", width=5), _spec(job_id="ok", width=3)]
                 )
@@ -135,10 +136,12 @@ class TestRequestShutdown:
         try:
             deadline = time.monotonic() + 60
             while time.monotonic() < deadline:
-                events = _journal_events(journal)
-                if len([e for e in events if e["event"] == "start"]) >= 2:
+                if any(e["event"] == "done" and e["job"] == "ok"
+                       for e in _journal_events(journal)):
                     break
                 time.sleep(0.02)
+            else:
+                raise AssertionError("the healthy job never completed")
             supervisor.request_shutdown()
             thread.join(timeout=90)
             assert not thread.is_alive()
@@ -149,10 +152,7 @@ class TestRequestShutdown:
         report = result["report"]
         assert report.interrupted is True
         states = {j["job_id"]: j["state"] for j in report.jobs}
-        # The healthy job either finished before the drain or completed
-        # its artifact inside the grace window — both count as done, and
-        # drain's long grace means SIGTERM (ignored only by the hung
-        # fault) let it finish writing.
+        assert states["ok"] == "done"
         assert states["hung"] == "pending"
 
     def test_interrupt_before_any_start_leaves_all_pending(self, tmp_path):

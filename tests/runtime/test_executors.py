@@ -161,6 +161,22 @@ class TestLocalExecutor:
         # grace after the drain began (1.5 s after that SIGTERM).
         assert grace - 0.5 < drained_at - termed_at < grace + 1.0
 
+    def test_a_failed_launch_returns_its_slot(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        executor = LocalExecutor(num_workers=1)
+        try:
+            with pytest.raises(NotADirectoryError):
+                executor.submit(ExecutorTask(
+                    "a", (sys.executable, "-c", "pass"),
+                    log_path=str(blocker / "sub" / "x.log"),
+                ))
+            assert executor.has_capacity() and executor.running_count == 0
+            executor.submit(sleeper("b", 0))
+            assert wait_exits(executor, 1)[0].returncode == 0
+        finally:
+            executor.close()
+
     def test_task_log_is_captured(self, tmp_path):
         log = tmp_path / "task.log"
         executor = LocalExecutor(num_workers=1)
