@@ -24,16 +24,16 @@ The robustness substrate shared by every layer of the reproduction:
   (submit/poll/drain) with the one stop ladder (SIGTERM → grace →
   SIGKILL, for the watchdog and a drain alike), the child-process
   environment and the SIGINT/SIGTERM helper;
-* :mod:`repro.runtime.supervisor` — the supervised parallel batch
-  runtime: journal-backed scheduling and the retry ladder over its own
-  ``LocalExecutor``;
+* :mod:`repro.runtime.supervisor` — journal-backed scheduling and the
+  retry ladder over its own ``LocalExecutor``, for batch and serve;
 * :mod:`repro.runtime.sweep` — sweeps: a declarative scenario matrix
   expanded to job cells, run as one batch on one ``Supervisor`` and
   published as trend rows to ``MATRIX.jsonl``;
 * :mod:`repro.runtime.worker` — the worker subprocess entry point
   (``python -m repro.runtime.worker``, also the fork server's).
 
-See ``docs/ROBUSTNESS.md`` for the full model.
+The package exports only the in-process pieces; callers import the
+submodule they need.  See ``docs/ROBUSTNESS.md`` for the full model.
 """
 
 from .budget import Budget
@@ -43,31 +43,14 @@ from .errors import (
     ReproRuntimeError,
     VerificationFailed,
 )
-from .executors import ExecutorTask, LocalExecutor, TaskExit, TaskHandle
-from .jobs import BatchReport, JobJournal, JobSpec, load_network
-from .supervisor import Supervisor, run_batch
-from .sweep import SweepConflictError, SweepSpec, run_sweep
 from .verify import VerificationReport, verify_rewrite
 
 __all__ = [
-    "BatchReport",
     "Budget",
     "BudgetExhausted",
     "CorruptArtifact",
-    "ExecutorTask",
-    "JobJournal",
-    "JobSpec",
-    "LocalExecutor",
     "ReproRuntimeError",
-    "Supervisor",
-    "SweepConflictError",
-    "SweepSpec",
-    "TaskExit",
-    "TaskHandle",
     "VerificationFailed",
     "VerificationReport",
-    "load_network",
-    "run_batch",
-    "run_sweep",
     "verify_rewrite",
 ]

@@ -13,9 +13,9 @@ place a runtime child process is launched and stopped:
   and ``import repro``.  The child applies its task's stdio, log, cwd
   and environment, then runs the worker in-process; any other argv is
   ``exec``'d.  The server reports each child's pid and then its exit
-  code over that task's own channel.  Only the server forks: the owner
-  (a supervisor, or serve with its HTTP and runner threads) starts it by
-  fork + exec, as it would any subprocess;
+  code over that task's own channel.  Only the server forks: its owner,
+  a :class:`LocalExecutor`, starts it by fork + exec, as it would any
+  subprocess;
 * :class:`LocalExecutor` — ``submit`` / ``poll`` / ``drain`` over
   :class:`ExecutorTask` descriptions (an argv, an environment, an
   optional wall-clock watchdog), re-platformed from the pre-refactor
@@ -25,7 +25,8 @@ place a runtime child process is launched and stopped:
   ``grace`` seconds later, and :meth:`~LocalExecutor.poll` sends each
   signal to the child's pid once its instant passes.  The watchdog sets
   the instants at launch; :meth:`~LocalExecutor.drain` moves them to
-  now;
+  now.  Each executor owns one fork server, and only the thread that
+  drives the executor (a supervisor's loop) spawns through it;
 * :func:`child_env` — the environment every worker process gets;
 * :func:`kill_if_worker` — the ``/proc``-checked SIGKILL of a worker
   whose owner is gone;
@@ -45,7 +46,6 @@ import signal
 import socket
 import subprocess
 import sys
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -68,6 +68,10 @@ __all__ = [
 #: scheduler tick shared with the supervisor loop
 POLL_INTERVAL = 0.02
 
+#: seconds every task watchdog is padded with, so a healthy worker that
+#: honors its in-process budget is never killed
+STARTUP_MARGIN = 1.0
+
 #: the module every worker runs, and the fork server too; a task whose
 #: argv is ``python -m`` this module runs in a fork-server child without
 #: an exec
@@ -82,8 +86,8 @@ class ExecutorTask:
     """One process-shaped unit of work an executor can run.
 
     ``time_limit`` arms the wall-clock watchdog: the process is SIGTERMed
-    at ``launch + time_limit + startup_margin`` and SIGKILLed ``grace``
-    seconds later (both executor parameters).  ``None`` disables it.
+    at ``launch + time_limit +`` :data:`STARTUP_MARGIN`, and SIGKILLed
+    the executor's ``grace`` seconds later.  ``None`` disables it.
     """
 
     task_id: str
@@ -172,14 +176,13 @@ class ForkServer:
     Nothing starts at construction: the server process starts on the
     first :meth:`spawn`, and a fresh one on the spawn after it died.
     :meth:`close` ends and reaps it, so worker rusage still reaches the
-    owner's ``RUSAGE_CHILDREN``.  Threads may share one server, as
-    serve's runner threads do.  When the owner dies the server exits on
-    end-of-file of its control channel and leaves running children
-    alone, as cold workers outlive a killed supervisor.
+    owner's ``RUSAGE_CHILDREN``.  One thread spawns through it: the one
+    driving its :class:`LocalExecutor`.  When the owner dies the server
+    exits on end-of-file of its control channel and leaves running
+    children alone, as cold workers outlive a killed supervisor.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._proc: subprocess.Popen | None = None
         self._control: socket.socket | None = None
 
@@ -208,15 +211,14 @@ class ForkServer:
         ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
         try:
             fds = [theirs.fileno()] + ([] if log_fd is None else [log_fd])
-            with self._lock:
-                if self._control is None:
-                    self._start()
-                try:
-                    socket.send_fds(self._control, [request], fds)
-                except ConnectionError:
-                    # The server died since the last spawn.
-                    self._start()
-                    socket.send_fds(self._control, [request], fds)
+            if self._control is None:
+                self._start()
+            try:
+                socket.send_fds(self._control, [request], fds)
+            except ConnectionError:
+                # The server died since the last spawn.
+                self._start()
+                socket.send_fds(self._control, [request], fds)
             theirs.close()
             ours.settimeout(_SERVER_TIMEOUT)
             reply = ours.recv(64)
@@ -231,12 +233,21 @@ class ForkServer:
 
     def close(self) -> None:
         """End the server (if it runs) and reap it."""
-        with self._lock:
-            self._stop()
+        if self._control is not None:
+            self._control.close()
+            self._control = None
+        if self._proc is not None:
+            # The server exits on end-of-file of its control channel.
+            try:
+                self._proc.wait(timeout=_SERVER_TIMEOUT)
+            except subprocess.TimeoutExpired:
+                self._proc.kill()
+                self._proc.wait()
+            self._proc = None
 
     def _start(self) -> None:
-        """Start a fresh server in place of any previous one (lock held)."""
-        self._stop()
+        """Start a fresh server in place of any previous one."""
+        self.close()
         ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
         env = _import_env()
         env.pop(faults.FAULTS_ENV_VAR, None)
@@ -261,46 +272,24 @@ class ForkServer:
             theirs.close()
         self._control = ours
 
-    def _stop(self) -> None:
-        if self._control is not None:
-            self._control.close()
-            self._control = None
-        if self._proc is not None:
-            # The server exits on end-of-file of its control channel.
-            try:
-                self._proc.wait(timeout=_SERVER_TIMEOUT)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
-            self._proc = None
-
 
 class LocalExecutor:
     """The worker pool, extracted from the original supervisor.
 
     *num_workers* slots are allocated lowest-index-first and returned to
     the free list on exit (identical to the pre-refactor supervisor, so
-    per-slot utilization accounting is unchanged).  *startup_margin* pads
-    every task watchdog for interpreter start-up; *grace* is the
-    SIGTERM→SIGKILL escalation window.  Every task is forked from
-    *fork_server*; without one the executor owns a server of its own,
-    started on the first submit and ended by :meth:`close`.
+    per-slot utilization accounting is unchanged).  *grace* is the
+    SIGTERM→SIGKILL escalation window.  Every task is forked from the
+    executor's own :class:`ForkServer`, started on the first submit and
+    ended by :meth:`close`.
     """
 
-    def __init__(
-        self,
-        num_workers: int = 1,
-        grace: float = 2.0,
-        startup_margin: float = 1.0,
-        fork_server: ForkServer | None = None,
-    ) -> None:
+    def __init__(self, num_workers: int = 1, grace: float = 2.0) -> None:
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
         self.num_workers = num_workers
         self.grace = grace
-        self.startup_margin = startup_margin
-        self._owns_server = fork_server is None
-        self.fork_server = ForkServer() if fork_server is None else fork_server
+        self.fork_server = ForkServer()
         self._live: dict[str, _Live] = {}
         self._free_slots: list[int] = list(range(num_workers))
         self._closed = False
@@ -343,7 +332,7 @@ class LocalExecutor:
         started = time.monotonic()
         term_at = kill_at = None
         if task.time_limit is not None:
-            term_at = started + task.time_limit + self.startup_margin
+            term_at = started + task.time_limit + STARTUP_MARGIN
             kill_at = term_at + self.grace
         self._live[task.task_id] = _Live(
             task_id=task.task_id, pid=pid, channel=channel, slot=slot,
@@ -376,13 +365,12 @@ class LocalExecutor:
                 live.termed = True
         return exits
 
-    def wait(self, timeout: float) -> None:
-        """Sleep until a task's exit is reported, or *timeout* seconds."""
+    def wait(self, timeout: float, wake: socket.socket | None = None) -> None:
+        """Sleep until a task exits, *wake* is readable, or *timeout* passes."""
         channels = [live.channel for live in self._live.values()]
-        if channels:
-            select.select(channels, [], [], timeout)
-        else:
-            time.sleep(timeout)
+        if wake is not None:
+            channels.append(wake)
+        select.select(channels, [], [], timeout)  # with none, a plain sleep
 
     def drain(self) -> list[TaskExit]:
         """Stop everything through the watchdog ladder, then reap it.
@@ -410,8 +398,7 @@ class LocalExecutor:
         if self._live:
             self.drain()
         self._closed = True
-        if self._owns_server:
-            self.fork_server.close()
+        self.fork_server.close()
 
 
 def kill_if_worker(pid: int) -> None:

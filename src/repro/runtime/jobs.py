@@ -267,14 +267,6 @@ class JournalReplay:
         #: submit order, so scheduling is stable across resumes
         self.order: list[str] = []
         self.skipped_lines = 0
-        self.events = 0
-
-    def by_state(self, state: str) -> list[JobRecord]:
-        return [
-            self.records[job_id]
-            for job_id in self.order
-            if self.records[job_id].state == state
-        ]
 
 
 def open_log(path: str | Path):
@@ -402,7 +394,6 @@ class JobJournal:
                 except (ValueError, KeyError, UnicodeDecodeError):
                     state.skipped_lines += 1
                     continue
-                state.events += 1
                 if event == "submit":
                     if job_id not in state.records:
                         try:

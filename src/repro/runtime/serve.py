@@ -4,11 +4,11 @@ A long-lived, stdlib-only HTTP/JSON daemon that turns the supervised
 batch runtime (:mod:`repro.runtime.supervisor`) into a serving tier:
 requests carry a network (inline BLIF/bench/AIGER-ASCII upload or a
 generator spec) plus flow parameters, each request becomes a
-:class:`~repro.runtime.jobs.JobSpec` run under its own per-job
-supervisor (process isolation, watchdog, retry-with-degradation,
-crash-safe journal), every worker forks from the one
-:class:`~repro.runtime.executors.ForkServer` the daemon owns (started by
-the first cold job, so a request pays no interpreter start-up or
+:class:`~repro.runtime.jobs.JobSpec` submitted to the daemon's one
+long-lived :class:`~repro.runtime.supervisor.Supervisor` (process
+isolation, watchdog, retry-with-degradation, crash-safe journal), whose
+workers fork from one pre-imported fork server (started by the first
+cold job, so a request pays no interpreter start-up or
 ``import repro``), and results are memoized in a content-addressed
 :class:`~repro.runtime.cache.ResultCache` keyed by the canonical
 structural hash of (network, flow, budgets) — the paper's functional
@@ -36,15 +36,16 @@ Robustness properties, each drilled by tests or the CI smoke:
   response, never a hung connection;
 * **crash safety** — every accepted request is persisted atomically
   before it is acknowledged, every job state transition lives in the
-  PR 3 job journal, and the cache follows the artifact rules, so a
-  ``kill -9`` at any instant loses at most work in flight — never
+  supervisor's job journal, and the cache follows the artifact rules, so
+  a ``kill -9`` at any instant loses at most work in flight — never
   completed results, and never serves torn bytes.  On restart the
-  daemon recovers: finished journals are adopted (exactly-once, no
-  re-run), interrupted jobs re-enter the queue;
+  daemon recovers: finished jobs are adopted (exactly-once, no re-run),
+  interrupted jobs re-enter the queue;
 * **graceful drain** — SIGTERM stops admission (``/readyz`` flips to
   503), running jobs finish (or are journaled resumable after the drain
   grace), queued jobs stay journaled for the next start, a final stats
-  snapshot is flushed, and the process exits 0;
+  snapshot is flushed, and the process exits 0 (1 when a failure of
+  the supervisor's loop began the drain);
 * **chaos hooks** — ``serve.crash`` (die right after accepting a
   request) and ``cache.corrupt`` (bad bytes reach the cache) are
   ``REPRO_FAULTS``-injectable fault points for drills.
@@ -55,20 +56,20 @@ from __future__ import annotations
 import io
 import json
 import os
-import queue
 import threading
 import time
 import uuid
+from concurrent.futures import wait
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from .artifacts import atomic_write_text, quarantine
 from .cache import ResultCache, request_key
-from .executors import ForkServer, handle_signals
+from .executors import handle_signals
 from .faults import arm_from_env, fault_active
 from .jobs import JobJournal, JobSpec, load_network, network_kind, result_fields
-from .supervisor import Supervisor
+from .supervisor import JobFuture, Supervisor
 from .verify import VERIFY_MODES
 
 __all__ = ["OptimizationService", "ServeDaemon", "run_server"]
@@ -79,7 +80,9 @@ MAX_BODY_BYTES = 32 * 1024 * 1024
 #: exit code of the injected serve.crash fault
 CRASH_EXIT_CODE = 86
 
-_STOP = object()
+#: the header of a response sent without reading the request body: the
+#: connection closes, so the body is never parsed as the next request
+_CLOSE = (("Connection", "close"),)
 
 
 class BadRequest(ValueError):
@@ -87,7 +90,8 @@ class BadRequest(ValueError):
 
 
 def _parse_network(network):
-    """Parse the request's inline network upload (see :func:`load_network`).
+    """Parse the request's inline network upload (see :func:`load_network`);
+    returns its kind (:func:`network_kind`) and the MIG.
 
     Parsing happens in the daemon because the canonical structural hash
     — the cache key — must be computed before any work is scheduled.
@@ -97,7 +101,7 @@ def _parse_network(network):
     except ValueError as exc:
         raise BadRequest(str(exc)) from None
     try:
-        return load_network(network, inline=True)
+        return kind, load_network(network, inline=True)
     except Exception as exc:  # noqa: BLE001 - client input boundary
         if kind == "generate" and isinstance(exc, ValueError):
             raise BadRequest(str(exc)) from exc
@@ -142,16 +146,33 @@ class ServeJob:
     workdir: Path
     submitted_at: float
     deadline_at: float | None = None
-    #: queued | running | done | failed | timeout
+    #: queued (in flight) | done | failed | timeout; see :attr:`status`
     state: str = "queued"
     cached: bool = False
-    started_at: float | None = None
     finished_at: float | None = None
     result: dict | None = None
     error: str | None = None
     #: job ids coalesced onto this one (same cache key, still in flight)
     coalesced: int = 0
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    #: the supervisor's handle while the job is in flight
+    future: JobFuture | None = field(default=None, repr=False)
+
+    @property
+    def overdue(self) -> bool:
+        """The request's deadline has passed."""
+        return self.deadline_at is not None and time.time() >= self.deadline_at
+
+    @property
+    def started_at(self) -> float | None:
+        """The ``time.time()`` of the job's first launch, once it had one."""
+        return None if self.future is None else self.future.started_at
+
+    @property
+    def status(self) -> str:
+        """``state``, with an in-flight job past its first launch ``running``."""
+        if self.state == "queued" and self.started_at is not None:
+            return "running"
+        return self.state
 
 
 class OptimizationService:
@@ -164,7 +185,7 @@ class OptimizationService:
         jobs/<job_id>/request.json    the accepted request (atomic write)
         jobs/<job_id>/input.blif      materialized upload, when any
         jobs/<job_id>/progress.jsonl  per-step progress from the worker
-        jobs/<job_id>/super/          the per-job supervisor workdir
+        super/                        the one supervisor's workdir
                                       (journal.jsonl, specs/, results/)
         stats.json                    final snapshot flushed on drain
     """
@@ -198,8 +219,6 @@ class OptimizationService:
         self.cache = ResultCache(self.workdir / "cache", max_bytes=cache_max_bytes)
         self.num_workers = num_workers
         self.queue_limit = queue_limit
-        self.max_attempts = max_attempts
-        self.grace = grace
         self.default_time_limit = default_time_limit
         self.default_verify = default_verify
         self.mem_limit_mb = mem_limit_mb
@@ -207,17 +226,20 @@ class OptimizationService:
         self.npn_store = None if npn_store is None else str(npn_store)
         self.verbose = verbose
 
-        self._queue: "queue.Queue" = queue.Queue()
-        self._queued = 0
-        self._running = 0
         self._lock = threading.Lock()
-        self._idle = threading.Condition(self._lock)
         self.jobs: dict[str, ServeJob] = {}
-        self._by_key: dict[str, str] = {}
-        self._active_supervisors: dict[str, Supervisor] = {}
-        #: every request's workers fork from it; it starts on the first
-        #: cold job, not here, and ends in :meth:`close`
-        self.fork_server = ForkServer()
+        #: the jobs still queued or running, by job id
+        self._in_flight: dict[str, ServeJob] = {}
+        #: runs every request; its loop (never started for
+        #: ``num_workers=0``) owns the daemon's one fork server
+        self.supervisor = Supervisor(
+            self.workdir / "super",
+            num_workers=max(1, num_workers),
+            grace=grace,
+            max_attempts=max_attempts,
+            backoff_base=0.1,
+            default_time_limit=default_time_limit,
+        )
         self.draining = threading.Event()
         self.started_at = time.time()
         self.counters = {
@@ -239,28 +261,18 @@ class OptimizationService:
             "store_synth": 0,
             "store_evictions": 0,
         }
-        self._threads: list[threading.Thread] = []
 
     # -- lifecycle --------------------------------------------------------
 
     def start(self) -> None:
-        """Recover persisted jobs, then start the runner pool."""
+        """Recover persisted jobs; the supervisor's loop starts with a job."""
         self._recover()
-        for i in range(self.num_workers):
-            thread = threading.Thread(
-                target=self._runner_loop, name=f"serve-runner-{i}", daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
 
     def close(self) -> None:
-        """Stop the runner pool and the fork server, and flush the final
-        stats snapshot."""
-        for _ in self._threads:
-            self._queue.put(_STOP)
-        for thread in self._threads:
-            thread.join(timeout=10.0)
-        self.fork_server.close()
+        """Stop the supervisor (stragglers are journaled resumable, and its
+        loop's end reaps the fork server); flush the final stats snapshot."""
+        self.supervisor.request_shutdown()
+        self.supervisor.close()
         try:
             atomic_write_text(
                 self.workdir / "stats.json",
@@ -274,20 +286,17 @@ class OptimizationService:
     def _recover(self) -> None:
         """Rebuild job state from disk after a restart (exactly-once).
 
-        Each persisted ``request.json`` is replayed against its job's
-        supervisor journal: a terminal journal reinstates the outcome
-        without re-running anything (and back-fills the cache if the
-        crash hit between completion and the cache write); anything else
-        re-enters the queue, and the supervisor's resume logic —
-        including adopting an already-written result artifact —
-        guarantees the job completes exactly once.
+        Each persisted ``request.json`` is checked against one replay of
+        the supervisor's journal: a ``done`` job is reinstated without
+        re-running anything (and back-fills the cache if the crash hit
+        between completion and the cache write), a ``quarantined`` one
+        is failed, and anything else is resubmitted; the supervisor's
+        resume — killing orphans, adopting an already-written result
+        artifact — guarantees the job completes exactly once.
         """
-        if not self.jobs_dir.exists():
-            return
-        for jobdir in sorted(self.jobs_dir.iterdir()):
-            req_path = jobdir / "request.json"
-            if not jobdir.is_dir() or not req_path.exists():
-                continue
+        records = JobJournal.replay(self.supervisor.journal_path).records
+        resubmit = []
+        for req_path in sorted(self.jobs_dir.glob("*/request.json")):
             try:
                 with open(req_path, "r", encoding="utf-8") as fp:
                     req = json.load(fp)
@@ -301,28 +310,26 @@ class OptimizationService:
                 job_id=job_id,
                 key=key,
                 spec=spec,
-                workdir=jobdir,
+                workdir=req_path.parent,
                 submitted_at=float(req.get("submitted_at", time.time())),
                 deadline_at=req.get("deadline_at"),
             )
-            replay_record = None
-            journal_path = jobdir / "super" / "journal.jsonl"
-            if journal_path.exists():
-                replay = JobJournal.replay(journal_path)
-                replay_record = replay.records.get(job_id)
-            if replay_record is not None and replay_record.state == "done":
-                self._finalize_done(job, replay_record.result or {}, recovered=True)
-            elif replay_record is not None and replay_record.state == "quarantined":
-                self._finalize_failed(job, replay_record.last_error or "quarantined")
+            record = records.get(job_id)
+            if record is not None and record.state == "done":
+                self._finalize_done(job, record.result or {}, recovered=True)
+            elif record is not None and record.state == "quarantined":
+                self._finalize_failed(job, record.last_error or "quarantined")
             else:
                 with self._lock:
                     self.jobs[job_id] = job
-                    self._by_key.setdefault(key, job_id)
-                    self._queued += 1
+                    self._in_flight[job_id] = job
                     self.counters["recovered"] += 1
-                self._queue.put(job)
+                resubmit.append(job)
             if self.verbose:
                 print(f"[serve] recovered {job_id} -> {job.state}")
+        # All at once: the loop then takes every handle before it
+        # recovers the journal, so no recovered job launches unseen.
+        self._launch(*resubmit)
 
     # -- admission --------------------------------------------------------
 
@@ -333,7 +340,7 @@ class OptimizationService:
         if not isinstance(request, dict):
             return 400, {"error": "bad-request", "detail": "body must be a JSON object"}
         try:
-            mig = _parse_network(request.get("network"))
+            kind, mig = _parse_network(request.get("network"))
             spec_fields = self._spec_fields(request)
         except BadRequest as exc:
             return 400, {"error": "bad-request", "detail": str(exc)}
@@ -368,49 +375,16 @@ class OptimizationService:
                 "result": cached,
             }
 
-        with self._lock:
-            active_id = self._by_key.get(key)
-            if active_id is not None:
-                active = self.jobs.get(active_id)
-                if active is not None and active.state in ("queued", "running"):
-                    active.coalesced += 1
-                    self.counters["submitted"] += 1
-                    self.counters["coalesced"] += 1
-                    return 202, {
-                        "job_id": active_id,
-                        "status": active.state,
-                        "coalesced": True,
-                        "cache_key": key,
-                        "poll": f"/jobs/{active_id}",
-                    }
-            if self._queued >= self.queue_limit:
-                self.counters["rejected"] += 1
-                return 429, {
-                    "error": "queue-full",
-                    "detail": f"{self._queued} jobs already queued",
-                    "retry_after": 1,
-                }
-
         job_id = f"{key[:12]}-{uuid.uuid4().hex[:8]}"
         jobdir = self.jobs_dir / job_id
-        jobdir.mkdir(parents=True)
         network = request["network"]
         locator = dict(network)
-        for kind, suffix in (("blif", ".blif"), ("bench", ".bench")):
-            if kind in network:
-                upload = jobdir / f"input{suffix}"
-                atomic_write_text(upload, network[kind])
-                locator = {kind: str(upload)}
-        if "aag" in network:
-            # An AIGER upload is persisted as its parsed MIG, in BLIF.
-            from ..io.blif import write_blif
-
-            buf = io.StringIO()
-            write_blif(mig, buf)
-            upload = jobdir / "input.blif"
-            atomic_write_text(upload, buf.getvalue())
-            locator = {"blif": str(upload)}
-
+        if kind != "generate":
+            # An upload is persisted in the job directory; an AIGER one
+            # as its parsed MIG, in BLIF.
+            stored = "bench" if kind == "bench" else "blif"
+            upload = jobdir / f"input.{stored}"
+            locator = {stored: str(upload)}
         now = time.time()
         deadline = _opt_number(request, "deadline", float, minimum=0.0)
         spec = JobSpec(
@@ -428,32 +402,68 @@ class OptimizationService:
             submitted_at=now,
             deadline_at=None if deadline is None else now + deadline,
         )
-        # Persist before acknowledging: an accepted request survives any
-        # crash from this line on (the recovery scan re-queues it).
-        atomic_write_text(
-            jobdir / "request.json",
-            json.dumps(
-                {
-                    "job_id": job_id,
-                    "key": key,
-                    "structural_hash": structural,
-                    "spec": spec.to_dict(),
-                    "submitted_at": now,
-                    "deadline_at": job.deadline_at,
-                },
-                sort_keys=True,
+        # Coalescing, the queue limit and the reservation are one step.
+        with self._lock:
+            active = next((j for j in self._in_flight.values() if j.key == key), None)
+            if active is not None:
+                active.coalesced += 1
+                self.counters["submitted"] += 1
+                self.counters["coalesced"] += 1
+                return 202, {
+                    "job_id": active.job_id,
+                    "status": active.status,
+                    "coalesced": True,
+                    "cache_key": key,
+                    "poll": f"/jobs/{active.job_id}",
+                }
+            queued = sum(j.status == "queued" for j in self._in_flight.values())
+            if queued >= self.queue_limit:
+                self.counters["rejected"] += 1
+                return 429, {
+                    "error": "queue-full",
+                    "detail": f"{queued} jobs already queued",
+                    "retry_after": 1,
+                }
+            self.jobs[job_id] = job
+            self._in_flight[job_id] = job
+            self.counters["submitted"] += 1
+        try:
+            jobdir.mkdir(parents=True)
+            if kind in ("blif", "bench"):
+                atomic_write_text(upload, network[kind])
+            elif kind == "aag":
+                from ..io.blif import write_blif
+
+                buf = io.StringIO()
+                write_blif(mig, buf)
+                atomic_write_text(upload, buf.getvalue())
+            # Persist before acknowledging: an accepted request survives
+            # any crash from this line on (the recovery scan re-queues it).
+            atomic_write_text(
+                jobdir / "request.json",
+                json.dumps(
+                    {
+                        "job_id": job_id,
+                        "key": key,
+                        "structural_hash": structural,
+                        "spec": spec.to_dict(),
+                        "submitted_at": now,
+                        "deadline_at": job.deadline_at,
+                    },
+                    sort_keys=True,
+                )
+                + "\n",
             )
-            + "\n",
-        )
+        except BaseException:
+            with self._lock:
+                del self.jobs[job_id]
+                del self._in_flight[job_id]
+                self.counters["submitted"] -= 1
+            raise
         if fault_active("serve.crash"):
             # Chaos hook: die between accepting a request and running it.
             os._exit(CRASH_EXIT_CODE)
-        with self._lock:
-            self.jobs[job_id] = job
-            self._by_key[key] = job_id
-            self._queued += 1
-            self.counters["submitted"] += 1
-        self._queue.put(job)
+        self._launch(job)
         return 202, {
             "job_id": job_id,
             "status": "queued",
@@ -504,77 +514,52 @@ class OptimizationService:
 
     # -- running ----------------------------------------------------------
 
-    def _runner_loop(self) -> None:
-        while True:
-            job = self._queue.get()
-            if job is _STOP:
-                return
+    def _launch(self, *jobs: ServeJob) -> None:
+        """Submit *jobs* to the supervisor, then start its loop (once); it
+        reports back through :meth:`_settled` (a deadline that lapses
+        first cancels the launch)."""
+        for job in jobs:
             try:
-                self._run_job(job)
-            except Exception as exc:  # noqa: BLE001 - runner must survive
-                self._finalize_failed(job, f"runner error: {type(exc).__name__}: {exc}")
+                job.future = self.supervisor.submit(job.spec, not_after=job.deadline_at)
+            except RuntimeError:  # closed by a drain or a failed loop
+                # The job stays queued; request.json brings it back at
+                # the next start, as it does a job a drain cancelled.
+                self.initiate_drain()
+                continue
+            job.future.add_done_callback(
+                lambda future, job=job: self._settled(job, future)
+            )
+        if jobs and self.num_workers:
+            self.supervisor.start()
 
-    def _run_job(self, job: ServeJob) -> None:
-        with self._lock:
-            self._queued = max(0, self._queued - 1)
-            if job.state != "queued":
-                # Already finalized (e.g. a poll noticed the deadline
-                # lapsed) — never resurrect a terminal job.
-                return
-            if self.draining.is_set():
-                # Leave the job persisted and queued on disk; the next
-                # start recovers it.  Drain means "stop working", not
-                # "forget accepted work".
-                return
-            if job.deadline_at is not None and time.time() >= job.deadline_at:
-                pass  # finalized below, outside the lock
-            else:
-                job.state = "running"
-                job.started_at = time.time()
-                self._running += 1
-        if job.state != "running":
-            self._finalize_failed(job, "deadline expired while queued", "timeout")
-            return
-
-        supervisor = Supervisor(
-            job.workdir / "super",
-            num_workers=1,
-            grace=self.grace,
-            max_attempts=self.max_attempts,
-            backoff_base=0.1,
-            default_time_limit=self.default_time_limit,
-            fork_server=self.fork_server,
-        )
-        with self._lock:
-            self._active_supervisors[job.job_id] = supervisor
+    def _settled(self, job: ServeJob, future: JobFuture) -> None:
+        """Publish the supervisor's verdict on *job*, in the thread that
+        settled *future* (so never raise; never cancel under the lock)."""
         try:
-            # A fresh job directory has no journal, so resuming is the
-            # same run; a recovered one continues its journal.
-            report = supervisor.run([job.spec], resume=True)
-        finally:
-            with self._lock:
-                self._active_supervisors.pop(job.job_id, None)
-                self._running = max(0, self._running - 1)
-                self._idle.notify_all()
-
-        summary = next(
-            (entry for entry in report.jobs if entry.get("job_id") == job.job_id),
-            None,
-        )
-        if report.interrupted and (summary is None or summary.get("state") != "done"):
-            # Drained mid-run: the journal holds a resumable state.
-            with self._lock:
-                job.state = "queued"
-            return
-        if summary is not None and summary.get("state") == "done":
-            self._finalize_done(job, summary)
-            return
-        error = (summary or {}).get("error") or "job did not complete"
-        overdue = job.deadline_at is not None and time.time() >= job.deadline_at
-        if "watchdog" in str(error) or overdue:
-            self._finalize_failed(job, str(error), "timeout")
-        else:
-            self._finalize_failed(job, str(error))
+            if future.cancelled():
+                # Never launched: a lapsed deadline, or a drain (the
+                # journal keeps the job pending for the next start).
+                if job.overdue:
+                    error = "deadline expired while queued"
+                    self._finalize_failed(job, error, "timeout")
+                return
+            summary = future.result()
+            if summary["state"] == "done":
+                self._finalize_done(job, summary)
+            elif summary["state"] == "quarantined":
+                error = str(summary.get("error") or "job did not complete")
+                timeout = "watchdog" in error or job.overdue
+                self._finalize_failed(job, error, "timeout" if timeout else "failed")
+            else:
+                # Drained mid-run: the journal holds a resumable state.
+                with self._lock:
+                    job.future = None
+        except Exception as exc:  # noqa: BLE001 - the loop must survive
+            if self.supervisor.closed:
+                # The loop itself failed: stop admitting work that no
+                # one would run (run_server then drains and exits 1).
+                self.initiate_drain()
+            self._finalize_failed(job, f"runner error: {type(exc).__name__}: {exc}")
 
     # -- outcomes ---------------------------------------------------------
 
@@ -632,15 +617,13 @@ class OptimizationService:
             self._settle(job, state)
 
     def _settle(self, job: ServeJob, state: str) -> None:
-        """Publish *job*'s terminal *state*, count it, and release its
-        coalescing key.  The caller holds the lock."""
+        """Publish *job*'s terminal *state*, count it, and take it out of
+        flight (releasing its coalescing key).  The caller holds the lock."""
         job.state = state
         job.finished_at = time.time()
         self.jobs[job.job_id] = job
-        if self._by_key.get(job.key) == job.job_id:
-            del self._by_key[job.key]
+        self._in_flight.pop(job.job_id, None)
         self.counters["completed" if state == "done" else state] += 1
-        self._idle.notify_all()
 
     # -- polling ----------------------------------------------------------
 
@@ -649,16 +632,13 @@ class OptimizationService:
             job = self.jobs.get(job_id)
         if job is None:
             return 404, {"error": "unknown-job", "job_id": job_id}
-        if (
-            job.state == "queued"
-            and job.deadline_at is not None
-            and time.time() >= job.deadline_at
-        ):
-            # Typed timeout even if no runner ever picked the job up.
-            self._finalize_failed(job, "deadline expired while queued", "timeout")
+        if job.status == "queued" and job.future is not None and job.overdue:
+            # Typed timeout even before the supervisor reaches the job:
+            # the cancellation settles it (see _settled).
+            job.future.cancel()
         payload = {
             "job_id": job.job_id,
-            "status": job.state,
+            "status": job.status,
             "cached": job.cached,
             "cache_key": job.key,
             "submitted_at": job.submitted_at,
@@ -697,8 +677,9 @@ class OptimizationService:
     def stats(self) -> dict:
         with self._lock:
             jobs = dict(self.counters)
-            jobs["queued"] = self._queued
-            jobs["running"] = self._running
+            running = sum(j.status == "running" for j in self._in_flight.values())
+            jobs["queued"] = len(self._in_flight) - running
+            jobs["running"] = running
             store = dict(self.store_counters)
         store["path"] = self.npn_store
         return {
@@ -718,33 +699,24 @@ class OptimizationService:
         self.draining.set()
 
     def drain(self, timeout: float | None = None) -> bool:
-        """Wait for in-flight jobs to finish; journal stragglers.
+        """Wait for running jobs to finish; journal stragglers.
 
-        Returns True when everything finished within *timeout*; False
-        when the drain grace expired and still-running supervisors were
-        asked to shut down (their jobs are journaled resumable — nothing
-        is lost, the next start picks them up).
+        Jobs that have not started are cancelled at once (they stay
+        journaled for the next start: drain means "stop working", not
+        "forget accepted work").  Returns True when every running job
+        finished within *timeout*; False when the drain grace expired and
+        the supervisor was asked to shut down (its jobs are journaled
+        resumable — nothing is lost, the next start picks them up).
         """
         self.initiate_drain()
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._idle:
-            while self._running:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                self._idle.wait(timeout=remaining)
-            clean = self._running == 0
-        if not clean:
-            with self._lock:
-                supervisors = list(self._active_supervisors.values())
-            for supervisor in supervisors:
-                supervisor.request_shutdown()
-            with self._idle:
-                while self._running:
-                    self._idle.wait(timeout=1.0)
-        return clean
+        with self._lock:
+            futures = [job.future for job in self._in_flight.values() if job.future]
+        for future in futures:
+            future.cancel()  # only what has not started
+        running = wait(futures, timeout).not_done
+        self.supervisor.request_shutdown()
+        self.supervisor.close()
+        return not running
 
 
 # ---------------------------------------------------------------------------
@@ -797,15 +769,20 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         path = self.path.split("?", 1)[0].rstrip("/")
         if path != "/jobs":
-            self._send(404, {"error": "not-found", "path": path})
+            self._send(404, {"error": "not-found", "path": path}, _CLOSE)
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
-            self._send(400, {"error": "bad-request", "detail": "bad Content-Length"})
+            length = -1
+        if length < 0:
+            # rfile.read(-1) would read to end-of-file, past the body cap.
+            self._send(400, {"error": "bad-request", "detail": "bad Content-Length"},
+                       _CLOSE)
             return
         if length > MAX_BODY_BYTES:
-            self._send(413, {"error": "too-large", "limit_bytes": MAX_BODY_BYTES})
+            self._send(413, {"error": "too-large", "limit_bytes": MAX_BODY_BYTES},
+                       _CLOSE)
             return
         try:
             body = self.rfile.read(length)
@@ -871,16 +848,17 @@ def run_server(
     ``queue_limit``, ``default_verify``, ...).  Runs until SIGTERM/SIGINT,
     then drains: admission stops, in-flight jobs get *drain_grace*
     seconds to finish (stragglers are journaled resumable), the stats
-    snapshot is flushed, and the process exits 0.
+    snapshot is flushed, and the process exits 0.  A failure of the
+    supervisor's loop stops admission and drains the same way, and the
+    process exits 1, for its process supervisor to restart it.
     """
     arm_from_env()
     service = OptimizationService(workdir, verbose=verbose, **options)
     daemon = ServeDaemon(service, host, port, verbose=verbose)
-    stop = threading.Event()
 
     def _handle(signum, frame):  # noqa: ARG001 - signal API
         # Every signal asks for the same drain; a repeat changes nothing.
-        stop.set()
+        service.initiate_drain()
 
     with handle_signals(_handle):
         daemon.start()
@@ -891,7 +869,10 @@ def run_server(
             f"queue limit {service.queue_limit})",
             flush=True,
         )
-        stop.wait()
+        service.draining.wait()
+        failed = service.supervisor.closed  # a drain has not closed it yet
+        if failed:
+            print("migopt serve: the supervisor failed", flush=True)
         print("migopt serve: draining...", flush=True)
         clean = daemon.stop(drain_grace=drain_grace)
         print(
@@ -899,4 +880,4 @@ def run_server(
             + ("cleanly" if clean else "with journaled stragglers"),
             flush=True,
         )
-    return 0
+    return 1 if failed else 0

@@ -28,14 +28,13 @@ level:
 Since the executor-layer refactor the Supervisor is a pure *scheduler*:
 process launching, polling and the SIGTERM→grace→SIGKILL ladder (for
 the watchdog and for a drain alike) live in the
-:class:`~repro.runtime.executors.LocalExecutor` each :meth:`Supervisor.run`
-creates and closes.  It reproduces the historic fork pool exactly
-(``tests/runtime/test_executor_differential.py`` pins it against the
-frozen pre-refactor monolith).  Its workers fork from the
-:class:`~repro.runtime.executors.ForkServer` the Supervisor is given
-(serve shares one across requests), or else from one that
-:meth:`Supervisor.run` starts and ends itself.  A sweep
-(:mod:`repro.runtime.sweep`) is one batch on one Supervisor.
+:class:`~repro.runtime.executors.LocalExecutor` (and its fork server)
+that the scheduling loop creates and closes.  It reproduces the historic
+fork pool exactly (``tests/runtime/test_executor_differential.py`` pins
+it against the frozen pre-refactor monolith).  A batch (and a sweep,
+:mod:`repro.runtime.sweep`) runs the loop inline; serve runs one loop in
+a thread for the daemon's lifetime, handing it each request through
+:meth:`~Supervisor.submit`.
 
 The public entry point is :func:`run_batch`; the ``migopt batch`` CLI
 subcommand and ``benchmarks/flows.py`` are thin wrappers around it.
@@ -45,9 +44,12 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import sys
 import threading
 import time
+from concurrent.futures import Future
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -56,7 +58,6 @@ from .executors import (
     POLL_INTERVAL,
     WORKER_MODULE,
     ExecutorTask,
-    ForkServer,
     LocalExecutor,
     TaskExit,
     child_env,
@@ -73,7 +74,7 @@ from .jobs import (
     load_result_artifact,
 )
 
-__all__ = ["Supervisor", "run_batch", "spec_for_attempt"]
+__all__ = ["JobFuture", "Supervisor", "run_batch", "spec_for_attempt"]
 
 
 def spec_for_attempt(base: JobSpec, attempt: int) -> tuple[JobSpec, list[str]]:
@@ -98,7 +99,21 @@ class _Pending:
     job_id: str
     attempt: int
     result_path: Path
-    time_limit: float | None
+
+
+class JobFuture(Future):
+    """What :meth:`Supervisor.submit` returns: resolves with the job's
+    :func:`~repro.runtime.jobs.job_summary` once it is ``done`` or
+    ``quarantined`` or a shutdown interrupts its run, and fails with the
+    error that stopped a launch or the loop.  Before the first launch,
+    :meth:`cancel`, a shutdown or a passed *not_after* (``time.time()``)
+    cancels it: the job stays ``pending`` in the journal for the next start."""
+
+    def __init__(self, not_after: float | None = None) -> None:
+        super().__init__()
+        self.not_after = not_after
+        #: ``time.time()`` of the job's first launch
+        self.started_at: float | None = None
 
 
 class Supervisor:
@@ -113,12 +128,10 @@ class Supervisor:
           report.json       the final merged BatchReport
 
     *grace* is the SIGTERM→SIGKILL escalation window;
-    *startup_margin* pads the watchdog for interpreter start-up so a
-    healthy worker that honors its in-process budget is never killed;
     *backoff_base* seconds doubles per failed attempt (kept small in
     tests); *default_time_limit* applies to specs without their own.
-    Workers fork from *fork_server* when given (the caller owns it), else
-    from a server each :meth:`run` starts and ends.
+    A supervisor is single-use: one :meth:`run`, or one :meth:`start`
+    with submissions until :meth:`close` or :meth:`request_shutdown`.
     """
 
     def __init__(
@@ -129,9 +142,7 @@ class Supervisor:
         max_attempts: int = 3,
         backoff_base: float = 0.5,
         default_time_limit: float | None = None,
-        startup_margin: float = 1.0,
         verbose: bool = False,
-        fork_server: ForkServer | None = None,
     ) -> None:
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
@@ -145,12 +156,18 @@ class Supervisor:
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self.default_time_limit = default_time_limit
-        self.startup_margin = startup_margin
         self.verbose = verbose
-        self.fork_server = fork_server
         self.specs_dir = self.workdir / "specs"
         self.results_dir = self.workdir / "results"
         self._shutdown = threading.Event()
+        self._lock = threading.Lock()  # the inbox and the closed flag
+        self._inbox: list[tuple[JobSpec, JobFuture]] = []
+        #: no submission is taken (after :meth:`close` or the loop's end)
+        self.closed = False
+        #: while the loop runs, a byte written to this pair wakes it
+        self._wake: tuple[socket.socket, socket.socket] | None = None
+        self._thread: threading.Thread | None = None
+        self._futures: dict[str, JobFuture] = {}  # the unsettled handles
 
     def request_shutdown(self) -> None:
         """Ask a running batch to drain and return early (signal-safe).
@@ -163,10 +180,44 @@ class Supervisor:
         a Ctrl-C'd batch loses no completed work and orphans no worker.
         """
         self._shutdown.set()
+        self._wake_loop()
 
-    @property
-    def shutdown_requested(self) -> bool:
-        return self._shutdown.is_set()
+    def submit(self, spec: JobSpec, not_after: float | None = None) -> JobFuture:
+        """Hand *spec* to the loop (thread-safe).  A job id the journal
+        knows is not submitted again: the handle follows the known job.
+        Raises ``RuntimeError`` after :meth:`close` or the loop's end."""
+        future = JobFuture(not_after)
+        with self._lock:
+            if self.closed:
+                raise RuntimeError("supervisor is closed")
+            self._inbox.append((spec, future))
+        self._wake_loop()
+        return future
+
+    def close(self) -> None:
+        """Take no more submissions, and wait for the loop :meth:`start`
+        began to end: once idle, or at once after :meth:`request_shutdown`."""
+        with self._lock:
+            self.closed = True
+        self._wake_loop()
+        if self._thread is not None:
+            self._thread.join()
+
+    def start(self) -> None:
+        """Run the loop in a thread, once, resuming the journal if any."""
+        with self._lock:
+            if self._thread is None and not self.closed:
+                self._thread = threading.Thread(
+                    target=self._serve, args=(True,), name="supervisor", daemon=True
+                )
+                self._thread.start()
+
+    def _wake_loop(self) -> None:
+        """Wake a waiting loop (signal-safe: takes no lock, never blocks)."""
+        wake = self._wake
+        if wake is not None:
+            with suppress(OSError):  # a wake-up is pending, or the loop ended
+                wake[1].send(b"\0", socket.MSG_DONTWAIT)
 
     # -- paths ------------------------------------------------------------
 
@@ -195,40 +246,57 @@ class Supervisor:
         already knows the jobs) or repeat the original submission
         (idempotent: known job ids are not re-submitted).
         """
-        if self.journal_path.exists() and not resume:
-            raise FileExistsError(
-                f"{self.journal_path} already exists; pass resume=True "
-                "(or --resume) to continue it, or use a fresh workdir"
-            )
-        self.workdir.mkdir(parents=True, exist_ok=True)
-        self.specs_dir.mkdir(parents=True, exist_ok=True)
-        self.results_dir.mkdir(parents=True, exist_ok=True)
+        for spec in specs:
+            self.submit(spec)
+        self.close()
+        return self._serve(resume)
 
-        replay = JobJournal.replay(self.journal_path)
-        started = time.monotonic()
-        executor = LocalExecutor(
-            num_workers=self.num_workers,
-            grace=self.grace,
-            startup_margin=self.startup_margin,
-            fork_server=self.fork_server,
-        )
+    def _serve(self, resume: bool) -> BatchReport:
+        """The scheduling loop behind :meth:`run` and :meth:`start`."""
+        executor = LocalExecutor(num_workers=self.num_workers, grace=self.grace)
+        self._wake = socket.socketpair()
         try:
-            with JobJournal(self.journal_path) as journal:
-                records = replay.records
-                order = replay.order
-                for spec in specs:
-                    if spec.job_id in records:
-                        continue
-                    journal.submit(spec)
-                    records[spec.job_id] = JobRecord(spec=spec)
-                    order.append(spec.job_id)
-
-                ready, delayed = self._recover(
-                    journal, records, order, executor.fork_server.pid
+            if self.journal_path.exists() and not resume:
+                raise FileExistsError(
+                    f"{self.journal_path} already exists; pass resume=True "
+                    "(or --resume) to continue it, or use a fresh workdir"
                 )
+            self.specs_dir.mkdir(parents=True, exist_ok=True)  # and the workdir
+            self.results_dir.mkdir(parents=True, exist_ok=True)
+
+            replay = JobJournal.replay(self.journal_path)
+            records = replay.records
+            order = replay.order
+            started = time.monotonic()
+            with JobJournal(self.journal_path) as journal:
+                self._take_inbox(journal, records, order)
+                ready, delayed = self._recover(journal, records, order)
                 report = self._loop(journal, records, order, ready, delayed, executor)
+        except BaseException as exc:
+            # The loop failed: every handle, submitted or still in the
+            # inbox, fails with its error.  Closed first, so that a
+            # handle's owner can tell this from a failed launch.
+            with self._lock:
+                self.closed = True
+                inbox, self._inbox = self._inbox, []
+            for future in [*self._futures.values(), *(f for _, f in inbox)]:
+                if future.running() or future.set_running_or_notify_cancel():
+                    future.set_exception(exc)
+            raise
         finally:
             executor.close()
+            with self._lock:
+                self.closed = True
+                leftover, self._inbox = self._inbox, []
+                wake, self._wake = self._wake, None
+            for end in wake:
+                end.close()
+            for _, future in leftover:
+                future.cancel()
+        # A drain interrupted these: the launched resolve, the rest cancel.
+        for job_id, future in self._futures.items():
+            if not future.cancel():
+                future.set_result(job_summary(records[job_id]))
 
         report.wall_seconds = time.monotonic() - started
         report.total = len(order)
@@ -241,19 +309,16 @@ class Supervisor:
     # -- recovery ---------------------------------------------------------
 
     def _recover(
-        self,
-        journal: JobJournal,
-        records: dict[str, JobRecord],
-        order: list[str],
-        server_pid: int | None,
+        self, journal: JobJournal, records: dict[str, JobRecord], order: list[str]
     ) -> tuple[list[str], dict[str, float]]:
         """Re-queue interrupted jobs; returns (ready ids, delayed id->eligible_at).
 
         ``running`` records belong to a supervisor that died: their
-        orphaned workers are killed (sparing *server_pid*, the fork
-        server in use), and each job either adopts an
-        already-complete valid result artifact (exactly-once: no re-run)
-        or is re-queued at the same attempt number.  ``failed`` records
+        orphaned workers are killed (only while ``/proc`` shows our
+        worker module, see :func:`kill_if_worker`; no fork server of
+        ours runs yet), and each job either adopts an already-complete
+        valid result artifact (exactly-once: no re-run) or is re-queued
+        at the same attempt number.  ``failed`` records
         (a crash between the failure and its requeue/quarantine decision)
         go back through the retry policy.
         """
@@ -262,7 +327,8 @@ class Supervisor:
         for job_id in order:
             record = records[job_id]
             if record.state == "running":
-                self._kill_orphan(record.pid, server_pid)
+                if record.pid is not None:
+                    kill_if_worker(record.pid)
                 if adopt_result(
                     journal, record, self._result_path(job_id), adopted=True
                 ):
@@ -275,19 +341,25 @@ class Supervisor:
                 ready.append(job_id)
         return ready, delayed
 
-    @staticmethod
-    def _kill_orphan(pid: int | None, server_pid: int | None = None) -> None:
-        """Kill a worker left over from a dead supervisor (Linux-only check).
-
-        The pid is only signalled when ``/proc`` shows it still runs our
-        worker module — a recycled pid must never be shot.  A fork server
-        shows the same command line as its children, so *server_pid*, the
-        server this supervisor uses, is spared.
-        """
-        if pid is not None and pid != server_pid:
-            kill_if_worker(pid)
-
     # -- scheduling loop --------------------------------------------------
+
+    def _take_inbox(
+        self, journal: JobJournal, records: dict[str, JobRecord], order: list[str]
+    ) -> None:
+        """Journal the submissions since the last tick (a new job id joins
+        *order*; a known one is only followed)."""
+        with suppress(BlockingIOError):
+            self._wake[0].recv(4096, socket.MSG_DONTWAIT)
+        with self._lock:
+            inbox, self._inbox = self._inbox, []
+        # Every handle is registered before any journal write, so one
+        # that fails settles them all (see _serve).
+        self._futures.update((spec.job_id, future) for spec, future in inbox)
+        for spec, _ in inbox:
+            if spec.job_id not in records:
+                journal.submit(spec)
+                records[spec.job_id] = JobRecord(spec=spec)
+                order.append(spec.job_id)
 
     def _loop(
         self,
@@ -303,7 +375,23 @@ class Supervisor:
             report.count_journaled(record)
         pending: dict[str, _Pending] = {}
 
-        while ready or delayed or pending:
+        while True:
+            known = len(order)
+            # Read before the inbox is taken, so a closed loop has every
+            # submission in hand.
+            closed = self.closed
+            self._take_inbox(journal, records, order)
+            ready.extend(order[known:])
+            # Resolve the handles of terminal jobs; an unlaunched one
+            # resolves too, unless its caller cancelled it.
+            for job_id in [j for j in self._futures
+                           if records[j].state in ("done", "quarantined")]:
+                future = self._futures.pop(job_id)
+                if future.running() or future.set_running_or_notify_cancel():
+                    future.set_result(job_summary(records[job_id]))
+            idle = not (ready or delayed or pending)
+            if idle and (closed or self._shutdown.is_set()):
+                break
             if self._shutdown.is_set():
                 self._drain(journal, records, pending, report, executor)
                 break
@@ -319,9 +407,17 @@ class Supervisor:
             # Fill free executor slots.
             while ready and executor.has_capacity():
                 job_id = ready.pop(0)
-                pending[job_id] = self._spawn(
-                    journal, records[job_id], job_id, executor
-                )
+                future = self._futures.get(job_id)
+                if future is not None and not future.running():  # first launch
+                    if future.not_after is not None and time.time() >= future.not_after:
+                        future.cancel()
+                    if not future.set_running_or_notify_cancel():
+                        del self._futures[job_id]  # stays pending in the journal
+                        continue
+                    future.started_at = time.time()
+                attempt = self._spawn(journal, records[job_id], job_id, executor)
+                if attempt is not None:
+                    pending[job_id] = attempt
                 report.max_concurrent = max(
                     report.max_concurrent, executor.running_count
                 )
@@ -337,10 +433,10 @@ class Supervisor:
                 progressed = True
 
             if not progressed:
-                # Nothing to do but wait: for an exit, or one tick until
-                # the next deadline of interest (retry eligibility or
-                # watchdog escalation).
-                executor.wait(POLL_INTERVAL)
+                # Nothing to do but wait: for an exit, a submission, or
+                # one tick until the next deadline of interest (retry
+                # eligibility or watchdog escalation); idle, until woken.
+                executor.wait(None if idle else POLL_INTERVAL, self._wake[0])
         return report
 
     def _drain(
@@ -379,16 +475,15 @@ class Supervisor:
         record: JobRecord,
         job_id: str,
         executor: LocalExecutor,
-    ) -> _Pending:
+    ) -> _Pending | None:
         attempt = record.attempts + 1
         spec, notes = spec_for_attempt(record.spec, attempt)
         if spec.time_limit is None and self.default_time_limit is not None:
             spec = replace(spec, time_limit=self.default_time_limit)
         record.attempt_spec = spec
-        if notes:
-            for note in notes:
-                if note not in record.degradations:
-                    record.degradations.append(note)
+        for note in notes:
+            if note not in record.degradations:
+                record.degradations.append(note)
 
         spec_path = self._spec_path(job_id)
         result_path = self._result_path(job_id)
@@ -398,8 +493,6 @@ class Supervisor:
             os.unlink(result_path)
         except OSError:
             pass
-        atomic_write_text(spec_path, json.dumps(spec.to_dict(), sort_keys=True) + "\n")
-
         task = ExecutorTask(
             task_id=job_id,
             argv=(sys.executable, "-m", WORKER_MODULE,
@@ -409,7 +502,16 @@ class Supervisor:
             log_path=str(self.workdir / "logs" / f"{job_id}.log"),
             time_limit=spec.time_limit,
         )
-        handle = executor.submit(task)
+        try:
+            atomic_write_text(
+                spec_path, json.dumps(spec.to_dict(), sort_keys=True) + "\n"
+            )
+            handle = executor.submit(task)
+        except OSError as exc:  # e.g. a full disk or no fork: it stays pending
+            record.last_error = f"could not launch: {exc}"
+            if job_id in self._futures:
+                self._futures.pop(job_id).set_exception(exc)
+            return None
         journal.start(job_id, attempt, handle.pid, spec)
         record.state = "running"
         record.attempts = attempt
@@ -417,10 +519,7 @@ class Supervisor:
         if self.verbose:
             print(f"[supervisor] start {job_id} attempt {attempt} pid {handle.pid}"
                   + (f" degraded {notes}" if notes else ""))
-        return _Pending(
-            job_id=job_id, attempt=attempt, result_path=result_path,
-            time_limit=spec.time_limit,
-        )
+        return _Pending(job_id=job_id, attempt=attempt, result_path=result_path)
 
     # -- completion -------------------------------------------------------
 

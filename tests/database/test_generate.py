@@ -281,7 +281,8 @@ class TestParallelSatPhase:
             if not journal.exists():
                 return []
             replay = JobJournal.replay(journal)
-            return [record.spec.job_id for record in replay.by_state("done")]
+            return [job_id for job_id, record in replay.records.items()
+                    if record.state == "done"]
 
         proc = subprocess.Popen(
             [sys.executable, str(driver), str(out), str(workdir)],

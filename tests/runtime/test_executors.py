@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.runtime import executors
 from repro.runtime.executors import (
     ExecutorTask,
     LocalExecutor,
@@ -98,8 +99,9 @@ class TestLocalExecutor:
         finally:
             executor.close()
 
-    def test_watchdog_escalates_overrunning_tasks(self):
-        executor = LocalExecutor(num_workers=1, grace=0.5, startup_margin=0.0)
+    def test_watchdog_escalates_overrunning_tasks(self, monkeypatch):
+        monkeypatch.setattr(executors, "STARTUP_MARGIN", 0.0)
+        executor = LocalExecutor(num_workers=1, grace=0.5)
         try:
             executor.submit(sleeper("hog", 60, time_limit=0.2))
             (task_exit,) = wait_exits(executor, 1, timeout=20.0)
@@ -140,11 +142,12 @@ class TestLocalExecutor:
         assert task_exit.returncode == -signal.SIGKILL
         assert elapsed >= grace
 
-    def test_drain_keeps_the_watchdogs_kill_instant(self, tmp_path):
+    def test_drain_keeps_the_watchdogs_kill_instant(self, tmp_path, monkeypatch):
         """A task the watchdog already SIGTERMed dies at its own SIGKILL
         instant when a drain lands, not a full grace after the drain."""
         grace = 3.0
-        executor = LocalExecutor(num_workers=1, grace=grace, startup_margin=0.0)
+        monkeypatch.setattr(executors, "STARTUP_MARGIN", 0.0)
+        executor = LocalExecutor(num_workers=1, grace=grace)
         try:
             task, ready, termed = stubborn("hog", tmp_path, time_limit=0.2)
             executor.submit(task)

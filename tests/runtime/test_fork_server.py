@@ -1,11 +1,12 @@
 """Contract tests for the fork server every runtime worker starts from.
 
 :class:`~repro.runtime.executors.ForkServer` forks each task from one
-pre-imported process instead of starting a fresh interpreter.  These
-tests pin what that must not change: exit codes as ``Popen`` reports
-them, each child's stdio, cwd and environment, fault isolation between
-tasks, the server's death mid-task, its owner's death, the orphan
-check, a lazy start, and one server shared by many executor threads.
+pre-imported process instead of starting a fresh interpreter; every
+:class:`~repro.runtime.executors.LocalExecutor` owns one.  These tests
+pin what that must not change: exit codes as ``Popen`` reports them,
+each child's stdio, cwd and environment, fault isolation between tasks,
+the server's death mid-task, its owner's death and the orphan check,
+and a lazy start.
 """
 
 from __future__ import annotations
@@ -16,20 +17,19 @@ import signal
 import subprocess
 import sys
 import textwrap
-import threading
 import time
 from pathlib import Path
 
 import pytest
 
+from repro.runtime import executors
 from repro.runtime.executors import (
     ExecutorTask,
-    ForkServer,
     LocalExecutor,
     child_env,
+    kill_if_worker,
 )
-from repro.runtime.jobs import JobJournal, JobSpec
-from repro.runtime.supervisor import Supervisor
+from repro.runtime.jobs import JobSpec
 
 from .test_executors import wait_exits
 
@@ -133,8 +133,9 @@ class TestExitCodes:
         }
         assert forked == cold == {"ok": 0, "crash": 77, "missing": 1, "usage": 2}
 
-    def test_sigkill_of_an_in_process_worker(self, tmp_path):
-        executor = LocalExecutor(num_workers=1, grace=0.2, startup_margin=0.0)
+    def test_sigkill_of_an_in_process_worker(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(executors, "STARTUP_MARGIN", 0.0)
+        executor = LocalExecutor(num_workers=1, grace=0.2)
         try:
             executor.submit(ExecutorTask(
                 "hang", worker_argv(tmp_path, "hang", adder_spec("hang")),
@@ -202,22 +203,25 @@ class TestTaskSetup:
 
 class TestFaultIsolation:
     def test_a_crash_fault_arms_only_its_own_child(self, tmp_path):
-        server = ForkServer()
+        executor = LocalExecutor(num_workers=2)
         try:
-            codes = run_all([
-                ExecutorTask("crash", worker_argv(tmp_path, "crash", adder_spec("crash")),
-                             env=faulted_env("worker.crash")),
-                ExecutorTask("clean", worker_argv(tmp_path, "clean", adder_spec("clean")),
-                             env=child_env()),
-            ], fork_server=server)
+            for name, env in (("crash", faulted_env("worker.crash")),
+                              ("clean", child_env())):
+                executor.submit(ExecutorTask(
+                    name, worker_argv(tmp_path, name, adder_spec(name)), env=env))
+            server = executor.fork_server.pid
+            codes = {e.task_id: e.returncode for e in wait_exits(executor, 2)}
             assert codes == {"crash": 77, "clean": 0}
             # The server itself never armed the fault.
-            assert run_all([ExecutorTask(
+            executor.submit(ExecutorTask(
                 "after", worker_argv(tmp_path, "after", adder_spec("after")),
                 env=child_env(),
-            )], fork_server=server) == {"after": 0}
+            ))
+            assert executor.fork_server.pid == server
+            (task_exit,) = wait_exits(executor, 1)
+            assert task_exit.returncode == 0
         finally:
-            server.close()
+            executor.close()
         assert not (tmp_path / "crash.result.json").exists()
         for name in ("clean", "after"):
             result = json.loads((tmp_path / f"{name}.result.json").read_text())
@@ -280,7 +284,7 @@ class TestServerDeath:
             time.sleep(0.2)
             assert names_worker(child)
             # ...until a resumed supervisor's orphan check kills it.
-            Supervisor._kill_orphan(child)
+            kill_if_worker(child)
             wait_until(lambda: not names_worker(child), "the orphan's SIGKILL")
         finally:
             if owner.poll() is None:
@@ -290,29 +294,9 @@ class TestServerDeath:
             if child is not None and names_worker(child):
                 os.kill(child, signal.SIGKILL)
 
-    def test_orphan_check_spares_the_live_server(self, tmp_path):
-        server = ForkServer()
-        try:
-            assert run_all([ExecutorTask("warm", (sys.executable, "-c", "pass"))],
-                           fork_server=server) == {"warm": 0}
-            server_pid = server.pid
-            # A journal left by a dead supervisor, whose running worker's
-            # pid has since been recycled into the fork server.
-            workdir = tmp_path / "batch"
-            workdir.mkdir()
-            spec = adder_spec("j")
-            with JobJournal(workdir / "journal.jsonl") as journal:
-                journal.submit(spec)
-                journal.start("j", attempt=1, pid=server_pid, spec=spec)
-            report = Supervisor(workdir, fork_server=server).run([], resume=True)
-            assert report.done == 1
-            assert server.pid == server_pid and names_worker(server_pid)
-        finally:
-            server.close()
-
 
 def test_nothing_starts_before_the_first_spawn(tmp_path):
-    """Importing the executors, building a server or a service, and
+    """Importing the executors, building an executor or a service, and
     starting the daemon start no process."""
     code = textwrap.dedent("""
         import os, sys
@@ -330,9 +314,9 @@ def test_nothing_starts_before_the_first_spawn(tmp_path):
                     found.append(entry.name)
             return found
 
-        from repro.runtime.executors import ForkServer
+        from repro.runtime.executors import LocalExecutor
         seen = children()
-        server = ForkServer()
+        executor = LocalExecutor()
         seen += children()
         from repro.runtime.serve import OptimizationService, ServeDaemon
         service = OptimizationService(sys.argv[1])
@@ -341,7 +325,7 @@ def test_nothing_starts_before_the_first_spawn(tmp_path):
         daemon.start()
         seen += children()
         daemon.stop()
-        print(seen, server.pid, service.fork_server.pid)
+        print(seen, executor.fork_server.pid)
     """)
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -350,49 +334,4 @@ def test_nothing_starts_before_the_first_spawn(tmp_path):
         env=env, capture_output=True, text=True, timeout=TIMEOUT * 2,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["[]", "None", "None"]
-
-
-def test_threads_sharing_one_server_each_see_their_own_exit_codes():
-    """Serve's runner threads share one server: stress that sharing with
-    more threads than cores and a short switch interval."""
-    threads, per_thread = 8, 20
-    server = ForkServer()
-    seen: dict[int, list[tuple[int, int]]] = {}
-    errors: list[BaseException] = []
-
-    def run(index: int) -> None:
-        executor = LocalExecutor(num_workers=1, fork_server=server)
-        try:
-            for i in range(per_thread):
-                code = 1 + index * per_thread + i
-                executor.submit(ExecutorTask(f"t{index}-{i}", ("/bin/sh", "-c", f"exit {code}")))
-                exits = []
-                deadline = time.monotonic() + TIMEOUT
-                while not exits and time.monotonic() < deadline:
-                    executor.wait(0.02)
-                    exits = executor.poll()
-                seen.setdefault(index, []).extend(
-                    (code, e.returncode) for e in exits)
-        except BaseException as exc:  # noqa: BLE001 - reported below
-            errors.append(exc)
-        finally:
-            executor.close()
-
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        workers = [threading.Thread(target=run, args=(i,)) for i in range(threads)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=TIMEOUT * 4)
-        assert not any(worker.is_alive() for worker in workers)
-    finally:
-        sys.setswitchinterval(previous)
-        server.close()
-    assert errors == []
-    for index in range(threads):
-        pairs = seen.get(index, [])
-        assert len(pairs) == per_thread
-        assert all(code == returncode for code, returncode in pairs), pairs
+    assert out.stdout.split() == ["[]", "None"]

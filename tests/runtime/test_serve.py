@@ -8,13 +8,16 @@ the actual ``migopt serve`` CLI in a subprocess and kill it.
 
 from __future__ import annotations
 
+import errno
 import http.client
 import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -22,12 +25,17 @@ from pathlib import Path
 
 import pytest
 
+from repro.runtime import executors, serve
+from repro.runtime import supervisor as supervisor_module
 from repro.runtime.cache import ResultCache
 from repro.runtime.faults import inject
+from repro.runtime.jobs import JobJournal
 from repro.runtime.serve import (
     CRASH_EXIT_CODE,
+    MAX_BODY_BYTES,
     OptimizationService,
     ServeDaemon,
+    run_server,
 )
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -47,6 +55,70 @@ def _request(base, method, path, body=None, timeout=10):
             return resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read())
+
+
+def _exchange(port, data, timeout=10):
+    """Send raw *data* on a fresh connection, half-close it, and read
+    every response until the daemon closes the connection."""
+    received = b""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        try:
+            while chunk := sock.recv(65536):
+                received += chunk
+        except ConnectionResetError:
+            pass
+    return received
+
+
+def _post_head(length) -> bytes:
+    """A ``POST /jobs`` request head declaring *length* (any ``str()``)."""
+    return b"POST /jobs HTTP/1.1\r\nHost: serve\r\nContent-Length: %s\r\n\r\n" % (
+        str(length).encode())
+
+
+def _only_response(reply: bytes) -> bytes:
+    """The status line of *reply*, which must hold exactly one response."""
+    head, _, body = reply.partition(b"\r\n\r\n")
+    length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+    assert len(body) == length, reply
+    return head.split(b"\r\n", 1)[0]
+
+
+def _journal_events(path):
+    events = []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        try:
+            events.append(json.loads(line))
+        except ValueError:
+            pass
+    return events
+
+
+def _worker_pids() -> set[int]:
+    """Live processes whose command line names the worker module (a
+    fork server and its children alike; zombies show none)."""
+    pids = set()
+    for entry in Path("/proc").iterdir():
+        try:
+            if b"repro.runtime.worker" in (entry / "cmdline").read_bytes():
+                pids.add(int(entry.name))
+        except (OSError, ValueError):
+            pass
+    return pids
+
+
+def _wait_until(predicate, what, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while not (value := predicate()):
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.05)
+    return value
+
+
+def _full_disk(*args):
+    raise OSError(errno.ENOSPC, "No space left on device")
 
 
 def _wait_terminal(poll, timeout=120.0):
@@ -226,6 +298,52 @@ class TestAdmission:
         assert "deadline" in status["error"]
         assert idle_service.stats()["jobs"]["timeout"] == 1
 
+    def test_admission_is_one_locked_step(self, tmp_path, monkeypatch):
+        """Coalescing, the queue limit and the reservation are one locked
+        step before the request is persisted: while a slow disk holds the
+        first submission, no concurrent one gets past the limit or around
+        coalescing."""
+        write = serve.atomic_write_text
+
+        def slow_write(path, text):
+            time.sleep(0.3)
+            write(path, text)
+
+        monkeypatch.setattr(serve, "atomic_write_text", slow_write)
+
+        def race(name, requests):
+            service = OptimizationService(tmp_path / name, num_workers=0, queue_limit=1)
+            service.start()
+            barrier = threading.Barrier(len(requests))
+            results = [None] * len(requests)
+
+            def submit(index):
+                barrier.wait()
+                results[index] = service.submit(requests[index])
+
+            threads = [threading.Thread(target=submit, args=(i,))
+                       for i in range(len(requests))]
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                return results, service.stats()["jobs"]
+            finally:
+                service.close()
+
+        results, jobs = race("distinct", [
+            {"network": {"generate": "adder", "width": width}} for width in (3, 4, 5)
+        ])
+        assert sorted(code for code, _ in results) == [202, 429, 429]
+        assert (jobs["queued"], jobs["rejected"]) == (1, 2)
+
+        results, jobs = race("identical", [dict(ADDER4), dict(ADDER4)])
+        assert [code for code, _ in results] == [202, 202]
+        assert len({payload["job_id"] for _, payload in results}) == 1
+        assert [bool(payload.get("coalesced")) for _, payload in results].count(True) == 1
+        assert (jobs["queued"], jobs["coalesced"]) == (1, 1)
+
     def test_request_persisted_before_acknowledgement(self, idle_service):
         code, payload = idle_service.submit(dict(ADDER4))
         assert code == 202
@@ -264,6 +382,10 @@ class TestLifecycle:
             assert stats["jobs"]["cache_hits"] == 1
             assert stats["jobs"]["completed"] == 1  # optimized exactly once
             assert stats["cache"]["entries"] == 1
+            # The one daemon supervisor ran it: no per-request journal.
+            assert not (service.jobs_dir / job_id / "super").exists()
+            events = _journal_events(tmp_path / "serve" / "super" / "journal.jsonl")
+            assert [e["event"] for e in events] == ["submit", "start", "done"]
         finally:
             assert service.drain(timeout=30.0) is True
             service.close()
@@ -296,6 +418,46 @@ class TestLifecycle:
             assert jobs["completed"] == 1 and jobs["queued"] == jobs["running"] == 0
         finally:
             assert service.drain(timeout=30.0) is True
+            service.close()
+
+    @pytest.mark.parametrize("fault", ["fork", "spec-write"])
+    def test_a_failed_launch_fails_only_its_own_request(
+        self, tmp_path, monkeypatch, fault
+    ):
+        """A worker that cannot be started (the fork server cannot fork,
+        or a full disk refuses its spec file) fails that request alone:
+        the daemon stays ready and serves the next one."""
+        if fault == "fork":
+            owner, name = executors.ForkServer, "spawn"
+            error = ChildProcessError("the fork server did not fork")
+        else:  # the first write of the supervisor module is a spec file
+            owner, name = supervisor_module, "atomic_write_text"
+            error = OSError(errno.ENOSPC, "No space left on device")
+        original = getattr(owner, name)
+        calls = []
+
+        def fail_once(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise error
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, fail_once)
+        service = OptimizationService(tmp_path / "serve", num_workers=1)
+        service.start()
+        try:
+            code, first = service.submit(dict(ADDER4))
+            assert code == 202
+            status = _wait_terminal(lambda: service.job_status(first["job_id"])[1])
+            assert status["status"] == "failed"
+            assert str(error) in status["error"]
+            assert not service.draining.is_set()
+            code, second = service.submit(dict(ADDER4, script=["BF", "BF"]))
+            assert code == 202
+            status = _wait_terminal(lambda: service.job_status(second["job_id"])[1])
+            assert status["status"] == "done", status
+        finally:
+            service.drain(timeout=30.0)
             service.close()
 
     def test_corrupt_cache_entry_reoptimizes_once_then_hits(self, tmp_path):
@@ -386,6 +548,109 @@ class TestLifecycle:
             second.drain(timeout=5.0)
             second.close()
 
+    def test_recovery_hands_over_every_job_before_the_loop_runs(
+        self, tmp_path, monkeypatch
+    ):
+        """A slow recovery scan still submits every recovered job before
+        the supervisor's loop starts: a job whose deadline lapsed before
+        the restart never starts, and every other one launches through
+        its handle (``started_at`` set)."""
+        workdir = tmp_path / "serve"
+        first = OptimizationService(workdir, num_workers=0)
+        first.start()
+        lapsed = first.submit(dict(ADDER4, deadline=0.2))[1]["job_id"]
+        others = [
+            first.submit(dict(ADDER4, network={"generate": "adder", "width": width}))
+            [1]["job_id"]
+            for width in (3, 5)
+        ]
+        first.close()
+        # The dead daemon's loop had journaled all three.
+        journal_path = first.supervisor.journal_path
+        with JobJournal(journal_path) as journal:
+            for job in first.jobs.values():
+                journal.submit(job.spec)
+        time.sleep(0.3)  # the deadline lapses while no daemon runs
+
+        make_job = serve.ServeJob
+
+        def slow_job(**fields):
+            time.sleep(0.3)
+            return make_job(**fields)
+
+        monkeypatch.setattr(serve, "ServeJob", slow_job)
+        second = OptimizationService(workdir, num_workers=3)
+        second.start()
+        try:
+            for job_id in others:
+                status = _wait_terminal(lambda: second.job_status(job_id)[1])
+                assert status["status"] == "done", status
+                assert second.jobs[job_id].started_at is not None
+            status = _wait_terminal(lambda: second.job_status(lapsed)[1])
+            assert status["status"] == "timeout", status
+        finally:
+            second.drain(timeout=30.0)
+            second.close()
+        started = [e["job"] for e in _journal_events(journal_path)
+                   if e["event"] == "start"]
+        assert sorted(started) == sorted(others)
+
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_a_failed_loop_stops_admission(self, tmp_path, monkeypatch):
+        """When the supervisor's loop itself fails (here: its journal
+        cannot be written), the daemon stops admitting (``/readyz`` 503)
+        instead of accepting work no one would run, and no job stays
+        counted as in flight."""
+        monkeypatch.setattr(JobJournal, "submit", _full_disk)
+        service = OptimizationService(tmp_path / "serve", num_workers=1)
+        service.start()
+        try:
+            code, payload = service.submit(dict(ADDER4))
+            assert code == 202
+            status = _wait_terminal(lambda: service.job_status(payload["job_id"])[1])
+            assert status["status"] == "failed"
+            assert "No space left on device" in status["error"]
+            assert service.draining.is_set()
+            assert service.submit(dict(ADDER4, script=["BF", "BF"]))[0] == 503
+            jobs = service.stats()["jobs"]
+            assert (jobs["queued"], jobs["running"], jobs["failed"]) == (0, 0, 1)
+        finally:
+            service.drain(timeout=30.0)
+            service.close()
+
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_run_server_drains_and_exits_1_when_the_loop_fails(
+        self, tmp_path, monkeypatch
+    ):
+        """``migopt serve`` does not linger unready: a failed loop drains
+        the daemon and exits 1, for a process supervisor to restart it."""
+        monkeypatch.setattr(JobJournal, "submit", _full_disk)
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        exit_codes = []
+        runner = threading.Thread(
+            target=lambda: exit_codes.append(run_server(
+                tmp_path / "serve", port=port, drain_grace=5.0, num_workers=1
+            )),
+            daemon=True,
+        )
+        runner.start()
+        base = f"http://127.0.0.1:{port}"
+
+        def ready():
+            try:
+                return _request(base, "GET", "/readyz")[0] == 200
+            except OSError:
+                return False
+
+        _wait_until(ready, "the daemon")
+        assert _request(base, "POST", "/jobs", dict(ADDER4))[0] == 202
+        runner.join(timeout=60)
+        assert exit_codes == [1]
+        stats = json.loads((tmp_path / "serve" / "stats.json").read_text())
+        assert stats["draining"] and stats["jobs"]["failed"] == 1
+
 
 class TestHttpLayer:
     @pytest.fixture
@@ -473,6 +738,25 @@ class TestHttpLayer:
         assert _request(base, "GET", "/readyz")[0] == 200
         assert _request(base, "POST", "/jobs", dict(ADDER4))[0] == 202
 
+    @pytest.mark.parametrize("length", ["-1", "12abc"])
+    def test_bad_content_length_is_400_and_closes(self, daemon, length):
+        """A negative length must not read to end-of-file (past the body
+        cap), and an unread body must not become the next request."""
+        served, _ = daemon
+        reply = _exchange(served.port, _post_head(length) + json.dumps(ADDER4).encode())
+        assert _only_response(reply).startswith(b"HTTP/1.1 400")
+        assert served.service.jobs == {}
+
+    def test_refused_body_is_never_parsed_as_a_request(self, daemon):
+        """After a 413 the daemon closes the connection: a request hidden
+        in the oversized body is never admitted."""
+        served, _ = daemon
+        inner = json.dumps(ADDER4).encode()
+        hidden = _post_head(len(inner)) + inner
+        reply = _exchange(served.port, _post_head(MAX_BODY_BYTES + 1) + hidden)
+        assert _only_response(reply).startswith(b"HTTP/1.1 413")
+        assert served.service.jobs == {}
+
     def test_malformed_json_body(self, daemon):
         _, base = daemon
         req = urllib.request.Request(
@@ -515,6 +799,27 @@ def _spawn_serve(workdir, extra_env=None, extra_args=()):
     return proc, f"http://127.0.0.1:{port}"
 
 
+@pytest.fixture
+def workers_before():
+    """The worker processes alive before the test; any it leaves behind
+    are killed afterwards, so a failing drill leaks no orphan."""
+    before = _worker_pids()
+    yield before
+    for pid in _worker_pids() - before:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except OSError:
+            pass
+
+
+def _reap(proc):
+    """Kill *proc* if it still runs, wait for it, and close its pipe."""
+    if proc.poll() is None:
+        proc.kill()
+    proc.wait(timeout=30)
+    proc.stdout.close()
+
+
 @pytest.mark.slow
 class TestDaemonChaos:
     def test_sigterm_drains_cleanly(self, tmp_path):
@@ -524,8 +829,7 @@ class TestDaemonChaos:
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=30) == 0
         finally:
-            if proc.poll() is None:
-                proc.kill()
+            _reap(proc)
         assert (tmp_path / "serve" / "stats.json").exists()
 
     def test_crash_after_accept_recovers_exactly_once(self, tmp_path):
@@ -541,8 +845,7 @@ class TestDaemonChaos:
                 _request(base, "POST", "/jobs", dict(ADDER4))
             assert proc.wait(timeout=30) == CRASH_EXIT_CODE
         finally:
-            if proc.poll() is None:
-                proc.kill()
+            _reap(proc)
 
         # The request was persisted before the crash.
         requests = list(workdir.glob("jobs/*/request.json"))
@@ -563,5 +866,50 @@ class TestDaemonChaos:
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=30) == 0
         finally:
-            if proc.poll() is None:
-                proc.kill()
+            _reap(proc)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the orphan check reads /proc")
+    def test_sigkill_mid_job_recovers_exactly_once(self, tmp_path, workers_before):
+        """The kill -9 drill: the daemon dies while its worker hangs; the
+        restart kills the orphan, runs the job exactly once, and the
+        repeat is a cache hit."""
+        workdir = tmp_path / "serve"
+        journal = workdir / "super" / "journal.jsonl"
+        proc, base = _spawn_serve(
+            workdir, extra_env={"REPRO_FAULTS": "worker.hang:times=1"}
+        )
+        try:
+            code, payload = _request(base, "POST", "/jobs", dict(ADDER4))
+            assert code == 202
+            job_id = payload["job_id"]
+            _wait_until(
+                lambda: _request(base, "GET", f"/jobs/{job_id}")[1]["status"]
+                == "running", "the job's launch")
+            (orphan,) = _wait_until(
+                lambda: journal.exists() and [
+                    e["pid"] for e in _journal_events(journal) if e["event"] == "start"
+                ], "the journaled start")
+            proc.kill()
+            proc.wait(timeout=30)
+        finally:
+            _reap(proc)
+        time.sleep(0.2)
+        assert orphan in _worker_pids()  # the hung worker outlived its daemon
+
+        proc, base = _spawn_serve(workdir)
+        try:
+            status = _wait_terminal(
+                lambda: _request(base, "GET", f"/jobs/{job_id}")[1]
+            )
+            assert status["status"] == "done", status
+            assert orphan not in _worker_pids()
+            code, hit = _request(base, "POST", "/jobs", dict(ADDER4))
+            assert code == 200 and hit["cached"] is True
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            _reap(proc)
+        done = [e["job"] for e in _journal_events(journal) if e["event"] == "done"]
+        assert done == [job_id]
+        assert _worker_pids() <= workers_before

@@ -14,6 +14,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import pytest
 
 from repro.core.simulate import equivalent_random
 from repro.io.blif import read_blif, write_blif
-from repro.runtime import faults
+from repro.runtime import executors, faults
 from repro.runtime.jobs import JobJournal, JobSpec, load_network
 from repro.runtime.supervisor import Supervisor, run_batch, spec_for_attempt
 
@@ -141,6 +142,53 @@ class TestBatch:
             Supervisor(tmp_path, max_attempts=0)
 
 
+class TestStartedLoop:
+    """The loop :meth:`Supervisor.start` runs in a thread (serve's)."""
+
+    def test_an_idle_loop_sleeps_until_woken(self, tmp_path, monkeypatch):
+        """Between jobs the loop waits without a timeout, and a submission
+        wakes it, instead of ticking every 20 ms."""
+        timeouts = []
+        wait = executors.LocalExecutor.wait
+
+        def counting_wait(executor, timeout, wake=None):
+            timeouts.append(timeout)
+            wait(executor, timeout, wake)
+
+        monkeypatch.setattr(executors.LocalExecutor, "wait", counting_wait)
+        supervisor = Supervisor(tmp_path / "super")
+        supervisor.start()
+        try:
+            first = supervisor.submit(tiny_spec("a", tmp_path, width=4))
+            assert first.result(timeout=JOB_TIME)["state"] == "done"
+            assert first.started_at is not None
+            time.sleep(0.2)  # the loop settles into its idle wait
+            idle_from = len(timeouts)
+            time.sleep(1.0)
+            assert len(timeouts) - idle_from <= 1
+            assert timeouts[-1] is None
+            second = supervisor.submit(tiny_spec("b", tmp_path, width=5))
+            assert second.result(timeout=JOB_TIME)["state"] == "done"
+        finally:
+            supervisor.close()
+        events = [e["event"] for e in journal_events(supervisor.journal_path)]
+        assert events == ["submit", "start", "done"] * 2
+
+    @pytest.mark.parametrize("stop", ["close", "request_shutdown"])
+    def test_close_and_shutdown_wake_an_idle_loop(self, tmp_path, stop):
+        supervisor = Supervisor(tmp_path / "super")
+        supervisor.start()
+        time.sleep(0.2)  # the loop waits, with nothing to do
+        stopper = threading.Thread(target=getattr(supervisor, stop))
+        stopper.start()
+        stopper.join(timeout=5.0)
+        deadline = time.monotonic() + 5.0
+        while not supervisor.closed and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert supervisor.closed and not stopper.is_alive()
+        supervisor.close()
+
+
 class TestFailureHandling:
     def test_worker_crash_is_retried_with_degradation(self, tmp_path):
         faults.reset()
@@ -169,8 +217,9 @@ class TestFailureHandling:
         assert_output_valid(Path(report.jobs[0]["output"]),
                             {"generate": "adder", "width": 6})
 
-    def test_hanging_worker_is_hard_killed_within_grace(self, tmp_path):
+    def test_hanging_worker_is_hard_killed_within_grace(self, tmp_path, monkeypatch):
         """A busy-looping worker that ignores SIGTERM only dies to SIGKILL."""
+        monkeypatch.setattr(executors, "STARTUP_MARGIN", 0.5)
         faults.reset()
         started = time.monotonic()
         try:
@@ -179,7 +228,6 @@ class TestFailureHandling:
                     [tiny_spec("j", tmp_path, time_limit=1.0)],
                     tmp_path / "batch",
                     grace=1.0,
-                    startup_margin=0.5,
                     backoff_base=0.05,
                 )
         finally:

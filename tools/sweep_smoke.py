@@ -3,7 +3,10 @@
 
 Launches a real ``migopt sweep --jobs 2``, waits for the first job to
 land in its journal, then SIGKILLs one worker *and* the sweep process —
-the double failure the batch journal must absorb.  Resumes with
+the double failure the batch journal must absorb.  The worker is found
+by its journaled pid: a worker forked from the fork server carries the
+server's command line, so nothing in it names the sweep.  The drill
+fails if the sweep still runs and no worker could be killed.  Resumes with
 ``migopt sweep --resume`` (no ``--spec``: it comes from ``sweep.json``)
 and asserts:
 
@@ -98,22 +101,35 @@ def child_env() -> dict[str, str]:
     return env
 
 
-def find_worker_pids(workdir: Path) -> list[int]:
-    """Live workers of the sweep in *workdir*, via /proc cmdline scan."""
-    pids = []
-    for entry in Path("/proc").iterdir():
-        if not entry.name.isdigit():
-            continue
-        try:
-            cmdline = (entry / "cmdline").read_bytes().split(b"\0")
-        except OSError:
-            continue
-        args = [arg.decode("utf-8", "replace") for arg in cmdline]
-        if "repro.runtime.worker" in args and any(
-            arg.startswith(str(workdir)) for arg in args
-        ):
-            pids.append(int(entry.name))
-    return pids
+def journaled_worker(journal: Path) -> int | None:
+    """A live worker of the sweep: the pid of the journal's last ``start``
+    of a job with no ``done``, once /proc shows it running our worker."""
+    events = journal_events(journal)
+    done = {e.get("job") for e in events if e.get("event") == "done"}
+    for event in reversed(events):
+        if event.get("event") == "start" and event.get("job") not in done:
+            try:
+                cmdline = Path(f"/proc/{event['pid']}/cmdline").read_bytes()
+            except (OSError, KeyError):
+                return None
+            return int(event["pid"]) if b"repro.runtime.worker" in cmdline else None
+    return None
+
+
+def kill_a_worker(journal: Path, sweep: subprocess.Popen) -> int | None:
+    """SIGKILL a journaled worker, retrying for a few seconds; the pid
+    killed, or None when the sweep finished first or none was found."""
+    deadline = time.monotonic() + 5
+    while sweep.poll() is None and time.monotonic() < deadline:
+        pid = journaled_worker(journal)
+        if pid is not None:
+            try:
+                os.kill(pid, signal.SIGKILL)
+                return pid
+            except ProcessLookupError:
+                pass
+        time.sleep(0.05)
+    return None
 
 
 def main() -> int:
@@ -156,14 +172,17 @@ def main() -> int:
             print("[smoke] FAIL: no job completed within 180s", file=sys.stderr)
             return 1
 
+        killed = None
         if sweep.poll() is None:
-            worker_pids = find_worker_pids(workdir)
-            if worker_pids:
-                print(f"[smoke] SIGKILLing worker pid {worker_pids[0]}")
-                try:
-                    os.kill(worker_pids[0], signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
+            killed = kill_a_worker(journal, sweep)
+            if killed is None and sweep.poll() is None:
+                sweep.kill()
+                sweep.wait()
+                print("[smoke] FAIL: the sweep runs but no journaled worker "
+                      "could be killed", file=sys.stderr)
+                return 1
+            if killed is not None:
+                print(f"[smoke] SIGKILLed worker pid {killed}")
             print(f"[smoke] SIGKILLing sweep pid {sweep.pid}")
             sweep.send_signal(signal.SIGKILL)
             sweep.wait(timeout=30)
@@ -225,9 +244,10 @@ def main() -> int:
         assert all(row["verified"] for row in rows), rows
 
         adopted = report["adopted"]
+        kill = f"worker pid {killed} killed" if killed else "no worker killed"
         print(f"[smoke] PASS: {total}/{total} done exactly once, "
               f"{adopted} adopted, {verified} outputs verified, "
-              f"{len(rows)} matrix rows")
+              f"{len(rows)} matrix rows, {kill}")
         return 0
     finally:
         if tmp is not None:
