@@ -145,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
 
     # Build the small-MIG witness table once before any clock starts: it
     # is a per-process lru_cached constant (a function of the variable
-    # count only, ~0.07s for n=4), exactly like the NPN database the
+    # count only, about 0.1 s for n=4), exactly like the NPN database the
     # rewriting benchmarks load up front.  Timing it inside the first
     # case would misattribute a fixed setup cost to that case.
     from repro.exact.bounds import optimal_small_migs

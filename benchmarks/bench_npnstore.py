@@ -157,6 +157,7 @@ def run_quality_case(name: str, baseline, db4: NpnDatabase, budget: int,
         "cut5_reduction": round(1 - warm.num_gates / baseline.num_gates, 4),
         "classes_improved": summary["improved"],
         "classes_proven": summary["proven"],
+        "improve_conflicts": summary["conflicts"],
         "cold_flow_seconds": round(cold_seconds, 3),
         "improve_seconds": round(improve_seconds, 3),
         "warm_flow_seconds": round(warm_seconds, 3),

@@ -31,6 +31,7 @@ __all__ = [
     "npn_canonize",
     "npn_canonize_batch",
     "npn_representative",
+    "npn_orbit",
     "enumerate_npn_classes",
     "npn_class_sizes",
     "canonize_cache_info",
@@ -410,6 +411,14 @@ def canonize_cache_info():
 def npn_representative(f: int, num_vars: int) -> int:
     """Return only the NPN class representative of *f*."""
     return npn_canonize(f, num_vars)[0]
+
+
+def npn_orbit(f: int, num_vars: int) -> np.ndarray:
+    """Every function NPN-equivalent to *f*, sorted, without repeats (uint64)."""
+    fwd, _, _, weights = _batch_tables(num_vars)
+    one = fwd.dtype.type(1)
+    g = (((fwd.dtype.type(f) >> fwd) & one) @ weights[: 1 << num_vars]).astype(np.uint64)
+    return np.unique(np.concatenate([g, g ^ np.uint64(tt_mask(num_vars))]))
 
 
 @lru_cache(maxsize=8)

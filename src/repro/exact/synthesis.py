@@ -14,12 +14,15 @@ bound is available it is returned flagged ``proven=False``.
 
 Three refinements keep the size loop cheap:
 
-* functions covered by the exhaustive small-MIG witness table
-  (:func:`repro.exact.bounds.optimal_small_migs`) are answered directly —
-  the witness is rebuilt and returned proven without any SAT call,
-  recorded as ``"table"`` in ``k_outcomes``;
+* functions covered by an exhaustive witness table
+  (:func:`repro.exact.bounds.optimal_mig_from_table`: every function of
+  at most three gates for ``n <= 4``, every NPN class of at most four
+  gates for ``n = 5``, at most two gates for ``n = 6``) are answered
+  directly — the witness is rebuilt and returned proven without any SAT
+  call, recorded as ``"table"`` in ``k_outcomes``;
 * otherwise the loop starts at
-  :func:`repro.exact.bounds.mig_size_lower_bound` instead of ``k = 1``;
+  :func:`repro.exact.bounds.mig_size_lower_bound` instead of ``k = 1``
+  (one past the table: 5 for an uncovered 5-input class);
   sizes below the bound are recorded as ``"skipped"`` in ``k_outcomes``
   without any SAT call, and
 * the CEGAR counterexample rows that refuted size ``k`` seed the size
@@ -59,8 +62,8 @@ class SynthesisResult:
     runtime: float
     conflicts: int
     #: per-k outcome: "sat", "unsat", "skipped" (below the lower bound,
-    #: no SAT call issued), "table" (answered from the exhaustive
-    #: small-MIG witness table) or "unknown" (budget exhausted)
+    #: no SAT call issued), "table" (answered from an exhaustive
+    #: witness table) or "unknown" (budget exhausted)
     k_outcomes: dict[int, str] = field(default_factory=dict)
     #: solver counters summed over every size tried (schema shared with
     #: PassMetrics ``sat_*`` keys and ``benchmarks/bench_exact.py``)

@@ -15,7 +15,10 @@ Each entry starts as a heuristic upper bound
 (:func:`repro.exact.heuristic.heuristic_mig`) and can optionally be
 tightened by budgeted exact synthesis, either inline (*improve_budget*)
 or afterwards by ``migopt db improve`` jobs through the batch runtime
-(:func:`repro.database.store.improve_store`).  The class is
+(:func:`repro.database.store.improve_store`).  Exact synthesis answers
+every 5-input class of at most four gates from the packaged NPN-5 table
+(:func:`repro.exact.bounds.npn5_table`) with no SAT call, and starts
+its SAT loop at five gates for the rest.  The class is
 interface-compatible with :class:`repro.database.npn_db.NpnDatabase`,
 so every rewriting variant works unchanged with ``cut_size=5`` (or 6):
 

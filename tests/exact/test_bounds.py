@@ -13,7 +13,6 @@ from repro.exact.bounds import (
     optimal_small_migs,
     shannon_upper_bound_mig,
     theorem2_bound,
-    two_gate_functions,
 )
 from repro.exact.synthesis import ExactSynthesizer
 
@@ -173,9 +172,65 @@ class TestLowerBound:
             spec ^= tt_var(8, i)
         assert mig_size_lower_bound(spec, 8) >= 3
 
-    def test_two_gate_set_matches_table(self):
-        table = optimal_small_migs(3)
-        two = two_gate_functions(3)
-        for spec in two:
-            witness = table.get(spec)
-            assert witness is None or len(witness) <= 2
+    def test_seven_inputs_use_the_table_of_the_support(self):
+        # XOR2 and MAJ3 embedded in 7 variables keep their exact sizes.
+        assert mig_size_lower_bound(tt_var(7, 2) ^ tt_var(7, 6), 7) == 3
+        maj = (
+            (tt_var(7, 0) & tt_var(7, 3))
+            | (tt_var(7, 0) & tt_var(7, 5))
+            | (tt_var(7, 3) & tt_var(7, 5))
+        )
+        assert mig_size_lower_bound(maj, 7) == 1
+        assert optimal_mig_from_table(maj, 7) is None
+
+
+class TestNpn5Table:
+    """n = 5 consults the packaged NPN-5 table of at most four gates."""
+
+    REP = 0x33CC3  # a four-gate class whose heuristic MIG has 11 gates
+
+    def test_representative_is_a_dict_probe(self, monkeypatch):
+        import repro.exact.bounds as bounds
+
+        def no_canonization(*args):
+            raise AssertionError("a representative must not be canonized")
+
+        monkeypatch.setattr(bounds, "npn_canonize", no_canonization)
+        mig = optimal_mig_from_table(self.REP, 5)
+        assert mig.simulate()[0] == self.REP and mig.num_gates == 4
+        assert mig_size_lower_bound(self.REP, 5) == 4
+
+    def test_class_member_rebuilds_through_its_transform(self):
+        from repro.core.npn import NPNTransform, apply_transform
+
+        spec = apply_transform(self.REP, NPNTransform((3, 0, 4, 1, 2), 0b10110, True), 5)
+        assert spec != self.REP
+        mig = optimal_mig_from_table(spec, 5)
+        assert mig.simulate()[0] == spec and mig.num_gates == 4
+        assert mig_size_lower_bound(spec, 5) == 4
+        result = ExactSynthesizer().synthesize(spec, 5)
+        assert (result.size, result.proven, result.conflicts) == (4, True, 0)
+        assert result.k_outcomes[4] == "table"
+
+    def test_uncovered_class_starts_sat_at_five(self):
+        spec = 0x696969  # 5-input class whose minimum exceeds four gates
+        assert optimal_mig_from_table(spec, 5) is None
+        assert mig_size_lower_bound(spec, 5) == 5
+        result = ExactSynthesizer(conflict_budget=50, max_gates=5).synthesize(spec, 5)
+        assert [result.k_outcomes[k] for k in range(1, 5)] == ["skipped"] * 4
+        assert result.k_outcomes[5] in ("sat", "unsat", "unknown")
+
+    def test_nothing_loads_at_import(self):
+        import subprocess
+        import sys
+
+        code = (
+            "import repro.opt.flow\n"
+            "import repro.exact.bounds as b\n"
+            "print(b.npn5_table.cache_info().currsize,"
+            " b.optimal_small_migs.cache_info().currsize)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split() == ["0", "0"]

@@ -153,26 +153,47 @@ class TestMetricsDrain:
         assert "store_hit_rate" in payload
 
 
-    def test_flow_counts_the_conflicts_its_syntheses_spent(self, tmp_path):
-        """Inline synthesis on a fresh store reports its solver counters
-        through the drain, so a cut-5 flow's ``sat_conflicts`` is the
-        sum of the conflicts recorded on the entries it synthesized."""
-        from repro.generators import resolve_generator
+    @staticmethod
+    def _flow(mig, store):
         from repro.opt.flow import run_flow
         from repro.runtime.metrics import PassMetrics
 
-        db5 = DynamicDatabase(
-            num_vars=5, improve_budget=100, store=tmp_path / "fresh.npn5"
-        )
-        _, history = run_flow(
-            resolve_generator("log2", width=5), db5, ["BF"], cut_size=5
-        )
+        db5 = DynamicDatabase(num_vars=5, improve_budget=100, store=store)
+        _, history = run_flow(mig, db5, ["BF"], cut_size=5)
         totals = PassMetrics()
         for step in history:
             totals.merge(step.metrics)
+        return db5, totals
+
+    def test_flow_counts_the_conflicts_its_syntheses_spent(self, tmp_path):
+        """Inline synthesis on a fresh store reports its solver counters
+        through the drain, so a cut-5 flow's ``sat_conflicts`` is the
+        sum of the conflicts recorded on the entries it synthesized.
+
+        The depth-optimized 19-input voter has a 5-input cut class
+        (0x696969) beyond the NPN-5 table, so its synthesis runs SAT.
+        """
+        from repro.generators import resolve_generator
+        from repro.opt.depth_opt import optimize_depth
+
+        voter = optimize_depth(resolve_generator("voter", width=19), rounds=2)
+        db5, totals = self._flow(voter, tmp_path / "fresh.npn5")
         spent = sum(entry.conflicts for entry in db5.entries.values())
         assert totals.store_synth == len(db5.store) > 0
         assert totals.sat_conflicts == spent > 0
+
+    def test_table_classes_cost_no_conflicts(self, tmp_path):
+        """Every 5-input cut class of log2-5 has at most four gates or is
+        proven by the table's bound, so the flow spends no conflicts and
+        stores only proven entries."""
+        from repro.generators import resolve_generator
+
+        db5, totals = self._flow(
+            resolve_generator("log2", width=5), tmp_path / "fresh.npn5"
+        )
+        assert totals.store_synth == len(db5.store) > 0
+        assert totals.sat_conflicts == 0
+        assert all(entry.proven for entry in db5.entries.values())
 
 
 class TestPersistentTier:
