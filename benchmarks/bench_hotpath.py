@@ -11,7 +11,7 @@ NPN canonization memo is cleared, then a single BF pass runs and its
 wall-clock time is recorded; with ``--repeat N`` each case is repeated
 cold and the minimum is kept.  "Cold" is the honest setting for a
 rewriting pass — a user optimizing one circuit pays the canonization
-cost once, and warm-memo numbers would mostly measure the lru_cache.
+cost once, and warm-memo numbers would mostly measure the memo.
 
 Usage::
 
@@ -137,9 +137,9 @@ def run_case(db: NpnDatabase, factory, variant: str, repeat: int) -> dict:
     best_metrics: PassMetrics | None = None
     size_after = mig.num_gates
     for _ in range(repeat):
-        # Cold protocol: drop the scalar lru AND the batch memo — the
-        # array pipeline must win on genuinely cold canonizations, not
-        # by replaying a warm table the baseline never had.
+        # Cold protocol: drop the canonization memo — the pass must win
+        # on genuinely cold canonizations, not by replaying a warm table
+        # the baseline never had.
         npn.canonize_cache_clear()
         metrics = PassMetrics(variant=variant)
         start = time.perf_counter()
@@ -157,7 +157,6 @@ def run_case(db: NpnDatabase, factory, variant: str, repeat: int) -> dict:
         "gates_per_second": round(mig.num_gates / best_seconds, 1),
         "db_hit_rate": round(best_metrics.db_hit_rate, 4),
         "npn_cache_hit_rate": round(best_metrics.npn_cache_hit_rate, 4),
-        "cut_function_hit_rate": round(best_metrics.cut_function_hit_rate, 4),
         "cuts_considered": best_metrics.cuts_considered,
         "phase_seconds": {
             k: round(v, 6) for k, v in best_metrics.phase_seconds.items()

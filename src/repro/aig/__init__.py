@@ -3,7 +3,6 @@
 from .aig import Aig
 from .convert import aig_to_mig, mig_to_aig
 from .balance import balance
-from .cuts import aig_cut_function, enumerate_aig_cuts
 from .rewrite import aig_class_cost, build_function_into_aig, rewrite_aig
 
 __all__ = [
@@ -11,8 +10,6 @@ __all__ = [
     "aig_to_mig",
     "mig_to_aig",
     "balance",
-    "enumerate_aig_cuts",
-    "aig_cut_function",
     "rewrite_aig",
     "aig_class_cost",
     "build_function_into_aig",

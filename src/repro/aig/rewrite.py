@@ -20,6 +20,7 @@ from __future__ import annotations
 import sys
 from functools import lru_cache
 
+from ..core.cuts import cut_cone, enumerate_cuts
 from ..core.npn import apply_transform, npn_canonize
 from ..core.truth_table import (
     tt_cofactor0,
@@ -30,7 +31,6 @@ from ..core.truth_table import (
     tt_var,
 )
 from .aig import Aig
-from .cuts import aig_cut_cone, aig_cut_function, aig_fanout_counts, enumerate_aig_cuts
 
 __all__ = ["rewrite_aig", "aig_class_cost", "build_function_into_aig"]
 
@@ -140,8 +140,8 @@ def rewrite_aig(
     fanout_free: bool = True,
 ) -> Aig:
     """One top-down cut-rewriting pass over an AIG; function-preserving."""
-    cuts = enumerate_aig_cuts(aig, k=cut_size, cut_limit=cut_limit)
-    fanout = aig_fanout_counts(aig)
+    cuts = enumerate_cuts(aig, k=cut_size, cut_limit=cut_limit)
+    fanout = aig.fanout_counts()
     new = Aig.like(aig)
     memo: dict[int, int] = {0: 0}
     for i in range(1, aig.num_pis + 1):
@@ -152,7 +152,7 @@ def rewrite_aig(
 
     def admissible(node: int, leaves: tuple[int, ...]) -> list[int] | None:
         try:
-            internal = aig_cut_cone(aig, node, leaves)
+            internal = cut_cone(aig, node, leaves)
         except ValueError:
             return None
         if fanout_free and any(
@@ -169,7 +169,7 @@ def rewrite_aig(
             internal = admissible(node, leaves)
             if internal is None:
                 continue
-            tt = aig_cut_function(aig, node, leaves)
+            tt = aig.cut_function(node, leaves)
             tt4 = tt_extend(tt, len(leaves), cut_size)
             gain = len(internal) - aig_class_cost(tt4, cut_size)
             if gain <= 0:

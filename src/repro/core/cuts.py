@@ -1,9 +1,8 @@
 """k-feasible cut enumeration for kernel-backed networks (Sec. II-C).
 
 Arity-generic since the kernel refactor: the same enumerator serves the
-3-ary MIG and the 2-ary AIG (which previously carried a duplicate in
-``repro.aig.cuts``, now a shim over this module).  Everything below
-that says "mig" accepts any :class:`repro.core.kernel.Network` facade.
+3-ary MIG and the 2-ary AIG.  Everything below that says "mig" accepts
+any :class:`repro.core.kernel.Network` facade.
 
 A cut ``(v, L)`` of a node ``v`` is a set of leaves ``L`` such that every
 path from ``v`` to a non-terminal passes through a leaf, and every leaf
@@ -27,10 +26,9 @@ cuts (proper supersets of another cut of the same node) are pruned.  The
 :func:`enumerate_cut_set` is the hot-path entry point used by the
 rewriters: it additionally records the flat cut-function program
 (:class:`_CutProgram`) that evaluates every cut truth table in one
-executor run, and each cut's *provenance* (which fanin cuts it was
-merged from) so :meth:`CutSet.function` can derive a single cut truth
-table incrementally — expanding and combining the fanin cut functions —
-instead of re-simulating the cut cone from scratch.
+executor run.  That program is the only cut-table implementation;
+:func:`repro.core.simengine.cone_function`, which re-simulates one cut
+cone, is the reference the tests hold it to.
 
 All traversals here are explicit-stack iterative so that deep (chain-
 shaped) networks never hit Python's recursion limit.
@@ -43,7 +41,6 @@ import numpy as np
 from ..runtime.metrics import PassMetrics
 from .kernel import Network
 from .simengine import _PATTERN_IDS, evaluate_cut_program, expansion_pid
-from .truth_table import tt_maj, tt_mask
 
 __all__ = [
     "CutSet",
@@ -155,10 +152,9 @@ def _merge3(
     """Saturating union ``⊗k`` over three cut sets, with domination pruning.
 
     Inputs are ``(leaves, signature, cone_size, slot)`` entries; the
-    result carries the provenance — the three child *entries* each union
-    was merged from — as raw material for cut functions (the leaf tuples
-    feed the lazy memo, the slots feed the recorded program).  The
-    merged cone size is ``1 + size1 + size2 + size3``; it equals the true
+    result carries the three child *entries* each union was merged from,
+    whose leaves and slots feed the recorded program.  The merged cone
+    size is ``1 + size1 + size2 + size3``; it equals the true
     cone gate count only when the fanin cones are disjoint, which the
     FFR-restricted enumeration mode guarantees (see :func:`_enumerate`).
     """
@@ -257,11 +253,11 @@ def _enumerate(
     metrics: PassMetrics | None,
     ffr_fanout: list[int] | None = None,
     program: _CutProgram | None = None,
-) -> tuple[list[list[tuple[int, ...]]], dict, dict]:
+) -> tuple[list[list[tuple[int, ...]]], dict]:
     """Shared enumeration core.
 
-    Returns per-node cut lists, cut provenance and per-cut cone sizes.
-    A given *program* records the flat cut-function program alongside
+    Returns per-node cut lists and per-cut cone sizes.  A given
+    *program* records the flat cut-function program alongside
     the merge at negligible extra cost.
 
     With *ffr_fanout* (a fanout-count list), enumeration is restricted to
@@ -290,7 +286,6 @@ def _enumerate(
         leaves = (node,)
         slot = program.add_init(1, _TT_X0) if program is not None else 0
         work[node] = [(leaves, _signature(leaves), 0, slot)]
-    provenance: dict[tuple[int, tuple[int, ...]], tuple] = {}
     cone_sizes: dict[tuple[int, tuple[int, ...]], int] = {}
     #: node -> slot of its trivial singleton cut (recording mode): the
     #: inserted trivial and the FFR shared-leaf source must share one
@@ -301,7 +296,6 @@ def _enumerate(
     num_pis = mig.num_pis
     total_cuts = 0
     ffr = ffr_fanout is not None
-    prov_set = provenance.__setitem__
     cone_set = cone_sizes.__setitem__
     if program is not None:
         # The slot bookkeeping below (gate-cut recording, trivial-cut
@@ -437,14 +431,8 @@ def _enumerate(
             else:
                 slot = 0
             entries.append((leaves, sig, size, slot))
-            # The merge's provenance triple is stored as-is (full child
-            # entries, leaves at index 0): rebuilding a leaves-only
-            # tuple per cut was measurable, and the rewriters read the
-            # program's tables, so most provenance is never consulted.
-            key = (node, leaves)
-            prov_set(key, (fanins, child_entries))
             if ffr:
-                cone_set(key, size)
+                cone_set((node, leaves), size)
         if include_trivial:
             trivial = (node,)
             if program is not None:
@@ -470,7 +458,7 @@ def _enumerate(
         total_cuts += len(entries)
     if metrics is not None:
         metrics.cuts_enumerated += total_cuts
-    return work, provenance, cone_sizes
+    return work, cone_sizes
 
 
 def enumerate_cuts(
@@ -487,7 +475,7 @@ def enumerate_cuts(
     order).  The constant node has the single empty cut; a PI has its
     singleton cut.
     """
-    entries, _, _ = _enumerate(mig, k, cut_limit, include_trivial, metrics)
+    entries, _ = _enumerate(mig, k, cut_limit, include_trivial, metrics)
     return [[entry[0] for entry in node_entries] for node_entries in entries]
 
 
@@ -513,64 +501,10 @@ def enumerate_cut_set(
             f"cut functions cover at most {_MAX_PROGRAM_VARS} leaves, got k={k}"
         )
     program = _CutProgram(mig.arity)
-    entries, provenance, cone_sizes = _enumerate(
+    entries, cone_sizes = _enumerate(
         mig, k, cut_limit, include_trivial, metrics, ffr_fanout, program
     )
-    return CutSet(mig, entries, provenance, program, metrics, cone_sizes)
-
-
-# -- expansion tables for incremental cut functions -------------------------
-
-#: (num_dst_vars, src-positions-in-dst) -> per-minterm source projection
-_EXPAND_TABLES: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
-
-
-def _expand_table(num_vars: int, positions: tuple[int, ...]) -> tuple[int, ...]:
-    table = _EXPAND_TABLES.get((num_vars, positions))
-    if table is None:
-        entries = []
-        for m in range(1 << num_vars):
-            sm = 0
-            for j, p in enumerate(positions):
-                if (m >> p) & 1:
-                    sm |= 1 << j
-            entries.append(sm)
-        table = tuple(entries)
-        _EXPAND_TABLES[(num_vars, positions)] = table
-    return table
-
-
-#: (tt, num_dst_vars, positions) -> expanded truth table.  Cut functions
-#: repeat heavily (a handful of NPN classes per design), so memoizing the
-#: result replaces the 2**n scatter loop with one dict probe.  Keys are
-#: position patterns, not node ids, so the cache stays small across runs.
-_EXPAND_CACHE: dict[tuple[int, int, tuple[int, ...]], int] = {}
-
-
-def _expand(
-    tt: int, src: tuple[int, ...], dst: tuple[int, ...]
-) -> int:
-    """Re-express *tt* over leaves *src* as a truth table over *dst* ⊇ *src*."""
-    if src == dst:
-        return tt
-    built = []
-    j = 0
-    src_len = len(src)
-    for i, leaf in enumerate(dst):
-        if j < src_len and src[j] == leaf:
-            built.append(i)
-            j += 1
-    positions = tuple(built)
-    key = (tt, len(dst), positions)
-    out = _EXPAND_CACHE.get(key)
-    if out is None:
-        table = _expand_table(len(dst), positions)
-        out = 0
-        for m, sm in enumerate(table):
-            if (tt >> sm) & 1:
-                out |= 1 << m
-        _EXPAND_CACHE[key] = out
-    return out
+    return CutSet(entries, program, metrics, cone_sizes)
 
 
 class CutSet:
@@ -579,29 +513,22 @@ class CutSet:
     ``cut_set[node]`` is the list of leaf tuples of *node* (the same shape
     :func:`enumerate_cuts` returns).  :meth:`slot_tables` and
     :meth:`batch_tt4s` serve every cut function at once from the program
-    recorded during enumeration; :meth:`function` derives a single one
-    lazily from the fanin cut functions the cut was merged from, cached
-    per ``(node, leaves)`` for the lifetime of the object.
+    recorded during enumeration.
     """
 
     def __init__(
         self,
-        mig: Network,
         entries: list[list[tuple[tuple[int, ...], int, int, int]]],
-        provenance: dict[tuple[int, tuple[int, ...]], tuple],
         program: _CutProgram,
         metrics: PassMetrics | None = None,
         cone_sizes: dict[tuple[int, tuple[int, ...]], int] | None = None,
     ) -> None:
-        self.mig = mig
         #: per-node ``(leaves, signature, cone_size, slot)`` entries as
         #: the enumerator produced them — the rewriters iterate these
         #: directly (cone size and program slot ride along, no dict
         #: probes); :attr:`cuts` derives the leaves-only view lazily.
         self.entries = entries
         self._cuts: list[list[tuple[int, ...]]] | None = None
-        self._provenance = provenance
-        self._functions: dict[tuple[int, tuple[int, ...]], int] = {}
         self.metrics = metrics
         self._cone_sizes = cone_sizes or {}
         self._program = program
@@ -630,11 +557,9 @@ class CutSet:
         Runs the program recorded during enumeration through
         :func:`repro.core.simengine.evaluate_cut_program`, so a whole
         provenance level of cuts costs a handful of numpy ops instead of
-        one Python bigint recursion per cut.  The tables are
-        **bit-identical to the lazy** :meth:`function` **derivation**
-        (same expansion definition, same gate semantics), so downstream
-        decisions cannot diverge.  Idempotent; returns the number of
-        gate-cut tables.
+        one Python bigint recursion per cut.  Each table equals
+        :func:`repro.core.simengine.cone_function` of its cut.
+        Idempotent; returns the number of gate-cut tables.
         """
         program = self._program
         if self._values is None:
@@ -675,8 +600,9 @@ class CutSet:
     def slot_tables(self, num_vars: int) -> list[int]:
         """Per-slot truth tables extended to *num_vars* variables.
 
-        Indexed by entry slot (``entries[node][i][3]``); bit-identical to
-        :meth:`function` extended by ``tt_extend``.  With this list in
+        Indexed by entry slot (``entries[node][i][3]``); each equals the
+        cut's :func:`~repro.core.simengine.cone_function` extended by
+        ``tt_extend``.  With this list in
         hand the rewrite loop answers every cut-function query with one
         list index — no tuple key, no dict probe, no per-cut extension.
         """
@@ -709,94 +635,6 @@ class CutSet:
 
     def __len__(self) -> int:
         return len(self.cuts)
-
-    def function(self, root: int, leaves: tuple[int, ...]) -> int:
-        """Local function of cut ``(root, leaves)`` over its leaves.
-
-        Derived incrementally: each cut's truth table is the gate
-        operation (majority for MIGs, conjunction for AIGs) of its fanin
-        cuts' (memoized) truth tables expanded onto the union leaf set —
-        no cone re-simulation.  Falls back to the facade's
-        ``cut_function`` for cuts enumeration never produced.
-        """
-        functions = self._functions
-        key = (root, leaves)
-        cached = functions.get(key)
-        if cached is not None:
-            if self.metrics is not None:
-                self.metrics.cut_function_cache_hits += 1
-            return cached
-        mig = self.mig
-        provenance = self._provenance
-        is_maj = mig.arity == 3
-        computed = 0
-        hits = 0
-        pushed: set[tuple[int, tuple[int, ...]]] = set()
-        stack = [key]
-        while stack:
-            top = stack[-1]
-            if top in functions:
-                stack.pop()
-                continue
-            node, lv = top
-            if lv == (node,):
-                functions[top] = _TT_X0
-                stack.pop()
-                continue
-            if node == 0:
-                functions[top] = 0
-                stack.pop()
-                continue
-            prov = provenance.get(top)
-            if prov is None:
-                # Caller-supplied cut outside the enumerated set.
-                functions[top] = mig.cut_function(node, lv)
-                computed += 1
-                stack.pop()
-                continue
-            fan_signals, fan_entries = prov
-            if is_maj:
-                fa, fb, fc = fan_signals
-                l1, l2, l3 = (
-                    fan_entries[0][0], fan_entries[1][0], fan_entries[2][0]
-                )
-                child_keys = ((fa >> 1, l1), (fb >> 1, l2), (fc >> 1, l3))
-            else:
-                fa, fb = fan_signals
-                l1, l2 = fan_entries[0][0], fan_entries[1][0]
-                child_keys = ((fa >> 1, l1), (fb >> 1, l2))
-            missing = [ck for ck in child_keys if ck not in functions]
-            if top not in pushed:
-                pushed.add(top)
-                # Non-trivial child tables answered straight from the memo
-                # are cross-query reuse (a child's cut was evaluated while
-                # rewriting the child itself, earlier in the pass).
-                for ck in child_keys:
-                    if ck not in missing and ck[1] != (ck[0],) and ck[0] != 0:
-                        hits += 1
-            if missing:
-                stack.extend(missing)
-                continue
-            mask = tt_mask(len(lv))
-            va = _expand(functions[child_keys[0]], l1, lv)
-            if fa & 1:
-                va ^= mask
-            vb = _expand(functions[child_keys[1]], l2, lv)
-            if fb & 1:
-                vb ^= mask
-            if is_maj:
-                vc = _expand(functions[child_keys[2]], l3, lv)
-                if fc & 1:
-                    vc ^= mask
-                functions[top] = tt_maj(va, vb, vc) & mask
-            else:
-                functions[top] = va & vb & mask
-            computed += 1
-            stack.pop()
-        if self.metrics is not None:
-            self.metrics.cut_functions_computed += computed
-            self.metrics.cut_function_cache_hits += hits
-        return functions[key]
 
 
 #: sentinel returned by :func:`cut_cone_nodes` when an internal node has

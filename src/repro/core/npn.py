@@ -9,7 +9,9 @@ The central entry point is :func:`npn_canonize` which returns the class
 representative together with the :class:`NPNTransform` that rebuilds the
 original function *from* the representative — exactly the information the
 functional-hashing rewriter needs to instantiate a precomputed minimum MIG
-in place of a cut (Sec. IV, Algorithm 1 line 6).
+in place of a cut (Sec. IV, Algorithm 1 line 6).  It and
+:func:`npn_canonize_batch` share one memo and one vectorized core that
+tries every (permutation, input-flip, output-flip) transform at once.
 """
 
 from __future__ import annotations
@@ -69,43 +71,28 @@ def _remap_tables(num_vars: int) -> dict[tuple[tuple[int, ...], int], tuple[int,
     ``table[m]`` is the source minterm of the base function whose value
     lands on output minterm ``m`` after the transform.  Key order —
     permutation-major, flips-minor, in ``itertools.permutations`` order —
-    is the canonization tie-break; every consumer (scalar loop, batch
-    argmin) walks it identically.
+    is the canonization tie-break; the batch argmin walks it.
 
-    Up to 4 variables the build is a trivial pure-Python loop; for 5/6
-    (3 840 / 46 080 keys, up to ~17.7M table cells) the cells come from a
-    vectorized numpy builder with identical output.
+    One vectorized numpy pass per permutation builds the cells (3 840 /
+    46 080 keys and up to ~17.7M cells at 5 / 6 variables).
     """
     size = 1 << num_vars
-    if num_vars >= 5:
-        tables: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
-        m = np.arange(size, dtype=np.int64)
-        flip_bits = (m[:, None] >> np.arange(num_vars, dtype=np.int64)) & 1
-        shifts = np.left_shift(
-            np.int64(1), np.arange(num_vars, dtype=np.int64)
-        )
-        for perm in permutations(range(num_vars)):
-            # bits[j, m] = bit perm[j] of output minterm m
-            bits = np.stack([(m >> p) & 1 for p in perm])
-            # rows[f, m] = sum_j ((bits[j, m] ^ flip_bit_j(f)) << j)
-            rows = (
-                (flip_bits[:, :, None] ^ bits[None, :, :]) * shifts[None, :, None]
-            ).sum(axis=1)
-            cells = rows.tolist()
-            for flips in range(size):
-                tables[(perm, flips)] = tuple(cells[flips])
-        return tables
-    tables = {}
+    tables: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
+    m = np.arange(size, dtype=np.int64)
+    flip_bits = (m[:, None] >> np.arange(num_vars, dtype=np.int64)) & 1
+    shifts = np.left_shift(
+        np.int64(1), np.arange(num_vars, dtype=np.int64)
+    )
     for perm in permutations(range(num_vars)):
-        for flips in range(size if num_vars else 1):
-            table = []
-            for m in range(size):
-                mp = 0
-                for j in range(num_vars):
-                    bit = ((m >> perm[j]) & 1) ^ ((flips >> j) & 1)
-                    mp |= bit << j
-                table.append(mp)
-            tables[(perm, flips)] = tuple(table)
+        # bits[j, m] = bit perm[j] of output minterm m
+        bits = (m[None, :] >> np.array(perm, dtype=np.int64)[:, None]) & 1
+        # rows[f, m] = sum_j ((bits[j, m] ^ flip_bit_j(f)) << j)
+        rows = (
+            (flip_bits[:, :, None] ^ bits[None, :, :]) * shifts[None, :, None]
+        ).sum(axis=1)
+        cells = rows.tolist()
+        for flips in range(size):
+            tables[(perm, flips)] = tuple(cells[flips])
     return tables
 
 
@@ -154,77 +141,15 @@ def compose_transforms(outer: NPNTransform, inner: NPNTransform) -> NPNTransform
 
 
 @lru_cache(maxsize=8)
-def _inverse_remap_tables(num_vars: int) -> dict[tuple[tuple[int, ...], int], tuple[int, ...]]:
-    """Inverse minterm maps: ``inv[src]`` is the output minterm fed by ``src``.
-
-    Lets canonization build a transformed table by iterating only the *set*
-    minterms of the source function instead of all ``2**n`` positions.
-    """
-    inverses: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
-    for key, table in _remap_tables(num_vars).items():
-        inv = [0] * len(table)
-        for m, mp in enumerate(table):
-            inv[mp] = m
-        inverses[key] = tuple(inv)
-    return inverses
-
-
-@lru_cache(maxsize=1 << 18)
-def _canonize_cached(f: int, num_vars: int) -> tuple[int, NPNTransform]:
-    inverses = _inverse_remap_tables(num_vars)
-    mask = tt_mask(num_vars)
-    # Iterate only the set minterms: callers phase-normalize f so that at
-    # most half the positions are set (the cheap symmetry pre-filter).
-    ones = [src for src in range(1 << num_vars) if (f >> src) & 1]
-    best = None
-    best_key = None
-    for key, inv in inverses.items():
-        g = 0
-        for src in ones:
-            g |= 1 << inv[src]
-        for cand, out_flip in ((g, False), (g ^ mask, True)):
-            if best is None or cand < best:
-                best = cand
-                best_key = (key[0], key[1], out_flip)
-    assert best is not None and best_key is not None
-    forward = NPNTransform(best_key[0], best_key[1], best_key[2])
-    # forward maps f -> representative; the caller wants rep -> f.
-    return best, invert_transform(forward)
-
-
-def npn_canonize(f: int, num_vars: int) -> tuple[int, NPNTransform]:
-    """Canonize *f* under NPN equivalence.
-
-    Returns ``(rep, t)`` where ``rep`` is the smallest truth table in the
-    NPN orbit of *f* and ``t`` rebuilds *f* from it:
-    ``apply_transform(rep, t, num_vars) == f``.
-    """
-    mask = tt_mask(num_vars)
-    if f < 0 or f > mask:
-        raise ValueError(f"truth table 0x{f:x} out of range for {num_vars} variables")
-    # Phase pre-filter: f and its complement share one NPN orbit, so
-    # canonize the sparser polarity (ties broken by value).  This halves
-    # the memo-table footprint and bounds the set-minterm loop above.
-    fc = f ^ mask
-    ones_f = f.bit_count()
-    ones_fc = fc.bit_count()
-    if ones_fc < ones_f or (ones_fc == ones_f and fc < f):
-        rep, t = _canonize_cached(fc, num_vars)
-        # t rebuilds fc from rep; flipping the output rebuilds f.
-        return rep, NPNTransform(t.perm, t.flips, not t.output_flip)
-    return _canonize_cached(f, num_vars)
-
-
-@lru_cache(maxsize=8)
 def _batch_tables(num_vars: int):
-    """Static arrays for :func:`npn_canonize_batch`.
+    """Static arrays for the canonizer core.
 
     ``fwd`` stacks the forward minterm remap tables of every
     ``(perm, flips)`` key as one ``(K, 2**n)`` matrix **in the exact
     dict insertion order of** :func:`_remap_tables` — that order is the
-    scalar tie-break, so the batch argmin must walk it identically.
+    canonization tie-break, so the argmin must walk it identically.
     ``inv_perms``/``inv_flips`` pre-invert every key once (the caller
-    wants representative -> f transforms, like the scalar path).
+    wants representative -> f transforms).
     """
     tables = _remap_tables(num_vars)
     keys = list(tables.keys())
@@ -244,96 +169,126 @@ def _batch_tables(num_vars: int):
     return fwd, inv_perms, inv_flips, weights
 
 
-#: memo for batch canonizations, the batch-path twin of the
-#: ``_canonize_cached`` lru (which cannot be fed externally).  Bounded:
+#: canonization memo, ``(num_vars, f) -> (rep, transform)``.  Bounded:
 #: for ``num_vars <= 4`` by construction (at most 65 536 keys per
-#: arity); for 5/6 by :data:`_BATCH_MEMO_CAP` — once full, fresh wide
+#: arity); for 5/6 by :data:`_MEMO_CAP` — once full, fresh wide
 #: canonizations stop inserting (they are still computed correctly).
-#: Cleared together with the lru by :func:`canonize_cache_clear` — the
-#: cold-benchmark protocol clears both, warm multi-pass flows keep both.
-_BATCH_MEMO: dict[tuple[int, int], tuple[int, NPNTransform]] = {}
+#: The cold-benchmark protocol clears it, warm multi-pass flows keep it.
+_MEMO: dict[tuple[int, int], tuple[int, NPNTransform]] = {}
 
-#: insertion cap for 5/6-variable batch memo entries (~tens of MB worst
+#: insertion cap for 5/6-variable memo entries (~tens of MB worst
 #: case; the persistent NPN store is the real cross-pass memory there)
-_BATCH_MEMO_CAP = 1 << 17
+_MEMO_CAP = 1 << 17
 
-#: [hits, misses] of :data:`_BATCH_MEMO`, one per input table of a
-#: top-level :func:`npn_canonize_batch` call (see canonize_cache_info)
-_BATCH_COUNTS = [0, 0]
+#: [hits, misses] of :data:`_MEMO`, one per input table of a
+#: top-level call (see canonize_cache_info)
+_COUNTS = [0, 0]
+
+
+class CanonizeCacheInfo(NamedTuple):
+    """Counters of the canonization memo (see :func:`canonize_cache_info`)."""
+
+    hits: int
+    misses: int
+    currsize: int
 
 
 def canonize_cache_clear() -> None:
-    """Clear every canonization memo (scalar lru + batch dict) and its counts.
+    """Clear the canonization memo and its counts.
 
-    The cold-path benchmark protocol calls this between repeats so both
-    pipelines pay their full per-pass canonization cost.
+    The cold-path benchmark protocol calls this between repeats so every
+    pass pays its full canonization cost.
     """
-    _canonize_cached.cache_clear()
-    _BATCH_MEMO.clear()
-    _BATCH_COUNTS[:] = [0, 0]
+    _MEMO.clear()
+    _COUNTS[:] = [0, 0]
+
+
+def canonize_cache_info() -> CanonizeCacheInfo:
+    """Hit/miss statistics of the canonization memo.
+
+    ``hits`` and ``misses`` count one probe per :func:`npn_canonize`
+    call and per input table of a :func:`npn_canonize_batch` call;
+    ``currsize`` is the number of memoized functions.  Passes snapshot
+    this before/after to report per-pass NPN cache rates in
+    :class:`repro.runtime.metrics.PassMetrics`.
+    """
+    return CanonizeCacheInfo(_COUNTS[0], _COUNTS[1], len(_MEMO))
+
+
+def npn_canonize(f: int, num_vars: int) -> tuple[int, NPNTransform]:
+    """Canonize *f* under NPN equivalence.
+
+    Returns ``(rep, t)`` where ``rep`` is the smallest truth table in the
+    NPN orbit of *f* and ``t`` rebuilds *f* from it:
+    ``apply_transform(rep, t, num_vars) == f``.  A memoized function
+    costs one dict probe; any other runs the vectorized core of
+    :func:`npn_canonize_batch` on a batch of one.
+    """
+    pair = _MEMO.get((num_vars, f))
+    if pair is not None:
+        _COUNTS[0] += 1
+        return pair
+    if f < 0 or f > tt_mask(num_vars):
+        raise ValueError(f"truth table 0x{f:x} out of range for {num_vars} variables")
+    return _canonize([f], num_vars)[0]
 
 
 def npn_canonize_batch(
     fs: Sequence[int] | np.ndarray, num_vars: int, *, chunk: int = 512
 ) -> list[tuple[int, NPNTransform]]:
-    """Vectorized :func:`npn_canonize` over many truth tables at once.
+    """:func:`npn_canonize` over many truth tables in one numpy sweep.
 
-    Returns one ``(rep, transform)`` pair per input, **bit-identical to
-    the scalar path** including its tie-break: candidates are laid out
-    key-major / polarity-minor exactly as ``_canonize_cached`` iterates
-    them, and ``np.argmin`` picks the first occurrence of the minimum —
-    the same winner the scalar strict-``<`` loop keeps.
+    Returns one ``(rep, transform)`` pair per input, identical to
+    :func:`npn_canonize` — representative *and* transform, tie-break
+    included.  Memoized functions cost a dict probe each; the rest go
+    through the core in one call, whose work is chunked to bound the
+    ``(chunk, K, 2**n)`` intermediate (~12 MB at the defaults for 4
+    variables).
+    """
+    mask = tt_mask(num_vars)
+    F = np.asarray(fs, dtype=np.uint64 if num_vars >= 6 else np.int64)
+    if F.ndim != 1:
+        raise ValueError("npn_canonize_batch expects a 1-D sequence of truth tables")
+    if F.size and (int(F.min()) < 0 or int(F.max()) > mask):
+        raise ValueError(f"truth table out of range for {num_vars} variables")
+    memo = _MEMO
+    known = [memo.get((num_vars, f)) for f in F.tolist()]
+    missing = [i for i, pair in enumerate(known) if pair is None]
+    _COUNTS[0] += F.size - len(missing)
+    if missing:
+        fresh = _canonize(F[missing], num_vars, chunk)
+        for i, pair in zip(missing, fresh):
+            known[i] = pair
+    return known  # type: ignore[return-value]
 
-    The scalar phase pre-filter (canonize the sparser polarity, ties by
-    value) is replicated element-wise, so the representative *and* the
-    returned transform match ``npn_canonize`` exactly, not just up to
-    NPN equivalence.  Work is chunked to bound the ``(chunk, K, 2**n)``
-    intermediate (~12 MB at the defaults for 4 variables).
 
-    Results are memoized across calls: unboundedly for ``num_vars <= 4``
-    (the whole function space fits), capped for 5/6 — repeated passes
-    over the same design re-pay only the dict probes, mirroring the
-    scalar path's lru behavior.
+def _canonize(
+    fs: Sequence[int] | np.ndarray, num_vars: int, chunk: int = 512
+) -> list[tuple[int, NPNTransform]]:
+    """The canonizer core: one argmin over every NPN transform.
 
-    Arities 5 and 6 run the same argmin over 3 840 / 46 080 keys with an
-    inner key-block loop (a running strict-``<`` minimum, first
+    Candidates are laid out key-major / polarity-minor in the key order
+    of :func:`_remap_tables`, and ``np.argmin`` picks the first
+    occurrence of the minimum, so among equal representatives the
+    earliest transform wins.  No key holds the minimum in both
+    polarities, so ``f`` and its complement pick the same key, and no
+    phase pre-filter (canonize the sparser polarity, flip the output
+    back) could change a result.
+
+    Every input counts as one memo miss and is memoized (always for
+    ``num_vars <= 4``, while the memo is below :data:`_MEMO_CAP` for
+    5/6).  Arities 5 and 6 run the same argmin over 3 840 / 46 080 keys
+    with an inner key-block loop (a running strict-``<`` minimum, first
     occurrence winning — block order equals key order, so the tie-break
-    is still exactly the scalar one) to bound the ``(chunk, K, 2**n)``
-    intermediate; 6-variable tables fill all 64 bits and compute in
-    uint64 end to end.
+    is unchanged) to bound the ``(chunk, K, 2**n)`` intermediate;
+    6-variable tables fill all 64 bits and compute in uint64 end to end.
     """
     mask = tt_mask(num_vars)
     wide = num_vars >= 5
     dtype = np.uint64 if num_vars >= 6 else np.int64
     F = np.asarray(fs, dtype=dtype)
-    if F.ndim != 1:
-        raise ValueError("npn_canonize_batch expects a 1-D sequence of truth tables")
-    if F.size and (int(F.min()) < 0 or int(F.max()) > mask):
-        raise ValueError(f"truth table out of range for {num_vars} variables")
-    memoize = num_vars <= 4 or len(_BATCH_MEMO) < _BATCH_MEMO_CAP
-    if F.size:
-        memo = _BATCH_MEMO
-        known = [memo.get((num_vars, int(f))) for f in F]
-        missing = [i for i, pair in enumerate(known) if pair is None]
-        # Misses are counted below, where tables are computed: the
-        # recursive call sees only this call's misses, so every input
-        # of the top-level call counts exactly once.
-        _BATCH_COUNTS[0] += F.size - len(missing)
-        if not missing:
-            return known  # type: ignore[return-value]
-        if len(missing) < F.size:
-            fresh = npn_canonize_batch(
-                F[missing], num_vars, chunk=chunk
-            )
-            for i, pair in zip(missing, fresh):
-                known[i] = pair
-            return known  # type: ignore[return-value]
-    _BATCH_COUNTS[1] += F.size
-    fc = F ^ dtype(mask)
-    ones_f = np.bitwise_count(F.astype(np.uint64)).astype(np.int64)
-    ones_fc = np.bitwise_count(fc.astype(np.uint64)).astype(np.int64)
-    use_fc = (ones_fc < ones_f) | ((ones_fc == ones_f) & (fc < F))
-    norm = np.where(use_fc, fc, F)
+    _COUNTS[1] += F.size
+    memoize = num_vars <= 4 or len(_MEMO) < _MEMO_CAP
     fwd, inv_perms, inv_flips, weights = _batch_tables(num_vars)
     n = F.size
     num_keys = fwd.shape[0]
@@ -350,7 +305,7 @@ def npn_canonize_batch(
     key_idx = np.empty(n, dtype=np.int64)
     out_flip = np.empty(n, dtype=np.int64)
     for lo in range(0, n, chunk):
-        sub = norm[lo : lo + chunk]
+        sub = F[lo : lo + chunk]
         rows = np.arange(sub.size)
         best = None
         for klo in range(0, num_keys, kblock):
@@ -371,7 +326,7 @@ def npn_canonize_batch(
             else:
                 # Strict < keeps the earlier block on ties: combined with
                 # argmin's first-occurrence rule inside a block, the
-                # winner is exactly the scalar key-order tie-break.
+                # winner is exactly the key-order tie-break.
                 better = val < best
                 best = np.where(better, val, best)
                 best_idx = np.where(better, gidx, best_idx)
@@ -379,33 +334,15 @@ def npn_canonize_batch(
         key_idx[lo : lo + chunk] = best_idx >> 1
         out_flip[lo : lo + chunk] = best_idx & 1
     out: list[tuple[int, NPNTransform]] = []
-    for i in range(n):
+    for i, f in enumerate(F.tolist()):
         k = int(key_idx[i])
-        # Forward transform maps (phase-normalized) f -> rep; the caller
-        # wants rep -> f.  Pre-filtered inputs flip the output once more,
-        # exactly as npn_canonize does.
-        flip = bool(out_flip[i]) ^ bool(use_fc[i])
-        pair = (int(reps[i]), NPNTransform(inv_perms[k], inv_flips[k], flip))
+        # The forward transform maps f -> rep; the caller wants rep -> f.
+        transform = NPNTransform(inv_perms[k], inv_flips[k], bool(out_flip[i]))
+        pair = (int(reps[i]), transform)
         if memoize:
-            _BATCH_MEMO[(num_vars, int(F[i]))] = pair
+            _MEMO[(num_vars, f)] = pair
         out.append(pair)
     return out
-
-
-def canonize_cache_info():
-    """Hit/miss statistics of the global canonization memo tables.
-
-    ``hits`` and ``misses`` sum the scalar lru and the batch memo (one
-    probe per input table of a :func:`npn_canonize_batch` call);
-    ``maxsize`` and ``currsize`` describe the lru.  Passes snapshot this
-    before/after to report per-pass NPN cache rates in
-    :class:`repro.runtime.metrics.PassMetrics`.
-    """
-    info = _canonize_cached.cache_info()
-    return info._replace(
-        hits=info.hits + _BATCH_COUNTS[0],
-        misses=info.misses + _BATCH_COUNTS[1],
-    )
 
 
 def npn_representative(f: int, num_vars: int) -> int:
@@ -431,40 +368,18 @@ def enumerate_npn_classes(num_vars: int) -> tuple[int, ...]:
     """
     if num_vars > 4:
         raise ValueError("exhaustive NPN enumeration is only supported up to 4 variables")
-    tables = _remap_tables(num_vars)
-    size = 1 << (1 << num_vars)
-    mask = tt_mask(num_vars)
-    seen = bytearray(size)
+    seen = np.zeros(1 << (1 << num_vars), dtype=bool)
     reps = []
-    for f in range(size):
-        if seen[f]:
-            continue
-        reps.append(f)
-        for table in tables.values():
-            g = 0
-            for m, mp in enumerate(table):
-                if (f >> mp) & 1:
-                    g |= 1 << m
-            seen[g] = 1
-            seen[g ^ mask] = 1
+    for f in range(seen.size):
+        if not seen[f]:
+            reps.append(f)
+            seen[npn_orbit(f, num_vars)] = True
     return tuple(reps)
 
 
 def npn_class_sizes(num_vars: int) -> dict[int, int]:
     """Return a map representative → number of functions in its class."""
-    if num_vars > 4:
-        raise ValueError("exhaustive NPN enumeration is only supported up to 4 variables")
-    tables = _remap_tables(num_vars)
-    mask = tt_mask(num_vars)
-    sizes: dict[int, int] = {}
-    for rep in enumerate_npn_classes(num_vars):
-        orbit = set()
-        for table in tables.values():
-            g = 0
-            for m, mp in enumerate(table):
-                if (rep >> mp) & 1:
-                    g |= 1 << m
-            orbit.add(g)
-            orbit.add(g ^ mask)
-        sizes[rep] = len(orbit)
-    return sizes
+    return {
+        rep: len(npn_orbit(rep, num_vars))
+        for rep in enumerate_npn_classes(num_vars)
+    }

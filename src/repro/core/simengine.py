@@ -400,10 +400,7 @@ def expansion_lut(dst_len: int, positions: tuple[int, ...]) -> np.ndarray:
 
     ``expansion_lut(d, p)[tt]`` re-expresses *tt* — a function of
     ``len(p)`` variables — over ``d`` variables, where source variable
-    ``j`` becomes destination variable ``p[j]``.  Same definition as the
-    scalar ``repro.core.cuts._expand`` (shared tests); replicated here
-    because the layering forbids this module from importing above the
-    kernel.
+    ``j`` becomes destination variable ``p[j]``.
 
     The table covers every possible source function, so applying it to a
     whole batch is a single fancy-index gather.  Source arity is at most
@@ -563,10 +560,10 @@ def evaluate_cut_program(
 ) -> np.ndarray:
     """Run a flat cut-function program; returns the per-slot tables.
 
-    The batch counterpart of :func:`cone_function` /
-    ``CutSet.function``: the whole program arrives as flat arrays — one
-    row per gate cut, ``(n, arity)`` child slots / complement masks /
-    expansion pattern ids — already levelized by *lev*, the cut's depth
+    The batch counterpart of :func:`cone_function`: the whole program
+    arrives as flat arrays — one row per gate cut, ``(n, arity)`` child
+    slots / complement masks / expansion pattern ids — already
+    levelized by *lev*, the cut's depth
     in the **provenance DAG** (1 + max child level).  Provenance depth is
     bounded by the cut cone depth, not the network depth, so deep
     chain-shaped networks compress into a handful of wide sweeps.  Per
@@ -574,8 +571,8 @@ def evaluate_cut_program(
     fanin table onto its cut's leaf set in a single fancy index — no
     per-group scatter loops.
 
-    Results are bit-identical to the scalar ``CutSet.function``
-    derivation (same expansion tables, same gate semantics).
+    Each slot's table equals :func:`cone_function` of its cut
+    (tests/core/test_cuts_differential.py).
 
     *width* is the widest cut in the program.  Up to 4 the original
     int64 single-gather level loop runs untouched; 5 keeps int64 (those

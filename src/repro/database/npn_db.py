@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import IO, Iterable
 
 from ..core.mig import Mig, signal_not
-from ..core.npn import NPNTransform, apply_transform, npn_canonize, npn_canonize_batch
+from ..core.npn import NPNTransform, npn_canonize, npn_canonize_batch
 from ..core.truth_table import tt_mask
 from ..runtime.faults import fault_active
 
@@ -198,24 +198,18 @@ class NpnDatabase:
         expected = {4: 222, 3: 14, 2: 4, 1: 2}.get(self.num_vars)
         return expected is not None and len(self.entries) >= expected
 
-    def lookup(self, tt: int) -> tuple[DbEntry, "object"]:
+    def _resolve(self, rep: int) -> DbEntry | None:
+        """Entry for NPN class *rep*, or None (subclasses may synthesize)."""
+        return self.entries.get(rep)
+
+    def lookup(self, tt: int) -> tuple[DbEntry, NPNTransform]:
         """Return ``(entry, transform)`` for an arbitrary function *tt*.
 
         The transform rebuilds *tt* from the entry's representative (see
-        :func:`repro.core.npn.npn_canonize`).
+        :func:`repro.core.npn.npn_canonize`).  Raises ``KeyError`` for a
+        class without an entry.
         """
-        self.lookups += 1
-        rep, transform = npn_canonize(tt, self.num_vars)
-        entry = self.entries.get(rep)
-        if entry is None:
-            self.lookup_misses += 1
-            raise KeyError(f"no database entry for NPN class 0x{rep:x}")
-        if fault_active("db.corrupt-entry"):
-            # Fault hook: hand out a silently miscomputing entry — output
-            # inverted, size understated so rewriters will prefer it —
-            # to exercise downstream verification.
-            entry = replace(entry, output=entry.output ^ 1, size=0)
-        return entry, transform
+        return self.lookup_in(tt, {})
 
     def lookup_batch(
         self, tts
@@ -223,46 +217,49 @@ class NpnDatabase:
         """Precompute lookup results for many functions in one sweep.
 
         Canonizes every function through the vectorized
-        :func:`repro.core.npn.npn_canonize_batch` (bit-identical to the
-        scalar path, tie-breaks included) and maps each to its database
-        answer — ``(entry, transform)`` or ``None`` for a class without
-        an entry.  The returned table is **inert**: building it touches
-        no counters and no fault hooks; those fire per consult in
-        :meth:`lookup_in`, exactly as :meth:`lookup` fires them per call.
+        :func:`repro.core.npn.npn_canonize_batch` and maps each to its
+        database answer — ``(entry, transform)`` or ``None`` for a class
+        without an entry.  For this class the returned table is
+        **inert**: building it touches no counters and no fault hooks;
+        those fire per consult in :meth:`lookup_in`.
         """
         tt_list = [int(t) for t in tts]
         table: dict[int, tuple[DbEntry, NPNTransform] | None] = {}
-        entries = self.entries
+        resolve = self._resolve
         for tt, (rep, transform) in zip(
             tt_list, npn_canonize_batch(tt_list, self.num_vars)
         ):
-            entry = entries.get(rep)
+            entry = resolve(rep)
             table[tt] = None if entry is None else (entry, transform)
         return table
 
     def lookup_in(
         self, tt: int, table: dict[int, "tuple[DbEntry, NPNTransform] | None"]
-    ) -> tuple[DbEntry, "object"]:
+    ) -> tuple[DbEntry, NPNTransform]:
         """:meth:`lookup` answered from a :meth:`lookup_batch` table.
 
-        Same observable contract as :meth:`lookup` — counters, the
-        ``db.corrupt-entry`` fault hook, ``KeyError`` on a class without
-        an entry — with the canonization already paid.  Functions outside
-        the table (callers consulting beyond the precomputed cut set)
-        fall back to a live scalar canonization.
+        Counts the consult in :attr:`lookups` (and :attr:`lookup_misses`
+        with ``KeyError`` for a class without an entry) and applies the
+        ``db.corrupt-entry`` fault hook, with the canonization already
+        paid.  Functions outside the table (callers consulting beyond
+        the precomputed cut set, and :meth:`lookup`) are canonized live
+        and resolved like a batch entry.
         """
         self.lookups += 1
         try:
             found = table[tt]
         except KeyError:
             rep, transform = npn_canonize(tt, self.num_vars)
-            entry = self.entries.get(rep)
+            entry = self._resolve(rep)
             found = None if entry is None else (entry, transform)
         if found is None:
             self.lookup_misses += 1
             raise KeyError(f"no database entry for the NPN class of 0x{tt:x}")
         entry, transform = found
         if fault_active("db.corrupt-entry"):
+            # Fault hook: hand out a silently miscomputing entry — output
+            # inverted, size understated so rewriters will prefer it —
+            # to exercise downstream verification.
             entry = replace(entry, output=entry.output ^ 1, size=0)
         return entry, transform
 

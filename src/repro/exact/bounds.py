@@ -78,6 +78,7 @@ __all__ = [
     "shannon_upper_bound_mig",
     "mig_size_lower_bound",
     "optimal_mig_from_table",
+    "consult_tables",
     "optimal_small_migs",
     "SmallMigEnumeration",
     "npn5_table",
@@ -463,17 +464,20 @@ def write_npn5_table(path: str | Path | None = None) -> NpnDatabase:
     return table
 
 
-def optimal_mig_from_table(spec: int, num_vars: int) -> Mig | None:
-    """Rebuild a provably minimum MIG for *spec* from the witness tables.
+def consult_tables(spec: int, num_vars: int) -> tuple[Mig | None, int]:
+    """One consult of the witness tables: ``(minimum MIG or None, lower bound)``.
 
-    Returns None when *spec* is not covered (its minimum size exceeds
-    the table's reach, or it has more than six inputs).  Size-0
-    functions (constants and literals) are also materialized here for
-    completeness.
+    When a table covers *spec*, the MIG is a provably minimum one
+    rebuilt from it and the bound is its size.  Otherwise the MIG is
+    None and the bound is one past the table's reach, more when the
+    functional support forces it (``k`` gates read at most ``2k + 1``
+    distinct inputs).  Above six inputs no table fits, so the MIG is
+    None and the bound projects *spec* onto its support.  Size-0
+    functions (constants and literals) are materialized with bound 0.
     """
-    if spec < 0 or spec > tt_mask(num_vars):
-        raise ValueError(f"spec 0x{spec:x} out of range for {num_vars} variables")
     mask = tt_mask(num_vars)
+    if spec < 0 or spec > mask:
+        raise ValueError(f"spec 0x{spec:x} out of range for {num_vars} variables")
     trivial: dict[int, int] = {0: CONST0, mask: CONST1}
     for i in range(num_vars):
         v = tt_var(num_vars, i)
@@ -482,58 +486,51 @@ def optimal_mig_from_table(spec: int, num_vars: int) -> Mig | None:
     if spec in trivial:
         mig = Mig(num_vars)
         mig.add_po(trivial[spec], "f")
-        return mig
+        return mig, 0
+    support = tt_support(spec, num_vars)
+    support_bound = len(support) // 2  # ceil((s - 1) / 2)
+    if num_vars > 6:
+        if len(support) > 6:
+            return None, support_bound
+        # A minimum MIG reads no input outside the support.
+        shrunk = tt_shrink_to_support(spec, num_vars)[0]
+        return None, consult_tables(shrunk, len(support))[1]
     if num_vars == 5:
         found = _npn5_lookup(spec)
         if found is None:
-            return None
+            return None, max(NPN5_TABLE_GATES + 1, support_bound)
         mig = Mig(5)
         mig.add_po(npn5_table().rebuild_entry(mig, *found, mig.pi_signals()), "f")
-        return mig
-    witness = optimal_small_migs(num_vars).get(spec) if num_vars <= 6 else None
+        return mig, found[0].size
+    witness = optimal_small_migs(num_vars).get(spec)
     if witness is None:
-        return None
+        return None, max(_table_gates(num_vars) + 1, support_bound)
     mig = Mig(num_vars)
     node_signals = [CONST0] + [make_signal(1 + i) for i in range(num_vars)]
     for ops in witness:
         resolved = [node_signals[s >> 1] ^ (s & 1) for s in ops]
         node_signals.append(mig.maj(*resolved))
     mig.add_po(node_signals[-1], "f")
-    return mig
+    return mig, len(witness)
+
+
+def optimal_mig_from_table(spec: int, num_vars: int) -> Mig | None:
+    """A provably minimum MIG for *spec* from the witness tables, or None.
+
+    None when *spec* is not covered (its minimum size exceeds the
+    table's reach, or it has more than six inputs); see
+    :func:`consult_tables`.
+    """
+    return consult_tables(spec, num_vars)[0]
 
 
 def mig_size_lower_bound(spec: int, num_vars: int) -> int:
     """A sound lower bound on the minimum majority-gate count for *spec*.
 
-    Exact for every function a witness table covers; one past the table
-    for everything else, more when the functional support forces it
-    (``k`` gates read at most ``2k + 1`` distinct inputs).
+    Exact for every function a witness table covers; see
+    :func:`consult_tables`.
     """
-    if spec < 0 or spec > tt_mask(num_vars):
-        raise ValueError(f"spec 0x{spec:x} out of range for {num_vars} variables")
-    mask = tt_mask(num_vars)
-    if spec in (0, mask):
-        return 0
-    for i in range(num_vars):
-        v = tt_var(num_vars, i)
-        if spec in (v, v ^ mask):
-            return 0
-    support = tt_support(spec, num_vars)
-    support_bound = len(support) // 2  # ceil((s - 1) / 2)
-    if num_vars > 6:
-        if len(support) > 6:
-            return support_bound
-        # A minimum MIG reads no input outside the support.
-        return mig_size_lower_bound(tt_shrink_to_support(spec, num_vars)[0], len(support))
-    if num_vars == 5:
-        found = _npn5_lookup(spec)
-        if found is not None:
-            return max(found[0].size, support_bound)
-        return max(NPN5_TABLE_GATES + 1, support_bound)
-    witness = optimal_small_migs(num_vars).get(spec)
-    if witness is not None:
-        return max(len(witness), support_bound)
-    return max(_table_gates(num_vars) + 1, support_bound)
+    return consult_tables(spec, num_vars)[1]
 
 
 if __name__ == "__main__":

@@ -14,15 +14,14 @@ bound is available it is returned flagged ``proven=False``.
 
 Three refinements keep the size loop cheap:
 
-* functions covered by an exhaustive witness table
-  (:func:`repro.exact.bounds.optimal_mig_from_table`: every function of
+* functions covered by an exhaustive witness table (every function of
   at most three gates for ``n <= 4``, every NPN class of at most four
   gates for ``n = 5``, at most two gates for ``n = 6``) are answered
   directly — the witness is rebuilt and returned proven without any SAT
   call, recorded as ``"table"`` in ``k_outcomes``;
-* otherwise the loop starts at
-  :func:`repro.exact.bounds.mig_size_lower_bound` instead of ``k = 1``
-  (one past the table: 5 for an uncovered 5-input class);
+* otherwise the loop starts at the lower bound the same consult of the
+  tables returns (:func:`repro.exact.bounds.consult_tables`) instead of
+  ``k = 1`` (one past the table: 5 for an uncovered 5-input class);
   sizes below the bound are recorded as ``"skipped"`` in ``k_outcomes``
   without any SAT call, and
 * the CEGAR counterexample rows that refuted size ``k`` seed the size
@@ -39,7 +38,7 @@ from dataclasses import dataclass, field
 from ..core.mig import Mig, make_signal, signal_not
 from ..core.truth_table import tt_mask, tt_var
 from ..runtime.budget import Budget
-from .bounds import mig_size_lower_bound, optimal_mig_from_table
+from .bounds import consult_tables
 from .encoding import encode_exact_mig
 
 __all__ = ["SynthesisResult", "ExactSynthesizer", "synthesize_exact"]
@@ -181,7 +180,9 @@ class ExactSynthesizer:
 
         start_k = 1
         if self.use_lower_bound:
-            table_mig = optimal_mig_from_table(spec, num_vars)
+            # One consult answers both: the table's minimum MIG when it
+            # covers the spec, else the size the SAT loop starts at.
+            table_mig, lower = consult_tables(spec, num_vars)
             if table_mig is not None:
                 # Exhaustive enumeration already proves minimality: no
                 # SAT call needed at all.
@@ -201,7 +202,7 @@ class ExactSynthesizer:
                     proven = size == upper_bound.num_gates
                     return result(upper_bound, upper_bound.num_gates, proven)
                 return result(None, None, False)  # minimum beyond max_gates
-            start_k = max(1, mig_size_lower_bound(spec, num_vars))
+            start_k = max(1, lower)
             for k in range(1, min(start_k, limit + 1)):
                 k_outcomes[k] = "skipped"
 

@@ -13,10 +13,12 @@ pipeline (docs/PERFORMANCE.md):
    from :meth:`~repro.core.cuts.CutSet.slot_tables` by slot and answers
    each per-cut consult from the lookup table via ``db.lookup_in``.
 
-Both stages are bit-identical to the scalar derivation (same expansion
-definition, same canonical tie-breaks), so the *chosen rewrites cannot
-differ* from it.  ``tests/rewriting/test_differential.py`` pins this
-against a frozen scalar oracle.
+Each cut table equals its re-simulated cone, and each canonization
+equals the frozen pure-Python canonizer's (tie-breaks included), so the
+*chosen rewrites cannot differ* from a scalar pass.
+``tests/rewriting/test_differential.py`` pins this against a frozen
+scalar oracle that reads every cut table by cone simulation and
+canonizes through the frozen canonizer.
 
 This module deliberately imports no numpy: the arrays flow opaquely from
 ``CutSet`` to ``NpnDatabase`` (enforced by ``tools/check_layers.py`` —

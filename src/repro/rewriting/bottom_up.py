@@ -138,7 +138,6 @@ def rewrite_bottom_up(
     # *metrics* once per pass — attribute stores per cut are measurable.
     considered = admitted_total = rebuilt = db_hits = db_misses = 0
     trivial_r = invalid_r = miss_r = no_gain_r = depth_r = 0
-    cf_hits = 0
     num_vars = db.num_vars
     new_maj = new.maj
     instantiated_depth_entry = db.instantiated_depth_entry
@@ -183,7 +182,6 @@ def rewrite_bottom_up(
                 num_leaves = len(leaves)
                 # The slot's table is already extended to num_vars.
                 tt4 = tables[cut_entry[3]]
-                cf_hits += 1
                 try:
                     entry, transform = db_lookup(tt4)
                 except KeyError:
@@ -234,7 +232,6 @@ def rewrite_bottom_up(
             new.add_po(best.signal ^ (s & 1), name)
 
     metrics.nodes_visited += mig.num_gates
-    metrics.cut_function_cache_hits += cf_hits
     metrics.cuts_considered += considered
     metrics.cuts_admitted += admitted_total
     metrics.nodes_rebuilt += rebuilt

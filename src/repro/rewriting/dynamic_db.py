@@ -32,7 +32,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from pathlib import Path
 
-from ..core.npn import NPNTransform, npn_canonize, npn_canonize_batch
 from ..database.npn_db import DbEntry, NpnDatabase
 from ..exact.heuristic import heuristic_mig
 from ..exact.synthesis import ExactSynthesizer
@@ -102,7 +101,13 @@ class DynamicDatabase(NpnDatabase):
     # -- the three-tier resolve -------------------------------------------
 
     def _resolve(self, rep: int) -> DbEntry:
-        """Entry for class *rep*: LRU, then store, then synthesis."""
+        """Entry for class *rep*: LRU, then store, then synthesis.
+
+        Every scalar and batched lookup resolves through here, so a
+        class is never missing: :meth:`lookup_batch` tables hold no
+        ``None`` and ``lookup_in`` never raises ``KeyError``.  Tier
+        counters fire per resolve.
+        """
         entry = self._lru.get(rep)
         if entry is not None:
             self.hits += 1
@@ -132,32 +137,10 @@ class DynamicDatabase(NpnDatabase):
             self.entries.pop(evicted, None)
             self.evictions += 1
 
-    # -- NpnDatabase interface --------------------------------------------
-
-    def lookup(self, tt: int) -> tuple[DbEntry, NPNTransform]:
-        """Return (entry, transform); synthesizes the entry on first use."""
-        self.lookups += 1
-        rep, transform = npn_canonize(tt, self.num_vars)
-        return self._resolve(rep), transform
-
-    def lookup_batch(self, tts) -> dict[int, tuple[DbEntry, NPNTransform]]:
-        """Batched :meth:`lookup`: canonize in one numpy sweep, then resolve.
-
-        Unlike the static base class — whose table maps classes without
-        an entry to ``None`` — a dynamic database synthesizes on miss, so
-        the batched rewriting pipeline populates the store exactly as the
-        scalar path does and :meth:`~repro.database.npn_db.NpnDatabase.
-        lookup_in` never raises for an in-table function.  Tier counters
-        fire here at build time (synthesis happens here); ``lookup_in``
-        still accounts per-consult ``lookups`` as for the base class.
-        """
-        tt_list = [int(t) for t in tts]
-        table: dict[int, tuple[DbEntry, NPNTransform]] = {}
-        for tt, (rep, transform) in zip(
-            tt_list, npn_canonize_batch(tt_list, self.num_vars)
-        ):
-            table[tt] = (self._resolve(rep), transform)
-        return table
+    # Bound on this class too: migbench/trace.py wraps each class's own
+    # lookup_batch (from the class __dict__).  The body is the base
+    # class's, resolving through _resolve above.
+    lookup_batch = NpnDatabase.lookup_batch
 
     # -- synthesis ---------------------------------------------------------
 

@@ -88,7 +88,6 @@ def rewrite_top_down(
                 cone_gates = len(internal)
             # The slot's table is already extended to db.num_vars.
             tt4 = tables[cut_entry[3]]
-            metrics.cut_function_cache_hits += 1
             try:
                 entry, transform = db_lookup(tt4)
             except KeyError:

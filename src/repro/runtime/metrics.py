@@ -77,20 +77,12 @@ class PassMetrics(codec.Record):
     npn_cache_misses: int = field(
         default=0, metadata=codec.then("npn_cache_hit_rate", digits=4)
     )
-    #: cut truth tables computed (incrementally or by cone simulation)
-    cut_functions_computed: int = 0
-    #: cut truth tables answered by the per-pass (node, leaves) memo
-    cut_function_cache_hits: int = field(
-        default=0, metadata=codec.then("cut_function_hit_rate", digits=4)
-    )
     #: cut truth tables produced by the level-batched array evaluator
     batch_cut_functions: int = 0
     #: compiled network levels swept by the batch evaluator
     batch_levels: int = 0
     #: unique functions canonized through a vectorized lookup_batch sweep
-    batch_npn_lookups: int = field(
-        default=0, metadata=codec.then("batch_function_fraction", digits=4)
-    )
+    batch_npn_lookups: int = 0
     #: SAT solver counters accumulated from exact-synthesis calls; the
     #: ``sat_*`` keys match SynthesisResult and benchmarks/bench_exact.py
     sat_conflicts: int = 0
@@ -194,19 +186,6 @@ class PassMetrics(codec.Record):
         return self._rate(
             self.npn_cache_hits, self.npn_cache_hits + self.npn_cache_misses
         )
-
-    @property
-    def cut_function_hit_rate(self) -> float:
-        """Fraction of cut-function queries answered from the per-pass memo."""
-        return self._rate(
-            self.cut_function_cache_hits,
-            self.cut_function_cache_hits + self.cut_functions_computed,
-        )
-
-    @property
-    def batch_function_fraction(self) -> float:
-        """Fraction of computed cut functions produced by the batch path."""
-        return self._rate(self.batch_cut_functions, self.cut_functions_computed)
 
     @property
     def store_hit_rate(self) -> float:

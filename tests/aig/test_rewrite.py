@@ -8,8 +8,8 @@ import pytest
 
 from repro.aig.aig import Aig
 from repro.aig.convert import aig_to_mig, mig_to_aig
-from repro.aig.cuts import aig_cut_cone, aig_cut_function, enumerate_aig_cuts
 from repro.aig.rewrite import aig_class_cost, build_function_into_aig, rewrite_aig
+from repro.core.cuts import cut_cone, enumerate_cuts
 from repro.core.simulate import check_equivalence
 from repro.core.truth_table import tt_var
 
@@ -20,7 +20,7 @@ class TestAigCuts:
         a, b, c = aig.pi_signals()
         g = aig.and_(aig.and_(a, b), c)
         aig.add_po(g)
-        cuts = enumerate_aig_cuts(aig, 4)
+        cuts = enumerate_cuts(aig, 4, cut_limit=12)
         root = g >> 1
         assert (1, 2, 3) in cuts[root]
         assert (root,) in cuts[root]
@@ -32,7 +32,7 @@ class TestAigCuts:
         a, b, c = aig.pi_signals()
         g = aig.xor(aig.and_(a, b), c)
         aig.add_po(g)
-        tt = aig_cut_function(aig, g >> 1, (1, 2, 3))
+        tt = aig.cut_function(g >> 1, (1, 2, 3))
         if g & 1:  # the xor construction may return a complemented signal
             tt ^= tt_mask(3)
         expected = (tt_var(3, 0) & tt_var(3, 1)) ^ tt_var(3, 2)
@@ -44,7 +44,7 @@ class TestAigCuts:
         g = aig.and_(a, b)
         aig.add_po(g)
         with pytest.raises(ValueError):
-            aig_cut_cone(aig, g >> 1, (1,))
+            cut_cone(aig, g >> 1, (1,))
 
 
 class TestClassStructures:

@@ -12,7 +12,10 @@ the kernel refactor unified ``core/cuts.py`` and ``aig/cuts.py``:
   leaf count, so per-node comparison is by **set**; with pruning
   disabled by a large ``cut_limit`` the sets must be identical.
 
-Do not "fix" the oracles — they are the spec.
+Do not "fix" the oracles — they are the spec.  The cut functions the
+enumerator's recorded program computes are held to
+:func:`repro.core.simengine.cone_function`, which re-simulates each cut
+cone on its own.
 """
 
 from __future__ import annotations
@@ -23,11 +26,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aig.aig import Aig
-from repro.aig.cuts import aig_cut_function, enumerate_aig_cuts
 from repro.core.cuts import enumerate_cut_set, enumerate_cuts
 from repro.core.mig import Mig
 from repro.core.simengine import cone_function
-from repro.core.truth_table import tt_extend, tt_mask
+from repro.core.truth_table import tt_extend
 
 # ---------------------------------------------------------------------------
 # frozen pre-refactor MIG enumerator
@@ -260,58 +262,51 @@ class TestAigDifferential:
             lengths = [len(c) for c in got[node]]
             assert lengths == sorted(lengths), f"node {node}"
 
-    @given(random_aig())
-    @settings(max_examples=20, deadline=None)
-    def test_shim_preserves_the_historical_entry_point(self, aig):
-        got = enumerate_aig_cuts(aig, k=4, cut_limit=self.UNLIMITED)
-        expected = oracle_aig_cuts(aig, k=4, cut_limit=self.UNLIMITED)
-        for g, e in zip(got, expected):
-            assert set(g) == set(e)
+
+def assert_slot_tables_match_cone_simulation(net, cut_set, k):
+    """Every cut's program table equals its re-simulated cone, extended."""
+    tables = cut_set.slot_tables(k)
+    for node in net.gates():
+        for leaves, _, _, slot in cut_set.entries[node]:
+            expected = cone_function(net, node, leaves)
+            assert tables[slot] == tt_extend(expected, len(leaves), k), (node, leaves)
 
 
 class TestCutFunctions:
-    @given(random_aig())
-    @settings(max_examples=20, deadline=None)
-    def test_incremental_aig_cut_functions_match_cone_simulation(self, aig):
-        # The generalized CutSet.function (2-ary combine) against both
-        # the engine's cone evaluation and the old recursive oracle.
-        cs = enumerate_cut_set(aig, cut_limit=8)
-        for node in aig.gates():
-            for leaves in cs[node]:
-                got = cs.function(node, leaves)
-                assert got == cone_function(aig, node, leaves)
-                assert got == aig_cut_function(aig, node, leaves) & tt_mask(
-                    len(leaves)
-                )
+    """Each cut's table is computed from its fanin cuts' tables by the
+    recorded program; cone simulation shares none of that."""
 
-    @given(random_mig())
+    @given(random_aig(), st.integers(min_value=4, max_value=6))
     @settings(max_examples=20, deadline=None)
-    def test_incremental_mig_cut_functions_match_cone_simulation(self, mig):
-        cs = enumerate_cut_set(mig, cut_limit=8)
-        for node in mig.gates():
-            for leaves in cs[node]:
-                assert cs.function(node, leaves) == cone_function(mig, node, leaves)
+    def test_incremental_aig_cut_functions_match_cone_simulation(self, aig, k):
+        cs = enumerate_cut_set(aig, k=k, cut_limit=8)
+        assert_slot_tables_match_cone_simulation(aig, cs, k)
+
+    @given(random_mig(), st.integers(min_value=4, max_value=6))
+    @settings(max_examples=20, deadline=None)
+    def test_incremental_mig_cut_functions_match_cone_simulation(self, mig, k):
+        cs = enumerate_cut_set(mig, k=k, cut_limit=8)
+        assert_slot_tables_match_cone_simulation(mig, cs, k)
 
 
 class TestWideCutFunctions:
-    """k=5/6 cuts through every evaluation path — lazy scalar, compiled
-    batch, slot tables, and the deduplicated batch_tt4s sweep — all
-    against cone simulation.  This is the arithmetic the large-cut
-    rewriters stand on; the program comparisons also cover the k=4
-    program every NpnDatabase pass runs."""
+    """k=5/6 cuts through every way the rewriters read them — one slot
+    table at a time, the compiled program's count, and the deduplicated
+    batch_tt4s sweep — all against cone simulation.  This is the
+    arithmetic the large-cut rewriters stand on; the program comparisons
+    also cover the k=4 program every NpnDatabase pass runs."""
 
     @given(random_mig(), st.integers(min_value=5, max_value=6))
     @settings(max_examples=20, deadline=None)
     def test_wide_scalar_functions_match_cone_simulation(self, mig, k):
-        cs = enumerate_cut_set(mig, k=k, cut_limit=8)
-        for node in mig.gates():
-            for leaves in cs[node]:
-                assert cs.function(node, leaves) == cone_function(mig, node, leaves)
+        # FFR-restricted mode: shared gates enter as leaves whose init
+        # slot the trivial cut of the same gate shares.
+        cs = enumerate_cut_set(mig, k=k, cut_limit=8, ffr_fanout=mig.fanout_counts())
+        assert_slot_tables_match_cone_simulation(mig, cs, k)
 
     @given(random_mig(), st.integers(min_value=4, max_value=6))
     @settings(max_examples=20, deadline=None)
     def test_compiled_batch_matches_scalar(self, mig, k):
-        lazy = enumerate_cut_set(mig, k=k, cut_limit=8)
         compiled = enumerate_cut_set(mig, k=k, cut_limit=8)
         computed = compiled.compute_functions()
         assert computed == sum(
@@ -320,26 +315,17 @@ class TestWideCutFunctions:
             for leaves in compiled[node]
             if leaves != (node,)
         )
-        tables = compiled.slot_tables(k)
-        for node in mig.gates():
-            for entry in compiled.entries[node]:
-                leaves, slot = entry[0], entry[3]
-                expected = lazy.function(node, leaves)
-                assert compiled.function(node, leaves) == expected
-                assert tables[slot] == tt_extend(expected, len(leaves), k)
+        assert_slot_tables_match_cone_simulation(mig, compiled, k)
 
-    @given(random_mig(), st.integers(min_value=4, max_value=6))
+    @given(st.one_of(random_mig(), random_aig()), st.integers(min_value=4, max_value=6))
     @settings(max_examples=15, deadline=None)
-    def test_batch_tt4s_equals_scalar_collection(self, mig, k):
-        compiled = enumerate_cut_set(mig, k=k, cut_limit=8)
+    def test_batch_tt4s_equals_scalar_collection(self, net, k):
+        compiled = enumerate_cut_set(net, k=k, cut_limit=8)
         got = [int(v) for v in compiled.batch_tt4s(k)]
-        expected = set()
-        scalar = enumerate_cut_set(mig, k=k, cut_limit=8)
-        for node in mig.gates():
-            for leaves in scalar[node]:
-                if leaves == (node,):
-                    continue
-                expected.add(
-                    tt_extend(scalar.function(node, leaves), len(leaves), k)
-                )
+        expected = {
+            tt_extend(cone_function(net, node, leaves), len(leaves), k)
+            for node in net.gates()
+            for leaves in compiled[node]
+            if leaves != (node,)
+        }
         assert got == sorted(expected)

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import npn
 from repro.core.npn import (
     NPNTransform,
     apply_transform,
+    canonize_cache_clear,
+    canonize_cache_info,
     compose_transforms,
     enumerate_npn_classes,
     identity_transform,
@@ -21,6 +25,8 @@ from repro.core.npn import (
     npn_representative,
 )
 from repro.core.truth_table import tt_mask, tt_not, tt_permute, tt_var
+
+from . import _frozen_npn as frozen
 
 tt4 = st.integers(min_value=0, max_value=0xFFFF)
 
@@ -66,6 +72,19 @@ class TestClassCounts:
     def test_representatives_are_minimal(self):
         for rep in enumerate_npn_classes(3):
             assert npn_representative(rep, 3) == rep
+
+    @pytest.mark.parametrize("num_vars", [1, 2, 3, 4])
+    def test_classes_and_sizes_match_frozen_orbit_loops(self, num_vars):
+        assert enumerate_npn_classes(num_vars) == frozen.enumerate_npn_classes(num_vars)
+        assert npn_class_sizes(num_vars) == frozen.npn_class_sizes(num_vars)
+
+
+@pytest.mark.parametrize("num_vars", range(7))
+def test_remap_tables_match_frozen_builder(num_vars):
+    """Same cells under the same keys in the same order: the key order
+    is the canonization tie-break."""
+    got = list(npn._remap_tables(num_vars).items())
+    assert got == list(frozen.remap_tables(num_vars).items())
 
 
 class TestCanonize:
@@ -124,30 +143,36 @@ class TestTransformAlgebra:
 
 
 class TestBatchCanonize:
-    """npn_canonize_batch must be bit-identical to the scalar path —
+    """npn_canonize and npn_canonize_batch must be bit-identical to the
+    frozen pure-Python canonizer (tests/core/_frozen_npn.py) —
     representative AND transform, including the first-wins tie-break and
     the phase pre-filter's extra output flip."""
 
     @pytest.mark.parametrize("num_vars", [0, 1, 2, 3])
     def test_exhaustive_small(self, num_vars):
+        canonize_cache_clear()
         fs = list(range(1 << (1 << num_vars)))
-        batch = npn_canonize_batch(fs, num_vars)
-        for f, got in zip(fs, batch):
-            assert got == npn_canonize(f, num_vars)
+        expected = [frozen.npn_canonize(f, num_vars) for f in fs]
+        assert [npn_canonize(f, num_vars) for f in fs] == expected
+        canonize_cache_clear()
+        assert npn_canonize_batch(fs, num_vars) == expected
 
     @given(st.lists(tt4, min_size=0, max_size=64))
     @settings(max_examples=40, deadline=None)
     def test_matches_scalar_n4(self, fs):
         batch = npn_canonize_batch(fs, 4)
-        assert batch == [npn_canonize(f, 4) for f in fs]
+        expected = [frozen.npn_canonize(f, 4) for f in fs]
+        assert batch == expected
+        assert [npn_canonize(f, 4) for f in fs] == expected
 
     def test_edge_tables(self):
         # Constants, single minterms, balanced and self-dual functions —
         # the tie-break-sensitive corners.
         edges = [0, 0xFFFF, 0x8000, 0x0001, 0xAAAA, 0x5555, 0x6996, 0xE8E8, 0xCAFE]
+        canonize_cache_clear()
         batch = npn_canonize_batch(edges, 4)
         for f, (rep, t) in zip(edges, batch):
-            assert (rep, t) == npn_canonize(f, 4)
+            assert (rep, t) == frozen.npn_canonize(f, 4)
             assert apply_transform(rep, t, 4) == f
 
     def test_chunking_is_invisible(self):
@@ -164,23 +189,80 @@ class TestBatchCanonize:
         rng = random.Random(61)
         fs = [rng.getrandbits(32) for _ in range(24)]
         fs += [0, 0xFFFFFFFF, 0x80000000, 0x1, 0xAAAAAAAA, 0x96696996]
+        canonize_cache_clear()
         batch = npn_canonize_batch(fs, 5)
         for f, (rep, t) in zip(fs, batch):
-            assert (rep, t) == npn_canonize(f, 5)
+            assert (rep, t) == frozen.npn_canonize(f, 5)
             assert apply_transform(rep, t, 5) == f
+        canonize_cache_clear()
+        assert [npn_canonize(f, 5) for f in fs[:6]] == batch[:6]
 
     def test_matches_scalar_n6(self):
-        # The scalar 6-var canonizer walks all 46080 transforms per call
+        # The frozen 6-var canonizer walks all 46080 transforms per call
         # (~0.2 s each), so this differential stays deliberately tiny.
         rng = random.Random(67)
         fs = [rng.getrandbits(64) for _ in range(4)] + [0, (1 << 64) - 1]
+        canonize_cache_clear()
         batch = npn_canonize_batch(fs, 6)
         for f, (rep, t) in zip(fs, batch):
-            assert (rep, t) == npn_canonize(f, 6)
+            assert (rep, t) == frozen.npn_canonize(f, 6)
             assert apply_transform(rep, t, 6) == f
+        canonize_cache_clear()
+        assert npn_canonize(fs[0], 6) == batch[0]
 
     def test_chunking_is_invisible_n5(self):
         # The wide-arity path sizes its transform blocks from the chunk
         # width; an odd chunk must not change a single result.
         fs = [((2654435761 * i) ^ (i << 19)) & 0xFFFFFFFF for i in range(90)]
         assert npn_canonize_batch(fs, 5, chunk=7) == npn_canonize_batch(fs, 5)
+
+
+class TestMemo:
+    """One memo serves both entry points, probed before any numpy work."""
+
+    def test_hit_is_a_dict_probe(self, monkeypatch):
+        canonize_cache_clear()
+        first = npn_canonize(0x1668, 4)
+
+        def no_core(*args, **kwargs):
+            raise AssertionError("a memoized function reached the core")
+
+        monkeypatch.setattr(npn, "_canonize", no_core)
+        assert npn_canonize(0x1668, 4) == first
+        assert npn_canonize_batch([0x1668], 4) == [first]
+
+    def test_counts_one_probe_per_function(self):
+        canonize_cache_clear()
+        npn_canonize(0x1668, 4)
+        npn_canonize(0x1668, 4)
+        npn_canonize_batch([0x1668, 0xCAFE, 0xCAFE], 4)
+        info = canonize_cache_info()
+        # Both 0xCAFE inputs of the batch miss: probes precede the core.
+        assert (info.hits, info.misses, info.currsize) == (2, 3, 2)
+        canonize_cache_clear()
+        assert canonize_cache_info() == (0, 0, 0)
+
+    def test_wide_arities_stop_inserting_at_the_cap(self, monkeypatch):
+        canonize_cache_clear()
+        monkeypatch.setattr(npn, "_MEMO_CAP", 1)
+        npn_canonize_batch([0x1, 0x3], 5)  # below the cap on entry
+        npn_canonize(0x7, 5)  # at the cap: computed, not kept
+        assert canonize_cache_info().currsize == 2
+        npn_canonize(0x7, 4)  # narrow arities are always kept
+        assert canonize_cache_info().currsize == 3
+        canonize_cache_clear()
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    not os.environ.get("REPRO_SCALE_NIGHTLY"),
+    reason="the frozen canonizer takes about 20 s over every 4-input "
+    "function; the nightly CI job sets REPRO_SCALE_NIGHTLY=1",
+)
+def test_every_four_input_function_matches_frozen_canonizer():
+    fs = list(range(1 << 16))
+    canonize_cache_clear()
+    batch = npn_canonize_batch(fs, 4)
+    assert batch == [frozen.npn_canonize(f, 4) for f in fs]
+    canonize_cache_clear()
+    assert [npn_canonize(f, 4) for f in fs] == batch

@@ -220,6 +220,22 @@ class TestNpn5Table:
         assert [result.k_outcomes[k] for k in range(1, 5)] == ["skipped"] * 4
         assert result.k_outcomes[5] in ("sat", "unsat", "unknown")
 
+    def test_synthesis_consults_the_table_once(self, monkeypatch):
+        """The table miss and the lower bound come from one consult, so
+        an uncovered class is canonized once per synthesis."""
+        import repro.exact.bounds as bounds
+
+        calls = []
+        canonize = bounds.npn_canonize
+
+        def counting(*args):
+            calls.append(args)
+            return canonize(*args)
+
+        monkeypatch.setattr(bounds, "npn_canonize", counting)
+        ExactSynthesizer(conflict_budget=50, max_gates=5).synthesize(0x00696969, 5)
+        assert len(calls) == 1
+
     def test_nothing_loads_at_import(self):
         import subprocess
         import sys

@@ -1,11 +1,13 @@
 """Frozen scalar reference for the rewriting differential oracle.
 
 This module is a deliberate, self-contained snapshot of the *scalar*
-functional-hashing decision pipeline — cut walk, per-cut truth table via
-the lazy memo, one scalar NPN canonization per lookup, scalar rebuild —
-taken at the point the array-native batch pipeline was introduced.  It
-bypasses every batch entry point (``CutSet.compute_functions``,
-``NpnDatabase.lookup_batch``, ``npn_canonize_batch``) and the database's
+functional-hashing decision pipeline — cut walk, per-cut truth table by
+cone simulation (``mig.cut_function``), one canonization per lookup
+through the frozen pure-Python canonizer (tests/core/_frozen_npn.py),
+scalar rebuild — taken at the point the array-native batch pipeline was
+introduced.  It shares neither the recorded cut program
+(``CutSet.slot_tables``) nor the vectorized canonizer with production,
+and bypasses ``NpnDatabase.lookup_batch`` and the database's
 instrumented ``lookup`` (fault hooks, counters), so it cannot drift when
 those are optimized.
 
@@ -23,8 +25,9 @@ from itertools import product
 
 from repro.core.cuts import cut_cone_nodes, enumerate_cut_set
 from repro.core.mig import CONST0, Mig, make_signal, signal_not
-from repro.core.npn import npn_canonize
 from repro.core.truth_table import tt_extend
+
+from ..core._frozen_npn import npn_canonize
 
 __all__ = ["frozen_functional_hashing"]
 
@@ -156,7 +159,7 @@ def _bottom_up(
                 if internal is None:
                     continue
                 cone_gates = len(internal)
-            tt = cuts.function(node, leaves)
+            tt = mig.cut_function(node, leaves)
             tt4 = tt_extend(tt, len(leaves), num_vars)
             try:
                 entry, transform = _lookup(db, tt4)
@@ -227,7 +230,7 @@ def _top_down(
                 if internal is None:
                     continue
                 cone_gates = len(internal)
-            tt = cuts.function(node, leaves)
+            tt = mig.cut_function(node, leaves)
             tt4 = tt_extend(tt, len(leaves), db.num_vars)
             try:
                 entry, transform = _lookup(db, tt4)

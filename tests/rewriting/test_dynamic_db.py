@@ -116,6 +116,16 @@ class TestBatchedLookup:
             got, _ = db5.lookup_in(tt, table)
             assert got is entry
 
+    def test_lookup_in_synthesizes_a_function_outside_the_table(self):
+        """A consult beyond the batch table resolves like a scalar
+        lookup — LRU, store, then synthesis — never a KeyError."""
+        db5 = DynamicDatabase(num_vars=5)
+        entry, transform = db5.lookup_in(0x69969669, {})
+        assert (db5.lookups, db5.lookup_misses, db5.misses) == (1, 0, 1)
+        mig = Mig(5)
+        mig.add_po(db5.rebuild_entry(mig, entry, transform, mig.pi_signals()))
+        assert mig.simulate()[0] == 0x69969669
+
     def test_batch_matches_scalar_resolution(self):
         rng = random.Random(23)
         tts = [rng.getrandbits(32) for _ in range(12)]

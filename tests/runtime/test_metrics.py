@@ -56,10 +56,7 @@ class TestExactCounters:
         assert metrics.db_misses == 0
         assert metrics.nodes_rebuilt == 7
         # Cut functions: all 20 gate-cut tables come from one program run
-        # over 5 provenance levels, and each of the 20 considered cuts
-        # reads its table; 8 distinct tables are canonized.
-        assert metrics.cut_functions_computed == 0
-        assert metrics.cut_function_cache_hits == 20
+        # over 5 provenance levels; 8 distinct tables are canonized.
         assert metrics.batch_cut_functions == 20
         assert metrics.batch_levels == 5
         assert metrics.batch_npn_lookups == 8
@@ -123,8 +120,8 @@ class TestExactCounters:
         metrics = PassMetrics()
         functional_hashing(mig, db, "BF", metrics=metrics)
         assert metrics.variant == "BF"
-        # Every distinct cut table is canonized once, through the batch
-        # memo; a second pass finds all of them there.
+        # Every distinct cut table is canonized once, through the memo;
+        # a second pass finds all of them there.
         assert metrics.npn_cache_hits + metrics.npn_cache_misses == (
             metrics.batch_npn_lookups
         ) == 2
@@ -165,15 +162,15 @@ class TestPassMetricsObject:
         m = PassMetrics()
         assert m.db_hit_rate == 0.0
         assert m.npn_cache_hit_rate == 0.0
-        assert m.cut_function_hit_rate == 0.0
+        assert m.store_hit_rate == 0.0
 
     def test_rates(self):
         m = PassMetrics(db_hits=3, db_misses=1)
         m.npn_cache_hits, m.npn_cache_misses = 9, 1
-        m.cut_function_cache_hits, m.cut_functions_computed = 1, 3
+        m.store_hits, m.store_disk_hits, m.store_synth = 1, 2, 1
         assert m.db_hit_rate == pytest.approx(0.75)
         assert m.npn_cache_hit_rate == pytest.approx(0.9)
-        assert m.cut_function_hit_rate == pytest.approx(0.25)
+        assert m.store_hit_rate == pytest.approx(0.75)
 
     def test_merge(self):
         a = PassMetrics(variant="BF", nodes_visited=5, db_hits=2)
@@ -197,7 +194,6 @@ class TestPassMetricsObject:
         full.batch_cut_functions = 40
         full.batch_levels = 6
         full.batch_npn_lookups = 17
-        full.cut_functions_computed = 50
         before = full.to_dict()
         full.merge(PassMetrics())  # empty into nonempty: no-op
         assert full.to_dict() == before
@@ -207,16 +203,11 @@ class TestPassMetricsObject:
         assert empty.batch_levels == 6
         assert empty.batch_npn_lookups == 17
         assert empty.db_hit_rate == pytest.approx(0.75)
-        assert empty.batch_function_fraction == pytest.approx(0.8)
         # Double merge doubles raw counters but the rates are recomputed,
         # not summed — the classic merged-rate bug this test pins down.
         empty.merge(full)
         assert empty.batch_cut_functions == 80
         assert empty.db_hit_rate == pytest.approx(0.75)
-        assert empty.batch_function_fraction == pytest.approx(0.8)
-
-    def test_batch_function_fraction_zero_safe(self):
-        assert PassMetrics().batch_function_fraction == 0.0
 
     def test_json_round_trip(self, db):
         mig = build_counters_mig()
