@@ -23,7 +23,7 @@ Public API highlights:
   verification with rollback, crash-safe artifacts (docs/ROBUSTNESS.md).
 """
 
-from .core import Mig, TruthTable, check_equivalence, npn_canonize
+from .core import Mig, check_equivalence, npn_canonize
 from .database import NpnDatabase
 from .rewriting import VARIANTS, functional_hashing
 from .exact import synthesize_exact
@@ -35,7 +35,6 @@ __version__ = "1.1.0"
 
 __all__ = [
     "Mig",
-    "TruthTable",
     "check_equivalence",
     "npn_canonize",
     "NpnDatabase",

@@ -11,7 +11,6 @@ for depth comparisons against MIG optimization.
 from __future__ import annotations
 
 import heapq
-import sys
 
 from .aig import Aig
 
@@ -47,33 +46,41 @@ def balance(aig: Aig) -> Aig:
                 operands.append(s)
         return operands
 
-    def build(node: int) -> None:
-        """Populate ``mapping[node]`` and ``level[node]``."""
-        if node in mapping:
-            return
-        items: list[tuple[int, int]] = []
-        for s in operands_of_and_tree(node):
-            child = s >> 1
-            if child not in mapping:
-                build(child)
-            items.append((level[child], mapping[child] ^ (s & 1)))
-        heapq.heapify(items)
-        while len(items) > 1:
-            l1, s1 = heapq.heappop(items)
-            l2, s2 = heapq.heappop(items)
-            heapq.heappush(items, (max(l1, l2) + 1, new.and_(s1, s2)))
-        lvl, signal = items[0]
-        mapping[node] = signal
-        level[node] = lvl
+    def build(root: int) -> None:
+        """Populate ``mapping`` and ``level`` for *root* and its operands.
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * len(fanout) + 1000))
-    try:
-        for s in aig.outputs:
-            if aig.is_gate(s >> 1):
-                build(s >> 1)
-        for s, name in zip(aig.outputs, aig.output_names):
-            new.add_po(mapping[s >> 1] ^ (s & 1), name)
-    finally:
-        sys.setrecursionlimit(old_limit)
+        A post-order on an explicit stack: each tree is visited once to
+        schedule its unbuilt operands, first operand on top, and again to
+        combine them once they are built.
+        """
+        operands: dict[int, list[int]] = {}
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if node in mapping:
+                stack.pop()
+                continue
+            ops = operands.get(node)
+            if ops is None:
+                ops = operands[node] = operands_of_and_tree(node)
+            missing = [s >> 1 for s in ops if (s >> 1) not in mapping]
+            if missing:
+                stack.extend(reversed(missing))
+                continue
+            items = [(level[s >> 1], mapping[s >> 1] ^ (s & 1)) for s in ops]
+            heapq.heapify(items)
+            while len(items) > 1:
+                l1, s1 = heapq.heappop(items)
+                l2, s2 = heapq.heappop(items)
+                heapq.heappush(items, (max(l1, l2) + 1, new.and_(s1, s2)))
+            lvl, signal = items[0]
+            mapping[node] = signal
+            level[node] = lvl
+            stack.pop()
+
+    for s in aig.outputs:
+        if aig.is_gate(s >> 1):
+            build(s >> 1)
+    for s, name in zip(aig.outputs, aig.output_names):
+        new.add_po(mapping[s >> 1] ^ (s & 1), name)
     return new.cleanup()

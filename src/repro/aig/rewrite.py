@@ -6,9 +6,12 @@ rewriting of Mishchenko, Chatterjee and Brayton ("DAG-aware AIG rewriting
 4-input cuts, compare each cut's implementation against a precomputed
 smaller structure, and replace greedily.
 
-This implementation mirrors our MIG rewriter's top-down scheme over AND
-gates.  Replacement structures are synthesized on demand per NPN class —
-a memoized Shannon/xor-decomposition AIG factory — which plays the role
+This implementation runs our MIG rewriter's top-down scheme over AND
+gates, on the same cut pipeline: cut tables come from the program the
+enumerator records and are canonized in one sweep, and the fanout-free
+default enumerates fanout-free cuts only, as the MIG F-variants do.
+Replacement structures are synthesized on demand per NPN class — a
+memoized Shannon/xor-decomposition AIG factory — which plays the role
 of [6]'s precomputed class library.  Combined with
 :func:`repro.aig.balance.balance` this gives the size+depth AIG flow the
 paper's related-work section describes, enabling head-to-head comparisons
@@ -17,15 +20,13 @@ with MIG functional hashing (``benchmarks/bench_aig_baseline.py``).
 
 from __future__ import annotations
 
-import sys
 from functools import lru_cache
 
-from ..core.cuts import cut_cone, enumerate_cuts
-from ..core.npn import apply_transform, npn_canonize
+from ..core.cuts import cut_cone_nodes, enumerate_cut_set
+from ..core.npn import NPNTransform, apply_transform, npn_canonize, npn_canonize_batch
 from ..core.truth_table import (
     tt_cofactor0,
     tt_cofactor1,
-    tt_extend,
     tt_mask,
     tt_support,
     tt_var,
@@ -109,6 +110,13 @@ def build_function_into_aig(
         raise ValueError(f"expected {num_vars} leaves")
     rep, t = npn_canonize(tt, num_vars)
     assert apply_transform(rep, t, num_vars) == tt
+    return _instantiate(aig, rep, t, leaf_signals, num_vars)
+
+
+def _instantiate(
+    aig: Aig, rep: int, t: NPNTransform, leaf_signals: list[int], num_vars: int
+) -> int:
+    """Build the structure of class *rep* under transform *t* into *aig*."""
     structure = _class_structure(rep, num_vars)
     signals = [0] * (1 + num_vars)
     for j in range(num_vars):
@@ -139,68 +147,86 @@ def rewrite_aig(
     cut_limit: int = 10,
     fanout_free: bool = True,
 ) -> Aig:
-    """One top-down cut-rewriting pass over an AIG; function-preserving."""
-    cuts = enumerate_cuts(aig, k=cut_size, cut_limit=cut_limit)
-    fanout = aig.fanout_counts()
+    """One top-down cut-rewriting pass over an AIG; function-preserving.
+
+    Each cut's gain is its cone's gate count minus the AND count of its
+    class structure.  With *fanout_free* (the default) only fanout-free
+    cuts are enumerated — shared gates become leaves — and the exact
+    cone size comes from the merge; otherwise every cut is admitted and
+    its cone is walked, so the gain counts shared gates too.  The walk
+    is :func:`repro.rewriting.top_down.rewrite_top_down`'s, on an
+    explicit stack, and emits each node's dependencies in order.
+    """
+    cuts = enumerate_cut_set(
+        aig,
+        k=cut_size,
+        cut_limit=cut_limit,
+        ffr_fanout=aig.fanout_counts() if fanout_free else None,
+    )
+    all_entries = cuts.entries
+    tables = cuts.slot_tables(cut_size)
+    distinct = cuts.batch_tt4s(cut_size).tolist()
+    classes = dict(zip(distinct, npn_canonize_batch(distinct, cut_size)))
     new = Aig.like(aig)
     memo: dict[int, int] = {0: 0}
     for i in range(1, aig.num_pis + 1):
         memo[i] = i << 1
 
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 4 * (aig.num_pis + aig.num_gates) + 1000))
-
-    def admissible(node: int, leaves: tuple[int, ...]) -> list[int] | None:
-        try:
-            internal = cut_cone(aig, node, leaves)
-        except ValueError:
-            return None
-        if fanout_free and any(
-            fanout[n] != 1 for n in internal if n != node
-        ):
-            return None
-        return internal
-
-    def best_cut(node: int) -> tuple[tuple[int, ...], int] | None:
+    def best_cut(node: int):
+        """``(leaves, rep, transform)`` of the best-gain cut, or None."""
         best = None
-        for leaves in cuts[node]:
+        for leaves, _, size, slot in all_entries[node]:
             if leaves == (node,) or node in leaves:
                 continue
-            internal = admissible(node, leaves)
-            if internal is None:
-                continue
-            tt = aig.cut_function(node, leaves)
-            tt4 = tt_extend(tt, len(leaves), cut_size)
-            gain = len(internal) - aig_class_cost(tt4, cut_size)
+            if fanout_free:
+                cone_gates = size
+            else:
+                cone_gates = len(cut_cone_nodes(aig, node, leaves))
+            rep, transform = classes[tables[slot]]
+            gain = cone_gates - (len(_class_structure(rep, cut_size)) - 1)
             if gain <= 0:
                 continue
             if best is None or gain > best[0]:
-                best = (gain, leaves, tt4)
+                best = (gain, leaves, rep, transform)
         if best is None:
             return None
-        return best[1], best[2]
+        return best[1:]
 
-    def opt(node: int) -> int:
-        cached = memo.get(node)
-        if cached is not None:
-            return cached
-        choice = best_cut(node)
-        if choice is not None:
-            leaves, tt4 = choice
-            leaf_signals = [opt(leaf) for leaf in leaves]
-            leaf_signals += [0] * (cut_size - len(leaves))
-            signal = build_function_into_aig(new, tt4, leaf_signals, cut_size)
-        else:
-            a, b = aig.fanins(node)
-            signal = new.and_(
-                opt(a >> 1) ^ (a & 1), opt(b >> 1) ^ (b & 1)
-            )
-        memo[node] = signal
-        return signal
+    # Each node is visited twice: first to choose its cut and schedule
+    # its dependencies, then to emit its signal once they are built.
+    choices: dict = {}
 
-    try:
-        for s, name in zip(aig.outputs, aig.output_names):
-            new.add_po(opt(s >> 1) ^ (s & 1), name)
-    finally:
-        sys.setrecursionlimit(limit)
+    def opt(root: int) -> int:
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if node in memo:
+                stack.pop()
+                continue
+            if node not in choices:
+                choices[node] = best_cut(node)
+            choice = choices[node]
+            if choice is not None:
+                deps = choice[0]
+            else:
+                deps = [s >> 1 for s in aig.fanins(node)]
+            missing = [d for d in deps if d not in memo]
+            if missing:
+                # Reversed, so the first dependency is built first.
+                stack.extend(reversed(missing))
+                continue
+            if choice is not None:
+                leaves, rep, transform = choice
+                leaf_signals = [memo[leaf] for leaf in leaves]
+                leaf_signals += [0] * (cut_size - len(leaves))
+                signal = _instantiate(new, rep, transform, leaf_signals, cut_size)
+            else:
+                a, b = aig.fanins(node)
+                signal = new.and_(memo[a >> 1] ^ (a & 1), memo[b >> 1] ^ (b & 1))
+            memo[node] = signal
+            stack.pop()
+        return memo[root]
+
+    for s, name in zip(aig.outputs, aig.output_names):
+        new.add_po(opt(s >> 1) ^ (s & 1), name)
     return new.cleanup()

@@ -1,6 +1,5 @@
 """Core representations: truth tables, NPN classification, MIGs, and cuts."""
 
-from .truth_table import TruthTable
 from .npn import NPNTransform, apply_transform, npn_canonize, enumerate_npn_classes
 from .mig import (
     CONST0,
@@ -11,11 +10,10 @@ from .mig import (
     signal_node,
     signal_not,
 )
-from .cuts import enumerate_cuts, cut_cone, mffc_nodes, mffc_size
+from .cuts import enumerate_cut_set
 from .simulate import check_equivalence, equivalent_exhaustive, equivalent_random
 
 __all__ = [
-    "TruthTable",
     "NPNTransform",
     "apply_transform",
     "npn_canonize",
@@ -27,10 +25,7 @@ __all__ = [
     "signal_not",
     "signal_node",
     "signal_is_complemented",
-    "enumerate_cuts",
-    "cut_cone",
-    "mffc_nodes",
-    "mffc_size",
+    "enumerate_cut_set",
     "check_equivalence",
     "equivalent_exhaustive",
     "equivalent_random",

@@ -23,12 +23,12 @@ cuts (proper supersets of another cut of the same node) are pruned.  The
 ``cut_limit`` parameter bounds the number of cuts stored per node
 (priority cuts, ref. [11] of the paper).
 
-:func:`enumerate_cut_set` is the hot-path entry point used by the
-rewriters: it additionally records the flat cut-function program
-(:class:`_CutProgram`) that evaluates every cut truth table in one
-executor run.  That program is the only cut-table implementation;
-:func:`repro.core.simengine.cone_function`, which re-simulates one cut
-cone, is the reference the tests hold it to.
+:func:`enumerate_cut_set` is the one entry point, shared by the
+rewriters, the mapper and AIG rewriting: alongside the merge it records
+the flat cut-function program (:class:`_CutProgram`) that evaluates
+every cut truth table in one executor run.  That program is the only
+cut-table implementation; :func:`repro.core.simengine.cone_function`,
+which re-simulates one cut cone, is the reference the tests hold it to.
 
 All traversals here are explicit-stack iterative so that deep (chain-
 shaped) networks never hit Python's recursion limit.
@@ -42,16 +42,7 @@ from ..runtime.metrics import PassMetrics
 from .kernel import Network
 from .simengine import _PATTERN_IDS, evaluate_cut_program, expansion_pid
 
-__all__ = [
-    "CutSet",
-    "enumerate_cuts",
-    "enumerate_cut_set",
-    "cut_cone",
-    "cut_cone_nodes",
-    "SHARED_CONE",
-    "mffc_nodes",
-    "mffc_size",
-]
+__all__ = ["CutSet", "enumerate_cut_set", "cut_cone_nodes"]
 
 #: Truth table of the single-variable projection x0 (trivial/PI cuts).
 _TT_X0 = 0b10
@@ -249,15 +240,14 @@ def _enumerate(
     mig: Network,
     k: int,
     cut_limit: int,
-    include_trivial: bool,
     metrics: PassMetrics | None,
-    ffr_fanout: list[int] | None = None,
-    program: _CutProgram | None = None,
-) -> tuple[list[list[tuple[int, ...]]], dict]:
+    ffr_fanout: list[int] | None,
+    program: _CutProgram,
+) -> list[list[tuple[tuple[int, ...], int, int, int]]]:
     """Shared enumeration core.
 
-    Returns per-node cut lists and per-cut cone sizes.  A given
-    *program* records the flat cut-function program alongside
+    Returns per-node ``(leaves, signature, cone_size, slot)`` entries
+    and records the flat cut-function program into *program* alongside
     the merge at negligible extra cost.
 
     With *ffr_fanout* (a fanout-count list), enumeration is restricted to
@@ -267,9 +257,8 @@ def _enumerate(
     formulation of the F-variants: every enumerated cut is fanout-free by
     construction (so rewriters skip the per-cut cone walk entirely), the
     cubic merge space shrinks at every shared fanin, and — because the
-    restricted cones are trees — the exact cone gate count falls out of
-    the merge for free (``cone_sizes``).  In unrestricted mode the size
-    entries over-count shared gates and ``cone_sizes`` is empty.
+    restricted cones are trees — the entries' cone size is the exact
+    cone gate count.  In unrestricted mode it over-counts shared gates.
     """
     if k < 1:
         raise ValueError("cut size k must be at least 1")
@@ -280,43 +269,37 @@ def _enumerate(
     work: list[list[tuple[tuple[int, ...], int, int, int]]] = [
         [] for _ in range(num_nodes)
     ]
-    slot = program.add_init(0, 0) if program is not None else 0
-    work[0] = [((), 0, 0, slot)]
+    work[0] = [((), 0, 0, program.add_init(0, 0))]
     for node in range(1, mig.num_pis + 1):
         leaves = (node,)
-        slot = program.add_init(1, _TT_X0) if program is not None else 0
-        work[node] = [(leaves, _signature(leaves), 0, slot)]
-    cone_sizes: dict[tuple[int, tuple[int, ...]], int] = {}
-    #: node -> slot of its trivial singleton cut (recording mode): the
-    #: inserted trivial and the FFR shared-leaf source must share one
-    #: slot, they are the same (node, leaves) key.
+        work[node] = [(leaves, _signature(leaves), 0, program.add_init(1, _TT_X0))]
+    #: gate -> slot of its trivial singleton cut: a shared FFR leaf is
+    #: the same (node, leaves) key, so its source reuses that slot.
     trivial_slots: dict[int, int] = {}
     #: child -> memoized singleton source list for shared FFR leaves
     ffr_sources: dict[int, list] = {}
     num_pis = mig.num_pis
     total_cuts = 0
     ffr = ffr_fanout is not None
-    cone_set = cone_sizes.__setitem__
-    if program is not None:
-        # The slot bookkeeping below (gate-cut recording, trivial-cut
-        # init slots) is fully inlined with the list append methods
-        # bound once: one attribute walk per *pass*, not per cut, keeps
-        # the ride-along recording nearly free.
-        nslots = len(program.nv)
-        slot_lev = program.slot_lev
-        p_nv_append = program.nv.append
-        p_slot_lev_append = slot_lev.append
-        init_idx_append = program.init_idx.append
-        init_vals_append = program.init_vals.append
-        row_out_append = program.row_out.append
-        row_lev_append = program.row_lev.append
-        row_mask_append = program.row_mask.append
-        row_child_append = program.row_child.append
-        row_sign_append = program.row_sign.append
-        row_pid_append = program.row_pid.append
-        # Known patterns answer from one dict probe; expansion_pid only
-        # runs to grow the LUT (a handful of times per process, ever).
-        pid_get = _PATTERN_IDS.get
+    # The slot bookkeeping below (gate-cut recording, trivial-cut init
+    # slots) is fully inlined with the list append methods bound once:
+    # one attribute walk per *pass*, not per cut, keeps the ride-along
+    # recording nearly free.
+    nslots = len(program.nv)
+    slot_lev = program.slot_lev
+    p_nv_append = program.nv.append
+    p_slot_lev_append = slot_lev.append
+    init_idx_append = program.init_idx.append
+    init_vals_append = program.init_vals.append
+    row_out_append = program.row_out.append
+    row_lev_append = program.row_lev.append
+    row_mask_append = program.row_mask.append
+    row_child_append = program.row_child.append
+    row_sign_append = program.row_sign.append
+    row_pid_append = program.row_pid.append
+    # Known patterns answer from one dict probe; expansion_pid only
+    # runs to grow the LUT (a handful of times per process, ever).
+    pid_get = _PATTERN_IDS.get
     for node in mig.gates():
         fanins = mig.fanins(node)
         sources = []
@@ -326,20 +309,7 @@ def _enumerate(
                 # Shared gate: a leaf, never expanded through.
                 src = ffr_sources.get(child)
                 if src is None:
-                    trivial = (child,)
-                    if program is not None:
-                        slot = trivial_slots.get(child)
-                        if slot is None:
-                            slot = nslots
-                            nslots += 1
-                            p_nv_append(1)
-                            p_slot_lev_append(0)
-                            init_idx_append(slot)
-                            init_vals_append(_TT_X0)
-                            trivial_slots[child] = slot
-                    else:
-                        slot = 0
-                    src = [(trivial, 1 << (child & 63), 0, slot)]
+                    src = [((child,), 1 << (child & 63), 0, trivial_slots[child])]
                     ffr_sources[child] = src
                 sources.append(src)
             else:
@@ -395,125 +365,96 @@ def _enumerate(
             merged = merged[:cut_limit]
         entries = []
         for leaves, sig, size, child_entries in merged:
-            if program is not None:
-                slot = nslots
-                nslots += 1
-                num_leaves = len(leaves)
-                p_nv_append(num_leaves)
-                mask = _MASKS[num_leaves]
-                lev = 0
-                index = leaves.index
-                for s, entry in zip(fanins, child_entries):
-                    child_slot = entry[3]
-                    child_lev = slot_lev[child_slot]
-                    if child_lev > lev:
-                        lev = child_lev
-                    row_child_append(child_slot)
-                    row_sign_append(s & 1)
-                    child_leaves = entry[0]
-                    if child_leaves == leaves:
-                        row_pid_append(0)
-                    else:
-                        # Positions of the (sorted) child leaves within
-                        # the (sorted) union leaves — the child is a
-                        # subset by merge construction, so every index
-                        # probe hits.
-                        pat = (num_leaves, tuple(map(index, child_leaves)))
-                        pid = pid_get(pat)
-                        row_pid_append(
-                            pid if pid is not None else expansion_pid(*pat)
-                        )
-                lev += 1
-                p_slot_lev_append(lev)
-                row_out_append(slot)
-                row_lev_append(lev)
-                row_mask_append(mask)
-            else:
-                slot = 0
+            slot = nslots
+            nslots += 1
+            num_leaves = len(leaves)
+            p_nv_append(num_leaves)
+            mask = _MASKS[num_leaves]
+            lev = 0
+            index = leaves.index
+            for s, entry in zip(fanins, child_entries):
+                child_slot = entry[3]
+                child_lev = slot_lev[child_slot]
+                if child_lev > lev:
+                    lev = child_lev
+                row_child_append(child_slot)
+                row_sign_append(s & 1)
+                child_leaves = entry[0]
+                if child_leaves == leaves:
+                    row_pid_append(0)
+                else:
+                    # Positions of the (sorted) child leaves within the
+                    # (sorted) union leaves — the child is a subset by
+                    # merge construction, so every index probe hits.
+                    pat = (num_leaves, tuple(map(index, child_leaves)))
+                    pid = pid_get(pat)
+                    row_pid_append(
+                        pid if pid is not None else expansion_pid(*pat)
+                    )
+            lev += 1
+            p_slot_lev_append(lev)
+            row_out_append(slot)
+            row_lev_append(lev)
+            row_mask_append(mask)
             entries.append((leaves, sig, size, slot))
-            if ffr:
-                cone_set((node, leaves), size)
-        if include_trivial:
-            trivial = (node,)
-            if program is not None:
-                slot = nslots
-                nslots += 1
-                p_nv_append(1)
-                p_slot_lev_append(0)
-                init_idx_append(slot)
-                init_vals_append(_TT_X0)
-                trivial_slots[node] = slot
-            else:
-                slot = 0
-            # Keep the documented "ordered by increasing leaf count"
-            # contract: the trivial 1-leaf cut goes after existing
-            # narrower-or-equal cuts, before wider ones (insort_right
-            # semantics — hand-rolled, the key'd bisect was measurable).
-            lo = 0
-            n_entries = len(entries)
-            while lo < n_entries and len(entries[lo][0]) <= 1:
-                lo += 1
-            entries.insert(lo, (trivial, 1 << (node & 63), 0, slot))
+        slot = nslots
+        nslots += 1
+        p_nv_append(1)
+        p_slot_lev_append(0)
+        init_idx_append(slot)
+        init_vals_append(_TT_X0)
+        trivial_slots[node] = slot
+        # Keep the documented "ordered by increasing leaf count" contract:
+        # the trivial 1-leaf cut goes after existing narrower-or-equal
+        # cuts, before wider ones (insort_right semantics — hand-rolled,
+        # the key'd bisect was measurable).
+        lo = 0
+        n_entries = len(entries)
+        while lo < n_entries and len(entries[lo][0]) <= 1:
+            lo += 1
+        entries.insert(lo, ((node,), 1 << (node & 63), 0, slot))
         work[node] = entries
         total_cuts += len(entries)
     if metrics is not None:
         metrics.cuts_enumerated += total_cuts
-    return work, cone_sizes
-
-
-def enumerate_cuts(
-    mig: Network,
-    k: int = 4,
-    cut_limit: int = 25,
-    include_trivial: bool = True,
-    metrics: PassMetrics | None = None,
-) -> list[list[tuple[int, ...]]]:
-    """Enumerate k-feasible cuts of every node of *mig* (any arity).
-
-    Returns ``cuts`` with ``cuts[node]`` the list of leaf tuples of that
-    node, ordered by increasing leaf count (the trivial cut included in
-    order).  The constant node has the single empty cut; a PI has its
-    singleton cut.
-    """
-    entries, _ = _enumerate(mig, k, cut_limit, include_trivial, metrics)
-    return [[entry[0] for entry in node_entries] for node_entries in entries]
+    return work
 
 
 def enumerate_cut_set(
     mig: Network,
     k: int = 4,
     cut_limit: int = 25,
-    include_trivial: bool = True,
     metrics: PassMetrics | None = None,
     ffr_fanout: list[int] | None = None,
 ) -> "CutSet":
-    """Enumerate cuts and return a :class:`CutSet` with their cut functions.
+    """Enumerate k-feasible cuts and return a :class:`CutSet` with their
+    cut functions.
 
-    The flat cut-function program is recorded during the merge, so
-    :meth:`CutSet.compute_functions` evaluates every cut table in one
-    executor run.  Its tables hold at most 64 bits, hence ``k <= 6``.
-    With *ffr_fanout* (see :func:`_enumerate`), only fanout-free cuts are
-    produced and :meth:`CutSet.cone_size` knows each cut's exact cone
-    gate count.
+    ``cut_set[node]`` lists the leaf tuples of every node of *mig* (any
+    arity), ordered by increasing leaf count with the trivial cut of a
+    gate included in order; the constant node has the single empty cut
+    and a PI its singleton cut.  The flat cut-function program is
+    recorded during the merge, so :meth:`CutSet.compute_functions`
+    evaluates every cut table in one executor run.  Its tables hold at
+    most 64 bits, hence ``k <= 6``.  With *ffr_fanout* (see
+    :func:`_enumerate`), only fanout-free cuts are produced and each
+    entry carries its exact cone gate count.
     """
     if k > _MAX_PROGRAM_VARS:
         raise ValueError(
             f"cut functions cover at most {_MAX_PROGRAM_VARS} leaves, got k={k}"
         )
     program = _CutProgram(mig.arity)
-    entries, cone_sizes = _enumerate(
-        mig, k, cut_limit, include_trivial, metrics, ffr_fanout, program
-    )
-    return CutSet(entries, program, metrics, cone_sizes)
+    entries = _enumerate(mig, k, cut_limit, metrics, ffr_fanout, program)
+    return CutSet(entries, program, metrics)
 
 
 class CutSet:
     """Enumerated cuts of a network plus their cut functions.
 
-    ``cut_set[node]`` is the list of leaf tuples of *node* (the same shape
-    :func:`enumerate_cuts` returns).  :meth:`slot_tables` and
-    :meth:`batch_tt4s` serve every cut function at once from the program
-    recorded during enumeration.
+    ``cut_set[node]`` is the list of leaf tuples of *node*.
+    :meth:`slot_tables` and :meth:`batch_tt4s` serve every cut function
+    at once from the program recorded during enumeration.
     """
 
     def __init__(
@@ -521,16 +462,14 @@ class CutSet:
         entries: list[list[tuple[tuple[int, ...], int, int, int]]],
         program: _CutProgram,
         metrics: PassMetrics | None = None,
-        cone_sizes: dict[tuple[int, tuple[int, ...]], int] | None = None,
     ) -> None:
         #: per-node ``(leaves, signature, cone_size, slot)`` entries as
-        #: the enumerator produced them — the rewriters iterate these
+        #: the enumerator produced them — the consumers iterate these
         #: directly (cone size and program slot ride along, no dict
         #: probes); :attr:`cuts` derives the leaves-only view lazily.
         self.entries = entries
         self._cuts: list[list[tuple[int, ...]]] | None = None
         self.metrics = metrics
-        self._cone_sizes = cone_sizes or {}
         self._program = program
         # Program results (compute_functions): flat per-slot truth
         # tables, per-slot var counts, the slots of non-trivial gate
@@ -542,7 +481,7 @@ class CutSet:
 
     @property
     def cuts(self) -> list[list[tuple[int, ...]]]:
-        """Per-node leaf tuples (the :func:`enumerate_cuts` shape)."""
+        """Per-node leaf tuples, without the entries' bookkeeping."""
         c = self._cuts
         if c is None:
             c = self._cuts = [
@@ -622,14 +561,6 @@ class CutSet:
         np.not_equal(v[1:], v[:-1], out=keep[1:])
         return v[keep]
 
-    def cone_size(self, node: int, leaves: tuple[int, ...]) -> int | None:
-        """Exact cone gate count of a cut, or None.
-
-        Known only for cuts enumerated in FFR-restricted mode (where the
-        cone is a tree and the size falls out of the merge).
-        """
-        return self._cone_sizes.get((node, leaves))
-
     def __getitem__(self, node: int) -> list[tuple[int, ...]]:
         return self.cuts[node]
 
@@ -637,26 +568,13 @@ class CutSet:
         return len(self.cuts)
 
 
-#: sentinel returned by :func:`cut_cone_nodes` when an internal node has
-#: external fanout (so callers can distinguish it from an invalid cone)
-SHARED_CONE = object()
+def cut_cone_nodes(mig: Network, root: int, leaves: tuple[int, ...]):
+    """Internal nodes of cut ``(root, leaves)`` as a set, root included.
 
-
-def cut_cone_nodes(
-    mig: Network,
-    root: int,
-    leaves: tuple[int, ...],
-    fanout: list[int] | None = None,
-):
-    """Internal nodes of cut ``(root, leaves)`` as a set — hot-loop variant.
-
-    Unlike :func:`cut_cone` this returns an unordered set, signals an
-    invalid cut by returning ``None`` instead of raising, and — when a
-    *fanout* reference-count list is given — aborts the walk the moment a
-    non-root internal node has fanout other than 1, returning
-    :data:`SHARED_CONE`.  The early exit is what makes the F-variants
-    cheap: most cuts fail the fanout-free test and never pay for a full
-    cone traversal.
+    Signals an invalid cut (a PI outside the leaves is reachable) by
+    returning ``None``.  The unrestricted rewriters size each cut's cone
+    with this walk; the fanout-free ones read the exact size from the
+    restricted enumeration instead.
     """
     leaf_set = set(leaves)
     first_gate = mig.num_pis + 1
@@ -669,65 +587,6 @@ def cut_cone_nodes(
             continue
         if node < first_gate:  # a PI outside the leaves: not a cut
             return None
-        if fanout is not None and fanout[node] != 1:
-            return SHARED_CONE
         seen.add(node)
         stack.extend(s >> 1 for s in fanins(node))
     return seen
-
-
-def cut_cone(mig: Network, root: int, leaves: tuple[int, ...]) -> list[int]:
-    """Return the internal nodes of cut ``(root, leaves)`` in topological order.
-
-    Internal nodes are the gates strictly inside the cut, *including* the
-    root itself.  Raises ``ValueError`` when a non-constant terminal is
-    reached that is not a leaf (i.e. ``leaves`` is not a valid cut).
-    """
-    leaf_set = set(leaves)
-    visited: set[int] = set()
-    order: list[int] = []
-    # (node, expanded): post-order with an explicit stack.
-    stack: list[tuple[int, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if node in leaf_set or node == 0 or node in visited:
-            continue
-        if not mig.is_gate(node):
-            raise ValueError(f"node {node} is a terminal outside the cut leaves")
-        visited.add(node)
-        stack.append((node, True))
-        for s in mig.fanins(node):
-            stack.append((s >> 1, False))
-    return order
-
-
-def mffc_nodes(mig: Network, root: int, fanout: list[int] | None = None) -> set[int]:
-    """Maximum fanout-free cone of *root*: gates that die if *root* dies.
-
-    A gate belongs to the MFFC if all of its fanout paths lead into the
-    cone.  Computed by simulated reference-count dereferencing.
-    """
-    if fanout is None:
-        fanout = mig.fanout_counts()
-    refs = list(fanout)
-    cone: set[int] = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if not mig.is_gate(node):
-            continue
-        cone.add(node)
-        for s in mig.fanins(node):
-            child = s >> 1
-            refs[child] -= 1
-            if refs[child] == 0:
-                stack.append(child)
-    return cone
-
-
-def mffc_size(mig: Network, root: int, fanout: list[int] | None = None) -> int:
-    """Number of gates in the MFFC of *root*."""
-    return len(mffc_nodes(mig, root, fanout))

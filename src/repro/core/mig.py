@@ -26,8 +26,6 @@ calls with functionally identical triples return the same signal.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .kernel import (
     CONST0,
     CONST1,
@@ -147,41 +145,6 @@ class Mig(SimulationMixin, Network):
                 f"gate node {node} fanin triple {fanin} has more than one "
                 "inverter (self-duality normalization not applied)"
             )
-
-    # ------------------------------------------------------------------
-    # transformations beyond the kernel's cleanup/clone
-    # ------------------------------------------------------------------
-
-    def rebuild(
-        self,
-        gate_builder: Callable[["Mig", int, tuple[int, int, int], dict[int, int]], int]
-        | None = None,
-    ) -> "Mig":
-        """Rebuild the MIG gate by gate into a fresh network.
-
-        *gate_builder* receives ``(new_mig, old_node, mapped_fanins,
-        mapping)`` and must return the signal implementing the old node in
-        the new network; by default gates are copied verbatim.  Useful as
-        the chassis for rewriting passes.
-        """
-        new = Mig.like(self)
-        mapping: dict[int, int] = {0: 0}
-        for i in range(1, self.num_pis + 1):
-            mapping[i] = make_signal(i)
-        for node in self._reachable_gates():
-            a, b, c = self.fanins(node)
-            mapped = (
-                mapping[a >> 1] ^ (a & 1),
-                mapping[b >> 1] ^ (b & 1),
-                mapping[c >> 1] ^ (c & 1),
-            )
-            if gate_builder is None:
-                mapping[node] = new.maj(*mapped)
-            else:
-                mapping[node] = gate_builder(new, node, mapped, mapping)
-        for s, name in zip(self._outputs, self._output_names):
-            new.add_po(mapping[s >> 1] ^ (s & 1), name)
-        return new
 
     # ------------------------------------------------------------------
     # pretty printing

@@ -3,9 +3,7 @@
 A truth table over ``n`` variables is stored as a plain Python integer of
 ``2**n`` bits: bit ``m`` holds the function value on the input assignment
 whose binary encoding is ``m`` (variable ``x_i`` corresponds to bit ``i``
-of ``m``).  Module-level functions operate on raw integers for speed; the
-:class:`TruthTable` wrapper offers an ergonomic, operator-overloaded view
-for public API use.
+of ``m``).  The functions operate on raw integers for speed.
 
 This module is the functional backbone of the reproduction: cut functions,
 NPN classification (Sec. II-D of the paper), exact synthesis specs
@@ -14,11 +12,9 @@ NPN classification (Sec. II-D of the paper), exact synthesis specs
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = [
-    "TruthTable",
     "tt_mask",
     "tt_const0",
     "tt_const1",
@@ -275,132 +271,3 @@ def tt_permute(f: int, perm: Iterable[int], num_vars: int) -> int:
         if (f >> mp) & 1:
             g |= 1 << m
     return g
-
-
-@dataclass(frozen=True)
-class TruthTable:
-    """An immutable truth table with operator overloading.
-
-    >>> a, b = TruthTable.var(2, 0), TruthTable.var(2, 1)
-    >>> (a & b).to_hex()
-    '8'
-    """
-
-    num_vars: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.bits < 0 or self.bits > tt_mask(self.num_vars):
-            raise ValueError(
-                f"bits 0x{self.bits:x} out of range for {self.num_vars} variables"
-            )
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def const0(num_vars: int) -> "TruthTable":
-        """Constant-0 function."""
-        return TruthTable(num_vars, 0)
-
-    @staticmethod
-    def const1(num_vars: int) -> "TruthTable":
-        """Constant-1 function."""
-        return TruthTable(num_vars, tt_mask(num_vars))
-
-    @staticmethod
-    def var(num_vars: int, i: int) -> "TruthTable":
-        """Projection ``x_i``."""
-        return TruthTable(num_vars, tt_var(num_vars, i))
-
-    @staticmethod
-    def from_hex(text: str, num_vars: int) -> "TruthTable":
-        """Parse from hexadecimal."""
-        return TruthTable(num_vars, tt_from_hex(text, num_vars))
-
-    @staticmethod
-    def from_values(values: Iterable[int | bool]) -> "TruthTable":
-        """Build from an iterable of ``2**n`` output values, minterm order."""
-        vals = [1 if v else 0 for v in values]
-        n = (len(vals)).bit_length() - 1
-        if len(vals) != 1 << n:
-            raise ValueError(f"length {len(vals)} is not a power of two")
-        bits = 0
-        for m, v in enumerate(vals):
-            bits |= v << m
-        return TruthTable(n, bits)
-
-    # -- operators ---------------------------------------------------------
-
-    def _check(self, other: "TruthTable") -> None:
-        if self.num_vars != other.num_vars:
-            raise ValueError(
-                f"mixing truth tables over {self.num_vars} and {other.num_vars} variables"
-            )
-
-    def __and__(self, other: "TruthTable") -> "TruthTable":
-        self._check(other)
-        return TruthTable(self.num_vars, self.bits & other.bits)
-
-    def __or__(self, other: "TruthTable") -> "TruthTable":
-        self._check(other)
-        return TruthTable(self.num_vars, self.bits | other.bits)
-
-    def __xor__(self, other: "TruthTable") -> "TruthTable":
-        self._check(other)
-        return TruthTable(self.num_vars, self.bits ^ other.bits)
-
-    def __invert__(self) -> "TruthTable":
-        return TruthTable(self.num_vars, tt_not(self.bits, self.num_vars))
-
-    def __iter__(self) -> Iterator[bool]:
-        for m in range(1 << self.num_vars):
-            yield bool((self.bits >> m) & 1)
-
-    # -- queries -----------------------------------------------------------
-
-    @staticmethod
-    def maj(a: "TruthTable", b: "TruthTable", c: "TruthTable") -> "TruthTable":
-        """Ternary majority ``<abc>``."""
-        a._check(b)
-        a._check(c)
-        return TruthTable(a.num_vars, tt_maj(a.bits, b.bits, c.bits))
-
-    def cofactor(self, i: int, value: int) -> "TruthTable":
-        """Cofactor w.r.t. ``x_i := value``."""
-        fn = tt_cofactor1 if value else tt_cofactor0
-        return TruthTable(self.num_vars, fn(self.bits, i, self.num_vars))
-
-    def depends_on(self, i: int) -> bool:
-        """True if the function depends on ``x_i``."""
-        return tt_depends_on(self.bits, i, self.num_vars)
-
-    def support(self) -> tuple[int, ...]:
-        """Indices of variables in the functional support."""
-        return tt_support(self.bits, self.num_vars)
-
-    def is_const(self) -> bool:
-        """True for constant 0 / constant 1."""
-        return tt_is_const(self.bits, self.num_vars)
-
-    def count_ones(self) -> int:
-        """Number of satisfying minterms."""
-        return tt_count_ones(self.bits)
-
-    def evaluate(self, assignment: int) -> bool:
-        """Evaluate on a minterm index."""
-        return tt_evaluate(self.bits, assignment)
-
-    def permute(self, perm: Iterable[int]) -> "TruthTable":
-        """Apply an input permutation (see :func:`tt_permute`)."""
-        return TruthTable(self.num_vars, tt_permute(self.bits, perm, self.num_vars))
-
-    def flip_input(self, i: int) -> "TruthTable":
-        """Complement input ``x_i``."""
-        return TruthTable(self.num_vars, tt_flip_input(self.bits, i, self.num_vars))
-
-    def to_hex(self) -> str:
-        """Hexadecimal string, MSB first."""
-        return tt_to_hex(self.bits, self.num_vars)
-
-    def __str__(self) -> str:
-        return f"0x{self.to_hex()}"

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.npn import npn_representative
+from ..core.npn import npn_canonize_batch, npn_representative
 from ..core.truth_table import tt_extend, tt_maj, tt_mask, tt_not, tt_var
 
 __all__ = ["Cell", "CellLibrary", "default_library"]
@@ -49,7 +49,23 @@ class CellLibrary:
 
     def match(self, tt: int) -> Cell | None:
         """Return the cheapest cell whose NPN class matches *tt* (over match_vars)."""
-        return self._by_class.get(npn_representative(tt, self.match_vars))
+        return self.match_batch([tt])[tt]
+
+    def match_batch(self, tts) -> dict[int, Cell | None]:
+        """The cheapest cell of each table's NPN class, in one sweep.
+
+        Returns ``{tt: cell or None}`` over the distinct tables of *tts*
+        (any sequence or array of ``match_vars``-input tables), all of
+        them canonized by one ``npn_canonize_batch`` call.
+        """
+        tt_list = [int(tt) for tt in tts]
+        by_class = self._by_class
+        return {
+            tt: by_class.get(rep)
+            for tt, (rep, _) in zip(
+                tt_list, npn_canonize_batch(tt_list, self.match_vars)
+            )
+        }
 
     def __len__(self) -> int:
         return len(self.cells)

@@ -5,8 +5,10 @@ report area and depth of the mapped circuit.  This module provides the
 substitute mapper (DESIGN.md §4): classic priority-cut structural mapping
 in the style of ref. [11] of the paper:
 
-1. enumerate k-feasible cuts of every gate,
-2. match each cut's function against the library by NPN class,
+1. enumerate k-feasible cuts of every gate, reading each cut's truth
+   table from the program the enumerator records,
+2. match each distinct cut function against the library by NPN class,
+   all of them in one canonization sweep,
 3. choose, per gate, the match minimizing ``(arrival, area_flow)`` —
    depth-oriented mapping with area-flow tie-breaking,
 4. extract the cover from the outputs and report exact area, cell count,
@@ -18,11 +20,11 @@ the library module).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from ..core.cuts import enumerate_cuts
+from ..core.cuts import enumerate_cut_set
 from ..core.mig import Mig
-from ..core.truth_table import tt_extend
+from ..core.truth_table import tt_mask
 from .library import Cell, CellLibrary, default_library
 
 __all__ = ["MappingResult", "map_mig"]
@@ -37,6 +39,8 @@ class MappingResult:
     num_cells: int
     #: chosen (cell, leaves) per covered node
     cover: dict[int, tuple[Cell, tuple[int, ...]]]
+    #: truth table of each covered node over its cover leaves
+    functions: dict[int, int] = field(default_factory=dict)
 
     def __str__(self) -> str:
         return f"area={self.area:.1f} depth={self.depth} cells={self.num_cells}"
@@ -46,6 +50,7 @@ class MappingResult:
 class _Match:
     cell: Cell
     leaves: tuple[int, ...]
+    table: int
     arrival: int
     area_flow: float
 
@@ -59,21 +64,20 @@ def map_mig(
     """Map *mig* onto *library*; returns area/depth of the mapped netlist."""
     if library is None:
         library = default_library()
-    cuts = enumerate_cuts(mig, k=cut_size, cut_limit=cut_limit)
+    match_vars = library.match_vars
+    cuts = enumerate_cut_set(mig, k=cut_size, cut_limit=cut_limit)
+    tables = cuts.slot_tables(match_vars)
+    cell_of = library.match_batch(cuts.batch_tt4s(match_vars))
     fanout = mig.fanout_counts()
 
     best: dict[int, _Match] = {}
     for node in mig.gates():
         node_best: _Match | None = None
-        for leaves in cuts[node]:
+        for leaves, _, _, slot in cuts.entries[node]:
             if leaves == (node,):
                 continue
-            try:
-                tt = mig.cut_function(node, leaves)
-            except ValueError:
-                continue
-            tt4 = tt_extend(tt, len(leaves), library.match_vars)
-            cell = library.match(tt4)
+            tt4 = tables[slot]
+            cell = cell_of[tt4]
             if cell is None:
                 continue
             arrival = 0
@@ -89,7 +93,7 @@ def map_mig(
                     flow += leaf_match.area_flow / max(1, fanout[leaf])
             if not feasible:
                 continue
-            match = _Match(cell, leaves, arrival + 1, flow)
+            match = _Match(cell, leaves, tt4, arrival + 1, flow)
             if node_best is None or (match.arrival, match.area_flow) < (
                 node_best.arrival,
                 node_best.area_flow,
@@ -103,6 +107,7 @@ def map_mig(
 
     # Cover extraction from the outputs.
     cover: dict[int, tuple[Cell, tuple[int, ...]]] = {}
+    functions: dict[int, int] = {}
     area = 0.0
     depth = 0
     stack = [s >> 1 for s in mig.outputs if mig.is_gate(s >> 1)]
@@ -114,9 +119,13 @@ def map_mig(
         visited.add(node)
         match = best[node]
         cover[node] = (match.cell, match.leaves)
+        # The extended table repeats the cut's own in its low bits.
+        functions[node] = match.table & tt_mask(len(match.leaves))
         area += match.cell.area
         depth = max(depth, match.arrival)
         for leaf in match.leaves:
             if mig.is_gate(leaf):
                 stack.append(leaf)
-    return MappingResult(area=area, depth=depth, num_cells=len(cover), cover=cover)
+    return MappingResult(
+        area=area, depth=depth, num_cells=len(cover), cover=cover, functions=functions
+    )

@@ -33,10 +33,11 @@ def remap_resynth(
 ) -> Mig:
     """Map *mig* and resynthesize an MIG from the mapped cover.
 
-    Each cell of the cover computes one cut function; the new network
-    instantiates the database's minimum MIG for exactly that function
-    over the cell's leaves (Algorithm 1's rebuild step, applied to the
-    mapper's cut choice instead of the rewriter's).  The result is
+    Each cell of the cover computes one cut function, whose table the
+    mapping carries; the new network instantiates the database's
+    minimum MIG for exactly that function over the cell's leaves
+    (Algorithm 1's rebuild step, applied to the mapper's cut choice
+    instead of the rewriter's).  The result is
     functionally equivalent by construction and typically *worse* in
     size than the input — the value is the fresh structure it hands the
     next optimization step, not the intermediate itself.
@@ -48,11 +49,10 @@ def remap_resynth(
         mapping[i] = make_signal(i)
     # Node ids are topological, so ascending order visits leaves first;
     # every gate leaf of a cover cell is itself covered by construction.
+    width = db.num_vars
     for node in sorted(result.cover):
         _, leaves = result.cover[node]
-        tt = mig.cut_function(node, leaves)
-        width = db.num_vars
-        tt_wide = tt_extend(tt, len(leaves), width)
+        tt_wide = tt_extend(result.functions[node], len(leaves), width)
         leaf_signals = [mapping[leaf] for leaf in leaves]
         leaf_signals += [CONST0] * (width - len(leaf_signals))
         mapping[node] = db.rebuild(new, tt_wide, leaf_signals)

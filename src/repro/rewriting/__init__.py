@@ -3,7 +3,6 @@
 from .engine import VARIANTS, RewriteStats, functional_hashing
 from .top_down import rewrite_top_down
 from .bottom_up import rewrite_bottom_up
-from .ffr import cut_is_fanout_free, ffr_of_node, ffr_partition, ffr_roots
 from .dynamic_db import DynamicDatabase
 
 __all__ = [
@@ -12,9 +11,5 @@ __all__ = [
     "RewriteStats",
     "rewrite_top_down",
     "rewrite_bottom_up",
-    "ffr_partition",
-    "ffr_roots",
-    "ffr_of_node",
-    "cut_is_fanout_free",
     "DynamicDatabase",
 ]

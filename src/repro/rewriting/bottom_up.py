@@ -174,7 +174,7 @@ def rewrite_bottom_up(
                     # exact cone size rode along from the merge.
                     cone_gates = cut_entry[2]
                 else:
-                    internal = cut_cone_nodes(mig, node, leaves, None)
+                    internal = cut_cone_nodes(mig, node, leaves)
                     if internal is None:
                         invalid_r += 1
                         continue

@@ -81,7 +81,7 @@ def rewrite_top_down(
                 # exact cone size rode along from the merge.
                 cone_gates = cut_entry[2]
             else:
-                internal = cut_cone_nodes(mig, node, leaves, None)
+                internal = cut_cone_nodes(mig, node, leaves)
                 if internal is None:
                     metrics.reject("invalid-cone")
                     continue

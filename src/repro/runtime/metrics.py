@@ -3,7 +3,7 @@
 The functional-hashing hot loop — cut enumeration, NPN canonization,
 database lookup, structure rebuild — is where the paper's runtime claim
 lives.  :class:`PassMetrics` is the lightweight counter object threaded
-through :func:`repro.core.cuts.enumerate_cuts`,
+through :func:`repro.core.cuts.enumerate_cut_set`,
 :func:`repro.rewriting.top_down.rewrite_top_down`,
 :func:`repro.rewriting.bottom_up.rewrite_bottom_up`,
 :func:`repro.rewriting.engine.functional_hashing` and
@@ -31,7 +31,6 @@ __all__ = ["PassMetrics", "REJECT_REASONS"]
 REJECT_REASONS = (
     "trivial",
     "invalid-cone",
-    "not-fanout-free",
     "db-miss",
     "no-gain",
     "depth-increase",
@@ -100,9 +99,7 @@ class PassMetrics(codec.Record):
     #: dynamic-database lookups that synthesized a fresh entry
     store_synth: int = 0
     #: classes dropped from the dynamic database's in-memory LRU
-    store_evictions: int = 0
-    #: store entries shrunk or proven by background ``db improve`` work
-    store_improved: int = field(
+    store_evictions: int = field(
         default=0, metadata=codec.then("store_hit_rate", digits=4)
     )
     #: gate constructions answered by the kernel's structural-hash table

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+from hypothesis import given, settings
+
 from repro.aig.aig import Aig
 from repro.aig.balance import balance
 from repro.aig.convert import aig_to_mig, mig_to_aig
 from repro.core.simulate import check_equivalence
+
+from ..core.test_cuts_differential import random_aig
+from ._frozen_balance import frozen_balance
+from .test_rewrite import structure
 
 
 def and_chain(width: int) -> Aig:
@@ -51,3 +57,17 @@ class TestBalance:
         aig.add_po(aig.or_(aig.or_(aig.or_(a, b), c), d))
         balanced = balance(aig)
         assert balanced.simulate() == aig.simulate()
+
+
+class TestAgainstFrozenBalance:
+    """The explicit-stack pass against the frozen recursive one."""
+
+    def test_identical_on_suite(self, suite_small):
+        for mig in suite_small:
+            aig = mig_to_aig(mig)
+            assert structure(balance(aig)) == structure(frozen_balance(aig)), mig.name
+
+    @given(random_aig(max_gates=30))
+    @settings(max_examples=40, deadline=None)
+    def test_identical_on_random_aigs(self, aig):
+        assert structure(balance(aig)) == structure(frozen_balance(aig))

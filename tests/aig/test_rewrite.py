@@ -5,13 +5,22 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from repro.aig.aig import Aig
 from repro.aig.convert import aig_to_mig, mig_to_aig
 from repro.aig.rewrite import aig_class_cost, build_function_into_aig, rewrite_aig
-from repro.core.cuts import cut_cone, enumerate_cuts
+from repro.core.cuts import cut_cone_nodes, enumerate_cut_set
 from repro.core.simulate import check_equivalence
 from repro.core.truth_table import tt_var
+
+from ..core.test_cuts_differential import random_aig
+from ._frozen_rewrite import frozen_rewrite_aig
+
+
+def structure(aig: Aig) -> tuple:
+    """Node-for-node identity: every gate's fanins, then the outputs."""
+    return [aig.fanins(n) for n in aig.gates()], list(aig.outputs)
 
 
 class TestAigCuts:
@@ -20,7 +29,7 @@ class TestAigCuts:
         a, b, c = aig.pi_signals()
         g = aig.and_(aig.and_(a, b), c)
         aig.add_po(g)
-        cuts = enumerate_cuts(aig, 4, cut_limit=12)
+        cuts = enumerate_cut_set(aig, 4, cut_limit=12)
         root = g >> 1
         assert (1, 2, 3) in cuts[root]
         assert (root,) in cuts[root]
@@ -43,8 +52,9 @@ class TestAigCuts:
         a, b = aig.pi_signals()
         g = aig.and_(a, b)
         aig.add_po(g)
+        assert cut_cone_nodes(aig, g >> 1, (1,)) is None
         with pytest.raises(ValueError):
-            cut_cone(aig, g >> 1, (1,))
+            aig.cut_function(g >> 1, (1,))
 
 
 class TestClassStructures:
@@ -101,3 +111,35 @@ class TestRewriteAig:
         rewritten = rewrite_aig(aig)
         assert rewritten.pi_names == aig.pi_names
         assert rewritten.output_names == aig.output_names
+
+
+class TestAgainstFrozenPass:
+    """The batch pass against the frozen recursive, per-cut pass."""
+
+    def test_unrestricted_identical_node_for_node(self, suite_small):
+        for mig in suite_small:
+            aig = mig_to_aig(mig)
+            got = rewrite_aig(aig, fanout_free=False)
+            assert structure(got) == structure(
+                frozen_rewrite_aig(aig, fanout_free=False)
+            ), mig.name
+
+    @given(random_aig(max_gates=30))
+    @settings(max_examples=40, deadline=None)
+    def test_unrestricted_identical_on_random_aigs(self, aig):
+        got = rewrite_aig(aig, fanout_free=False)
+        assert structure(got) == structure(frozen_rewrite_aig(aig, fanout_free=False))
+
+    @given(random_aig(max_gates=30))
+    @settings(max_examples=40, deadline=None)
+    def test_fanout_free_equivalent_on_random_aigs(self, aig):
+        assert rewrite_aig(aig).simulate() == aig.simulate()
+
+    def test_fanout_free_no_larger_than_frozen(self, suite_small):
+        # Restricted enumeration spends no priority-cut slot on a cut the
+        # fanout-free rule rejects, so it sees at least as many candidates.
+        for mig in suite_small:
+            aig = mig_to_aig(mig)
+            got = rewrite_aig(aig)
+            assert got.num_gates <= frozen_rewrite_aig(aig).num_gates, mig.name
+            assert check_equivalence(mig, aig_to_mig(got)), mig.name

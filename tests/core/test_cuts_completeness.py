@@ -13,7 +13,7 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cuts import enumerate_cuts
+from repro.core.cuts import enumerate_cut_set
 from repro.core.mig import CONST0, Mig
 
 
@@ -82,7 +82,7 @@ class TestCompleteness:
     @given(small_mig(), st.integers(min_value=2, max_value=4))
     @settings(max_examples=40, deadline=None)
     def test_enumeration_matches_brute_force(self, mig, k):
-        cuts = enumerate_cuts(mig, k, cut_limit=1000)
+        cuts = enumerate_cut_set(mig, k, cut_limit=1000)
         for node in mig.gates():
             enumerated = {
                 frozenset(c) for c in cuts[node]

@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aig.aig import Aig
-from repro.core.cuts import enumerate_cut_set, enumerate_cuts
+from repro.core.cuts import enumerate_cut_set
 from repro.core.mig import Mig
 from repro.core.simengine import cone_function
 from repro.core.truth_table import tt_extend
@@ -209,19 +209,12 @@ class TestMigDifferential:
     @given(random_mig(), st.integers(min_value=2, max_value=5))
     @settings(max_examples=30, deadline=None)
     def test_cut_lists_identical(self, mig, k):
-        assert enumerate_cuts(mig, k=k) == oracle_mig_cuts(mig, k=k)
-
-    @given(random_mig())
-    @settings(max_examples=20, deadline=None)
-    def test_without_trivial_cuts(self, mig):
-        assert enumerate_cuts(mig, include_trivial=False) == oracle_mig_cuts(
-            mig, include_trivial=False
-        )
+        assert enumerate_cut_set(mig, k=k).cuts == oracle_mig_cuts(mig, k=k)
 
     @given(random_mig(), st.integers(min_value=1, max_value=6))
     @settings(max_examples=20, deadline=None)
     def test_priority_cut_truncation_identical(self, mig, cut_limit):
-        assert enumerate_cuts(mig, cut_limit=cut_limit) == oracle_mig_cuts(
+        assert enumerate_cut_set(mig, cut_limit=cut_limit).cuts == oracle_mig_cuts(
             mig, cut_limit=cut_limit
         )
 
@@ -244,7 +237,7 @@ class TestAigDifferential:
     @given(random_aig(), st.integers(min_value=2, max_value=5))
     @settings(max_examples=30, deadline=None)
     def test_cut_sets_identical(self, aig, k):
-        got = enumerate_cuts(aig, k=k, cut_limit=self.UNLIMITED)
+        got = enumerate_cut_set(aig, k=k, cut_limit=self.UNLIMITED).cuts
         expected = oracle_aig_cuts(aig, k=k, cut_limit=self.UNLIMITED)
         assert len(got) == len(expected)
         for node, (g, e) in enumerate(zip(got, expected)):
@@ -257,7 +250,7 @@ class TestAigDifferential:
         # (Exact tie order differs from the old enumerator because the
         # trivial cut now sits insorted in the *source* lists, shifting
         # merge-dict insertion order at the parent.)
-        got = enumerate_cuts(aig, cut_limit=self.UNLIMITED)
+        got = enumerate_cut_set(aig, cut_limit=self.UNLIMITED).cuts
         for node in aig.gates():
             lengths = [len(c) for c in got[node]]
             assert lengths == sorted(lengths), f"node {node}"

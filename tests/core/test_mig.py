@@ -183,10 +183,6 @@ class TestRebuilds:
         copy.maj(CONST0, a, b)
         assert copy.num_gates == full_adder.num_gates + 1
 
-    def test_rebuild_default_is_identity_function(self, full_adder):
-        rebuilt = full_adder.rebuild()
-        assert rebuilt.simulate() == full_adder.simulate()
-
     def test_like_copies_interface(self, full_adder):
         empty = Mig.like(full_adder)
         assert empty.num_pis == 3

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.truth_table import (
-    TruthTable,
     tt_and,
     tt_cofactor0,
     tt_cofactor1,
@@ -149,49 +148,3 @@ class TestPermute:
         perm = list(range(4))
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
         assert tt_swap_adjacent(f, i, 4) == tt_permute(f, perm, 4)
-
-
-class TestTruthTableClass:
-    def test_constructors(self):
-        assert TruthTable.const0(3).bits == 0
-        assert TruthTable.const1(3).bits == 0xFF
-        assert TruthTable.var(2, 1).bits == 0b1100
-        assert TruthTable.from_hex("8", 2).bits == 0x8
-
-    def test_from_values(self):
-        tt = TruthTable.from_values([0, 1, 1, 0])
-        assert tt.num_vars == 2
-        assert tt.bits == 0b0110
-
-    def test_from_values_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            TruthTable.from_values([0, 1, 1])
-
-    def test_operators(self):
-        a, b = TruthTable.var(2, 0), TruthTable.var(2, 1)
-        assert (a & b).bits == 0b1000
-        assert (a | b).bits == 0b1110
-        assert (a ^ b).bits == 0b0110
-        assert (~a).bits == 0b0101
-        assert TruthTable.maj(a, b, ~a).bits == b.bits  # <a b a'> = b
-
-    def test_mixed_arity_rejected(self):
-        with pytest.raises(ValueError):
-            TruthTable.var(2, 0) & TruthTable.var(3, 0)
-
-    def test_queries(self):
-        a, b = TruthTable.var(2, 0), TruthTable.var(2, 1)
-        f = a & b
-        assert f.support() == (0, 1)
-        assert f.count_ones() == 1
-        assert not f.is_const()
-        assert f.evaluate(3) and not f.evaluate(1)
-        assert f.cofactor(0, 1).bits == b.bits
-        assert str(f) == "0x8"
-
-    def test_iteration(self):
-        assert list(TruthTable.var(1, 0)) == [False, True]
-
-    def test_out_of_range_bits(self):
-        with pytest.raises(ValueError):
-            TruthTable(2, 0x10)

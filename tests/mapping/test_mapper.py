@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
-import pytest
+import json
+from pathlib import Path
 
 from repro.core.mig import Mig
 from repro.core.truth_table import tt_extend
+from repro.generators import GENERATORS, resolve_generator
 from repro.mapping.library import default_library
 from repro.mapping.mapper import map_mig
+
+#: ``map_mig`` covers of every registered generator at its default size,
+#: captured from the mapper that re-simulated each cut cone and matched
+#: one cut at a time: ``{name: {area, depth, num_cells, cover}}`` with
+#: ``cover`` a sorted list of ``[node, cell name, leaves]``.
+GOLDEN_PATH = Path(__file__).with_name("map_covers_golden.json")
 
 
 class TestMapping:
@@ -31,6 +39,7 @@ class TestMapping:
         result = map_mig(full_adder, lib)
         for node, (cell, leaves) in result.cover.items():
             tt = full_adder.cut_function(node, leaves)
+            assert result.functions[node] == tt
             tt4 = tt_extend(tt, len(leaves), 4)
             matched = lib.match(tt4)
             assert matched is not None
@@ -66,3 +75,27 @@ class TestMapping:
     def test_str_result(self, full_adder):
         text = str(map_mig(full_adder))
         assert "area=" in text and "depth=" in text
+
+
+class TestGoldenCovers:
+    def test_covers_match_golden(self):
+        golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+        assert sorted(golden) == sorted(GENERATORS)
+        for name, expected in golden.items():
+            mig = resolve_generator(name)
+            result = map_mig(mig)
+            cover = [
+                [node, cell.name, list(leaves)]
+                for node, (cell, leaves) in sorted(result.cover.items())
+            ]
+            assert cover == expected["cover"], name
+            assert result.area == expected["area"], name
+            assert result.depth == expected["depth"], name
+            assert result.num_cells == expected["num_cells"], name
+
+    def test_cover_functions_match_cone_simulation(self, suite_small):
+        for mig in suite_small:
+            result = map_mig(mig)
+            assert sorted(result.functions) == sorted(result.cover)
+            for node, (_, leaves) in result.cover.items():
+                assert result.functions[node] == mig.cut_function(node, leaves)

@@ -150,15 +150,14 @@ def _bottom_up(
         for leaves in cuts[node]:
             if leaves == (node,) or node in leaves:
                 continue
-            if fanout_free:
-                cone_gates = cuts.cone_size(node, leaves)
-                if cone_gates is None:
-                    continue
-            else:
-                internal = cut_cone_nodes(mig, node, leaves, None)
-                if internal is None:
-                    continue
-                cone_gates = len(internal)
+            # An independent cone walk sizes every cut; a restricted cut
+            # must also pass the fanout-free rule on that walk.
+            internal = cut_cone_nodes(mig, node, leaves)
+            if internal is None:
+                continue
+            if fanout_free and any(fanout[n] != 1 for n in internal if n != node):
+                continue
+            cone_gates = len(internal)
             tt = mig.cut_function(node, leaves)
             tt4 = tt_extend(tt, len(leaves), num_vars)
             try:
@@ -221,15 +220,14 @@ def _top_down(
         for leaves in cuts[node]:
             if leaves == (node,) or node in leaves:
                 continue
-            if fanout_free:
-                cone_gates = cuts.cone_size(node, leaves)
-                if cone_gates is None:
-                    continue
-            else:
-                internal = cut_cone_nodes(mig, node, leaves, None)
-                if internal is None:
-                    continue
-                cone_gates = len(internal)
+            # An independent cone walk sizes every cut; a restricted cut
+            # must also pass the fanout-free rule on that walk.
+            internal = cut_cone_nodes(mig, node, leaves)
+            if internal is None:
+                continue
+            if fanout_free and any(fanout[n] != 1 for n in internal if n != node):
+                continue
+            cone_gates = len(internal)
             tt = mig.cut_function(node, leaves)
             tt4 = tt_extend(tt, len(leaves), db.num_vars)
             try:

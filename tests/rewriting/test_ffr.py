@@ -1,14 +1,16 @@
-"""Tests for fanout-free region partitioning (Sec. IV-C)."""
+"""Fanout-free regions (Sec. IV-C) as the restricted cut enumeration sees them.
+
+The F-variants partition the network at fanout-free-region boundaries by
+enumerating cuts with ``ffr_fanout``: a gate whose fanout is not exactly
+one (an output counts as a fanout) roots its own region, and it enters
+the cuts of its consumers only as a leaf.  So every restricted cut lies
+inside one region and can be replaced without duplicating shared logic.
+"""
 
 from __future__ import annotations
 
-from repro.core.mig import CONST0, Mig
-from repro.rewriting.ffr import (
-    cut_is_fanout_free,
-    ffr_of_node,
-    ffr_partition,
-    ffr_roots,
-)
+from repro.core.cuts import cut_cone_nodes, enumerate_cut_set
+from repro.core.mig import Mig
 
 
 def shared_diamond() -> Mig:
@@ -23,18 +25,34 @@ def shared_diamond() -> Mig:
     return mig
 
 
+def restricted(mig: Mig):
+    """The fanout-free cut set the F-variants enumerate."""
+    return enumerate_cut_set(mig, ffr_fanout=mig.fanout_counts())
+
+
+def inner_cones(mig: Mig):
+    """``(root, cone)`` of every non-trivial restricted cut."""
+    cuts = restricted(mig)
+    for node in mig.gates():
+        for leaves in cuts[node]:
+            if leaves != (node,):
+                yield node, cut_cone_nodes(mig, node, leaves)
+
+
 class TestRoots:
     def test_output_gates_are_roots(self, full_adder):
-        roots = ffr_roots(full_adder)
-        for s in full_adder.outputs:
-            assert (s >> 1) in roots
+        po_nodes = {s >> 1 for s in full_adder.outputs}
+        for root, cone in inner_cones(full_adder):
+            assert not (cone - {root}) & po_nodes
 
     def test_shared_gate_is_root(self):
         mig = shared_diamond()
-        roots = ffr_roots(mig)
-        g1 = next(iter(mig.gates()))
-        assert g1 in roots
-        assert len(roots) == 3
+        g1, g3, g4 = mig.gates()
+        cuts = restricted(mig)
+        for node in (g3, g4):
+            for leaves in cuts[node]:
+                if leaves != (node,):
+                    assert g1 in leaves
 
     def test_chain_has_single_root(self):
         mig = Mig(4)
@@ -43,37 +61,20 @@ class TestRoots:
         acc = mig.and_(acc, sigs[2])
         acc = mig.and_(acc, sigs[3])
         mig.add_po(acc)
-        assert len(ffr_roots(mig)) == 1
+        sizes = {
+            leaves: size for leaves, _, size, _ in restricted(mig).entries[acc >> 1]
+        }
+        # One region: the output's cut over all inputs spans every gate.
+        assert sizes[(1, 2, 3, 4)] == mig.num_gates
 
 
 class TestPartition:
-    def test_partition_covers_all_gates(self, suite_small):
-        mig = suite_small[0]
-        partition = ffr_partition(mig)
-        covered = set()
-        for members in partition.values():
-            covered.update(members)
-        reachable = set()
-        stack = [s >> 1 for s in mig.outputs]
-        while stack:
-            node = stack.pop()
-            if node in reachable or not mig.is_gate(node):
-                continue
-            reachable.add(node)
-            stack.extend(s >> 1 for s in mig.fanins(node))
-        assert reachable <= covered
-
-    def test_internal_members_have_single_fanout(self):
-        mig = shared_diamond()
-        fanout = mig.fanout_counts()
-        for root, members in ffr_partition(mig).items():
-            for member in members:
-                if member != root:
+    def test_internal_members_have_single_fanout(self, suite_small):
+        for mig in (shared_diamond(), suite_small[5]):
+            fanout = mig.fanout_counts()
+            for root, cone in inner_cones(mig):
+                for member in cone - {root}:
                     assert fanout[member] == 1
-
-    def test_ffr_of_node_contains_root(self, full_adder):
-        for root in ffr_roots(full_adder):
-            assert root in ffr_of_node(full_adder, root)
 
 
 class TestCutAdmissibility:
@@ -83,20 +84,18 @@ class TestCutAdmissibility:
         inner = mig.and_(a, b)
         root = mig.and_(inner, c)
         mig.add_po(root)
-        fanout = mig.fanout_counts()
-        assert cut_is_fanout_free(mig, root >> 1, (1, 2, 3), fanout)
+        assert (1, 2, 3) in restricted(mig)[root >> 1]
 
     def test_shared_internal_node_rejected(self):
         mig = shared_diamond()
-        fanout = mig.fanout_counts()
         gates = list(mig.gates())
         g3 = gates[1]
-        # cut of g3 with PI leaves crosses shared g1
-        assert not cut_is_fanout_free(mig, g3, (1, 2, 3), fanout)
+        # the cut of g3 with PI leaves crosses shared g1
+        assert (1, 2, 3) in enumerate_cut_set(mig)[g3]
+        assert (1, 2, 3) not in restricted(mig)[g3]
 
     def test_root_fanout_is_irrelevant(self):
         mig = shared_diamond()
-        fanout = mig.fanout_counts()
         g1 = next(iter(mig.gates()))
         # g1 itself has fanout 2, but as cut ROOT that is fine.
-        assert cut_is_fanout_free(mig, g1, (1, 2), fanout)
+        assert (1, 2) in restricted(mig)[g1]

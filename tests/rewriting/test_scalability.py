@@ -6,7 +6,8 @@ the network, which both mutated global interpreter state and still
 crashed on networks deeper than the chosen limit.  All traversals on the
 rewriting hot path (cut cones, cut functions, the top-down opt walk,
 levels/depth/cleanup) now use explicit stacks, so a 50k-deep chain MIG —
-fifty times the default recursion limit — optimizes fine.
+fifty times the default recursion limit — optimizes fine, and so does a
+50k-deep chain AIG under ``rewrite_aig``.
 
 The million-gate test exercises the other axis: a *wide* generated
 instance (``repro.generators.random_layered``) through one full B pass
@@ -23,9 +24,12 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from repro.aig.aig import Aig
+from repro.aig.rewrite import rewrite_aig
 from repro.core.mig import Mig
 from repro.generators.random_layered import layered_mig
 from repro.opt.flow import run_flow
@@ -54,13 +58,14 @@ def build_chain_mig(length: int) -> Mig:
 
 
 def test_no_recursion_limit_tampering():
-    """The rewriting modules must not touch the interpreter's limit."""
-    import repro.rewriting.bottom_up as bottom_up
-    import repro.rewriting.top_down as top_down
+    """No module of the package may touch the interpreter's limit."""
+    import repro
 
-    for module in (top_down, bottom_up):
-        source = open(module.__file__).read()
-        assert "setrecursionlimit(" not in source
+    package = Path(repro.__file__).parent
+    sources = sorted(package.rglob("*.py"))
+    assert len(sources) > 50
+    for path in sources:
+        assert "setrecursionlimit(" not in path.read_text(), path
 
 
 def test_first_pass_does_not_import_numpy_ma():
@@ -94,6 +99,32 @@ def test_deep_chain_pass_completes(db):
     # The alternating chain is heavily redundant; the pass must both
     # complete (no RecursionError) and leave the limit untouched.
     assert result.num_gates < mig.num_gates
+    assert sys.getrecursionlimit() == limit_before
+
+
+def build_chain_aig(length: int) -> Aig:
+    """A maximally deep AIG: alternating AND/OR steps, one gate per level."""
+    aig = Aig(3)
+    a, b, c = aig.pi_signals()
+    acc = aig.and_(a, b)
+    for i in range(length - 1):
+        operand = (a, b, c)[i % 3]
+        acc = aig.and_(acc, operand) if i % 2 else aig.or_(acc, operand)
+    aig.add_po(acc)
+    assert aig.num_gates == length
+    return aig
+
+
+def test_deep_aig_chain_rewrite_completes():
+    """The AIG twin of the MIG chain: one default rewrite_aig pass."""
+    limit_before = sys.getrecursionlimit()
+    aig = build_chain_aig(CHAIN_GATES)
+    assert aig.depth() == CHAIN_GATES
+
+    result = rewrite_aig(aig)
+
+    assert result.num_gates < aig.num_gates
+    assert result.simulate() == aig.simulate()
     assert sys.getrecursionlimit() == limit_before
 
 

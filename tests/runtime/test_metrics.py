@@ -74,6 +74,19 @@ class TestExactCounters:
         assert metrics.db_hits == 10
         assert metrics.nodes_rebuilt == 0
 
+    def test_fanout_free_variants_reject_no_cut_as_shared(self, db):
+        """The F-variants enumerate fanout-free cuts only, so no reason
+        for rejecting a shared cone exists among the buckets."""
+        from repro.generators import epfl
+
+        assert "not-fanout-free" not in REJECT_REASONS
+        mig = epfl.square_root(6)
+        for variant in ("TF", "TFD", "BF", "BFD"):
+            metrics = PassMetrics()
+            functional_hashing(mig, db, variant, metrics=metrics)
+            assert set(metrics.cuts_rejected) <= set(REJECT_REASONS), variant
+            assert "invalid-cone" not in metrics.cuts_rejected, variant
+
     def test_top_down_matches_bottom_up_enumeration(self, db):
         mig = build_counters_mig()
         bu, td = PassMetrics(), PassMetrics()
@@ -232,3 +245,15 @@ class TestPassMetricsObject:
         data["db_hit_rate"] = 0.999  # stale derived value must be recomputed
         restored = PassMetrics.from_dict(data)
         assert restored.db_hit_rate == pytest.approx(0.5)
+
+    def test_from_dict_ignores_dropped_counters(self):
+        """Dumps written while the never-incremented ``store_improved``
+        counter existed still load."""
+        data = PassMetrics(store_evictions=2).to_dict()
+        data["store_improved"] = 5
+        restored = PassMetrics.from_dict(data)
+        assert restored.store_evictions == 2
+        assert "store_improved" not in restored.to_dict()
+        assert list(restored.to_dict()).index("store_hit_rate") == (
+            list(restored.to_dict()).index("store_evictions") + 1
+        )

@@ -126,7 +126,8 @@ class TestRules:
 
 
 class TestNumpyFree:
-    """Rule 4: rewriting may use core.simengine but never numpy directly."""
+    """Rule 4: the cut consumers may use core.simengine but never numpy
+    directly."""
 
     def test_rewriting_may_not_import_numpy(self):
         assert check_layers.numpy_free_violation("repro.rewriting.batch", "numpy")
@@ -143,6 +144,15 @@ class TestNumpyFree:
         # The kernel layer is numpy's home; rule 4 must not fire there.
         assert not check_layers.numpy_free_violation("repro.core.simengine", "numpy")
         assert not check_layers.numpy_free_violation("repro.core.cuts", "numpy")
+
+    def test_mapping_and_aig_may_not_import_numpy(self):
+        # The other batch cut consumers fall under the same rule.
+        assert check_layers.numpy_free_violation("repro.mapping.mapper", "numpy")
+        assert check_layers.numpy_free_violation("repro.aig.rewrite", "numpy.linalg")
+        assert not check_layers.numpy_free_violation(
+            "repro.aig.rewrite", "repro.core.cuts"
+        )
+        assert not check_layers.numpy_free_violation("repro.opt.fraig", "numpy")
 
     def test_rewriting_tree_is_numpy_free_today(self):
         rewriting = check_layers.SRC / "repro" / "rewriting"

@@ -17,11 +17,12 @@ Rules enforced (on ``import`` statements, resolved per module):
 3. The facades (``repro.core.mig``, ``repro.aig.aig``) import from the
    repo only the kernel layer (``repro.core.kernel``,
    ``repro.core.simengine``) — all their logic lives below them.
-4. ``repro.rewriting`` never imports numpy directly.  The rewrite passes
-   may use ``repro.core.simengine`` (and the batch machinery riding on
-   it), but all array code lives in the kernel layer; a stray
-   ``import numpy`` in a pass is a layering leak that bypasses the
-   simengine contract (dtype, padding, invalidation).
+4. ``repro.rewriting``, ``repro.mapping`` and ``repro.aig`` never
+   import numpy directly.  The rewrite passes, the mapper and AIG
+   rewriting may use ``repro.core.simengine`` (and the batch cut
+   machinery riding on it), but all array code lives in the kernel
+   layer; a stray ``import numpy`` in a consumer is a layering leak that
+   bypasses the simengine contract (dtype, padding, invalidation).
 
 Exit status 0 when clean; 1 with one line per violation otherwise.
 Runs from any directory; stdlib only (CI calls it before the test jobs).
@@ -43,7 +44,7 @@ FACADES = {"repro.core.mig", "repro.aig.aig"}
 CORE_FORBIDDEN = ("repro.rewriting", "repro.opt", "repro.aig")
 #: packages that must stay numpy-free — array work goes through the
 #: kernel layer, never sideways into numpy (rule 4)
-NUMPY_FREE = ("repro.rewriting",)
+NUMPY_FREE = ("repro.rewriting", "repro.mapping", "repro.aig")
 
 
 def numpy_free_violation(module: str, target: str) -> bool:
@@ -95,7 +96,7 @@ def check_file(path: Path) -> list[str]:
                 where = f"{path.relative_to(SRC.parent)}:{node.lineno}"
                 violations.append(
                     f"{where}: {module} imports {target} "
-                    "(rewriting must reach arrays through core.simengine, "
+                    "(cut consumers must reach arrays through core.simengine, "
                     "never numpy directly)"
                 )
                 continue
