@@ -8,8 +8,8 @@ smaller structure, and replace greedily.
 
 This implementation runs our MIG rewriter's top-down scheme over AND
 gates, on the same cut pipeline: cut tables come from the program the
-enumerator records and are canonized in one sweep, and the fanout-free
-default enumerates fanout-free cuts only, as the MIG F-variants do.
+enumerator records and are canonized in one sweep, and only fanout-free
+cuts are enumerated, as in the MIG F-variants.
 Replacement structures are synthesized on demand per NPN class — a
 memoized Shannon/xor-decomposition AIG factory — which plays the role
 of [6]'s precomputed class library.  Combined with
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ..core.cuts import cut_cone_nodes, enumerate_cut_set
+from ..core.cuts import enumerate_cut_set
 from ..core.npn import NPNTransform, apply_transform, npn_canonize, npn_canonize_batch
 from ..core.truth_table import (
     tt_cofactor0,
@@ -141,27 +141,17 @@ def _instantiate(
     return out_signal
 
 
-def rewrite_aig(
-    aig: Aig,
-    cut_size: int = 4,
-    cut_limit: int = 10,
-    fanout_free: bool = True,
-) -> Aig:
+def rewrite_aig(aig: Aig, cut_size: int = 4, cut_limit: int = 10) -> Aig:
     """One top-down cut-rewriting pass over an AIG; function-preserving.
 
     Each cut's gain is its cone's gate count minus the AND count of its
-    class structure.  With *fanout_free* (the default) only fanout-free
-    cuts are enumerated — shared gates become leaves — and the exact
-    cone size comes from the merge; otherwise every cut is admitted and
-    its cone is walked, so the gain counts shared gates too.  The walk
-    is :func:`repro.rewriting.top_down.rewrite_top_down`'s, on an
-    explicit stack, and emits each node's dependencies in order.
+    class structure.  Only fanout-free cuts are enumerated — shared
+    gates become leaves — so the exact cone size comes from the merge.
+    The walk is :func:`repro.rewriting.top_down.rewrite_top_down`'s, on
+    an explicit stack, and emits each node's dependencies in order.
     """
     cuts = enumerate_cut_set(
-        aig,
-        k=cut_size,
-        cut_limit=cut_limit,
-        ffr_fanout=aig.fanout_counts() if fanout_free else None,
+        aig, k=cut_size, cut_limit=cut_limit, ffr_fanout=aig.fanout_counts()
     )
     all_entries = cuts.entries
     tables = cuts.slot_tables(cut_size)
@@ -178,12 +168,8 @@ def rewrite_aig(
         for leaves, _, size, slot in all_entries[node]:
             if leaves == (node,) or node in leaves:
                 continue
-            if fanout_free:
-                cone_gates = size
-            else:
-                cone_gates = len(cut_cone_nodes(aig, node, leaves))
             rep, transform = classes[tables[slot]]
-            gain = cone_gates - (len(_class_structure(rep, cut_size)) - 1)
+            gain = size - (len(_class_structure(rep, cut_size)) - 1)
             if gain <= 0:
                 continue
             if best is None or gain > best[0]:

@@ -40,7 +40,7 @@ import numpy as np
 
 from ..runtime.metrics import PassMetrics
 from .kernel import Network
-from .simengine import _PATTERN_IDS, evaluate_cut_program, expansion_pid
+from .simengine import evaluate_cut_program
 
 __all__ = ["CutSet", "enumerate_cut_set", "cut_cone_nodes"]
 
@@ -58,10 +58,10 @@ class _CutProgram:
 
     Each enumerated cut owns a slot; trivial / PI / constant cuts are
     init slots with known seed tables, every merged gate cut becomes one
-    program row: its output slot and mask, plus per fanin position the
-    child cut's slot, inversion bit, and expansion pattern id
-    (:func:`repro.core.simengine.expansion_pid`; 0 = child already on
-    the union leaf set).  Rows carry their **provenance-DAG level**
+    program row: its output slot, plus per fanin position the child
+    cut's slot, inversion bit, and don't-care mask (bit ``p`` set when
+    the row's leaf ``p`` is not a child leaf; 0 = child already on the
+    union leaf set).  Rows carry their **provenance-DAG level**
     (1 + max child level), so the executor sweeps a few wide levels even
     on chain-shaped networks whose *network* depth is in the hundreds.
 
@@ -72,8 +72,7 @@ class _CutProgram:
 
     __slots__ = (
         "arity", "nv", "slot_lev", "init_idx", "init_vals",
-        "row_out", "row_lev", "row_mask", "row_child", "row_sign",
-        "row_pid",
+        "row_out", "row_lev", "row_child", "row_sign", "row_dc",
     )
 
     def __init__(self, arity: int) -> None:
@@ -84,10 +83,9 @@ class _CutProgram:
         self.init_vals: list[int] = []
         self.row_out: list[int] = []
         self.row_lev: list[int] = []
-        self.row_mask: list[int] = []
         self.row_child: list[int] = []
         self.row_sign: list[int] = []
-        self.row_pid: list[int] = []
+        self.row_dc: list[int] = []
 
     def add_init(self, num_vars: int, value: int) -> int:
         slot = len(self.nv)
@@ -97,34 +95,33 @@ class _CutProgram:
         self.init_vals.append(value)
         return slot
 
-    def evaluate(self) -> np.ndarray:
+    def evaluate(self) -> tuple[np.ndarray, np.ndarray]:
         """Assemble the flat arrays and run the executor once.
 
-        Only inversion *bits* are recorded per fanin; the per-row width
-        masks are broadcast onto them here, so the hot recording loop
-        never evaluates a conditional per fanin.
+        Returns the per-slot tables and variable counts.  Only inversion
+        *bits* are recorded per fanin; the width masks of the rows'
+        variable counts are broadcast onto them here, so the hot
+        recording loop never evaluates a conditional per fanin.
         """
         n = len(self.row_out)
         arity = self.arity
-        # Table dtype follows the widest cut: 6-variable tables occupy
-        # all 64 bits (uint64); everything narrower keeps the int64 path.
-        width = max(self.nv, default=0)
-        dtype = np.uint64 if width >= 6 else np.int64
-        mask = np.fromiter(self.row_mask, dtype, n)
-        sign = np.fromiter(self.row_sign, dtype, arity * n).reshape(n, arity)
-        return evaluate_cut_program(
+        nv = np.fromiter(self.nv, np.int64, len(self.nv))
+        out = np.fromiter(self.row_out, np.int64, n)
+        mask = np.array(_MASKS, np.uint64)[nv[out]]
+        comp = np.fromiter(self.row_sign, np.uint64, arity * n).reshape(n, arity)
+        comp *= mask[:, None]
+        values = evaluate_cut_program(
             len(self.nv),
             np.fromiter(self.init_idx, np.int64, len(self.init_idx)),
-            np.fromiter(self.init_vals, dtype, len(self.init_vals)),
+            np.fromiter(self.init_vals, np.uint64, len(self.init_vals)),
             np.fromiter(self.row_lev, np.int64, n),
-            np.fromiter(self.row_out, np.int64, n),
-            mask,
+            out,
             np.fromiter(self.row_child, np.int64, arity * n).reshape(n, arity),
-            sign * mask[:, None],
-            np.fromiter(self.row_pid, np.int64, arity * n).reshape(n, arity),
+            comp,
+            np.fromiter(self.row_dc, np.uint8, arity * n).reshape(n, arity),
             arity,
-            width=width,
         )
+        return values, nv
 
 
 def _signature(leaves: tuple[int, ...]) -> int:
@@ -293,13 +290,9 @@ def _enumerate(
     init_vals_append = program.init_vals.append
     row_out_append = program.row_out.append
     row_lev_append = program.row_lev.append
-    row_mask_append = program.row_mask.append
     row_child_append = program.row_child.append
     row_sign_append = program.row_sign.append
-    row_pid_append = program.row_pid.append
-    # Known patterns answer from one dict probe; expansion_pid only
-    # runs to grow the LUT (a handful of times per process, ever).
-    pid_get = _PATTERN_IDS.get
+    row_dc_append = program.row_dc.append
     for node in mig.gates():
         fanins = mig.fanins(node)
         sources = []
@@ -367,9 +360,8 @@ def _enumerate(
         for leaves, sig, size, child_entries in merged:
             slot = nslots
             nslots += 1
-            num_leaves = len(leaves)
-            p_nv_append(num_leaves)
-            mask = _MASKS[num_leaves]
+            p_nv_append(len(leaves))
+            full = (1 << len(leaves)) - 1
             lev = 0
             index = leaves.index
             for s, entry in zip(fanins, child_entries):
@@ -381,21 +373,19 @@ def _enumerate(
                 row_sign_append(s & 1)
                 child_leaves = entry[0]
                 if child_leaves == leaves:
-                    row_pid_append(0)
+                    row_dc_append(0)
                 else:
-                    # Positions of the (sorted) child leaves within the
-                    # (sorted) union leaves — the child is a subset by
-                    # merge construction, so every index probe hits.
-                    pat = (num_leaves, tuple(map(index, child_leaves)))
-                    pid = pid_get(pat)
-                    row_pid_append(
-                        pid if pid is not None else expansion_pid(*pat)
-                    )
+                    # Clear the positions of the (sorted) child leaves
+                    # within the (sorted) union leaves — the child is a
+                    # subset by merge construction, so every probe hits.
+                    dc = full
+                    for leaf in child_leaves:
+                        dc ^= 1 << index(leaf)
+                    row_dc_append(dc)
             lev += 1
             p_slot_lev_append(lev)
             row_out_append(slot)
             row_lev_append(lev)
-            row_mask_append(mask)
             entries.append((leaves, sig, size, slot))
         slot = nslots
         nslots += 1
@@ -502,8 +492,7 @@ class CutSet:
         """
         program = self._program
         if self._values is None:
-            self._values = program.evaluate()
-            self._nv = np.fromiter(program.nv, np.int64, len(program.nv))
+            self._values, self._nv = program.evaluate()
             self._gate_slots = np.fromiter(
                 program.row_out, np.int64, len(program.row_out)
             )
@@ -522,12 +511,7 @@ class CutSet:
         if cached is not None and cached[0] == num_vars:
             return cached[1]
         self.compute_functions()
-        # Extending to 6 variables shifts by 32 — only safe unsigned.
-        v = (
-            self._values.astype(np.uint64)  # type: ignore[union-attr]
-            if num_vars >= 6
-            else self._values.copy()  # type: ignore[union-attr]
-        )
+        v = self._values.copy()  # type: ignore[union-attr]
         nv = self._nv
         for k in range(num_vars):
             grow = nv <= k

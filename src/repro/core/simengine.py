@@ -46,9 +46,7 @@ __all__ = [
     "simulate_all_nodes",
     "simulate_words",
     "cone_function",
-    "expansion_lut",
-    "expansion_pid",
-    "expansion_lut2d",
+    "insert_dont_care",
     "evaluate_cut_program",
     "projection_int",
     "projection_columns",
@@ -392,157 +390,29 @@ def cone_function(net: Network, root: int, leaves: Sequence[int]) -> int:
 # batched cut-function programs (the rewrite pipeline's batch entry point)
 # ---------------------------------------------------------------------------
 
-_EXPANSION_LUTS: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
+#: ``_KEEP_LOW[s]`` keeps the bits whose minterm index has bit ``s``
+#: clear: the complement of the 6-variable projection ``x_s``
+_KEEP_LOW = tuple(projection_int(6, s) ^ 0xFFFFFFFFFFFFFFFF for s in range(5))
 
 
-def expansion_lut(dst_len: int, positions: tuple[int, ...]) -> np.ndarray:
-    """Truth-table expansion as one lookup table, vectorized and cached.
+def insert_dont_care(tables: np.ndarray, position: int) -> np.ndarray:
+    """Insert a don't-care variable at *position* into uint64 *tables*.
 
-    ``expansion_lut(d, p)[tt]`` re-expresses *tt* — a function of
-    ``len(p)`` variables — over ``d`` variables, where source variable
-    ``j`` becomes destination variable ``p[j]``.
-
-    The table covers every possible source function, so applying it to a
-    whole batch is a single fancy-index gather.  Source arity is at most
-    ``dst_len - 1 <= 3`` in practice (equal arities are the identity and
-    never reach a LUT), so tables stay tiny (<= 256 entries).
+    Each table is a function of ``n <= 5`` variables with
+    ``position <= n``; the result is the same function over ``n + 1``
+    variables, where variable *position* is new and ignored and the
+    variables at or above it move up by one: ``tt_permute(tt_extend(t,
+    n, n + 1), perm, n + 1)`` for the permutation that moves variable
+    ``n`` down to *position*.  Minterm index bits ``4 .. position`` move
+    up one place in fixed mask-and-shift steps, highest first, and one
+    shift fills the freed half with a copy.
     """
-    key = (dst_len, positions)
-    lut = _EXPANSION_LUTS.get(key)
-    if lut is None:
-        src_len = len(positions)
-        # dst_len = 5 still fits: source tables index at most 2**16 rows
-        # (src_len <= 4) and 5-variable values stay below 2**32.  Wider
-        # destinations (values filling 64 bits) and 5-variable sources
-        # (2**32 rows) have no materializable LUT — those patterns live
-        # in the wide registry (negative ids from :func:`expansion_pid`).
-        if src_len > dst_len or dst_len > 5 or src_len > 4:
-            raise ValueError(f"unsupported expansion {positions} -> {dst_len} vars")
-        # source minterm feeding each destination minterm m
-        m = np.arange(1 << dst_len, dtype=np.int64)
-        src_minterm = np.zeros_like(m)
-        for j, p in enumerate(positions):
-            src_minterm |= ((m >> p) & 1) << j
-        tts = np.arange(1 << (1 << src_len), dtype=np.int64)
-        bits = (tts[:, None] >> src_minterm[None, :]) & 1
-        lut = bits @ np.left_shift(np.int64(1), m)
-        _EXPANSION_LUTS[key] = lut
-    return lut
-
-
-# -- expansion pattern registry for flat cut programs -----------------------
-
-#: (dst_len, positions) -> row index in :func:`expansion_lut2d`; row 0 is
-#: reserved for the identity (no re-expression needed)
-_PATTERN_IDS: dict[tuple[int, tuple[int, ...]], int] = {}
-
-#: stacked expansion tables, one row per registered pattern, every row
-#: padded to 2**16 columns so ``lut2d[pids, tts]`` is a single gather.
-#: Row 0 is the identity.  Capacity grows geometrically (appending a
-#: row must not copy the whole table — registrations happen mid-
-#: enumeration); the universe of patterns for 4-variable cuts is ~20
-#: rows (~10 MB), registered once per process.
-_LUT2D: np.ndarray | None = None
-_LUT2D_ROWS = 0
-
-#: wide expansion patterns — those with no materializable LUT row
-#: (destination of 6 variables, or a 5-variable source).  Keyed by the
-#: *negative* pattern id handed out by :func:`expansion_pid`, so the
-#: enumeration hot loop keeps its single ``_PATTERN_IDS`` dict probe;
-#: each value is ``(src_minterm, weights)`` for the direct
-#: bit-extraction evaluation ``((vals >> src_minterm) & 1) @ weights``.
-_WIDE_PATTERNS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def expansion_pid(dst_len: int, positions: tuple[int, ...]) -> int:
-    """Register (or look up) an expansion pattern; returns its LUT2D row.
-
-    ``expansion_lut2d()[pid][tt]`` equals ``expansion_lut(dst_len,
-    positions)[tt]`` for every source table *tt*.  Pattern id 0 is the
-    identity and is never returned here — callers use 0 directly when a
-    child cut already lives on the destination leaf set.
-
-    Patterns beyond LUT reach — 6-variable destinations or 5-variable
-    sources — get a **negative** id backed by :data:`_WIDE_PATTERNS`;
-    the executor evaluates those by bit extraction instead of a table
-    gather.
-    """
-    global _LUT2D, _LUT2D_ROWS
-    key = (dst_len, positions)
-    pid = _PATTERN_IDS.get(key)
-    if pid is None:
-        src_len = len(positions)
-        if dst_len > 5 or src_len > 4:
-            m = np.arange(1 << dst_len, dtype=np.uint64)
-            src_minterm = np.zeros_like(m)
-            for j, p in enumerate(positions):
-                src_minterm |= ((m >> np.uint64(p)) & np.uint64(1)) << np.uint64(j)
-            weights = np.left_shift(np.uint64(1), m)
-            pid = -(len(_WIDE_PATTERNS) + 1)
-            _WIDE_PATTERNS[pid] = (src_minterm, weights)
-            _PATTERN_IDS[key] = pid
-            return pid
-        if _LUT2D is None:
-            _LUT2D = np.empty((8, 1 << 16), dtype=np.int64)
-            _LUT2D[0] = np.arange(1 << 16, dtype=np.int64)
-            _LUT2D_ROWS = 1
-        elif _LUT2D_ROWS == _LUT2D.shape[0]:
-            grown = np.empty((2 * _LUT2D.shape[0], 1 << 16), dtype=np.int64)
-            grown[:_LUT2D_ROWS] = _LUT2D
-            _LUT2D = grown
-        lut = expansion_lut(dst_len, positions)
-        pid = _LUT2D_ROWS
-        row = _LUT2D[pid]
-        # Source tables have len(positions) variables, so only the first
-        # 2**2**len(positions) columns are ever indexed.
-        row[: lut.size] = lut
-        row[lut.size :] = 0
-        _LUT2D_ROWS = pid + 1
-        _PATTERN_IDS[key] = pid
-    return pid
-
-
-def expansion_lut2d() -> np.ndarray:
-    """The stacked expansion table behind :func:`expansion_pid` (a view)."""
-    global _LUT2D, _LUT2D_ROWS
-    if _LUT2D is None:
-        _LUT2D = np.empty((8, 1 << 16), dtype=np.int64)
-        _LUT2D[0] = np.arange(1 << 16, dtype=np.int64)
-        _LUT2D_ROWS = 1
-    return _LUT2D[: _LUT2D_ROWS]
-
-
-def _gather_expand(
-    lut2d: np.ndarray, pid: np.ndarray, vals: np.ndarray, dtype
-) -> np.ndarray:
-    """Wide-program fanin re-expression: LUT rows plus special cases.
-
-    The plain path gathers every fanin through ``lut2d[pid, vals]``; that
-    needs every value to be a valid column (< 2**16) — true only when no
-    cut exceeds 4 leaves.  Wide programs route per pattern class instead:
-    identity (pid 0) copies the value (5/6-variable tables are *not*
-    valid columns), positive pids gather (their sources are <= 4
-    variables by construction), negative pids evaluate the registered
-    wide pattern by bit extraction.
-    """
-    out = np.empty(pid.shape, dtype=dtype)
-    ident = pid == 0
-    if ident.any():
-        out[ident] = vals[ident]
-    reg = pid > 0
-    if reg.any():
-        out[reg] = lut2d[pid[reg], vals[reg].astype(np.int64)].astype(dtype)
-    wide = pid < 0
-    if wide.any():
-        # A set, not np.unique: that would import numpy.ma on first use.
-        for wpid in set(pid[wide].tolist()):
-            rows = pid == wpid
-            src_minterm, weights = _WIDE_PATTERNS[wpid]
-            bits = (
-                vals[rows].astype(np.uint64)[:, None] >> src_minterm[None, :]
-            ) & np.uint64(1)
-            out[rows] = (bits @ weights).astype(dtype)
-    return out
+    t = tables.copy()
+    for s in range(4, position - 1, -1):
+        t |= t << (1 << s)
+        t &= _KEEP_LOW[s]
+    t |= t << (1 << position)
+    return t
 
 
 def evaluate_cut_program(
@@ -551,69 +421,57 @@ def evaluate_cut_program(
     init_vals: np.ndarray,
     lev: np.ndarray,
     out_idx: np.ndarray,
-    out_mask: np.ndarray,
     child_idx: np.ndarray,
     comp_mask: np.ndarray,
-    pid: np.ndarray,
+    dc_mask: np.ndarray,
     arity: int,
-    width: int = 4,
 ) -> np.ndarray:
     """Run a flat cut-function program; returns the per-slot tables.
 
     The batch counterpart of :func:`cone_function`: the whole program
     arrives as flat arrays — one row per gate cut, ``(n, arity)`` child
-    slots / complement masks / expansion pattern ids — already
-    levelized by *lev*, the cut's depth
-    in the **provenance DAG** (1 + max child level).  Provenance depth is
-    bounded by the cut cone depth, not the network depth, so deep
-    chain-shaped networks compress into a handful of wide sweeps.  Per
-    level, one ``lut2d[pid, values[child]]`` gather re-expresses every
-    fanin table onto its cut's leaf set in a single fancy index — no
-    per-group scatter loops.
+    slots / complement masks / don't-care masks — already levelized by
+    *lev*, the cut's depth in the **provenance DAG** (1 + max child
+    level).  Provenance depth is bounded by the cut cone depth, not the
+    network depth, so deep chain-shaped networks compress into a handful
+    of wide sweeps.
+
+    A child cut's leaves are a sorted subset of its row's leaves; bit
+    ``p`` of a fanin's *dc_mask* marks a row leaf the child lacks.  Per
+    level, every fanin table is re-expressed on its row's leaves by
+    inserting a don't-care variable at each marked position, lowest
+    first (:func:`insert_dont_care`); a mask of 0 keeps the table.
+    Tables are uint64 at every cut width up to 6.
 
     Each slot's table equals :func:`cone_function` of its cut
     (tests/core/test_cuts_differential.py).
-
-    *width* is the widest cut in the program.  Up to 4 the original
-    int64 single-gather level loop runs untouched; 5 keeps int64 (those
-    tables stay below 2**32) but routes fanins through
-    :func:`_gather_expand` because 5-variable values are not valid LUT
-    columns; 6 additionally computes in uint64 — those tables occupy the
-    full 64 bits.
     """
     if arity not in (2, 3):
         raise ValueError(f"unsupported gate arity {arity}")
-    dtype = np.uint64 if width >= 6 else np.int64
-    wide = width >= 5
-    values = np.zeros(num_slots, dtype=dtype)
+    values = np.zeros(num_slots, dtype=np.uint64)
     if init_idx.size:
         values[init_idx] = init_vals
     n = out_idx.size
     if not n:
         return values
     order = np.argsort(lev, kind="stable")
-    lev = lev[order]
-    out_idx = out_idx[order]
-    out_mask = out_mask[order]
-    child_idx = child_idx[order]
-    comp_mask = comp_mask[order]
-    pid = pid[order]
-    lut2d = expansion_lut2d()
-    starts = np.unique(lev, return_index=True)[1]
+    starts = np.unique(lev[order], return_index=True)[1]
     bounds = np.append(starts[1:], n)
     for s, e in zip(starts.tolist(), bounds.tolist()):
-        if wide:
-            v = _gather_expand(
-                lut2d, pid[s:e], values[child_idx[s:e]], dtype
-            ) ^ comp_mask[s:e]
-        else:
-            v = lut2d[pid[s:e], values[child_idx[s:e]]] ^ comp_mask[s:e]
+        rows = order[s:e]
+        v = values[child_idx[rows]]
+        dc = dc_mask[rows]
+        missing = int(np.bitwise_or.reduce(dc, axis=None))
+        for p in range(6):
+            if missing >> p & 1:
+                np.copyto(v, insert_dont_care(v, p), where=(dc & (1 << p)) != 0)
+        v ^= comp_mask[rows]
         if arity == 3:
             a, b, c = v[:, 0], v[:, 1], v[:, 2]
             res = (a & b) | (a & c) | (b & c)
         else:
             res = v[:, 0] & v[:, 1]
-        values[out_idx[s:e]] = res & out_mask[s:e]
+        values[out_idx[rows]] = res
     return values
 
 

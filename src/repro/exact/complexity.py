@@ -8,7 +8,10 @@ The paper characterizes all 4-variable functions by three measures:
   (i.e. tree, no sharing).  Computed here by an exhaustive bit-parallel
   dynamic program over all ``2**2**n`` functions.
 * ``D(f)`` — depth: the smallest possible longest root-to-terminal path.
-  Computed here per NPN class with a depth-bounded tree SAT encoding.
+  Computed here per NPN class from closure sets: the functions of depth
+  at most 0, 1, 2 enumerated exhaustively, depth 3 by a vectorized
+  membership test, and 4 otherwise.  A depth-bounded tree SAT encoding
+  (:func:`tree_depth_feasible`) decides single cases independently.
 
 Both measures are NPN-invariant (inverters are free on edges and outputs;
 permutations relabel inputs), which the test-suite checks.
@@ -324,9 +327,7 @@ def _in_next_closure(f: int, closure: np.ndarray, mask: int) -> bool:
     return False
 
 
-def compute_depth_by_class(
-    num_vars: int = 4, conflict_budget: int | None = None
-) -> dict[int, int]:
+def compute_depth_by_class(num_vars: int = 4) -> dict[int, int]:
     """Compute ``D(f)`` for every NPN class representative.
 
     Depths 0-2 come from exhaustive closure sets; depth 3 from the
@@ -334,7 +335,6 @@ def compute_depth_by_class(
     n-variable function has ``D <= 4`` for ``n = 4`` via the multiplexer
     construction over 3-variable cofactors (which all have ``D <= 2``).
     """
-    del conflict_budget  # kept for API compatibility; unused by this path
     sets = _depth_closure_sets(num_vars)
     mask = tt_mask(num_vars)
     size = 1 << (1 << num_vars)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from ..core.mig import Mig
 from ..core.npn import apply_transform, invert_transform, npn_canonize
-from ..core.truth_table import tt_extend, tt_mask
+from ..core.truth_table import tt_extend, tt_mask, tt_var
 from .library import Cell
 from .mapper import MappingResult
 
@@ -65,44 +65,38 @@ class MappedNetlist:
         return dict(sorted(usage.items()))
 
     def depth(self) -> int:
-        """Longest cell path from inputs to any output."""
+        """Longest cell path from inputs to any output.
+
+        A cell's inputs are lower MIG nodes than its output, so one pass
+        over the instances in ascending node order levels every input
+        before the cells it feeds — no recursion, however deep the cover.
+        """
         level: dict[int, int] = {}
-        by_output = {inst.output: inst for inst in self.instances}
-
-        def level_of(node: int) -> int:
-            if node not in by_output:
-                return 0
-            if node in level:
-                return level[node]
-            inst = by_output[node]
-            value = 1 + max((level_of(i) for i in inst.inputs), default=0)
-            level[node] = value
-            return value
-
+        for inst in sorted(self.instances, key=lambda inst: inst.output):
+            level[inst.output] = 1 + max(
+                (level.get(i, 0) for i in inst.inputs), default=0
+            )
         return max(
-            (level_of(s >> 1) for s in self.source.outputs),
+            (level.get(s >> 1, 0) for s in self.source.outputs),
             default=0,
         )
 
     def simulate(self) -> list[int]:
-        """Exhaustively simulate the cell netlist (source PIs <= 14)."""
+        """Exhaustively simulate the cell netlist (source PIs <= 14).
+
+        Instances are evaluated in ascending node order, as in
+        :meth:`depth`.
+        """
         mig = self.source
         if mig.num_pis > 14:
             raise ValueError("exhaustive netlist simulation limited to 14 inputs")
         n = mig.num_pis
         mask = tt_mask(n)
-        from ..core.truth_table import tt_var
-
         values: dict[int, int] = {0: 0}
         for i in range(n):
             values[1 + i] = tt_var(n, i)
-        by_output = {inst.output: inst for inst in self.instances}
-
-        def value_of(node: int) -> int:
-            if node in values:
-                return values[node]
-            inst = by_output[node]
-            inputs = [value_of(i) for i in inst.inputs]
+        for inst in sorted(self.instances, key=lambda inst: inst.output):
+            inputs = [values[i] for i in inst.inputs]
             out = 0
             width = len(inst.inputs)
             for m in range(1 << n):
@@ -112,14 +106,8 @@ class MappedNetlist:
                         idx |= 1 << j
                 if (inst.function >> idx) & 1:
                     out |= 1 << m
-            values[node] = out
-            return out
-
-        results = []
-        for s in mig.outputs:
-            v = value_of(s >> 1)
-            results.append(v ^ (mask if s & 1 else 0))
-        return results
+            values[inst.output] = out
+        return [values[s >> 1] ^ (mask if s & 1 else 0) for s in mig.outputs]
 
     def verify(self) -> bool:
         """Check the netlist against the source MIG (exhaustive)."""

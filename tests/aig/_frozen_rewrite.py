@@ -16,10 +16,9 @@ Two adaptations, neither of which changes a result:
 * ``cut_cone`` left ``repro.core.cuts`` with its last caller, so its
   body lives here.
 
-``tests/aig/test_rewrite.py`` holds the production pass to this copy:
-node for node with ``fanout_free=False``, and equivalent and no larger
-by default, where the production pass enumerates fanout-free cuts only.
-Do not "fix" this file — it is the spec.
+``tests/aig/test_rewrite.py`` holds the production pass, which
+enumerates fanout-free cuts only, to this copy's default mode: equivalent
+and no larger.  Do not "fix" this file — it is the spec.
 """
 
 from __future__ import annotations

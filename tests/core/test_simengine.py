@@ -21,6 +21,7 @@ from repro.core.mig import Mig
 from repro.core.simengine import (
     column_mask,
     cone_function,
+    insert_dont_care,
     num_columns,
     pack_ints,
     projection_columns,
@@ -29,7 +30,7 @@ from repro.core.simengine import (
     simulate_network,
     unpack_ints,
 )
-from repro.core.truth_table import tt_var
+from repro.core.truth_table import tt_extend, tt_permute, tt_var
 
 # ---------------------------------------------------------------------------
 # frozen pre-refactor oracles (do not "fix" these — they ARE the spec)
@@ -278,3 +279,57 @@ class TestConeFunction:
         mig.add_po(s)
         got = cone_function(mig, s >> 1, [1, 2])
         assert 0 <= got < 16
+
+
+def reference_insert(tt: int, num_vars: int, position: int) -> int:
+    """*tt* over ``num_vars + 1`` variables, variable *position* unused.
+
+    Extend by a don't-care top variable, then permute it down to
+    *position*: input ``j < position`` keeps ``x_j``, input ``j`` above
+    it reads ``x_{j+1}``.
+    """
+    perm = [*range(position), *range(position + 1, num_vars + 1), position]
+    return tt_permute(tt_extend(tt, num_vars, num_vars + 1), perm, num_vars + 1)
+
+
+class TestInsertDontCare:
+    """The one rule that re-expresses a child cut's table on its parent
+    cut's leaves, against a scalar reference built from ``tt_extend``
+    and ``tt_permute``."""
+
+    @pytest.mark.parametrize("num_vars", [0, 1, 2, 3])
+    def test_exhaustive_up_to_three_variables(self, num_vars):
+        tables = list(range(1 << (1 << num_vars)))
+        for position in range(num_vars + 1):
+            got = insert_dont_care(np.array(tables, dtype=np.uint64), position)
+            assert got.tolist() == [
+                reference_insert(t, num_vars, position) for t in tables
+            ], position
+
+    @pytest.mark.parametrize("num_vars", [4, 5])
+    def test_sampled_four_and_five_variables(self, num_vars):
+        rng = random.Random(num_vars)
+        mask = (1 << (1 << num_vars)) - 1
+        tables = [0, mask] + [rng.getrandbits(1 << num_vars) for _ in range(200)]
+        for position in range(num_vars + 1):
+            got = insert_dont_care(np.array(tables, dtype=np.uint64), position)
+            assert got.tolist() == [
+                reference_insert(t, num_vars, position) for t in tables
+            ], position
+
+    def test_mixed_widths_in_one_call(self):
+        # A program level mixes source widths; each table must come out
+        # as its own width's insertion, whatever the widest one is.
+        rng = random.Random(7)
+        for position in range(6):
+            widths = [rng.randint(position, 5) for _ in range(300)]
+            tables = [rng.getrandbits(1 << n) for n in widths]
+            got = insert_dont_care(np.array(tables, dtype=np.uint64), position)
+            assert got.tolist() == [
+                reference_insert(t, n, position) for t, n in zip(tables, widths)
+            ], position
+
+    def test_input_left_unchanged(self):
+        tables = np.array([0b0110, 0b1000], dtype=np.uint64)
+        insert_dont_care(tables, 0)
+        assert tables.tolist() == [0b0110, 0b1000]

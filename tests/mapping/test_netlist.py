@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.mig import Mig
 from repro.generators import epfl
 from repro.mapping.mapper import map_mig
 from repro.mapping.netlist import materialize
@@ -65,3 +66,27 @@ class TestMaterialization:
         result.cover[node] = (wrong, leaves)
         with pytest.raises(ValueError):
             materialize(full_adder, result)
+
+
+def majority_chain(length: int, num_pis: int = 5) -> Mig:
+    """A chain of *length* majority gates, each fed by the previous one."""
+    mig = Mig(num_pis)
+    x = mig.pi_signals()
+    s = x[0]
+    for i in range(length):
+        s = mig.maj(s, x[(i + 1) % num_pis], x[(i + 2) % num_pis] ^ (i & 1))
+    mig.add_po(s)
+    return mig
+
+
+class TestDeepCover:
+    def test_chain_cover_levels_and_simulates_without_recursion(self):
+        # 8,000 gates over 5 inputs map to a cover thousands of cells
+        # deep: depth() and simulate() walk it in node order, not by
+        # one Python call per cell level.
+        mig = majority_chain(8000)
+        assert mig.num_gates == 8000
+        result = map_mig(mig)
+        netlist = materialize(mig, result)
+        assert netlist.depth() == result.depth > 4000
+        assert netlist.verify()

@@ -159,3 +159,41 @@ class TestNumpyFree:
         for path in sorted(rewriting.rglob("*.py")):
             source = path.read_text()
             assert "import numpy" not in source, path
+
+
+class TestPrivateNames:
+    """Rule 5: no repro module imports a ``_``-prefixed name from another."""
+
+    @staticmethod
+    def _private(module, source):
+        import ast
+
+        node = ast.parse(source).body[0]
+        return [
+            name
+            for target in check_layers.resolve_import(module, node)
+            for name in check_layers.private_imports(module, target, node)
+        ]
+
+    def test_private_name_from_sibling_flagged(self):
+        assert self._private(
+            "repro.core.cuts",
+            "from .simengine import _PATTERN_IDS, evaluate_cut_program",
+        ) == ["_PATTERN_IDS"]
+
+    def test_private_module_from_package_flagged(self):
+        assert self._private(
+            "repro.runtime.worker", "from . import _internal"
+        ) == ["_internal"]
+
+    def test_public_and_dunder_names_allowed(self):
+        assert not self._private(
+            "repro.core.cuts", "from .simengine import evaluate_cut_program"
+        )
+        assert not self._private("repro.cli", "from repro import __version__")
+
+    def test_rule_scoped_to_repro(self):
+        assert not self._private("repro.core.cuts", "from os import _exit")
+
+    def test_package_may_import_its_own_private_submodule(self):
+        assert not self._private("repro.runtime", "from . import _internal")

@@ -23,6 +23,10 @@ Rules enforced (on ``import`` statements, resolved per module):
    machinery riding on it), but all array code lives in the kernel
    layer; a stray ``import numpy`` in a consumer is a layering leak that
    bypasses the simengine contract (dtype, padding, invalidation).
+5. No ``repro`` module imports a ``_``-prefixed name from another
+   ``repro`` module — a private name is internal to the module that
+   defines it, so another module reaching for it couples to its
+   implementation (``from .simengine import _PATTERN_IDS`` did).
 
 Exit status 0 when clean; 1 with one line per violation otherwise.
 Runs from any directory; stdlib only (CI calls it before the test jobs).
@@ -52,6 +56,24 @@ def numpy_free_violation(module: str, target: str) -> bool:
     if target != "numpy" and not target.startswith("numpy."):
         return False
     return any(in_package(module, package) for package in NUMPY_FREE)
+
+
+def private_imports(module: str, target: str, node: ast.AST) -> list[str]:
+    """Rule 5: the ``_``-prefixed names *node* imports from *target*.
+
+    Dunder names (``__version__``) are public, and a package may import
+    its own private submodules (``from . import _x`` in its
+    ``__init__``).
+    """
+    if not isinstance(node, ast.ImportFrom) or target == module:
+        return []
+    if not in_package(target, "repro"):
+        return []
+    return [
+        alias.name
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
 
 
 def module_name(path: Path) -> str:
@@ -103,6 +125,11 @@ def check_file(path: Path) -> list[str]:
             if not in_package(target, "repro"):
                 continue
             where = f"{path.relative_to(SRC.parent)}:{node.lineno}"
+            for name in private_imports(module, target, node):
+                violations.append(
+                    f"{where}: {module} imports private name {name} from {target} "
+                    "(a _-prefixed name is internal to its module)"
+                )
             if module in KERNEL_LAYER:
                 allowed = {"repro.core.kernel"} if module == "repro.core.simengine" else set()
                 if target not in allowed:
