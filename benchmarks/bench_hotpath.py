@@ -77,15 +77,14 @@ SIM_WIDTH = 64
 
 
 def run_sim_case(factory, repeat: int) -> dict:
-    """Time fraig-style random-vector simulation: seed loop vs the engine.
+    """Time random-vector simulation: per-round seed loop vs one packed call.
 
     The *seed* path is what the pre-kernel tree did for signatures and
     randomized equivalence: one big-int sweep over the network per
-    64-bit round (``backend="bigint"`` is that historical loop,
-    bit-for-bit — see tests/core/test_simengine.py).  The *engine* path
-    batches all rounds into a single wide word per PI and runs the
-    numpy backend once, level by level.  Same vectors, same results
-    (asserted); the speedup is the simulation-engine headline number.
+    64-bit round.  The *engine* path is what ``equivalent_random`` and
+    fraig's signatures do now: all rounds packed into one wide word per
+    PI (round ``r`` in bits ``[64r, 64r + 64)``) and one sweep.  Same
+    vectors, same results (asserted); the speedup is what packing buys.
     """
     net = factory()
     rng = random.Random(0xC0FFEE)
@@ -101,27 +100,22 @@ def run_sim_case(factory, repeat: int) -> dict:
     best_seed = best_engine = None
     for _ in range(repeat):
         start = time.perf_counter()
-        seed_out = [
-            simulate_network(net, words, SIM_WIDTH, backend="bigint")
-            for words in rounds
-        ]
+        seed_out = [simulate_network(net, words, SIM_WIDTH) for words in rounds]
         seconds = time.perf_counter() - start
         best_seed = seconds if best_seed is None else min(best_seed, seconds)
 
         start = time.perf_counter()
-        engine_out = simulate_network(
-            net, combined, SIM_WIDTH * SIM_ROUNDS, backend="numpy"
-        )
+        engine_out = simulate_network(net, combined, SIM_WIDTH * SIM_ROUNDS)
         seconds = time.perf_counter() - start
         best_engine = (
             seconds if best_engine is None else min(best_engine, seconds)
         )
     for r in range(SIM_ROUNDS):
         got = [(w >> (SIM_WIDTH * r)) & mask for w in engine_out]
-        assert got == seed_out[r], f"backend mismatch in round {r}"
+        assert got == seed_out[r], f"packed mismatch in round {r}"
     return {
         "gates": net.num_gates,
-        "levels": len(net.arrays().sim_levels),
+        "depth": net.depth(),
         "rounds": SIM_ROUNDS,
         "width": SIM_WIDTH,
         "seed_seconds": round(best_seed, 5),

@@ -495,10 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
                         script="depth,BF,TFD")],
     )
     p_flow.add_argument(
-        "--on-error", default="raise", choices=["raise", "rollback", "skip"],
+        "--on-error", default="raise", choices=["raise", "rollback"],
         help="what to do when a step fails or miscompiles: propagate "
         "('raise'), or keep the pre-step network and continue "
-        "('rollback'/'skip')",
+        "('rollback')",
     )
     p_flow.add_argument("-o", "--output", help="write the result (BLIF/.v/.bench)")
 

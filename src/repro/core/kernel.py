@@ -18,13 +18,11 @@ Storage is struct-of-arrays in spirit and hybrid in practice:
   strash dict — because gate creation is the hottest operation of the
   rewriting passes and a Python ``list.append`` beats any per-gate numpy
   write by an order of magnitude;
-* the **array** view (:meth:`Network.arrays`) lazily materializes flat
-  numpy ``int64``/``uint64`` fanin-node / complement-flag matrices, a
-  level array, and level-grouped gate batches.  These feed the array
-  kernels: :meth:`fanout_counts` is one ``np.bincount`` and the
-  bit-parallel simulation engine (:mod:`repro.core.simengine`) evaluates
-  whole levels at a time.  The view is cached and keyed on the node and
-  output counts, so appends invalidate it automatically.
+* the **array** view (:meth:`Network.arrays`) lazily materializes the
+  fanin and output node indices as flat numpy ``int64`` arrays, which
+  :meth:`fanout_counts` reduces with one ``np.bincount``.  The view is
+  cached and keyed on the node and output counts, so appends
+  invalidate it automatically.
 
 This module imports nothing from the rest of ``repro`` (only numpy and
 the standard library) — enforced by ``tools/check_layers.py``.
@@ -53,8 +51,6 @@ __all__ = [
 CONST0 = 0
 CONST1 = 1
 
-_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-
 
 def make_signal(node: int, complement: bool = False) -> int:
     """Build a signal from a node index and a complement flag."""
@@ -79,146 +75,26 @@ def signal_is_complemented(signal: int) -> bool:
 class NetworkArrays:
     """Flat numpy view of a :class:`Network` — the struct-of-arrays side.
 
-    All matrices cover gate nodes only, indexed by ``node - first_gate``:
-
-    * ``fan_node`` — ``(num_gates, arity)`` int64 fanin node indices;
-    * ``fan_comp`` — ``(num_gates, arity)`` uint64 complement flags,
-      ``0`` or all-ones so a complement is one ``xor`` with the word
-      mask;
-    * ``levels`` — per-node depth over all ``num_nodes`` nodes;
-    * ``level_groups`` — gate node indices batched by level in ascending
-      level order; every gate's fanins live in strictly earlier batches,
-      which is what lets the simulation engine evaluate one whole batch
-      per vectorized step;
-    * ``out_node`` / ``out_comp`` — the output signals, split.
-
-    For the simulation engine a second, **permuted** view is precomputed
-    in which gate rows are re-ordered by level while terminal rows stay
-    put.  Each level then occupies one contiguous row slice, so a level
-    evaluates as ``gather, xor, combine, slice-write`` with no per-call
-    index building — the per-level Python overhead is what dominates
-    bit-parallel simulation of deep networks:
-
-    * ``sim_pos`` — node index -> row in the permuted matrix;
-    * ``sim_levels`` — per level: ``(start, end, gates, fan_pos,
-      fan_comp)`` where ``fan_pos`` stacks the per-position fanin row
-      indices of the whole level into one ``(arity*gates,)`` array (all
-      first fanins, then all second fanins, ...) so the level needs a
-      single gather and a single complement xor, and ``fan_comp`` is the
-      matching ``(arity*gates, 1)`` complement column;
-    * ``sim_out_pos`` — permuted rows of the output signals.
+    * ``fan_node`` — ``(num_gates, arity)`` int64 fanin node indices,
+      row ``node - first_gate`` for each gate node;
+    * ``out_node`` — the node index of each output signal.
     """
 
-    __slots__ = (
-        "num_nodes",
-        "num_gates",
-        "first_gate",
-        "arity",
-        "version",
-        "fan_node",
-        "fan_comp",
-        "out_node",
-        "out_comp",
-        "_net",
-        "_levels",
-        "_level_groups",
-        "_sim_pos",
-        "_sim_levels",
-        "_sim_out_pos",
-    )
+    __slots__ = ("num_gates", "first_gate", "version", "fan_node", "out_node")
 
     def __init__(self, net: "Network") -> None:
-        arity = net.arity
         first_gate = net.num_pis + 1
-        num_nodes = len(net._fanins)
-        num_gates = num_nodes - first_gate
-        self.num_nodes = num_nodes
+        num_gates = len(net._fanins) - first_gate
         self.num_gates = num_gates
         self.first_gate = first_gate
-        self.arity = arity
         self.version = net.arrays_version
         flat = np.fromiter(
             chain.from_iterable(net._fanins[first_gate:]),
             dtype=np.int64,
-            count=num_gates * arity,
-        ).reshape(num_gates, arity)
+            count=num_gates * net.arity,
+        ).reshape(num_gates, net.arity)
         self.fan_node = flat >> 1
-        self.fan_comp = np.where(flat & 1, _ALL_ONES, np.uint64(0))
-        outs = np.asarray(net._outputs, dtype=np.int64).reshape(len(net._outputs))
-        self.out_node = outs >> 1
-        self.out_comp = np.where(outs & 1, _ALL_ONES, np.uint64(0))
-        # The level/simulation side is built on first access: the array
-        # view is rebuilt after every append batch (fanout_counts sits in
-        # the rewriting hot path), and paying an argsort plus per-level
-        # array slicing there would dwarf the bincount it feeds.
-        self._net = net
-        self._levels: np.ndarray | None = None
-        self._sim_levels = None
-
-    def _build_levels(self) -> np.ndarray:
-        levels = np.asarray(self._net.levels(), dtype=np.int64)
-        num_nodes, first_gate = self.num_nodes, self.first_gate
-        sim_pos = np.arange(num_nodes, dtype=np.int64)
-        if self.num_gates:
-            gate_levels = levels[first_gate:]
-            order = np.argsort(gate_levels, kind="stable") + first_gate
-            counts = np.bincount(gate_levels)
-            bounds = np.cumsum(counts[counts > 0])
-            self._level_groups = tuple(np.split(order, bounds[:-1]))
-            sim_pos[order] = np.arange(first_gate, num_nodes, dtype=np.int64)
-            # Permuted-space fanin rows/complements, in level order.
-            gate_rows = order - first_gate
-            fan_pos = sim_pos[self.fan_node[gate_rows]]
-            fan_comp_lv = self.fan_comp[gate_rows]
-            starts = np.concatenate(([0], bounds[:-1]))
-            self._sim_levels = tuple(
-                (
-                    first_gate + int(lo),
-                    first_gate + int(hi),
-                    int(hi - lo),
-                    np.ascontiguousarray(fan_pos[lo:hi].T.reshape(-1)),
-                    np.ascontiguousarray(
-                        fan_comp_lv[lo:hi].T.reshape(-1, 1)
-                    ),
-                )
-                for lo, hi in zip(starts, bounds)
-            )
-        else:
-            self._level_groups = ()
-            self._sim_levels = ()
-        self._sim_pos = sim_pos
-        self._sim_out_pos = sim_pos[self.out_node]
-        self._levels = levels
-        return levels
-
-    @property
-    def levels(self) -> np.ndarray:
-        levels = self._levels
-        return levels if levels is not None else self._build_levels()
-
-    @property
-    def level_groups(self) -> tuple:
-        if self._levels is None:
-            self._build_levels()
-        return self._level_groups
-
-    @property
-    def sim_pos(self) -> np.ndarray:
-        if self._levels is None:
-            self._build_levels()
-        return self._sim_pos
-
-    @property
-    def sim_levels(self) -> tuple:
-        if self._levels is None:
-            self._build_levels()
-        return self._sim_levels
-
-    @property
-    def sim_out_pos(self) -> np.ndarray:
-        if self._levels is None:
-            self._build_levels()
-        return self._sim_out_pos
+        self.out_node = np.asarray(net._outputs, dtype=np.int64) >> 1
 
 
 class Network:

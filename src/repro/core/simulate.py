@@ -27,7 +27,8 @@ __all__ = [
     "equivalent_random",
 ]
 
-#: widest network checked by complete simulation (2**14 rows, still < 1 ms)
+#: widest network checked by complete simulation (2**14 rows; about
+#: 25 ms for an 8.5k-gate, 14-input log2 network on a 2-core host)
 EXHAUSTIVE_PI_LIMIT = 14
 
 
@@ -52,17 +53,19 @@ def equivalent_random(
     """Compare two networks on random bit-parallel vectors.
 
     Returns ``False`` on any mismatch (a definite counterexample) and
-    ``True`` if all rounds agree (equivalence *not refuted*).
+    ``True`` if all rounds agree (equivalence *not refuted*).  The rounds
+    are drawn in the historical order and round ``r`` fills bits
+    ``[r * width, (r + 1) * width)`` of each input word, so each network
+    is simulated once on all rounds.
     """
     _check_interfaces(mig1, mig2)
     rng = random.Random(seed)
-    for _ in range(num_rounds):
-        patterns = random_pattern_round(rng, mig1.num_pis, width)
-        if simulate_network(mig1, patterns, width) != simulate_network(
-            mig2, patterns, width
-        ):
-            return False
-    return True
+    words = [0] * mig1.num_pis
+    for r in range(num_rounds):
+        for i, w in enumerate(random_pattern_round(rng, mig1.num_pis, width)):
+            words[i] |= w << (r * width)
+    total = num_rounds * width
+    return simulate_network(mig1, words, total) == simulate_network(mig2, words, total)
 
 
 def check_equivalence(mig1: Network, mig2: Network, num_rounds: int = 16) -> bool:

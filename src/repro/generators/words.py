@@ -69,11 +69,6 @@ class WordBuilder:
         b_cond = [self.mig.xor(s, subtract) for s in b]
         return self.add(a, b_cond, subtract)
 
-    def increment(self, a: list[int]) -> list[int]:
-        """``a + 1`` (mod ``2**width``)."""
-        out, _ = self.add(a, self.constant_word(1, len(a)))
-        return out
-
     # -- comparison ---------------------------------------------------------
 
     def geq(self, a: list[int], b: list[int]) -> int:

@@ -23,8 +23,7 @@ On top of the sequencing the flow is a *fault-tolerant runtime*
 verified against the pre-step network (``verify="sim"`` or ``"cec"``),
 and failures are handled by a configurable ``on_error`` policy —
 ``"raise"`` propagates, ``"rollback"`` keeps the pre-step network and
-continues, ``"skip"`` is an alias of rollback for errors that produced no
-result at all.  Each step records its outcome in
+continues.  Each step records its outcome in
 :attr:`FlowStepStats.status`: ``ok``, ``rolled-back``, ``timeout``,
 ``failed``, or ``skipped``.
 
@@ -58,7 +57,7 @@ __all__ = [
     "optimize_until_convergence",
 ]
 
-_ON_ERROR_POLICIES = ("raise", "rollback", "skip")
+_ON_ERROR_POLICIES = ("raise", "rollback")
 
 #: the flow steps besides the functional-hashing variants (``VARIANTS``,
 #: matched case-insensitively); ``remap`` reads the NPN database too
@@ -198,9 +197,9 @@ def run_flow(
     without executing, so the call returns partial results instead of
     hanging.  *verify* (``off``/``sim``/``cec``) first runs the
     structural validator (:meth:`Mig.check`) and then checks each step's
-    result against its input; under ``on_error="rollback"`` or
-    ``"skip"`` non-equivalent (or structurally broken) results are
-    discarded, recording the step as ``rolled-back``.
+    result against its input; under ``on_error="rollback"``
+    non-equivalent (or structurally broken) results are discarded,
+    recording the step as ``rolled-back``.
     ``on_error="raise"`` propagates step exceptions and raises
     :class:`~repro.runtime.errors.VerificationFailed` on a detected
     miscompile.  *sat_backend* (``internal``/``auto``/``portfolio``)

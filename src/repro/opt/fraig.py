@@ -121,7 +121,7 @@ def fraig(
             1 if solver.model_value(node_var[i]) else 0
             for i in range(1, mig.num_pis + 1)
         ]
-        values = simulate_all_nodes(mig, pattern, 1, backend="bigint")
+        values = simulate_all_nodes(mig, pattern, 1)
         for node, value in enumerate(values):
             signatures[node].append(mask if value else 0)
         representative.clear()

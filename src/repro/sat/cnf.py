@@ -95,10 +95,6 @@ class CnfBuilder:
         self.add_clause([-a, b])
         self.add_clause([a, -b])
 
-    def implies(self, a: int, b: int) -> None:
-        """Constrain ``a -> b``."""
-        self.add_clause([-a, b])
-
     def implies_clause(self, a: int, lits: Sequence[int]) -> None:
         """Constrain ``a -> (l1 | l2 | ...)``."""
         self.add_clause([-a, *lits])

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,6 +137,10 @@ class TestCounters:
         assert full_adder.sim_words == 0
         full_adder.simulate()
         assert full_adder.sim_words == full_adder.num_gates  # 8 bits -> 1 word
+        full_adder.simulate_patterns([0, 0, 0], 65)  # 65 bits -> 2 words
+        assert full_adder.sim_words == 3 * full_adder.num_gates
+        full_adder.simulate_patterns([0, 0, 0], 128)  # 128 bits -> 2 words
+        assert full_adder.sim_words == 5 * full_adder.num_gates
 
 
 class TestArrays:
@@ -150,23 +153,7 @@ class TestArrays:
             row = node - arr.first_gate
             for pos, s in enumerate(mig.fanins(node)):
                 assert arr.fan_node[row, pos] == s >> 1
-                expected = 0xFFFFFFFFFFFFFFFF if s & 1 else 0
-                assert int(arr.fan_comp[row, pos]) == expected
-        assert arr.levels.tolist() == mig.levels()
         assert [s >> 1 for s in mig.outputs] == arr.out_node.tolist()
-
-    @given(random_mig())
-    @settings(max_examples=20, deadline=None)
-    def test_level_groups_are_a_topological_batching(self, mig):
-        arr = mig.arrays()
-        gates = np.concatenate(arr.level_groups) if arr.level_groups else np.array([])
-        assert sorted(gates.tolist()) == list(mig.gates())
-        levels = mig.levels()
-        seen_levels = [levels[int(g)] for group in arr.level_groups for g in group[:1]]
-        assert seen_levels == sorted(seen_levels)
-        for group in arr.level_groups:
-            group_levels = {levels[int(g)] for g in group}
-            assert len(group_levels) == 1
 
     def test_cache_invalidation_on_growth(self):
         mig = Mig(2)
@@ -202,7 +189,6 @@ class TestArrays:
         assert fresh.version == mig.arrays_version
         row = node - fresh.first_gate
         assert fresh.fan_node[row].tolist() == [a >> 1, b >> 1, c >> 1]
-        assert int(fresh.fan_comp[row, 1]) == 0xFFFFFFFFFFFFFFFF
         # The stale view still advertises its build version, so holders
         # can detect it without re-deriving anything.
         assert view.version != mig.arrays_version

@@ -2,9 +2,9 @@
 
 The oracles below are frozen copies of the big-int loops that lived in
 ``Mig._simulate_words`` / ``Mig.simulate`` and the AIG's simulator before
-the kernel refactor.  Both simengine backends (``bigint`` and ``numpy``)
-must reproduce them bit for bit on random networks, random patterns and
-widths straddling the 64-bit column boundary.
+the kernel refactor.  ``simulate_network``, ``simulate_all_nodes`` and
+``simulate`` must reproduce them bit for bit on random networks, random
+patterns and widths straddling the 64-bit word boundary.
 """
 
 from __future__ import annotations
@@ -19,16 +19,11 @@ from hypothesis import strategies as st
 from repro.aig.aig import Aig
 from repro.core.mig import Mig
 from repro.core.simengine import (
-    column_mask,
     cone_function,
     insert_dont_care,
-    num_columns,
-    pack_ints,
-    projection_columns,
     projection_int,
     simulate_all_nodes,
     simulate_network,
-    unpack_ints,
 )
 from repro.core.truth_table import tt_extend, tt_permute, tt_var
 
@@ -117,37 +112,8 @@ def random_network(draw_mig):
 
 
 # ---------------------------------------------------------------------------
-# packing
+# projections
 # ---------------------------------------------------------------------------
-
-
-class TestPacking:
-    @given(
-        st.lists(st.integers(min_value=0, max_value=(1 << 200) - 1), min_size=1, max_size=8),
-        st.integers(min_value=1, max_value=4),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_roundtrip(self, words, columns):
-        mask = (1 << (columns * 64)) - 1
-        words = [w & mask for w in words]
-        assert unpack_ints(pack_ints(words, columns)) == words
-
-    def test_bit_convention(self):
-        # Bit k of the int = bit k % 64 of column k // 64.
-        word = (1 << 0) | (1 << 63) | (1 << 64) | (1 << 130)
-        m = pack_ints([word], 3)
-        assert int(m[0, 0]) == (1 << 0) | (1 << 63)
-        assert int(m[0, 1]) == 1
-        assert int(m[0, 2]) == 1 << 2
-
-    def test_num_columns_and_mask(self):
-        assert num_columns(1) == 1
-        assert num_columns(64) == 1
-        assert num_columns(65) == 2
-        assert num_columns(128) == 2
-        mask = column_mask(70)
-        assert int(mask[0]) == 0xFFFFFFFFFFFFFFFF
-        assert int(mask[1]) == (1 << 6) - 1
 
 
 class TestProjections:
@@ -155,15 +121,6 @@ class TestProjections:
     def test_projection_int_matches_tt_var(self, num_vars):
         for i in range(num_vars):
             assert projection_int(num_vars, i) == tt_var(num_vars, i)
-
-    @pytest.mark.parametrize("num_vars", range(1, 11))
-    def test_projection_columns_match_packed_tt_var(self, num_vars):
-        cols = projection_columns(num_vars)
-        expected = pack_ints(
-            [tt_var(num_vars, i) for i in range(num_vars)],
-            num_columns(1 << num_vars),
-        )
-        assert np.array_equal(cols, expected)
 
     def test_range_checks(self):
         with pytest.raises(ValueError, match="num_vars"):
@@ -173,7 +130,7 @@ class TestProjections:
 
 
 # ---------------------------------------------------------------------------
-# the differential core: both backends vs the frozen oracles
+# the differential core: every entry point vs the frozen oracles
 # ---------------------------------------------------------------------------
 
 
@@ -189,10 +146,7 @@ class TestPatternSimulation:
             for i, w in enumerate(patterns):
                 values[1 + i] = w & mask
             expected = oracle_simulate_words_mig(mig, values, mask)
-            got_big = simulate_network(mig, patterns, width, backend="bigint")
-            got_np = simulate_network(mig, patterns, width, backend="numpy")
-            assert got_big == expected
-            assert got_np == expected
+            assert simulate_network(mig, patterns, width) == expected
 
     @given(random_aig(), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -205,25 +159,17 @@ class TestPatternSimulation:
             for i, w in enumerate(patterns):
                 values[1 + i] = w & mask
             expected = oracle_simulate_words_aig(aig, values, mask)
-            got_big = simulate_network(aig, patterns, width, backend="bigint")
-            got_np = simulate_network(aig, patterns, width, backend="numpy")
-            assert got_big == expected
-            assert got_np == expected
+            assert simulate_network(aig, patterns, width) == expected
 
     @given(random_mig())
     @settings(max_examples=40, deadline=None)
     def test_exhaustive_simulate_matches_the_oracle(self, mig):
-        expected = oracle_exhaustive(mig)
-        assert mig.simulate(backend="bigint") == expected
-        assert mig.simulate(backend="numpy") == expected
-        assert mig.simulate() == expected  # auto
+        assert mig.simulate() == oracle_exhaustive(mig)
 
     @given(random_aig())
     @settings(max_examples=40, deadline=None)
     def test_aig_exhaustive_matches_the_oracle(self, aig):
-        expected = oracle_exhaustive(aig)
-        assert aig.simulate(backend="bigint") == expected
-        assert aig.simulate(backend="numpy") == expected
+        assert aig.simulate() == oracle_exhaustive(aig)
 
     @given(random_mig(), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -236,9 +182,7 @@ class TestPatternSimulation:
         for i, w in enumerate(patterns):
             values[1 + i] = w & mask
         oracle_simulate_words_mig(mig, values, mask)
-        for backend in ("bigint", "numpy"):
-            got = simulate_all_nodes(mig, patterns, width, backend=backend)
-            assert got == values
+        assert simulate_all_nodes(mig, patterns, width) == values
 
     def test_pattern_count_is_validated(self, full_adder):
         with pytest.raises(ValueError, match="expected 3 pattern words, got 2"):
