@@ -1,5 +1,6 @@
-"""SAT substrate: CDCL solver, CNF helpers, DIMACS I/O, CEC, and the
-pluggable backend portfolio (external kissat/CaDiCaL racing)."""
+"""SAT substrate: CDCL solver, CNF helpers, DIMACS I/O, SAT sweeping,
+CEC, and the pluggable backend portfolio (external kissat/CaDiCaL
+racing)."""
 
 from .solver import SAT, UNKNOWN, UNSAT, Solver
 from .cnf import CnfBuilder

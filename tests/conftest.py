@@ -46,3 +46,17 @@ def small_test_circuits() -> list[Mig]:
 def suite_small() -> list[Mig]:
     """Session-cached small benchmark instances."""
     return small_test_circuits()
+
+
+@pytest.fixture(scope="session")
+def multiplier8_pair(db) -> tuple[Mig, Mig]:
+    """A depth-optimized 16-input multiplier and its BF rewrite: a wide
+    pair that strashing alone does not prove equivalent, so SAT CEC
+    has to sweep it (the monolithic miter gave up after 50,000
+    conflicts)."""
+    from repro.generators import epfl
+    from repro.opt.depth_opt import optimize_depth
+    from repro.rewriting import functional_hashing
+
+    mig = optimize_depth(epfl.multiplier(8), rounds=2)
+    return mig, functional_hashing(mig, db, "BF")

@@ -60,14 +60,21 @@ class TestWideNetworks:
         assert report.equivalent is True
         assert report.method == "cec"
 
-    def test_cec_charges_budget(self):
+    def test_cec_charges_budget(self, multiplier8_pair):
         mig = epfl.adder(16)
         budget = Budget.from_limits(conflict_limit=10_000_000)
         before = budget.conflicts_spent
         verify_rewrite(mig, mig.clone(), mode="cec", budget=budget)
         assert budget.conflicts_spent >= before
+        # A clone strashes to one network and costs nothing; a pair that
+        # needs SAT is charged exactly what the check reports.
+        before = budget.conflicts_spent
+        report = verify_rewrite(*multiplier8_pair, mode="cec", budget=budget)
+        assert report.equivalent is True
+        assert report.conflicts > 0
+        assert budget.conflicts_spent == before + report.conflicts
 
-    def test_cec_budget_exhaustion_inconclusive(self):
+    def test_cec_budget_exhaustion_inconclusive(self, multiplier8_pair):
         # A spent budget must yield an inconclusive answer, not a hang or
         # a false refutation.
         mig = epfl.multiplier(9)  # 18 PIs, wide enough for CEC
@@ -75,4 +82,13 @@ class TestWideNetworks:
         budget.charge_conflicts(1)
         report = verify_rewrite(mig, mig.clone(), mode="cec", budget=budget)
         assert report.equivalent in (None, True)  # tiny miters may close instantly
+        assert report.method == "cec"
+        report = verify_rewrite(*multiplier8_pair, mode="cec", budget=budget)
+        assert report.equivalent is None
+        assert report.method == "cec"
+
+    def test_cec_proves_multiplier8_under_the_default_cap(self, multiplier8_pair):
+        # The monolithic miter gave up on this pair after 50,000 conflicts.
+        report = verify_rewrite(*multiplier8_pair, mode="cec")
+        assert report.equivalent is True
         assert report.method == "cec"
