@@ -30,9 +30,11 @@ class Aig(SimulationMixin, Network):
 
     def and_(self, a: int, b: int) -> int:
         """Create (or reuse) the AND gate of two signals."""
-        for s in (a, b):
-            if (s >> 1) >= len(self._fanins):
-                raise ValueError(f"signal {s} refers to an unknown node")
+        n = len(self._fanins)
+        if a < 0 or a >> 1 >= n:
+            raise ValueError(f"signal {a} refers to an unknown node")
+        if b < 0 or b >> 1 >= n:
+            raise ValueError(f"signal {b} refers to an unknown node")
         if a == b:
             self.unit_rules += 1
             return a
@@ -51,7 +53,7 @@ class Aig(SimulationMixin, Network):
         key = (a, b) if a < b else (b, a)
         node = self._strash.get(key)
         if node is None:
-            node = len(self._fanins)
+            node = n
             self._fanins.append(key)
             self._strash[key] = node
         else:
@@ -72,21 +74,3 @@ class Aig(SimulationMixin, Network):
     def mux(self, sel: int, when_true: int, when_false: int) -> int:
         """2:1 multiplexer."""
         return self.or_(self.and_(sel, when_true), self.and_(sel ^ 1, when_false))
-
-    # -- structural validation (AIG-specific invariants) ---------------
-
-    def _check_gate_fanin(self, node: int, fanin: tuple[int, ...]) -> None:
-        """The invariants :meth:`and_` guarantees beyond the kernel's."""
-        a, b = fanin
-        if a >= b:
-            raise ValueError(f"gate node {node} fanin pair {fanin} is unsorted")
-        if a >> 1 == b >> 1:
-            raise ValueError(
-                f"gate node {node} fanin pair {fanin} repeats a node "
-                "(unit rule a&a/a&a' not applied)"
-            )
-        if a >> 1 == 0:
-            raise ValueError(
-                f"gate node {node} fanin pair {fanin} references a constant "
-                "(unit rule a&0/a&1 not applied)"
-            )

@@ -20,9 +20,16 @@ Storage is struct-of-arrays in spirit and hybrid in practice:
   write by an order of magnitude;
 * the **array** view (:meth:`Network.arrays`) lazily materializes the
   fanin and output node indices as flat numpy ``int64`` arrays, which
-  :meth:`fanout_counts` reduces with one ``np.bincount``.  The view is
-  cached and keyed on the node and output counts, so appends
-  invalidate it automatically.
+  :meth:`fanout_counts` reduces with one ``np.bincount``.
+
+Whole-network facts — the array view, the per-node levels and the
+exhaustive output truth tables (:mod:`repro.core.simengine`) — are
+computed at most once per network state and kept in one memo slot keyed
+on the node count, the output count and :attr:`Network.arrays_version`,
+so appends invalidate them automatically and every in-place edit of
+``_fanins`` or ``_outputs`` must call :meth:`Network.invalidate_arrays`.
+The kernel's own walks (:meth:`Network.levels`, :meth:`Network.check`)
+run one loop per gate arity, as the simulator does.
 
 This module imports nothing from the rest of ``repro`` (only numpy and
 the standard library) — enforced by ``tools/check_layers.py``.
@@ -97,12 +104,43 @@ class NetworkArrays:
         self.out_node = np.asarray(net._outputs, dtype=np.int64) >> 1
 
 
+class _Facts:
+    """The memo slot of one network state: facts computed on first use."""
+
+    __slots__ = ("key", "arrays", "levels", "tables")
+
+    def __init__(self, key: tuple[int, int, int]) -> None:
+        self.key = key
+        self.arrays: NetworkArrays | None = None
+        self.levels: tuple[int, ...] | None = None
+        #: exhaustive output truth tables, filled by ``simulate()``
+        self.tables: tuple[int, ...] | None = None
+
+
+def _raise_bad_arity(node: int, fanin, arity: int) -> None:
+    """Raise the message for a gate whose fanin tuple is missing or mis-sized."""
+    if fanin is None:
+        raise ValueError(f"gate node {node} has no fanins")
+    raise ValueError(f"gate node {node} has {len(fanin)} fanins, not {arity}")
+
+
+def _raise_bad_signal(node: int, fanin: tuple[int, ...], n: int) -> None:
+    """Raise the message for the first fanin signal that is out of range."""
+    for s in fanin:
+        if s < 0 or (s >> 1) >= n:
+            raise ValueError(f"gate node {node} fanin signal {s} is dangling")
+        if (s >> 1) >= node:
+            raise ValueError(
+                f"gate node {node} fanin signal {s} breaks topological "
+                "order (cycle or forward reference)"
+            )
+
+
 class Network:
     """Arity-generic logic-network substrate with structural hashing.
 
-    Subclasses (the facades) set :attr:`ARITY`, implement the semantic
-    gate constructor (``maj`` / ``and_``) on top of :meth:`_add_gate`,
-    and may refine :meth:`check` via :meth:`_check_gate_fanin`.
+    Subclasses (the facades) set :attr:`ARITY` and implement the semantic
+    gate constructor (``maj`` / ``and_``) that :meth:`check` validates.
 
     The kernel also owns the instrumentation counters shared by every
     facade: ``strash_hits`` (gate constructions answered by the hash
@@ -127,11 +165,11 @@ class Network:
         self.unit_rules = 0
         self.sim_words = 0
         #: bumped by :meth:`invalidate_arrays` after every in-place
-        #: structural edit; part of the array-view cache key, so holders
-        #: of a :class:`NetworkArrays` can detect staleness by comparing
+        #: structural edit; part of the memo key, so holders of a
+        #: :class:`NetworkArrays` can detect staleness by comparing
         #: ``view.version`` against it.
         self.arrays_version = 0
-        self._arrays_cache: tuple[tuple[int, int, int], NetworkArrays] | None = None
+        self._memo: _Facts | None = None
         for _ in range(num_pis):
             self.add_pi()
 
@@ -183,7 +221,7 @@ class Network:
 
     def add_po(self, signal: int, name: str | None = None) -> None:
         """Register a primary output pointing at *signal*."""
-        if signal_node(signal) >= len(self._fanins):
+        if signal < 0 or signal >> 1 >= len(self._fanins):
             raise ValueError(f"signal {signal} refers to an unknown node")
         self._outputs.append(signal)
         self._output_names.append(name if name is not None else f"y{len(self._outputs) - 1}")
@@ -276,8 +314,21 @@ class Network:
     # array kernels
     # ------------------------------------------------------------------
 
+    def _facts(self) -> _Facts:
+        """The memo slot of the current network state.
+
+        Keyed on the node count, the output count and
+        :attr:`arrays_version`: appends start a fresh slot, and so does
+        :meth:`invalidate_arrays` after an in-place edit.
+        """
+        key = (len(self._fanins), len(self._outputs), self.arrays_version)
+        facts = self._memo
+        if facts is None or facts.key != key:
+            facts = self._memo = _Facts(key)
+        return facts
+
     def arrays(self) -> NetworkArrays:
-        """Return the cached flat-array view of the network.
+        """Return the memoized flat-array view of the network.
 
         Rebuilt automatically when the node or output count changed, and
         whenever :attr:`arrays_version` was bumped.  Call
@@ -287,24 +338,23 @@ class Network:
         count-based part of the key, so skipping the call would silently
         serve a stale view.
         """
-        key = (len(self._fanins), len(self._outputs), self.arrays_version)
-        cached = self._arrays_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        arrays = NetworkArrays(self)
-        self._arrays_cache = (key, arrays)
-        return arrays
+        facts = self._facts()
+        if facts.arrays is None:
+            facts.arrays = NetworkArrays(self)
+        return facts.arrays
 
     def invalidate_arrays(self) -> None:
-        """Drop the cached array view (after in-place structural edits).
+        """Drop every memoized fact (after in-place structural edits).
 
-        Also bumps :attr:`arrays_version` so any externally-held
+        The array view, the levels and the exhaustive truth tables share
+        one memo slot, so all of them are recomputed on next use.  Also
+        bumps :attr:`arrays_version` so any externally-held
         :class:`NetworkArrays` is recognizably stale
         (``view.version != net.arrays_version``) even if the node and
         output counts did not change.
         """
         self.arrays_version += 1
-        self._arrays_cache = None
+        self._memo = None
 
     def fanout_counts(self) -> list[int]:
         """Return, per node, how many gate fanins plus outputs reference it.
@@ -318,14 +368,34 @@ class Network:
             counts = counts + np.bincount(arrays.out_node, minlength=n)
         return counts.tolist()
 
-    def levels(self) -> list[int]:
-        """Return per-node depth (terminals at level 0)."""
-        level = [0] * len(self._fanins)
-        first_gate = self.num_pis + 1
-        fanins = self._fanins
-        for node in range(first_gate, len(fanins)):
-            level[node] = 1 + max(level[s >> 1] for s in fanins[node])
-        return level
+    def levels(self) -> tuple[int, ...]:
+        """Return per-node depth (terminals at level 0), memoized."""
+        facts = self._facts()
+        if facts.levels is None:
+            fanins = self._fanins
+            level = [0] * len(fanins)
+            first_gate = self.num_pis + 1
+            if self.ARITY == 3:
+                for node in range(first_gate, len(fanins)):
+                    a, b, c = fanins[node]  # type: ignore[misc]
+                    la = level[a >> 1]
+                    lb = level[b >> 1]
+                    lc = level[c >> 1]
+                    if la < lb:
+                        la = lb
+                    if la < lc:
+                        la = lc
+                    level[node] = la + 1
+            elif self.ARITY == 2:
+                for node in range(first_gate, len(fanins)):
+                    a, b = fanins[node]  # type: ignore[misc]
+                    la = level[a >> 1]
+                    lb = level[b >> 1]
+                    level[node] = (la if la > lb else lb) + 1
+            else:
+                raise ValueError(f"unsupported gate arity {self.ARITY}")
+            facts.levels = tuple(level)
+        return facts.levels
 
     def depth(self) -> int:
         """Return the network depth — longest terminal-to-output gate path."""
@@ -398,55 +468,88 @@ class Network:
     # structural validation
     # ------------------------------------------------------------------
 
-    def _check_gate_fanin(self, node: int, fanin: tuple[int, ...]) -> None:
-        """Facade hook: validate per-arity normalization invariants."""
-
     def check(self) -> None:
         """Validate the structural invariants; raises ``ValueError`` on breakage.
 
         Invariants enforced (everything the facade constructors guarantee
         by construction, so a violation means a pass corrupted the
-        representation by mutating internals directly):
+        representation by mutating internals directly), in this order
+        per gate:
 
-        * terminals — node 0 and the PIs have no fanins; every gate does;
-        * acyclicity — each fanin references a strictly smaller node
-          index (the strict topological order of the node array);
-        * no dangling refs — fanin and output signals point at existing
-          nodes;
-        * facade normalization — whatever :meth:`_check_gate_fanin`
-          demands (sorted triples, unit-rule residue, inverter
-          normalization for MIGs; ordered pairs for AIGs);
-        * strash consistency — every structural-hash entry agrees with
-          the node array.
+        * terminals — node 0 and the PIs have no fanins; every gate has
+          exactly :attr:`ARITY`;
+        * no dangling refs and acyclicity — each fanin signal is
+          non-negative and references a strictly smaller node index (the
+          strict topological order of the node array);
+        * facade normalization — for MIGs (``Mig.maj``) a sorted triple
+          of three distinct nodes (unit rules applied) with at most one
+          inverter (self-duality normalization); for AIGs (``Aig.and_``)
+          an ordered pair of two distinct non-constant nodes;
+
+        then strash consistency (every structural-hash entry agrees with
+        the node array), the output signals, and the name lists.  One
+        loop per arity walks the gates with these rules inlined.
         """
-        n = len(self._fanins)
-        arity = self.arity
-        if n == 0 or self._fanins[0] is not None:
+        fanins = self._fanins
+        n = len(fanins)
+        if n == 0 or fanins[0] is not None:
             raise ValueError("node 0 must be the constant-0 terminal")
-        for node in range(1, self.num_pis + 1):
-            if self._fanins[node] is not None:
+        first_gate = self.num_pis + 1
+        for node in range(1, first_gate):
+            if fanins[node] is not None:
                 raise ValueError(f"PI node {node} has fanins")
-        for node in range(self.num_pis + 1, n):
-            fanin = self._fanins[node]
-            if fanin is None:
-                raise ValueError(f"gate node {node} has no fanins")
-            if len(fanin) != arity:
-                raise ValueError(
-                    f"gate node {node} has {len(fanin)} fanins, not {arity}"
-                )
-            for s in fanin:
-                if s < 0 or (s >> 1) >= n:
+        if self.ARITY == 3:
+            for node in range(first_gate, n):
+                fanin = fanins[node]
+                try:
+                    a, b, c = fanin  # type: ignore[misc]
+                except (TypeError, ValueError):
+                    _raise_bad_arity(node, fanin, 3)
+                bound = node << 1  # s >> 1 < node  <=>  s < 2 * node
+                if (a | b | c) < 0 or a >= bound or b >= bound or c >= bound:
+                    _raise_bad_signal(node, fanin, n)  # type: ignore[arg-type]
+                if not a <= b <= c:
                     raise ValueError(
-                        f"gate node {node} fanin signal {s} is dangling"
+                        f"gate node {node} fanin triple {fanin} is unsorted"
                     )
-                if (s >> 1) >= node:
+                if a >> 1 == b >> 1 or b >> 1 == c >> 1:
                     raise ValueError(
-                        f"gate node {node} fanin signal {s} breaks topological "
-                        "order (cycle or forward reference)"
+                        f"gate node {node} fanin triple {fanin} repeats a node "
+                        "(unit rule <aab>/<aa'b> not applied)"
                     )
-            self._check_gate_fanin(node, fanin)
+                if (a & 1) + (b & 1) + (c & 1) > 1:
+                    raise ValueError(
+                        f"gate node {node} fanin triple {fanin} has more than one "
+                        "inverter (self-duality normalization not applied)"
+                    )
+        elif self.ARITY == 2:
+            for node in range(first_gate, n):
+                fanin = fanins[node]
+                try:
+                    a, b = fanin  # type: ignore[misc]
+                except (TypeError, ValueError):
+                    _raise_bad_arity(node, fanin, 2)
+                bound = node << 1
+                if (a | b) < 0 or a >= bound or b >= bound:
+                    _raise_bad_signal(node, fanin, n)  # type: ignore[arg-type]
+                if a >= b:
+                    raise ValueError(
+                        f"gate node {node} fanin pair {fanin} is unsorted"
+                    )
+                if a >> 1 == b >> 1:
+                    raise ValueError(
+                        f"gate node {node} fanin pair {fanin} repeats a node "
+                        "(unit rule a&a/a&a' not applied)"
+                    )
+                if a >> 1 == 0:
+                    raise ValueError(
+                        f"gate node {node} fanin pair {fanin} references a constant "
+                        "(unit rule a&0/a&1 not applied)"
+                    )
+        else:
+            raise ValueError(f"unsupported gate arity {self.ARITY}")
         for fanin, node in self._strash.items():
-            if not self.is_gate(node) or self._fanins[node] != fanin:
+            if not first_gate <= node < n or fanins[node] != fanin:
                 raise ValueError(
                     f"strash entry {fanin} -> {node} disagrees with the node array"
                 )

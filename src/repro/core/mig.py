@@ -6,7 +6,8 @@ kernel refactor the class is a thin 3-ary facade over the shared
 substrate :class:`repro.core.kernel.Network` (storage, structural
 hashing, traversals, validation, array kernels) and the shared
 bit-parallel engine :mod:`repro.core.simengine` (simulation, cut
-functions); this module contributes only the majority-gate semantics.
+functions); this module contributes only the majority-gate semantics,
+whose invariants :meth:`Network.check` validates.
 
 The conventions of modern logic-network packages apply:
 
@@ -69,8 +70,9 @@ class Mig(SimulationMixin, Network):
 
     def maj(self, a: int, b: int, c: int) -> int:
         """Create (or reuse) the majority gate ``<abc>`` and return its signal."""
-        n = len(self._fanins)
-        if a >> 1 >= n or b >> 1 >= n or c >> 1 >= n:
+        fanins = self._fanins
+        n = len(fanins)
+        if (a | b | c) < 0 or a >> 1 >= n or b >> 1 >= n or c >> 1 >= n:
             raise ValueError(f"signal among ({a}, {b}, {c}) refers to an unknown node")
         # Unit rules.
         if a == b or a == c:
@@ -79,28 +81,42 @@ class Mig(SimulationMixin, Network):
         if b == c:
             self.unit_rules += 1
             return b
-        if a == signal_not(b) or a == signal_not(c):
-            # <a a' c> = c ; third operand is whichever is not the pair.
+        if a == b ^ 1:
+            # <a a' c> = c
             self.unit_rules += 1
-            return c if a == signal_not(b) else b
-        if b == signal_not(c):
+            return c
+        if a == c ^ 1:
+            self.unit_rules += 1
+            return b
+        if b == c ^ 1:
             self.unit_rules += 1
             return a
-        fanin = tuple(sorted((a, b, c)))
+        # Sort the triple with three compare-swaps.
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+            if a > b:
+                a, b = b, a
         # Self-duality normalization: store with at most one complemented
-        # fanin among {>=2 complemented}; flip all three plus output.
-        out_complement = False
-        if (fanin[0] & 1) + (fanin[1] & 1) + (fanin[2] & 1) >= 2:
-            fanin = tuple(sorted(signal_not(s) for s in fanin))
-            out_complement = True
+        # fanin among {>=2 complemented}; flip all three plus output.  The
+        # unit rules left three distinct nodes, so the flipped triple is
+        # still sorted.
+        out = 0
+        if (a & 1) + (b & 1) + (c & 1) >= 2:
+            a ^= 1
+            b ^= 1
+            c ^= 1
+            out = 1
+        fanin = (a, b, c)
         node = self._strash.get(fanin)
         if node is None:
-            node = len(self._fanins)
-            self._fanins.append(fanin)
+            node = n
+            fanins.append(fanin)
             self._strash[fanin] = node
         else:
             self.strash_hits += 1
-        return make_signal(node, out_complement)
+        return (node << 1) | out
 
     def _make_gate(self, fanins: tuple[int, ...]) -> int:
         return self.maj(*fanins)
@@ -126,25 +142,6 @@ class Mig(SimulationMixin, Network):
     def ite(self, c: int, t: int, e: int) -> int:
         """Multiplexer ``c ? t : e`` built from majority gates."""
         return self.or_(self.and_(c, t), self.and_(signal_not(c), e))
-
-    # ------------------------------------------------------------------
-    # structural validation (MIG-specific normalization invariants)
-    # ------------------------------------------------------------------
-
-    def _check_gate_fanin(self, node: int, fanin: tuple[int, ...]) -> None:
-        """The invariants :meth:`maj` guarantees beyond the kernel's."""
-        if tuple(sorted(fanin)) != fanin:
-            raise ValueError(f"gate node {node} fanin triple {fanin} is unsorted")
-        if len({s >> 1 for s in fanin}) != 3:
-            raise ValueError(
-                f"gate node {node} fanin triple {fanin} repeats a node "
-                "(unit rule <aab>/<aa'b> not applied)"
-            )
-        if sum(s & 1 for s in fanin) > 1:
-            raise ValueError(
-                f"gate node {node} fanin triple {fanin} has more than one "
-                "inverter (self-duality normalization not applied)"
-            )
 
     # ------------------------------------------------------------------
     # pretty printing

@@ -324,14 +324,23 @@ class SimulationMixin:
     def simulate(self) -> list[int]:
         """Exhaustively simulate; returns one truth table per output.
 
-        Only feasible for small input counts (``num_pis <= 16``).
+        Only feasible for small input counts (``num_pis <= 16``).  The
+        tables are memoized with the network's other facts
+        (:meth:`~repro.core.kernel.Network.invalidate_arrays` drops
+        them), so a repeated call simulates nothing and counts no
+        ``sim_words``; every call returns a fresh list.
         """
         if self.num_pis > 16:
             raise ValueError(
                 "exhaustive simulation limited to 16 inputs; use simulate_patterns"
             )
-        n = self.num_pis
-        return simulate_network(self, [projection_int(n, i) for i in range(n)], 1 << n)
+        facts = self._facts()
+        if facts.tables is None:
+            n = self.num_pis
+            facts.tables = tuple(
+                simulate_network(self, [projection_int(n, i) for i in range(n)], 1 << n)
+            )
+        return list(facts.tables)
 
     def simulate_patterns(self, patterns: Sequence[int], width: int) -> list[int]:
         """Bit-parallel simulation of arbitrary input patterns.

@@ -63,6 +63,24 @@ class TestSignals:
         assert signal_not(s) == make_signal(7, False)
         assert CONST1 == signal_not(CONST0)
 
+    def test_negative_signals_are_rejected(self):
+        """A negative signal names no node: every constructor refuses it
+        instead of storing a gate or output that check() later calls
+        dangling."""
+        mig = Mig(2)
+        for triple in ((-2, 2, 4), (2, -1, 4), (2, 4, -6)):
+            with pytest.raises(ValueError, match="unknown node"):
+                mig.maj(*triple)
+        aig = Aig(2)
+        for pair in ((-2, 2), (2, -4)):
+            with pytest.raises(ValueError, match="unknown node"):
+                aig.and_(*pair)
+        for net in (mig, aig):
+            with pytest.raises(ValueError, match="unknown node"):
+                net.add_po(-2)
+            assert net.num_gates == 0 and not net._strash and net.num_pos == 0
+            net.check()
+
 
 class TestSharedSubstrate:
     def test_facades_share_the_kernel(self):

@@ -262,6 +262,29 @@ class TestFlowMetrics:
         _, history = run_flow(epfl.adder(4), db, ["BF", "TFD"], verify="cec")
         assert [step.metrics.sat_conflicts for step in history] == [7, 7]
 
+    def test_each_network_is_simulated_once(self, db, monkeypatch):
+        """A step's output is the next step's input: its exhaustive truth
+        tables are kept with the network, not simulated again."""
+        import repro.core.simengine as simengine
+
+        simulated = []
+        simulate_network = simengine.simulate_network
+
+        def counted(net, *args, **kwargs):
+            simulated.append(net)
+            return simulate_network(net, *args, **kwargs)
+
+        monkeypatch.setattr(simengine, "simulate_network", counted)
+        mig = epfl.log2(6)
+        assert mig.num_pis <= 14
+        result, history = run_flow(mig, db, ["BF", "TFD"], verify="sim")
+        assert [step.verified for step in history] == ["exhaustive"] * 2
+        assert len(simulated) == 3
+        assert simulated[0] is mig and simulated[-1] is result
+        # The BF output was simulated once, as that step's result; TFD's
+        # check read its tables back, so its metrics count TFD's output only.
+        assert history[1].metrics.sim_words == result.num_gates
+
 
 class TestStructuralCheck:
     """Satellite: ``Mig.check()`` runs after every pass under verify."""
