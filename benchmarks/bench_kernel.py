@@ -4,8 +4,8 @@ Each case is a depth-optimized generator at its migbench flow-suite
 width (``optimize_depth(rounds=2)``, as the workload builds its inputs),
 and the same network converted to an AIG.  Both sides run in this one
 process on the same networks: the walks the repository shipped before
-they were memoized and unrolled per arity (frozen in
-``tests/core/_frozen_kernel.py``) and the shipped ones.
+they were memoized, unrolled per arity or turned into a renumbering
+(frozen in ``tests/core/_frozen_kernel.py``) and the shipped ones.
 
 * ``levels`` — the per-node level walk.  The memo is dropped with
   ``invalidate_arrays()`` before every repetition, so the ratio measures
@@ -13,11 +13,15 @@ they were memoized and unrolled per arity (frozen in
 * ``check`` — the structural validator on the valid network.
 * ``maj`` — rebuilding every gate of the MIG, in node order, through the
   majority constructor into a fresh network (MIGs only).
+* ``cleanup`` — the dead-gate removal: every reachable gate rebuilt
+  through the facade constructor (frozen) against the renumbering walk
+  (shipped).
 
 Each side records its minimum wall time over ``REPEAT`` runs per case
 and walk, and every walk's result must be identical on both sides: the
-levels, the check's outcome, and the rebuilt network's node array,
-strash table, outputs and counters.
+levels, the check's outcome, the rebuilt network's node array, strash
+table, outputs and counters, and the cleaned network's node array,
+outputs, names and strash table.
 
 * ``--quick`` — seven kinds: the deepest, widest and largest shapes.
 * the full set covers all 14 flow-suite kinds.
@@ -54,6 +58,7 @@ from repro.opt.depth_opt import optimize_depth
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from tests.core._frozen_kernel import (  # noqa: E402
     frozen_check,
+    frozen_cleanup,
     frozen_levels,
     frozen_maj,
 )
@@ -135,6 +140,18 @@ def rebuild(net: Mig, maj) -> tuple:
     )
 
 
+def cleaned(cleanup, net) -> tuple:
+    """The network *cleanup* returns: nodes, outputs, names and strash."""
+    new = cleanup(net)
+    return (
+        new._fanins,
+        new._outputs,
+        new._pi_names,
+        new._output_names,
+        new._strash,
+    )
+
+
 #: walk -> (frozen, shipped, network kinds it runs on)
 WALKS = {
     "levels": (frozen_levels_walk, shipped_levels_walk, ("mig", "aig")),
@@ -147,6 +164,11 @@ WALKS = {
         lambda net: rebuild(net, frozen_maj),
         lambda net: rebuild(net, Mig.maj),
         ("mig",),
+    ),
+    "cleanup": (
+        lambda net: cleaned(frozen_cleanup, net),
+        lambda net: cleaned(type(net).cleanup, net),
+        ("mig", "aig"),
     ),
 }
 

@@ -6,10 +6,10 @@ over the same substrate as :class:`repro.core.mig.Mig` —
 :class:`repro.core.kernel.Network` for storage/traversals/validation and
 :mod:`repro.core.simengine` for bit-parallel simulation — so the AIG
 inherits everything the MIG has (``check``, ``fanout_counts``,
-``cleanup``, ``clone``, ``simulate_patterns``, ``cut_function``, array
-kernels) and contributes only the AND-gate semantics: the same signal
-conventions (signal = ``2*node + inv``), structural hashing and the unit
-rules ``a&a = a``, ``a&a' = 0``, ``a&1 = a``, ``a&0 = 0``.
+``cleanup``, ``clone``, ``simulate_patterns``, ``cut_function``) and
+contributes only the AND-gate semantics: the same signal conventions
+(signal = ``2*node + inv``), structural hashing and the unit rules
+``a&a = a``, ``a&a' = 0``, ``a&1 = a``, ``a&0 = 0``.
 """
 
 from __future__ import annotations
@@ -59,9 +59,6 @@ class Aig(SimulationMixin, Network):
         else:
             self.strash_hits += 1
         return node << 1
-
-    def _make_gate(self, fanins: tuple[int, ...]) -> int:
-        return self.and_(*fanins)
 
     def or_(self, a: int, b: int) -> int:
         """Disjunction via De Morgan."""

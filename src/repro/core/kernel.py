@@ -11,41 +11,33 @@ that substrate, arity-generically; the facades
 the per-arity gate rules (unit simplifications, inverter normalization)
 and convenience constructors.
 
-Storage is struct-of-arrays in spirit and hybrid in practice:
+The store is one append-optimized Python structure: ``_fanins``
+(per-node fanin tuples, ``None`` for terminals) plus the strash dict.
+Gate creation is the hottest operation of the rewriting passes, and a
+Python ``list.append`` is as cheap as a write gets.
 
-* the **authoritative** store is the append-optimized Python side —
-  ``_fanins`` (per-node fanin tuples, ``None`` for terminals) plus the
-  strash dict — because gate creation is the hottest operation of the
-  rewriting passes and a Python ``list.append`` beats any per-gate numpy
-  write by an order of magnitude;
-* the **array** view (:meth:`Network.arrays`) lazily materializes the
-  fanin and output node indices as flat numpy ``int64`` arrays, which
-  :meth:`fanout_counts` reduces with one ``np.bincount``.
+Whole-network facts — the per-node levels and the exhaustive output
+truth tables (:mod:`repro.core.simengine`) — are computed at most once
+per network state and kept in one memo slot keyed on the node count and
+the output count, so appends invalidate them automatically and every
+in-place edit of ``_fanins`` or ``_outputs`` must call
+:meth:`Network.invalidate_arrays` (a historical name: the slot once
+also held a numpy view of the fanin lists).  The kernel's own walks
+(:meth:`Network.levels`, :meth:`Network.fanout_counts`,
+:meth:`Network.check`) run one loop per gate arity, as the simulator
+does.
 
-Whole-network facts — the array view, the per-node levels and the
-exhaustive output truth tables (:mod:`repro.core.simengine`) — are
-computed at most once per network state and kept in one memo slot keyed
-on the node count, the output count and :attr:`Network.arrays_version`,
-so appends invalidate them automatically and every in-place edit of
-``_fanins`` or ``_outputs`` must call :meth:`Network.invalidate_arrays`.
-The kernel's own walks (:meth:`Network.levels`, :meth:`Network.check`)
-run one loop per gate arity, as the simulator does.
-
-This module imports nothing from the rest of ``repro`` (only numpy and
-the standard library) — enforced by ``tools/check_layers.py``.
+This module imports nothing from the rest of ``repro`` and nothing
+outside the standard library — enforced by ``tools/check_layers.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from itertools import chain
 from typing import Iterator
-
-import numpy as np
 
 __all__ = [
     "Network",
-    "NetworkArrays",
     "make_signal",
     "signal_not",
     "signal_node",
@@ -79,39 +71,13 @@ def signal_is_complemented(signal: int) -> bool:
     return bool(signal & 1)
 
 
-class NetworkArrays:
-    """Flat numpy view of a :class:`Network` — the struct-of-arrays side.
-
-    * ``fan_node`` — ``(num_gates, arity)`` int64 fanin node indices,
-      row ``node - first_gate`` for each gate node;
-    * ``out_node`` — the node index of each output signal.
-    """
-
-    __slots__ = ("num_gates", "first_gate", "version", "fan_node", "out_node")
-
-    def __init__(self, net: "Network") -> None:
-        first_gate = net.num_pis + 1
-        num_gates = len(net._fanins) - first_gate
-        self.num_gates = num_gates
-        self.first_gate = first_gate
-        self.version = net.arrays_version
-        flat = np.fromiter(
-            chain.from_iterable(net._fanins[first_gate:]),
-            dtype=np.int64,
-            count=num_gates * net.arity,
-        ).reshape(num_gates, net.arity)
-        self.fan_node = flat >> 1
-        self.out_node = np.asarray(net._outputs, dtype=np.int64) >> 1
-
-
 class _Facts:
     """The memo slot of one network state: facts computed on first use."""
 
-    __slots__ = ("key", "arrays", "levels", "tables")
+    __slots__ = ("key", "levels", "tables")
 
-    def __init__(self, key: tuple[int, int, int]) -> None:
+    def __init__(self, key: tuple[int, int]) -> None:
         self.key = key
-        self.arrays: NetworkArrays | None = None
         self.levels: tuple[int, ...] | None = None
         #: exhaustive output truth tables, filled by ``simulate()``
         self.tables: tuple[int, ...] | None = None
@@ -164,11 +130,6 @@ class Network:
         self.strash_hits = 0
         self.unit_rules = 0
         self.sim_words = 0
-        #: bumped by :meth:`invalidate_arrays` after every in-place
-        #: structural edit; part of the memo key, so holders of a
-        #: :class:`NetworkArrays` can detect staleness by comparing
-        #: ``view.version`` against it.
-        self.arrays_version = 0
         self._memo: _Facts | None = None
         for _ in range(num_pis):
             self.add_pi()
@@ -202,37 +163,12 @@ class Network:
         """Return the signals of all primary inputs, in creation order."""
         return [make_signal(1 + i) for i in range(self.num_pis)]
 
-    def _add_gate(self, fanin: tuple[int, ...]) -> int:
-        """Store (or reuse) a gate with the already-normalized *fanin*.
-
-        This is the raw substrate operation: structural hashing plus an
-        append.  Unit rules and inverter normalization are the facade's
-        responsibility — :meth:`check` validates they were applied.
-        Returns the node index.
-        """
-        node = self._strash.get(fanin)
-        if node is None:
-            node = len(self._fanins)
-            self._fanins.append(fanin)
-            self._strash[fanin] = node
-        else:
-            self.strash_hits += 1
-        return node
-
     def add_po(self, signal: int, name: str | None = None) -> None:
         """Register a primary output pointing at *signal*."""
         if signal < 0 or signal >> 1 >= len(self._fanins):
             raise ValueError(f"signal {signal} refers to an unknown node")
         self._outputs.append(signal)
         self._output_names.append(name if name is not None else f"y{len(self._outputs) - 1}")
-
-    def _make_gate(self, fanins: tuple[int, ...]) -> int:
-        """Build a gate through the facade's semantic constructor.
-
-        Used by the generic :meth:`cleanup`; facades override (``maj`` /
-        ``and_``) so rebuilt gates re-apply their normalization rules.
-        """
-        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # structure queries
@@ -311,62 +247,58 @@ class Network:
         return iter(range(len(self._fanins)))
 
     # ------------------------------------------------------------------
-    # array kernels
+    # whole-network facts
     # ------------------------------------------------------------------
 
     def _facts(self) -> _Facts:
         """The memo slot of the current network state.
 
-        Keyed on the node count, the output count and
-        :attr:`arrays_version`: appends start a fresh slot, and so does
-        :meth:`invalidate_arrays` after an in-place edit.
+        Keyed on the node count and the output count: appends start a
+        fresh slot by themselves, and :meth:`invalidate_arrays` drops
+        the slot after an in-place edit.
         """
-        key = (len(self._fanins), len(self._outputs), self.arrays_version)
+        key = (len(self._fanins), len(self._outputs))
         facts = self._memo
         if facts is None or facts.key != key:
             facts = self._memo = _Facts(key)
         return facts
 
-    def arrays(self) -> NetworkArrays:
-        """Return the memoized flat-array view of the network.
-
-        Rebuilt automatically when the node or output count changed, and
-        whenever :attr:`arrays_version` was bumped.  Call
-        :meth:`invalidate_arrays` after mutating ``_fanins`` or
-        ``_outputs`` in place (only fault-injection hooks and white-box
-        tests do that) — count-preserving rewires are invisible to the
-        count-based part of the key, so skipping the call would silently
-        serve a stale view.
-        """
-        facts = self._facts()
-        if facts.arrays is None:
-            facts.arrays = NetworkArrays(self)
-        return facts.arrays
-
     def invalidate_arrays(self) -> None:
         """Drop every memoized fact (after in-place structural edits).
 
-        The array view, the levels and the exhaustive truth tables share
-        one memo slot, so all of them are recomputed on next use.  Also
-        bumps :attr:`arrays_version` so any externally-held
-        :class:`NetworkArrays` is recognizably stale
-        (``view.version != net.arrays_version``) even if the node and
-        output counts did not change.
+        The levels and the exhaustive truth tables share one memo slot,
+        so both are recomputed on next use.  Call this after mutating
+        ``_fanins`` or ``_outputs`` in place (only fault-injection hooks
+        and white-box tests do that): a count-preserving rewire leaves
+        the memo key unchanged, so skipping the call would silently
+        serve stale facts.  The name is historical; the slot once also
+        held a numpy view of the fanin lists.
         """
-        self.arrays_version += 1
         self._memo = None
 
     def fanout_counts(self) -> list[int]:
         """Return, per node, how many gate fanins plus outputs reference it.
 
-        Computed as one ``np.bincount`` over the flat fanin array.
+        A fresh list on every call, memoized nowhere: each pass asks once
+        per network.
         """
-        n = len(self._fanins)
-        arrays = self.arrays()
-        counts = np.bincount(arrays.fan_node.ravel(), minlength=n)
-        if self._outputs:
-            counts = counts + np.bincount(arrays.out_node, minlength=n)
-        return counts.tolist()
+        fanins = self._fanins
+        counts = [0] * len(fanins)
+        gates = fanins[self.num_pis + 1:]
+        if self.ARITY == 3:
+            for a, b, c in gates:  # type: ignore[misc]
+                counts[a >> 1] += 1
+                counts[b >> 1] += 1
+                counts[c >> 1] += 1
+        elif self.ARITY == 2:
+            for a, b in gates:  # type: ignore[misc]
+                counts[a >> 1] += 1
+                counts[b >> 1] += 1
+        else:
+            raise ValueError(f"unsupported gate arity {self.ARITY}")
+        for s in self._outputs:
+            counts[s >> 1] += 1
+        return counts
 
     def levels(self) -> tuple[int, ...]:
         """Return per-node depth (terminals at level 0), memoized."""
@@ -584,37 +516,15 @@ class Network:
     def cleanup(self) -> "Network":
         """Return a copy with dead gates removed (reachable cone only).
 
-        Gates are rebuilt through the facade constructor
-        (:meth:`_make_gate`), so normalization is re-applied — for
-        networks built through the facades this is a pure compaction.
-        """
-        new = type(self).like(self)
-        mapping: dict[int, int] = {0: 0}
-        for i in range(1, self.num_pis + 1):
-            mapping[i] = make_signal(i)
-        for node in self._reachable_gates():
-            mapped = tuple(
-                mapping[s >> 1] ^ (s & 1) for s in self._fanins[node]  # type: ignore[union-attr]
-            )
-            mapping[node] = new._make_gate(mapped)
-        for s, name in zip(self._outputs, self._output_names):
-            new.add_po(mapping[s >> 1] ^ (s & 1), name)
-        return new
-
-    def compact(self) -> "Network":
-        """Dead-gate removal by pure renumbering — the fast :meth:`cleanup`.
-
-        Valid only for networks whose every gate went through the facade
-        constructor (``Mig.maj`` / ``Aig.and_``): such gates already
-        satisfy the normalization invariants, and because the reachable
-        gates are renumbered monotonically (PIs map to themselves, gates
-        keep their relative order), fanin sortedness, unit-rule
-        distinctness, the ≤1-inverter form and strash uniqueness all
-        survive the mapping verbatim.  The result is then byte-identical
-        to :meth:`cleanup` — which re-applies the whole normalization
-        gate by gate — at a fraction of the cost.  The rewriting passes'
-        construction networks are the motivating case; for networks with
-        hand-assembled gates, use :meth:`cleanup`.
+        A renumbering walk: the reachable gates keep their relative
+        order, the PIs map to themselves, and each gate's fanin tuple is
+        copied with its signals renumbered.  Precondition: every gate was
+        built through the facade constructors (``Mig.maj`` /
+        ``Aig.and_``), which is what :meth:`check` verifies.  Such gates
+        are sorted, free of unit-rule residue, inverter-normalized and
+        strash-unique, and a monotonic renumbering keeps all four, so the
+        copy is what rebuilding every gate through the constructor would
+        give, without re-applying any normalization.
         """
         new = type(self).like(self)
         fanins = self._fanins

@@ -4,7 +4,7 @@ An MIG is a DAG whose non-terminal nodes all compute the ternary majority
 function and whose edges carry optional complementation.  Since the
 kernel refactor the class is a thin 3-ary facade over the shared
 substrate :class:`repro.core.kernel.Network` (storage, structural
-hashing, traversals, validation, array kernels) and the shared
+hashing, traversals, validation, dead-gate removal) and the shared
 bit-parallel engine :mod:`repro.core.simengine` (simulation, cut
 functions); this module contributes only the majority-gate semantics,
 whose invariants :meth:`Network.check` validates.
@@ -117,9 +117,6 @@ class Mig(SimulationMixin, Network):
         else:
             self.strash_hits += 1
         return (node << 1) | out
-
-    def _make_gate(self, fanins: tuple[int, ...]) -> int:
-        return self.maj(*fanins)
 
     def and_(self, a: int, b: int) -> int:
         """Conjunction via ``<0ab>``."""

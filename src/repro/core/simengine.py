@@ -325,9 +325,9 @@ class SimulationMixin:
         """Exhaustively simulate; returns one truth table per output.
 
         Only feasible for small input counts (``num_pis <= 16``).  The
-        tables are memoized with the network's other facts
-        (:meth:`~repro.core.kernel.Network.invalidate_arrays` drops
-        them), so a repeated call simulates nothing and counts no
+        tables share the network's one memo slot with its levels
+        (:meth:`~repro.core.kernel.Network.invalidate_arrays` drops the
+        slot), so a repeated call simulates nothing and counts no
         ``sim_words``; every call returns a fresh list.
         """
         if self.num_pis > 16:

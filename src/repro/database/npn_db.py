@@ -129,9 +129,6 @@ class NpnDatabase:
         self._pin_depth_cache: dict[int, list[int]] = {}
         #: malformed JSONL lines skipped during the last load (see from_jsonl)
         self.skipped_lines: int = 0
-        #: lifetime lookup() calls / calls that found no entry
-        self.lookups: int = 0
-        self.lookup_misses: int = 0
 
     # -- loading -----------------------------------------------------------
 
@@ -202,66 +199,58 @@ class NpnDatabase:
         """Entry for NPN class *rep*, or None (subclasses may synthesize)."""
         return self.entries.get(rep)
 
-    def lookup(self, tt: int) -> tuple[DbEntry, NPNTransform]:
-        """Return ``(entry, transform)`` for an arbitrary function *tt*.
+    def _answer(
+        self, rep: int, transform: NPNTransform
+    ) -> "tuple[DbEntry, NPNTransform] | None":
+        """The answer for a function of class *rep*: ``(entry, transform)``.
 
-        The transform rebuilds *tt* from the entry's representative (see
-        :func:`repro.core.npn.npn_canonize`).  Raises ``KeyError`` for a
-        class without an entry.
+        ``None`` for a class without an entry.  Every answer that
+        :meth:`lookup` and :meth:`lookup_batch` hand out passes through
+        here, so the ``db.corrupt-entry`` fault hook fires once per
+        answer.
         """
-        return self.lookup_in(tt, {})
-
-    def lookup_batch(
-        self, tts
-    ) -> dict[int, "tuple[DbEntry, NPNTransform] | None"]:
-        """Precompute lookup results for many functions in one sweep.
-
-        Canonizes every function through the vectorized
-        :func:`repro.core.npn.npn_canonize_batch` and maps each to its
-        database answer — ``(entry, transform)`` or ``None`` for a class
-        without an entry.  For this class the returned table is
-        **inert**: building it touches no counters and no fault hooks;
-        those fire per consult in :meth:`lookup_in`.
-        """
-        tt_list = [int(t) for t in tts]
-        table: dict[int, tuple[DbEntry, NPNTransform] | None] = {}
-        resolve = self._resolve
-        for tt, (rep, transform) in zip(
-            tt_list, npn_canonize_batch(tt_list, self.num_vars)
-        ):
-            entry = resolve(rep)
-            table[tt] = None if entry is None else (entry, transform)
-        return table
-
-    def lookup_in(
-        self, tt: int, table: dict[int, "tuple[DbEntry, NPNTransform] | None"]
-    ) -> tuple[DbEntry, NPNTransform]:
-        """:meth:`lookup` answered from a :meth:`lookup_batch` table.
-
-        Counts the consult in :attr:`lookups` (and :attr:`lookup_misses`
-        with ``KeyError`` for a class without an entry) and applies the
-        ``db.corrupt-entry`` fault hook, with the canonization already
-        paid.  Functions outside the table (callers consulting beyond
-        the precomputed cut set, and :meth:`lookup`) are canonized live
-        and resolved like a batch entry.
-        """
-        self.lookups += 1
-        try:
-            found = table[tt]
-        except KeyError:
-            rep, transform = npn_canonize(tt, self.num_vars)
-            entry = self._resolve(rep)
-            found = None if entry is None else (entry, transform)
-        if found is None:
-            self.lookup_misses += 1
-            raise KeyError(f"no database entry for the NPN class of 0x{tt:x}")
-        entry, transform = found
+        entry = self._resolve(rep)
+        if entry is None:
+            return None
         if fault_active("db.corrupt-entry"):
             # Fault hook: hand out a silently miscomputing entry — output
             # inverted, size understated so rewriters will prefer it —
             # to exercise downstream verification.
             entry = replace(entry, output=entry.output ^ 1, size=0)
         return entry, transform
+
+    def lookup(self, tt: int) -> tuple[DbEntry, NPNTransform]:
+        """Return ``(entry, transform)`` for an arbitrary function *tt*.
+
+        Canonizes *tt* and resolves its class.  The transform rebuilds
+        *tt* from the entry's representative (see
+        :func:`repro.core.npn.npn_canonize`).  Raises ``KeyError`` for a
+        class without an entry.
+        """
+        found = self._answer(*npn_canonize(tt, self.num_vars))
+        if found is None:
+            raise KeyError(f"no database entry for the NPN class of 0x{tt:x}")
+        return found
+
+    def lookup_batch(
+        self, tts
+    ) -> dict[int, "tuple[DbEntry, NPNTransform] | None"]:
+        """Look up many functions in one sweep: ``{tt: answer}``.
+
+        Canonizes every function through the vectorized
+        :func:`repro.core.npn.npn_canonize_batch` and resolves each
+        class; an answer is ``(entry, transform)``, or ``None`` for a
+        class without an entry.  Each answer passes the
+        ``db.corrupt-entry`` fault hook once, as a :meth:`lookup` does.
+        """
+        tt_list = [int(t) for t in tts]
+        answer = self._answer
+        return {
+            tt: answer(rep, transform)
+            for tt, (rep, transform) in zip(
+                tt_list, npn_canonize_batch(tt_list, self.num_vars)
+            )
+        }
 
     def size_of(self, tt: int) -> int:
         """Best-known MIG size for function *tt*."""

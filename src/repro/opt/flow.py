@@ -12,7 +12,8 @@ machinery — ABC-script-style pass sequencing over MIGs:
 Recognized steps: any functional-hashing variant acronym (``T``, ``TD``,
 ``TF``, ``TFD``, ``B``, ``BD``, ``BF``, ``BFD``), ``depth`` (algebraic
 depth optimization), ``depth-fast`` (associativity only, size-neutral),
-``strash`` (structural-hash rebuild), ``fraig`` (SAT sweeping, for
+``strash`` (dead-gate removal: facade-built networks hold no
+structural duplicates to fold), ``fraig`` (SAT sweeping, for
 networks the solver can handle), and ``remap`` (map onto the cell
 library and resynthesize from the cover — the mapped-then-reoptimized
 round trip; see :mod:`repro.opt.remap`).

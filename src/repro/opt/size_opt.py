@@ -24,7 +24,12 @@ _FUNC_REDUCE_LIMIT = 14
 
 
 def strash_rebuild(mig: Mig) -> Mig:
-    """Rebuild with structural hashing; folds duplicates and dead logic."""
+    """Copy without the dead gates (:meth:`~repro.core.kernel.Network.cleanup`).
+
+    Only dead logic goes: a network built through ``Mig.maj`` holds no
+    structural duplicates to fold, since the constructor probes the
+    strash table before it appends a gate.
+    """
     return mig.cleanup()
 
 

@@ -9,9 +9,10 @@ pipeline (docs/PERFORMANCE.md):
 2. **Batch** — :meth:`repro.core.cuts.CutSet.batch_tt4s` runs that program
    and collects the deduplicated extended tables, and
    :meth:`repro.database.npn_db.NpnDatabase.lookup_batch` canonizes them
-   in one vectorized NPN sweep.  The rewriter then reads each cut's table
-   from :meth:`~repro.core.cuts.CutSet.slot_tables` by slot and answers
-   each per-cut consult from the lookup table via ``db.lookup_in``.
+   in one vectorized NPN sweep and resolves their classes.
+   :func:`prepare_lookup_table` spreads those answers over the cut slots
+   (:meth:`~repro.core.cuts.CutSet.slot_tables`), so the rewriter reads
+   each cut's database answer with one list index by slot.
 
 Each cut table equals its re-simulated cone, and each canonization
 equals the frozen pure-Python canonizer's (tie-breaks included), so the
@@ -37,18 +38,20 @@ __all__ = ["prepare_lookup_table", "start_pass", "finish_pass"]
 
 def prepare_lookup_table(
     cuts: CutSet, db: NpnDatabase, metrics: PassMetrics | None = None
-):
-    """Canonize every gate-cut function of *cuts* in one sweep.
+) -> list:
+    """Look up every gate-cut function of *cuts* in one sweep.
 
-    With the table in hand a rewriter consults ``db.lookup_in(tt, table)``
-    instead of ``db.lookup(tt)`` — identical contract (counters, fault
-    hooks, ``KeyError`` on miss), canonization already paid.  Cut tables
-    of up to ``db.num_vars`` (at most 6) inputs are covered.
+    Returns the database answers indexed by cut slot
+    (``entries[node][i][3]``): ``(entry, transform)``, or ``None`` for a
+    class without an entry.  Trivial cuts are not looked up: their slots
+    hold ``None`` unless a gate cut shares their table.  Cut tables of
+    up to ``db.num_vars`` (at most 6) inputs are covered.
     """
-    table = db.lookup_batch(cuts.batch_tt4s(db.num_vars))
+    num_vars = db.num_vars
+    table = db.lookup_batch(cuts.batch_tt4s(num_vars))
     if metrics is not None:
         metrics.batch_npn_lookups += len(table)
-    return table
+    return list(map(table.get, cuts.slot_tables(num_vars)))
 
 
 def start_pass(
@@ -59,14 +62,14 @@ def start_pass(
     cut_limit: int,
     metrics: PassMetrics,
 ):
-    """Enumerate the cuts of *mig* and canonize their functions.
+    """Enumerate the cuts of *mig* and look up their functions.
 
-    Returns ``(levels, cuts, tables, lookup)``: the per-node levels of
-    *mig*, the :class:`~repro.core.cuts.CutSet`, the per-slot cut truth
-    tables extended to ``db.num_vars`` inputs, and ``db.lookup`` answered
-    from the pass's batch table.  Callers hold *cuts* until the pass
-    ends: freeing its program lists before the rewrite loop raised the
-    flow-suite benchmark's peak RSS by about 8 % (glibc heap growth).
+    Returns ``(levels, cuts, answers)``: the per-node levels of *mig*,
+    the :class:`~repro.core.cuts.CutSet`, and the database answer of
+    every cut slot (:func:`prepare_lookup_table`).  Callers hold *cuts*
+    until the pass ends: freeing its program lists before the rewrite
+    loop raised the flow-suite benchmark's peak RSS by about 8 % (glibc
+    heap growth).
     """
     if cut_size > db.num_vars:
         raise ValueError(f"cut size {cut_size} exceeds database arity {db.num_vars}")
@@ -82,18 +85,14 @@ def start_pass(
             ffr_fanout=mig.fanout_counts() if fanout_free else None,
         )
     with metrics.phase("batch"):
-        table = prepare_lookup_table(cuts, db, metrics)
-        tables = cuts.slot_tables(db.num_vars)
-    lookup_in = db.lookup_in
-    return levels, cuts, tables, lambda tt: lookup_in(tt, table)
+        answers = prepare_lookup_table(cuts, db, metrics)
+    return levels, cuts, answers
 
 
 def finish_pass(new: Mig, db: NpnDatabase, metrics: PassMetrics) -> Mig:
     """Clean up the construction network *new*; account the pass."""
     with metrics.phase("cleanup"):
-        # The construction network only ever saw new.maj, so the
-        # renumbering fast path is byte-identical to cleanup().
-        result = new.compact()
+        result = new.cleanup()
     # Kernel counters of the construction network and the cleaned copy.
     metrics.record_network(new)
     metrics.record_network(result)

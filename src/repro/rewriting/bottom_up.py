@@ -123,7 +123,7 @@ def rewrite_bottom_up(
     """Run one bottom-up functional-hashing pass; returns the optimized MIG."""
     if metrics is None:
         metrics = PassMetrics()
-    levels, cuts, tables, db_lookup = start_pass(
+    levels, cuts, answers = start_pass(
         mig, db, fanout_free, cut_size, cut_limit, metrics
     )
     all_entries = cuts.entries
@@ -165,7 +165,7 @@ def rewrite_bottom_up(
 
             for cut_entry in all_entries[node]:
                 leaves = cut_entry[0]
-                if leaves == (node,) or node in leaves:
+                if leaves == (node,):
                     trivial_r += 1
                     continue
                 considered += 1
@@ -180,15 +180,13 @@ def rewrite_bottom_up(
                         continue
                     cone_gates = len(internal)
                 num_leaves = len(leaves)
-                # The slot's table is already extended to num_vars.
-                tt4 = tables[cut_entry[3]]
-                try:
-                    entry, transform = db_lookup(tt4)
-                except KeyError:
+                answer = answers[cut_entry[3]]
+                if answer is None:
                     db_misses += 1
                     miss_r += 1
                     continue
                 db_hits += 1
+                entry, transform = answer
                 # Algorithm 2 admits replacements "that reduce the size";
                 # equal-size replacements are kept only in depth-preserving
                 # mode, where they may still help depth.

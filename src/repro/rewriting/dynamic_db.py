@@ -47,8 +47,9 @@ class DynamicDatabase(NpnDatabase):
 
     1. the in-memory LRU (``max_entries`` classes, also mirrored into
        ``self.entries`` for base-class compatibility);
-    2. the persistent store, when one is attached — a dict probe plus a
-       deserialization, shared by every process that opens the file;
+    2. the persistent store, when one is attached — a dict probe (the
+       store parses its entries when it opens), shared by every process
+       that opens the file;
     3. fresh synthesis (heuristic upper bound, optionally tightened by
        *improve_budget* conflicts of exact search), whose result is
        pushed back into both warmer tiers.
@@ -105,7 +106,7 @@ class DynamicDatabase(NpnDatabase):
 
         Every scalar and batched lookup resolves through here, so a
         class is never missing: :meth:`lookup_batch` tables hold no
-        ``None`` and ``lookup_in`` never raises ``KeyError``.  Tier
+        ``None`` and :meth:`lookup` never raises ``KeyError``.  Tier
         counters fire per resolve.
         """
         entry = self._lru.get(rep)

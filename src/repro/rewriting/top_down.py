@@ -53,7 +53,7 @@ def rewrite_top_down(
     """Run one top-down functional-hashing pass; returns the optimized MIG."""
     if metrics is None:
         metrics = PassMetrics()
-    levels, cuts, tables, db_lookup = start_pass(
+    levels, cuts, answers = start_pass(
         mig, db, fanout_free, cut_size, cut_limit, metrics
     )
     all_entries = cuts.entries
@@ -72,7 +72,7 @@ def rewrite_top_down(
         best = None
         for cut_entry in all_entries[node]:
             leaves = cut_entry[0]
-            if leaves == (node,) or node in leaves:
+            if leaves == (node,):
                 metrics.reject("trivial")
                 continue
             metrics.cuts_considered += 1
@@ -86,15 +86,13 @@ def rewrite_top_down(
                     metrics.reject("invalid-cone")
                     continue
                 cone_gates = len(internal)
-            # The slot's table is already extended to db.num_vars.
-            tt4 = tables[cut_entry[3]]
-            try:
-                entry, transform = db_lookup(tt4)
-            except KeyError:
+            answer = answers[cut_entry[3]]
+            if answer is None:
                 metrics.db_misses += 1
                 metrics.reject("db-miss")
                 continue
             metrics.db_hits += 1
+            entry, transform = answer
             gain = cone_gates - entry.size
             if gain <= 0:
                 metrics.reject("no-gain")

@@ -26,9 +26,10 @@ Registered fault points (grep for ``fault_active`` to find the hooks):
     lane.  :func:`repro.sat.backends.validate_model` must reject it and
     the portfolio must never let it decide the verdict.
 ``db.corrupt-entry``
-    :meth:`repro.database.npn_db.NpnDatabase.lookup` returns an entry
-    whose gate structure has been silently corrupted (output inverted),
-    modeling a bad database row reaching the rewriting engine.
+    :class:`repro.database.npn_db.NpnDatabase` hands out an entry whose
+    gate structure has been silently corrupted (output inverted), once
+    per answer of ``lookup`` or ``lookup_batch``, modeling a bad
+    database row reaching the rewriting engine.
 ``flow.wrong-rewrite``
     :func:`repro.opt.flow.run_flow` inverts the first output of a step's
     result, modeling a miscompiling pass.

@@ -5,16 +5,22 @@ every call re-walked the network: ``Network.levels``/``depth`` (one
 generator per gate, nothing kept), ``Network.check`` with the two facade
 hooks ``Mig._check_gate_fanin`` and ``Aig._check_gate_fanin`` (one call
 per gate), ``Mig.maj`` (``signal_not``/``sorted``/``make_signal``
-calls) and ``SimulationMixin.simulate`` (a fresh simulation per call).
-The bodies are copied byte for byte; the only edits turn the methods
-into functions of the network, so that ``self.levels()`` reads
-``frozen_levels(self)`` and ``self._check_gate_fanin`` dispatches on the
-network's arity to the copied hook.
+calls), ``SimulationMixin.simulate`` (a fresh simulation per call) and
+``Network.cleanup`` with its ``_reachable_gates`` walk (every reachable
+gate rebuilt through the facade constructor, re-applying its
+normalization).  The bodies are copied byte for byte; the only edits
+turn the methods into functions of the network, so that
+``self.levels()`` reads ``frozen_levels(self)``,
+``self._check_gate_fanin`` dispatches on the network's arity to the
+copied hook, and the cleanup's ``new._make_gate(mapped)`` hook is
+inlined as ``new.maj`` or ``new.and_`` by arity.
 
 **Do not refactor this file alongside src/** — its value is that it
 stays behind as the oracle: the memoized, per-arity walks must return
-the same values and raise the same messages on every network
-(tests/core/test_kernel_differential.py, benchmarks/bench_kernel.py).
+the same values and raise the same messages on every network, and the
+renumbering cleanup must return the same network on every network the
+facades build (tests/core/test_kernel_differential.py,
+benchmarks/bench_kernel.py).
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ __all__ = [
     "frozen_check",
     "frozen_maj",
     "frozen_simulate",
+    "frozen_cleanup",
 ]
 
 
@@ -190,3 +197,41 @@ def frozen_simulate(self) -> list[int]:
         )
     n = self.num_pis
     return simulate_network(self, [projection_int(n, i) for i in range(n)], 1 << n)
+
+
+def _frozen_reachable_gates(self) -> list[int]:
+    """Gate nodes reachable from the outputs, in topological order."""
+    reachable = bytearray(len(self._fanins))
+    first_gate = self.num_pis + 1
+    fanins = self._fanins
+    stack = [s >> 1 for s in self._outputs]
+    while stack:
+        node = stack.pop()
+        if node < first_gate or reachable[node]:
+            continue
+        reachable[node] = 1
+        stack.extend(s >> 1 for s in fanins[node])
+    return [
+        node for node in range(first_gate, len(fanins)) if reachable[node]
+    ]
+
+
+def frozen_cleanup(self):
+    """Return a copy with dead gates removed (reachable cone only).
+
+    Gates are rebuilt through the facade constructor
+    (:meth:`_make_gate`), so normalization is re-applied — for
+    networks built through the facades this is a pure compaction.
+    """
+    new = type(self).like(self)
+    mapping: dict[int, int] = {0: 0}
+    for i in range(1, self.num_pis + 1):
+        mapping[i] = make_signal(i)
+    for node in _frozen_reachable_gates(self):
+        mapped = tuple(
+            mapping[s >> 1] ^ (s & 1) for s in self._fanins[node]  # type: ignore[union-attr]
+        )
+        mapping[node] = new.maj(*mapped) if self.arity == 3 else new.and_(*mapped)
+    for s, name in zip(self._outputs, self._output_names):
+        new.add_po(mapping[s >> 1] ^ (s & 1), name)
+    return new

@@ -162,65 +162,44 @@ class TestCounters:
 
 
 class TestArrays:
-    @given(random_mig())
+    """Fanout counts, and the memo slot that ``invalidate_arrays()`` drops.
+
+    The class and the method keep their historical names: the slot once
+    also held a numpy view of the fanin lists, which these tests covered.
+    """
+
+    @given(random_mig(), random_aig())
     @settings(max_examples=20, deadline=None)
-    def test_arrays_mirror_the_fanin_lists(self, mig):
-        arr = mig.arrays()
-        assert arr.num_gates == mig.num_gates
-        for node in mig.gates():
-            row = node - arr.first_gate
-            for pos, s in enumerate(mig.fanins(node)):
-                assert arr.fan_node[row, pos] == s >> 1
-        assert [s >> 1 for s in mig.outputs] == arr.out_node.tolist()
+    def test_fanout_counts_match_reference(self, mig, aig):
+        for net in (mig, aig):
+            reference = [0] * net.num_nodes
+            for node in net.gates():
+                for s in net.fanins(node):
+                    reference[s >> 1] += 1
+            for s in net.outputs:
+                reference[s >> 1] += 1
+            assert net.fanout_counts() == reference
 
-    def test_cache_invalidation_on_growth(self):
-        mig = Mig(2)
-        a, b = mig.pi_signals()
-        mig.add_po(mig.maj(CONST0, a, b))
-        first = mig.arrays()
-        assert mig.arrays() is first  # cached
-        mig.add_po(mig.maj(CONST1, a, b))
-        assert mig.arrays() is not first  # node/output count changed
-        mig.invalidate_arrays()
-        again = mig.arrays()
-        assert again.num_gates == 2
-
-    def test_in_place_mutation_mid_enumeration_rebuilds_view(self):
-        # Satellite regression: a count-preserving in-place rewire is
-        # invisible to the (num_nodes, num_outputs) part of the cache
-        # key, so the view MUST be re-keyed on arrays_version — a stale
-        # view here means simulating the pre-mutation structure.
+    def test_in_place_rewire_then_invalidate_refreshes_the_facts(self):
         mig = Mig(3)
         a, b, c = mig.pi_signals()
         g1 = mig.maj(a, b, c)
-        mig.add_po(mig.maj(g1, a, b))
-        view = mig.arrays()
-        assert mig.arrays() is view
-        node = signal_node(mig.outputs[0])
-        # Mid-"enumeration" mutation: rewire the root gate in place
-        # (same node count, same output count).
+        root = mig.maj(g1, a, signal_not(b))
+        mig.add_po(root)
+        node, inner = signal_node(root), signal_node(g1)
+        assert mig.levels()[node] == 2
+        assert mig.fanout_counts()[inner] == 1
+        # Rewire the root gate in place to read the PIs only: same node
+        # count, same output count, so the memo key cannot see it.
         mig._fanins[node] = (a, signal_not(b), c)
+        # Fanout counts are recomputed on every call ...
+        assert mig.fanout_counts()[inner] == 0
+        assert mig.fanout_counts()[c >> 1] == 2
+        # ... the levels are memoized until the slot is dropped.
+        assert mig.levels()[node] == 2
         mig.invalidate_arrays()
-        assert mig.arrays_version == view.version + 1
-        fresh = mig.arrays()
-        assert fresh is not view
-        assert fresh.version == mig.arrays_version
-        row = node - fresh.first_gate
-        assert fresh.fan_node[row].tolist() == [a >> 1, b >> 1, c >> 1]
-        # The stale view still advertises its build version, so holders
-        # can detect it without re-deriving anything.
-        assert view.version != mig.arrays_version
-
-    @given(random_aig())
-    @settings(max_examples=20, deadline=None)
-    def test_fanout_counts_match_reference(self, aig):
-        reference = [0] * aig.num_nodes
-        for node in aig.gates():
-            for s in aig.fanins(node):
-                reference[s >> 1] += 1
-        for s in aig.outputs:
-            reference[s >> 1] += 1
-        assert aig.fanout_counts() == reference
+        assert mig.levels()[node] == 1
+        assert mig.depth() == 1
 
 
 class TestGenericTransforms:

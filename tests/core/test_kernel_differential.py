@@ -3,9 +3,10 @@
 ``tests/core/_frozen_kernel.py`` keeps ``levels``/``depth``, ``check``
 (with both facade hooks), ``Mig.maj`` and ``simulate`` as they were
 before the network facts were memoized and each walk became one loop
-per arity.  Every test here runs the shipped code and the frozen copy on
-the same random MIGs and AIGs and demands the same values, the same
-side effects and the same error messages.
+per arity, and ``cleanup`` as it was before it became a renumbering
+walk.  Every test here runs the shipped code and the frozen copy on the
+same random MIGs and AIGs and demands the same values, the same side
+effects and the same error messages.
 """
 
 from __future__ import annotations
@@ -14,10 +15,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.aig.aig import Aig
+from repro.aig.convert import mig_to_aig
+from repro.core.kernel import Network, make_signal
 from repro.core.mig import Mig
+from repro.database.npn_db import NpnDatabase
+from repro.generators import GENERATORS
+from repro.opt.depth_opt import optimize_depth
+from repro.rewriting.engine import functional_hashing
 
 from ._frozen_kernel import (
     frozen_check,
+    frozen_cleanup,
     frozen_depth,
     frozen_levels,
     frozen_maj,
@@ -268,3 +276,76 @@ class TestSimulate:
         mask = (1 << (1 << net.num_pis)) - 1
         assert after[i] == before[i] ^ mask
         assert after[:i] + after[i + 1:] == before[:i] + before[i + 1:]
+
+
+# ---------------------------------------------------------------------------
+# cleanup
+# ---------------------------------------------------------------------------
+
+
+def image(net) -> tuple:
+    """Everything a cleanup decides about the network it returns."""
+    return (
+        type(net),
+        list(net._fanins),
+        list(net._outputs),
+        list(net._pi_names),
+        list(net._output_names),
+        dict(net._strash),
+        net.unit_rules,
+        net.strash_hits,
+    )
+
+
+#: the 14 flow-suite kinds at small widths
+SMALL_CASES = (
+    ("adder", {"width": 8}),
+    ("divisor", {"width": 4}),
+    ("log2", {"width": 5}),
+    ("max", {"width": 6}),
+    ("multiplier", {"width": 5}),
+    ("sine", {"width": 5}),
+    ("square-root", {"width": 6}),
+    ("square", {"width": 6}),
+    ("arbiter", {"width": 12}),
+    ("dec", {"width": 4}),
+    ("int2float", {"width": 8}),
+    ("priority", {"width": 16}),
+    ("router", {"rows": 3, "cols": 3}),
+    ("voter", {"count": 21}),
+)
+
+
+class TestCleanup:
+    @given(
+        random_network(),
+        st.lists(st.tuples(st.integers(0, 6), st.booleans()), max_size=3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_network_as_frozen(self, net, terminals):
+        # Random networks keep dead gates; add outputs on PIs and on the
+        # constants, in both polarities.
+        for node, complement in terminals:
+            net.add_po(make_signal(node % (net.num_pis + 1), complement))
+        assert image(net.cleanup()) == image(frozen_cleanup(net))
+
+    def test_same_network_as_frozen_on_the_generators(self, monkeypatch):
+        # Each kind raw, after optimize_depth, after a T pass and through
+        # mig_to_aig — plus every network those passes clean up on the
+        # way, such as the T pass's construction network.
+        shipped = Network.cleanup
+        seen = []
+
+        def recording(net):
+            seen.append(net)
+            return shipped(net)
+
+        monkeypatch.setattr(Network, "cleanup", recording)
+        db = NpnDatabase.load()
+        for kind, params in SMALL_CASES:
+            raw = GENERATORS[kind][1](**params)
+            depth = optimize_depth(raw)
+            seen += [raw, depth, functional_hashing(raw, db, "T"), mig_to_aig(depth)]
+        assert len(seen) > 4 * len(SMALL_CASES)
+        for net in seen:
+            assert image(shipped(net)) == image(frozen_cleanup(net)), net

@@ -44,8 +44,8 @@ def rebuild_permuted(net, rng):
         ]
         node = rng.choice(sorted(ready))
         remaining.discard(node)
-        fanin = tuple(mapping[s >> 1] ^ (s & 1) for s in net.fanins(node))
-        mapping[node] = new._make_gate(fanin)
+        fanin = [mapping[s >> 1] ^ (s & 1) for s in net.fanins(node)]
+        mapping[node] = new.maj(*fanin) if net.arity == 3 else new.and_(*fanin)
     for s, name in zip(net.outputs, net.output_names):
         new.add_po(mapping[s >> 1] ^ (s & 1), name)
     return new

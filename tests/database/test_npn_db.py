@@ -16,6 +16,7 @@ from repro.database.npn_db import (
     entry_from_json,
     entry_to_json,
 )
+from repro.runtime import faults
 
 
 class TestLoadedDatabase:
@@ -138,6 +139,26 @@ class TestSerialization:
         with pytest.raises(KeyError):
             empty.lookup(0x1234)
         assert not empty.complete
+
+
+class TestAnswers:
+    """``lookup`` and ``lookup_batch`` hand out answers through one place."""
+
+    def test_corrupt_entry_fires_once_per_answer(self, db):
+        tts = [0xCAFE, 0x1234, 0x8000]
+        before = faults.fired_count("db.corrupt-entry")
+        with faults.inject("db.corrupt-entry", times=1):
+            table = db.lookup_batch(tts)
+        assert faults.fired_count("db.corrupt-entry") == before + 1
+        corrupt = [tt for tt in tts if table[tt] != db.lookup(tt)]
+        assert len(corrupt) == 1
+        entry, _ = table[corrupt[0]]
+        good, _ = db.lookup(corrupt[0])
+        assert (entry.size, entry.output) == (0, good.output ^ 1)
+        with faults.inject("db.corrupt-entry"):
+            entry, _ = db.lookup(0xCAFE)
+        assert faults.fired_count("db.corrupt-entry") == before + 2
+        assert entry.output == db.lookup(0xCAFE)[0].output ^ 1
 
 
 class TestMalformedJsonl:

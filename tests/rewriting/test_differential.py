@@ -21,7 +21,10 @@ from hypothesis import strategies as st
 
 from repro.aig import aig_to_mig
 from repro.aig.aig import Aig
+from repro.core.cuts import enumerate_cut_set
 from repro.core.mig import CONST0, CONST1, Mig
+from repro.database.npn_db import NpnDatabase
+from repro.rewriting.batch import prepare_lookup_table
 from repro.rewriting.engine import functional_hashing
 
 from ._frozen_scalar import frozen_functional_hashing
@@ -146,6 +149,40 @@ class TestBatchedPipelineOracle:
             out.check()
             assert out.simulate() == spec
             assert out.structural_hash() == oracle.structural_hash()
+
+
+class TestSlotAnswers:
+    """The rewriters read each cut's database answer by slot: the answer
+    must be what a scalar lookup of the cut's table returns."""
+
+    @staticmethod
+    def _scalar(database, tt):
+        try:
+            return database.lookup(tt)
+        except KeyError:
+            return None
+
+    @given(random_mig(max_gates=18), st.booleans(), st.integers(0, 222))
+    @settings(max_examples=20, deadline=None)
+    def test_slot_answers_equal_scalar_lookups(self, db, mig, fanout_free, keep):
+        # A database holding only some classes answers None for the rest.
+        partial = NpnDatabase(list(db.entries.values())[:keep], 4)
+        cuts = enumerate_cut_set(
+            mig,
+            k=4,
+            cut_limit=8,
+            ffr_fanout=mig.fanout_counts() if fanout_free else None,
+        )
+        answers = prepare_lookup_table(cuts, partial)
+        tables = cuts.slot_tables(partial.num_vars)
+        assert len(answers) == len(tables)
+        for node in mig.gates():
+            for leaves, _, _, slot in cuts.entries[node]:
+                if leaves == (node,):
+                    continue
+                # Only the trivial cut holds its own node.
+                assert node not in leaves
+                assert answers[slot] == self._scalar(partial, tables[slot])
 
 
 class TestDifferential:

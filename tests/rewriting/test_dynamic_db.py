@@ -103,7 +103,7 @@ class TestProvenFlags:
 class TestBatchedLookup:
     def test_lookup_batch_synthesizes_on_miss(self):
         """The batched pipeline must populate a fresh dynamic database
-        (the inert base-class ``lookup_batch`` maps misses to None)."""
+        (the base class's ``lookup_batch`` maps misses to None)."""
         db5 = DynamicDatabase(num_vars=5)
         rng = random.Random(17)
         tts = [rng.getrandbits(32) for _ in range(8)]
@@ -112,16 +112,21 @@ class TestBatchedLookup:
         for tt in tts:
             entry, transform = table[tt]
             assert entry is not None
-            # lookup_in never raises for an in-table function.
-            got, _ = db5.lookup_in(tt, table)
+            # A later scalar lookup of the same function is an LRU hit.
+            misses = db5.misses
+            got, _ = db5.lookup(tt)
             assert got is entry
+            assert db5.misses == misses
 
     def test_lookup_in_synthesizes_a_function_outside_the_table(self):
-        """A consult beyond the batch table resolves like a scalar
-        lookup — LRU, store, then synthesis — never a KeyError."""
+        """A function no batch has seen resolves like any lookup —
+        LRU, store, then synthesis — never a KeyError."""
         db5 = DynamicDatabase(num_vars=5)
-        entry, transform = db5.lookup_in(0x69969669, {})
-        assert (db5.lookups, db5.lookup_misses, db5.misses) == (1, 0, 1)
+        entry, transform = db5.lookup(0x69969669)
+        assert (db5.hits, db5.misses) == (0, 1)
+        (again,) = db5.lookup_batch([0x69969669]).values()
+        assert again == (entry, transform)
+        assert (db5.hits, db5.misses) == (1, 1)
         mig = Mig(5)
         mig.add_po(db5.rebuild_entry(mig, entry, transform, mig.pi_signals()))
         assert mig.simulate()[0] == 0x69969669

@@ -145,6 +145,14 @@ class TestNumpyFree:
         assert not check_layers.numpy_free_violation("repro.core.simengine", "numpy")
         assert not check_layers.numpy_free_violation("repro.core.cuts", "numpy")
 
+    def test_kernel_and_mig_facade_may_not_import_numpy(self):
+        # The network store and both facades are plain Python;
+        # core.simengine stays the one kernel-layer module with numpy.
+        assert check_layers.numpy_free_violation("repro.core.kernel", "numpy")
+        assert check_layers.numpy_free_violation("repro.core.mig", "numpy.typing")
+        assert check_layers.numpy_free_violation("repro.aig.aig", "numpy")
+        assert not check_layers.numpy_free_violation("repro.core.npn", "numpy")
+
     def test_mapping_and_aig_may_not_import_numpy(self):
         # The other batch cut consumers fall under the same rule.
         assert check_layers.numpy_free_violation("repro.mapping.mapper", "numpy")

@@ -11,17 +11,20 @@ Rules enforced (on ``import`` statements, resolved per module):
 
 1. ``repro.core.kernel`` imports nothing from ``repro`` at all, and
    ``repro.core.simengine`` imports nothing from ``repro`` except the
-   kernel — they sit below everything, numpy + stdlib only.
+   kernel — they sit below everything.  The kernel imports the standard
+   library only; ``repro.core.simengine`` is the one kernel-layer module
+   that imports numpy (rule 4 keeps the kernel and the facades off it).
 2. ``repro.core.*`` never imports from ``repro.rewriting``, ``repro.opt``
    or ``repro.aig`` — the core layer cannot depend on its consumers.
 3. The facades (``repro.core.mig``, ``repro.aig.aig``) import from the
    repo only the kernel layer (``repro.core.kernel``,
    ``repro.core.simengine``) — all their logic lives below them.
-4. ``repro.rewriting``, ``repro.mapping`` and ``repro.aig`` never
-   import numpy directly.  The rewrite passes, the mapper and AIG
-   rewriting may use ``repro.core.simengine`` (and the batch cut
-   machinery riding on it), but all array code lives in the kernel
-   layer; a stray ``import numpy`` in a consumer is a layering leak that
+4. ``repro.core.kernel``, ``repro.core.mig``, ``repro.rewriting``,
+   ``repro.mapping`` and ``repro.aig`` never import numpy directly.  The
+   network store and its two facades are plain Python; the rewrite
+   passes, the mapper and AIG rewriting may use ``repro.core.simengine``
+   (and the batch cut machinery riding on it), but all array code lives
+   there; a stray ``import numpy`` elsewhere is a layering leak that
    bypasses the simengine contract (dtype, padding, invalidation).
 5. No ``repro`` module imports a ``_``-prefixed name from another
    ``repro`` module — a private name is internal to the module that
@@ -46,9 +49,15 @@ KERNEL_LAYER = {"repro.core.kernel", "repro.core.simengine"}
 FACADES = {"repro.core.mig", "repro.aig.aig"}
 #: packages the core layer must never reach into (rule 2)
 CORE_FORBIDDEN = ("repro.rewriting", "repro.opt", "repro.aig")
-#: packages that must stay numpy-free — array work goes through the
-#: kernel layer, never sideways into numpy (rule 4)
-NUMPY_FREE = ("repro.rewriting", "repro.mapping", "repro.aig")
+#: modules and packages that must stay numpy-free — array work goes
+#: through core.simengine, never sideways into numpy (rule 4)
+NUMPY_FREE = (
+    "repro.core.kernel",
+    "repro.core.mig",
+    "repro.rewriting",
+    "repro.mapping",
+    "repro.aig",
+)
 
 
 def numpy_free_violation(module: str, target: str) -> bool:
@@ -118,8 +127,8 @@ def check_file(path: Path) -> list[str]:
                 where = f"{path.relative_to(SRC.parent)}:{node.lineno}"
                 violations.append(
                     f"{where}: {module} imports {target} "
-                    "(cut consumers must reach arrays through core.simengine, "
-                    "never numpy directly)"
+                    "(array code lives in core.simengine; the network store, "
+                    "its facades and the cut consumers never import numpy)"
                 )
                 continue
             if not in_package(target, "repro"):
