@@ -1,11 +1,14 @@
-"""Micro-benchmark for the kernel's whole-network walks: frozen vs shipped.
+"""Micro-benchmark for the whole-network walks: frozen vs shipped.
 
 Each case is a depth-optimized generator at its migbench flow-suite
 width (``optimize_depth(rounds=2)``, as the workload builds its inputs),
-and the same network converted to an AIG.  Both sides run in this one
-process on the same networks: the walks the repository shipped before
-they were memoized, unrolled per arity or turned into a renumbering
-(frozen in ``tests/core/_frozen_kernel.py``) and the shipped ones.
+the same network converted to an AIG, and the construction network a
+BF pass on it hands to ``finish_pass`` (dead gates included).  Both
+sides run in this one process on the same networks: the walks the
+repository shipped before they were memoized, unrolled per arity or
+turned into a renumbering (frozen in ``tests/core/_frozen_kernel.py``)
+or made table-driven (``tests/io/_frozen_writer.py``) and the shipped
+ones.
 
 * ``levels`` — the per-node level walk.  The memo is dropped with
   ``invalidate_arrays()`` before every repetition, so the ratio measures
@@ -15,13 +18,16 @@ they were memoized, unrolled per arity or turned into a renumbering
   majority constructor into a fresh network (MIGs only).
 * ``cleanup`` — the dead-gate removal: every reachable gate rebuilt
   through the facade constructor (frozen) against the renumbering walk
-  (shipped).
+  (shipped), on the MIG, the AIG and the BF construction network.
+* ``write_blif`` — the MIG written as BLIF text: one name-helper call
+  per fanin and rows built a character at a time (frozen) against the
+  table-driven writer (shipped).
 
 Each side records its minimum wall time over ``REPEAT`` runs per case
 and walk, and every walk's result must be identical on both sides: the
 levels, the check's outcome, the rebuilt network's node array, strash
-table, outputs and counters, and the cleaned network's node array,
-outputs, names and strash table.
+table, outputs and counters, the cleaned network's node array,
+outputs, names and strash table, and the BLIF text byte for byte.
 
 * ``--quick`` — seven kinds: the deepest, widest and largest shapes.
 * the full set covers all 14 flow-suite kinds.
@@ -42,16 +48,21 @@ runner's speed.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import platform
 import sys
 import time
 from pathlib import Path
 
+import repro.rewriting.bottom_up as bottom_up
 from repro.aig.convert import mig_to_aig
 from repro.core.mig import Mig
+from repro.database.npn_db import NpnDatabase
 from repro.generators import GENERATORS
+from repro.io.blif import write_blif
 from repro.opt.depth_opt import optimize_depth
+from repro.rewriting.engine import functional_hashing
 
 # The frozen walks are a test reference; import them from the
 # repository root.
@@ -62,6 +73,7 @@ from tests.core._frozen_kernel import (  # noqa: E402
     frozen_levels,
     frozen_maj,
 )
+from tests.io._frozen_writer import write_blif as frozen_write_blif  # noqa: E402
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
@@ -152,6 +164,29 @@ def cleaned(cleanup, net) -> tuple:
     )
 
 
+def blif_text(writer, net: Mig) -> str:
+    buf = io.StringIO()
+    writer(net, buf)
+    return buf.getvalue()
+
+
+def bf_construction(mig: Mig, db: NpnDatabase) -> Mig:
+    """The network a BF pass on *mig* hands to ``finish_pass``."""
+    seen = []
+    finish_pass = bottom_up.finish_pass
+
+    def recording(new, db, metrics):
+        seen.append(new)
+        return finish_pass(new, db, metrics)
+
+    bottom_up.finish_pass = recording
+    try:
+        functional_hashing(mig, db, "BF")
+    finally:
+        bottom_up.finish_pass = finish_pass
+    return seen[0]
+
+
 #: walk -> (frozen, shipped, network kinds it runs on)
 WALKS = {
     "levels": (frozen_levels_walk, shipped_levels_walk, ("mig", "aig")),
@@ -168,7 +203,12 @@ WALKS = {
     "cleanup": (
         lambda net: cleaned(frozen_cleanup, net),
         lambda net: cleaned(type(net).cleanup, net),
-        ("mig", "aig"),
+        ("mig", "aig", "bf"),
+    ),
+    "write_blif": (
+        lambda net: blif_text(frozen_write_blif, net),
+        lambda net: blif_text(write_blif, net),
+        ("mig",),
     ),
 }
 
@@ -184,9 +224,9 @@ def best_time(fn, net) -> tuple[float, object]:
     return best, result
 
 
-def run_case(kind: str, params: dict) -> tuple[dict, list[str]]:
+def run_case(kind: str, params: dict, db: NpnDatabase) -> tuple[dict, list[str]]:
     mig = optimize_depth(GENERATORS[kind][1](**params), rounds=2)
-    nets = {"mig": mig, "aig": mig_to_aig(mig)}
+    nets = {"mig": mig, "aig": mig_to_aig(mig), "bf": bf_construction(mig, db)}
     walks = {}
     failures = []
     name = case_name(kind, params)
@@ -208,6 +248,8 @@ def run_case(kind: str, params: dict) -> tuple[dict, list[str]]:
         "inputs": mig.num_pis,
         "mig_gates": mig.num_gates,
         "aig_gates": nets["aig"].num_gates,
+        "bf_gates": nets["bf"].num_gates,
+        "bf_dead_gates": nets["bf"].num_gates - nets["bf"].cleanup().num_gates,
         "walks": walks,
     }
     return entry, failures
@@ -232,13 +274,14 @@ def main(argv: list[str] | None = None) -> int:
 
     cases = []
     failures: list[str] = []
+    db = NpnDatabase.load()
     for kind, params in QUICK_CASES if args.quick else FULL_CASES:
-        entry, case_failures = run_case(kind, params)
+        entry, case_failures = run_case(kind, params, db)
         cases.append(entry)
         failures += case_failures
         print(
             f"{entry['case']:16} {entry['mig_gates']:>5} MIG / "
-            f"{entry['aig_gates']:>5} AIG gates  "
+            f"{entry['aig_gates']:>5} AIG / {entry['bf_gates']:>5} BF gates  "
             + "  ".join(
                 f"{label} {w['frozen_s'] * 1e3:6.2f}->{w['shipped_s'] * 1e3:6.2f}ms"
                 for label, w in entry["walks"].items()

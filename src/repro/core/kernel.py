@@ -24,8 +24,8 @@ in-place edit of ``_fanins`` or ``_outputs`` must call
 :meth:`Network.invalidate_arrays` (a historical name: the slot once
 also held a numpy view of the fanin lists).  The kernel's own walks
 (:meth:`Network.levels`, :meth:`Network.fanout_counts`,
-:meth:`Network.check`) run one loop per gate arity, as the simulator
-does.
+:meth:`Network.check`, :meth:`Network.cleanup`) run one loop per gate
+arity, as the simulator does.
 
 This module imports nothing from the rest of ``repro`` and nothing
 outside the standard library — enforced by ``tools/check_layers.py``.
@@ -498,33 +498,47 @@ class Network:
     # ------------------------------------------------------------------
 
     def _reachable_gates(self) -> list[int]:
-        """Gate nodes reachable from the outputs, in topological order."""
-        reachable = bytearray(len(self._fanins))
-        first_gate = self.num_pis + 1
+        """Gate nodes reachable from the outputs, in topological order.
+
+        One sweep from the last gate down: a gate is live when an output
+        or a live gate reads it, and every reader of a gate comes after
+        it, so one reverse pass per arity marks the whole cone.
+        """
         fanins = self._fanins
-        stack = [s >> 1 for s in self._outputs]
-        while stack:
-            node = stack.pop()
-            if node < first_gate or reachable[node]:
-                continue
-            reachable[node] = 1
-            stack.extend(s >> 1 for s in fanins[node])
-        return [
-            node for node in range(first_gate, len(fanins)) if reachable[node]
-        ]
+        first_gate = self.num_pis + 1
+        live = bytearray(len(fanins))
+        for s in self._outputs:
+            live[s >> 1] = 1
+        if self.ARITY == 3:
+            for node in range(len(fanins) - 1, first_gate - 1, -1):
+                if live[node]:
+                    a, b, c = fanins[node]  # type: ignore[misc]
+                    live[a >> 1] = 1
+                    live[b >> 1] = 1
+                    live[c >> 1] = 1
+        elif self.ARITY == 2:
+            for node in range(len(fanins) - 1, first_gate - 1, -1):
+                if live[node]:
+                    a, b = fanins[node]  # type: ignore[misc]
+                    live[a >> 1] = 1
+                    live[b >> 1] = 1
+        else:
+            raise ValueError(f"unsupported gate arity {self.ARITY}")
+        return [node for node in range(first_gate, len(fanins)) if live[node]]
 
     def cleanup(self) -> "Network":
         """Return a copy with dead gates removed (reachable cone only).
 
         A renumbering walk: the reachable gates keep their relative
         order, the PIs map to themselves, and each gate's fanin tuple is
-        copied with its signals renumbered.  Precondition: every gate was
-        built through the facade constructors (``Mig.maj`` /
-        ``Aig.and_``), which is what :meth:`check` verifies.  Such gates
-        are sorted, free of unit-rule residue, inverter-normalized and
-        strash-unique, and a monotonic renumbering keeps all four, so the
-        copy is what rebuilding every gate through the constructor would
-        give, without re-applying any normalization.
+        copied with its signals renumbered, in one loop per arity.
+        Precondition: every gate was built through the facade
+        constructors (``Mig.maj`` / ``Aig.and_``), which is what
+        :meth:`check` verifies.  Such gates are sorted, free of
+        unit-rule residue, inverter-normalized and strash-unique, and a
+        monotonic renumbering keeps all four, so the copy is what
+        rebuilding every gate through the constructor would give,
+        without re-applying any normalization.
         """
         new = type(self).like(self)
         fanins = self._fanins
@@ -534,12 +548,27 @@ class Network:
             mapping[i] = i << 1
         new_fanins = new._fanins
         strash = new._strash
-        for node in self._reachable_gates():
-            mapped = tuple(mapping[s >> 1] | (s & 1) for s in fanins[node])
-            idx = len(new_fanins)
-            new_fanins.append(mapped)
-            strash[mapped] = idx
-            mapping[node] = idx << 1
+        idx = len(new_fanins)
+        if self.ARITY == 3:
+            for node in self._reachable_gates():
+                a, b, c = fanins[node]  # type: ignore[misc]
+                mapped = (
+                    mapping[a >> 1] | (a & 1),
+                    mapping[b >> 1] | (b & 1),
+                    mapping[c >> 1] | (c & 1),
+                )
+                new_fanins.append(mapped)
+                strash[mapped] = idx
+                mapping[node] = idx << 1
+                idx += 1
+        else:
+            for node in self._reachable_gates():
+                a, b = fanins[node]  # type: ignore[misc]
+                mapped = (mapping[a >> 1] | (a & 1), mapping[b >> 1] | (b & 1))
+                new_fanins.append(mapped)
+                strash[mapped] = idx
+                mapping[node] = idx << 1
+                idx += 1
         add_po = new.add_po
         for s, name in zip(self._outputs, self._output_names):
             add_po(mapping[s >> 1] | (s & 1), name)

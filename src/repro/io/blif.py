@@ -24,44 +24,116 @@ __all__ = ["write_blif", "read_blif", "cover_template"]
 
 
 def write_blif(mig: Mig, fp: TextIO, model_name: str | None = None) -> None:
-    """Write *mig* in BLIF format (one ``.names`` per majority gate)."""
+    """Write *mig* in BLIF format (one ``.names`` per majority gate).
+
+    Gate ``g`` is named ``n{g}`` and the constant ``const0``, unless a
+    PI or PO name takes one of them: then every gate name gets a longer
+    prefix (``n_{g}``, ``n__{g}``, ...) and the constant a longer name
+    until none collides.  Each output gets a one-row buffer from its
+    signal, except an output that is the uncomplemented PI of the same
+    name, which ``.inputs a`` / ``.outputs a`` already carry.  What BLIF
+    cannot carry raises :class:`ValueError`: a PI or PO name that is not
+    one token (empty, holding whitespace or ``#``, or ending in a
+    backslash), two PIs of one name, two same-named outputs on different
+    signals, and an output named like a PI that does not drive it.  The text is joined in memory and written with one call.
+    """
     model = model_name if model_name is not None else (mig.name or "mig")
-    fp.write(f".model {model}\n")
-    fp.write(".inputs " + " ".join(mig.pi_names) + "\n")
-    fp.write(".outputs " + " ".join(mig.output_names) + "\n")
+    fanins = mig._fanins
+    n = len(fanins)
+    first_gate = mig.num_pis + 1
+    pi_names = mig.pi_names
+    const_name, gate_names, buffers = _layout(mig)
+    names = [const_name, *pi_names, *gate_names]
 
-    def node_name(node: int) -> str:
-        if node == 0:
-            return "const0"
-        if mig.is_pi(node):
-            return mig.pi_names[node - 1]
-        return f"n{node}"
-
-    uses_const = any(
-        (s >> 1) == 0 for g in mig.gates() for s in mig.fanins(g)
-    ) or any((s >> 1) == 0 for s in mig.outputs)
+    parts = [
+        f".model {model}\n.inputs {' '.join(pi_names)}\n"
+        f".outputs {' '.join(mig.output_names)}\n",
+        "",  # the constant's empty cover, if anything reads it
+    ]
+    uses_const = False
+    rows = _MAJ_ROWS
+    for g in range(first_gate, n):
+        a, b, c = fanins[g]  # type: ignore[misc]
+        if a < 2 or b < 2 or c < 2:
+            uses_const = True
+        parts.append(
+            f".names {names[a >> 1]} {names[b >> 1]} {names[c >> 1]} {names[g]}\n"
+            f"{rows[(a & 1) | (b & 1) << 1 | (c & 1) << 2]}"
+        )
+    for name, s in buffers:
+        if s < 2:
+            uses_const = True
+        parts.append(f".names {names[s >> 1]} {name}\n{'0' if s & 1 else '1'} 1\n")
+    parts.append(".end\n")
     if uses_const:
-        fp.write(".names const0\n")  # empty cover = constant 0
+        parts[1] = f".names {const_name}\n"  # empty cover = constant 0
+    fp.write("".join(parts))
 
-    for g in mig.gates():
-        fanins = mig.fanins(g)
-        names = [node_name(s >> 1) for s in fanins]
-        fp.write(f".names {names[0]} {names[1]} {names[2]} n{g}\n")
-        # Majority with per-input polarity baked into the cover rows.
-        pols = [0 if (s & 1) else 1 for s in fanins]  # value making input "true"
-        for pair in ((0, 1), (0, 2), (1, 2)):
-            row = []
-            for i in range(3):
-                row.append(str(pols[i]) if i in pair else "-")
-            fp.write("".join(row) + " 1\n")
 
+#: The three cover rows of a majority gate, indexed by its fanins'
+#: complement bits (bit i for fanin i).  Each row asks two of the three
+#: inputs for the value that makes them true (0 for a complemented
+#: fanin) and leaves the third a don't-care.
+_MAJ_ROWS = tuple(
+    "".join(
+        "".join("-" if i == free else "10"[(bits >> i) & 1] for i in range(3)) + " 1\n"
+        for free in (2, 1, 0)
+    )
+    for bits in range(8)
+)
+
+
+def _layout(mig: Mig) -> tuple[str, list[str], list[tuple[str, int]]]:
+    """Check that BLIF can carry *mig*'s names; choose the internal ones.
+
+    Returns the constant's name, the gate names in node order and the
+    ``(name, signal)`` buffers to write, one per distinct output name
+    that is not its own PI.
+    """
+    pis: dict[str, int] = {}
+    for i, name in enumerate(mig.pi_names):
+        _check_token("input", name)
+        if name in pis:
+            raise ValueError(f"input name {name!r} is used twice; BLIF cannot carry it")
+        pis[name] = (i + 1) << 1
+    signals: dict[str, int] = {}
+    buffers = []
     for name, s in zip(mig.output_names, mig.outputs):
-        src = node_name(s >> 1)
-        if s & 1:
-            fp.write(f".names {src} {name}\n0 1\n")
-        else:
-            fp.write(f".names {src} {name}\n1 1\n")
-    fp.write(".end\n")
+        _check_token("output", name)
+        if name in signals:
+            if signals[name] != s:
+                raise ValueError(
+                    f"outputs named {name!r} are on different signals; BLIF cannot carry them"
+                )
+            continue
+        signals[name] = s
+        if name in pis:
+            if pis[name] != s:
+                raise ValueError(
+                    f"output {name!r} is named like an input that does not drive it; "
+                    "BLIF cannot carry it"
+                )
+            continue
+        buffers.append((name, s))
+    taken = pis.keys() | signals.keys()
+    const_name = "const0"
+    while const_name in taken:
+        const_name += "_"
+    prefix = "n"
+    while True:
+        gate_names = [f"{prefix}{g}" for g in range(mig.num_pis + 1, mig.num_nodes)]
+        if taken.isdisjoint(gate_names):
+            return const_name, gate_names, buffers
+        prefix += "_"
+
+
+def _check_token(kind: str, name: str) -> None:
+    """Raise unless *name* reads back from BLIF as the one token it is."""
+    if name.split() != [name] or "#" in name or name.endswith("\\"):
+        raise ValueError(
+            f"{kind} name {name!r} is not a single BLIF token "
+            "(empty, or holding whitespace, '#' or a final backslash)"
+        )
 
 
 def read_blif(fp: TextIO) -> Mig:
@@ -78,34 +150,44 @@ def read_blif(fp: TextIO) -> Mig:
     covers: dict[str, tuple[list[str], list[tuple[str, str]]]] = {}
     rows: list[tuple[str, str]] | None = None
 
+    text = fp.read()
+    if "\r" in text:
+        # CRLF or CR endings: a backslash before them continues the line too.
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     # Join continuation lines.
-    text = fp.read().replace("\\\n", " ")
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    text = text.replace("\\\n", " ")
+    comments = "#" in text
+    for line in text.splitlines():
+        if comments and "#" in line:
+            line = line.split("#", 1)[0]
         tok = line.split()
-        if tok[0] == ".model":
-            model = tok[1] if len(tok) > 1 else model
-        elif tok[0] == ".inputs":
-            inputs.extend(tok[1:])
-        elif tok[0] == ".outputs":
-            outputs.extend(tok[1:])
-        elif tok[0] == ".names":
+        if not tok:
+            continue
+        first = tok[0]
+        if first[0] != ".":
+            if rows is None:
+                raise ValueError(f"cover row outside .names: {line.strip()!r}")
+            if len(tok) == 2:
+                rows.append((first, tok[1]))
+            elif len(tok) == 1:
+                rows.append(("", first))
+            else:
+                raise ValueError(f"cover row with more than two columns: {line.strip()!r}")
+        elif first == ".names":
             if len(tok) < 2:
                 raise ValueError(".names line without a target signal")
             rows = []
             define(covers, tok[-1], (tok[1:-1], rows))
-        elif tok[0] in (".end", ".exdc"):
+        elif first == ".inputs":
+            inputs.extend(tok[1:])
+        elif first == ".outputs":
+            outputs.extend(tok[1:])
+        elif first == ".model":
+            model = tok[1] if len(tok) > 1 else model
+        elif first in (".end", ".exdc"):
             rows = None
-        elif tok[0].startswith("."):
-            raise ValueError(f"unsupported BLIF construct: {tok[0]}")
         else:
-            if rows is None:
-                raise ValueError(f"cover row outside .names: {line!r}")
-            if len(tok) > 2:
-                raise ValueError(f"cover row with more than two columns: {line!r}")
-            rows.append(("", tok[0]) if len(tok) == 1 else (tok[0], tok[1]))
+            raise ValueError(f"unsupported BLIF construct: {first}")
     check_inputs(inputs, covers)
 
     mig = Mig(name=model)

@@ -120,7 +120,13 @@ def rewrite_bottom_up(
     combination_limit: int = 16,
     metrics: PassMetrics | None = None,
 ) -> Mig:
-    """Run one bottom-up functional-hashing pass; returns the optimized MIG."""
+    """Run one bottom-up functional-hashing pass; returns the optimized MIG.
+
+    *candidate_limit* is how many candidates each node keeps, at least
+    one: a node's list starts as its baseline alone.
+    """
+    if candidate_limit < 1:
+        raise ValueError(f"candidate_limit must be at least 1, got {candidate_limit}")
     if metrics is None:
         metrics = PassMetrics()
     levels, cuts, answers = start_pass(
@@ -161,7 +167,7 @@ def rewrite_bottom_up(
                 1 + best_a.size + best_b.size + best_c.size,
                 1 + max(best_a.depth, best_b.depth, best_c.depth),
             )
-            entries = _insert([], baseline, candidate_limit)
+            entries = [baseline]
 
             for cut_entry in all_entries[node]:
                 leaves = cut_entry[0]

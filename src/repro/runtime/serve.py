@@ -91,21 +91,34 @@ class BadRequest(ValueError):
 
 def _parse_network(network):
     """Parse the request's inline network upload (see :func:`load_network`);
-    returns its kind (:func:`network_kind`) and the MIG.
+    returns its kind (:func:`network_kind`), the MIG and the text the
+    job directory stores (``None`` for a generator).
 
     Parsing happens in the daemon because the canonical structural hash
     — the cache key — must be computed before any work is scheduled.
+    An AIGER upload is stored as its MIG in BLIF, so one whose names
+    BLIF cannot carry is refused here too.
     """
     try:
         kind = network_kind(network)
     except ValueError as exc:
         raise BadRequest(str(exc)) from None
     try:
-        return kind, load_network(network, inline=True)
+        mig = load_network(network, inline=True)
     except Exception as exc:  # noqa: BLE001 - client input boundary
         if kind == "generate" and isinstance(exc, ValueError):
             raise BadRequest(str(exc)) from exc
         raise BadRequest(f"could not parse {kind} network: {exc}") from exc
+    if kind != "aag":
+        return kind, mig, None if kind == "generate" else network[kind]
+    from ..io.blif import write_blif
+
+    buf = io.StringIO()
+    try:
+        write_blif(mig, buf)
+    except ValueError as exc:
+        raise BadRequest(f"cannot store the aag network as BLIF: {exc}") from None
+    return kind, mig, buf.getvalue()
 
 
 def _parse_script(script) -> tuple[str, ...]:
@@ -340,7 +353,7 @@ class OptimizationService:
         if not isinstance(request, dict):
             return 400, {"error": "bad-request", "detail": "body must be a JSON object"}
         try:
-            kind, mig = _parse_network(request.get("network"))
+            kind, mig, stored_text = _parse_network(request.get("network"))
             spec_fields = self._spec_fields(request)
         except BadRequest as exc:
             return 400, {"error": "bad-request", "detail": str(exc)}
@@ -429,14 +442,8 @@ class OptimizationService:
             self.counters["submitted"] += 1
         try:
             jobdir.mkdir(parents=True)
-            if kind in ("blif", "bench"):
-                atomic_write_text(upload, network[kind])
-            elif kind == "aag":
-                from ..io.blif import write_blif
-
-                buf = io.StringIO()
-                write_blif(mig, buf)
-                atomic_write_text(upload, buf.getvalue())
+            if stored_text is not None:
+                atomic_write_text(upload, stored_text)
             # Persist before acknowledging: an accepted request survives
             # any crash from this line on (the recovery scan re-queues it).
             atomic_write_text(

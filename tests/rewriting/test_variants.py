@@ -94,6 +94,13 @@ class TestBottomUp:
         assert check_equivalence(mig, out1)
         assert check_equivalence(mig, out3)
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_candidate_limit_below_one_rejected(self, db, full_adder, limit):
+        with pytest.raises(ValueError, match="candidate_limit must be at least 1"):
+            functional_hashing(full_adder, db, "BF", candidate_limit=limit)
+        with pytest.raises(ValueError, match="candidate_limit must be at least 1"):
+            rewrite_bottom_up(full_adder, db, candidate_limit=limit)
+
     def test_cut_size_above_db_rejected(self, db, full_adder):
         with pytest.raises(ValueError):
             rewrite_bottom_up(full_adder, db, cut_size=6)

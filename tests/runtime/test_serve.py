@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import errno
 import http.client
+import io
 import json
 import os
 import re
@@ -25,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.io.blif import read_blif
 from repro.runtime import executors, serve
 from repro.runtime import supervisor as supervisor_module
 from repro.runtime.cache import ResultCache
@@ -189,6 +191,26 @@ class TestValidation:
     def test_unknown_job_is_404(self, idle_service):
         code, _ = idle_service.job_status("no-such-job")
         assert code == 404
+
+    def test_aiger_upload_blif_cannot_carry_is_400(self, idle_service):
+        # Output "a" is named like an input that does not drive it.
+        aag = "aag 3 2 0 1 1\n2\n4\n6\n6 2 4\ni0 a\ni1 b\no0 a\n"
+        code, payload = idle_service.submit({"network": {"aag": aag}})
+        assert code == 400 and "output 'a'" in payload["detail"], payload
+        assert not idle_service.jobs
+
+    def test_aiger_upload_named_like_a_gate_is_stored_readable(self, idle_service):
+        aag = "aag 4 3 0 1 1\n2\n4\n6\n8\n8 2 4\ni0 a\ni1 n3\ni2 n4\no0 f\n"
+        code, payload = idle_service.submit({"network": {"aag": aag}})
+        assert code == 202, payload
+        stored = idle_service.jobs_dir / payload["job_id"] / "input.blif"
+        mig = read_blif(io.StringIO(stored.read_text()))
+        assert mig.pi_names == ("a", "n3", "n4") and mig.output_names == ("f",)
+
+    def test_crlf_blif_upload_with_a_continuation_is_admitted(self, idle_service):
+        blif = ".model t\r\n.inputs a \\\r\nb\r\n.outputs f\r\n.names a b f\r\n11 1\r\n.end\r\n"
+        code, payload = idle_service.submit({"network": {"blif": blif}})
+        assert code == 202, payload
 
     def test_bad_cut_size(self, idle_service):
         code, payload = idle_service.submit(dict(ADDER4, cut_size=7))

@@ -14,9 +14,12 @@ a real subprocess:
    (same structural hash, so again a byte-identical hit);
 4. upload a two-gate cyclic BLIF and assert a 400 that names the cycle,
    with the daemon still ready;
-5. restart the daemon on the same workdir and assert the cache is still
+5. upload a CRLF BLIF with a continuation line, and an AIGER file whose
+   PI symbol ``n3`` is a name the BLIF writer gives gates, and assert
+   both complete with a result BLIF that parses to the uploaded names;
+6. restart the daemon on the same workdir and assert the cache is still
    **warm across the restart** (hit without re-optimizing);
-6. SIGTERM the daemon and assert a **graceful drain**: exit code 0 and
+7. SIGTERM the daemon and assert a **graceful drain**: exit code 0 and
    a flushed stats snapshot.
 
 Exit code 0 means the drill passed.  Usage::
@@ -54,6 +57,17 @@ REQUEST = {"network": INSTANCE, "script": ["BF"], "verify": "sim"}
 CYCLIC_BLIF = (
     ".model loop\n.inputs a\n.outputs f\n"
     ".names a g f\n11 1\n.names f g\n1 1\n.end\n"
+)
+#: f = maj(a, b, c) with CRLF endings and its .inputs continued on a
+#: second line, as an inline upload keeps them
+CRLF_BLIF = (
+    ".model crlf\r\n.inputs a b \\\r\nc\r\n.outputs f\r\n"
+    ".names a b c f\r\n11- 1\r\n1-1 1\r\n-11 1\r\n.end\r\n"
+)
+#: f = (a & n3) & !n4: PI symbols named like the writer's gates
+NAMED_AAG = (
+    "aag 5 3 0 1 2\n2\n4\n6\n10\n8 2 4\n10 8 7\n"
+    "i0 a\ni1 n3\ni2 n4\no0 f\n"
 )
 
 
@@ -177,6 +191,20 @@ def main() -> int:
         assert code == 200, "daemon not ready after a rejected upload"
         print(f"[smoke] rejected: {rejected['detail']}")
 
+        for fmt, upload, pis in (
+            ("blif", CRLF_BLIF, ("a", "b", "c")),
+            ("aag", NAMED_AAG, ("a", "n3", "n4")),
+        ):
+            print(f"[smoke] uploading {fmt} with names {pis}")
+            network = {fmt: upload}
+            code, accepted = request(base, "POST", "/jobs", dict(REQUEST, network=network))
+            assert code == 202, (code, accepted)
+            served = read_blif(io.StringIO(wait_done(base, accepted["job_id"])["result"]["blif"]))
+            assert served.pi_names == pis and served.output_names == ("f",), served
+            assert equivalent_random(
+                load_network(network, inline=True), served, num_rounds=4
+            ), f"served {fmt} result not equivalent to its upload"
+
         print("[smoke] SIGTERM -> graceful drain")
         proc.send_signal(signal.SIGTERM)
         out, _ = proc.communicate(timeout=90)
@@ -198,7 +226,7 @@ def main() -> int:
         assert proc.returncode == 0, f"drain exit {proc.returncode}: {out}"
 
         print("[smoke] PASS: optimize once, cache hits, cycle rejected, "
-              "warm restart, clean drain")
+              "CRLF and gate-named uploads served, warm restart, clean drain")
         return 0
     finally:
         if proc is not None and proc.poll() is None:
