@@ -65,17 +65,12 @@ QUICK_CASES = ("0x0017", "0x0006", "0x001b", "0x0016", "0x0069")
 CONFLICT_BUDGET = 500_000
 
 
-def run_case(
-    spec: int, expected_size: int, repeat: int, backend: str = "internal"
-) -> dict:
+def run_case(spec: int, expected_size: int, repeat: int) -> dict:
     """Time *repeat* cold synthesis runs of *spec*; keep the fastest."""
     best_seconds = None
     best = None
-    backend_events: dict[str, int] = {}
     for _ in range(repeat):
-        synthesizer = ExactSynthesizer(
-            conflict_budget=CONFLICT_BUDGET, sat_backend=backend
-        )
+        synthesizer = ExactSynthesizer(conflict_budget=CONFLICT_BUDGET)
         start = time.perf_counter()
         result = synthesizer.synthesize(spec, 4)
         seconds = time.perf_counter() - start
@@ -86,14 +81,12 @@ def run_case(
             )
         if result.mig.simulate()[0] != spec:
             raise SystemExit(f"bench_exact: 0x{spec:04x} produced a wrong MIG")
-        for key, count in getattr(result, "backend_events", {}).items():
-            backend_events[key] = backend_events.get(key, 0) + count
         if best_seconds is None or seconds < best_seconds:
             best_seconds = seconds
             best = result
     assert best_seconds is not None and best is not None
     skipped = sorted(k for k, v in best.k_outcomes.items() if v == "skipped")
-    entry = {
+    return {
         "size": best.size,
         # 6 decimals: table-answered cases finish in tens of microseconds
         "synth_seconds": round(best_seconds, 6),
@@ -106,11 +99,6 @@ def run_case(
         "sat_restarts": getattr(best, "restarts", 0),
         "sat_learned": getattr(best, "learned", 0),
     }
-    if backend != "internal":
-        # Per-lane fates across all repetitions: "<backend>:<outcome>"
-        # counters, "win-*" marking the lane that decided each race.
-        entry["backend_events"] = backend_events
-    return entry
 
 
 def load_baseline(path: Path) -> dict | None:
@@ -132,12 +120,6 @@ def main(argv: list[str] | None = None) -> int:
                         "--max-regression vs the checked-in baseline")
     parser.add_argument("--max-regression", type=float, default=2.0,
                         help="allowed slowdown factor in --check mode")
-    parser.add_argument("--backend", choices=("internal", "auto", "portfolio"),
-                        default="internal",
-                        help="SAT backend mode; 'portfolio' races external "
-                        "DIMACS solvers ($REPRO_SAT_SOLVERS / kissat / "
-                        "cadical on $PATH) and records per-backend win "
-                        "counts in the output")
     parser.add_argument("--baseline", type=Path, default=BASELINE_PATH)
     parser.add_argument("-o", "--output", type=Path,
                         default=RESULTS_DIR / "BENCH_exact.json")
@@ -161,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
     regressions: list[str] = []
     for name in names:
         spec, expected_size = CASES[name]
-        entry = run_case(spec, expected_size, args.repeat, backend=args.backend)
+        entry = run_case(spec, expected_size, args.repeat)
         base = baseline_cases.get(name)
         if base and base.get("synth_seconds"):
             # Floor at 1us: a case the table answers faster than the
@@ -187,16 +169,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{name:8} size {entry['size']}  {entry['synth_seconds']:8.4f}s  "
               f"{entry['sat_conflicts']:>7} conflicts{speedup_note}")
 
-    backend_wins: dict[str, int] = {}
-    if args.backend != "internal":
-        for entry in cases.values():
-            for key, count in entry.get("backend_events", {}).items():
-                lane, _, outcome = key.partition(":")
-                if outcome.startswith("win-"):
-                    backend_wins[lane] = backend_wins.get(lane, 0) + count
-        wins = ", ".join(f"{lane}={n}" for lane, n in sorted(backend_wins.items()))
-        print(f"backend wins: {wins or 'none'}")
-
     geomean = None
     if speedups:
         product = 1.0
@@ -212,12 +184,9 @@ def main(argv: list[str] | None = None) -> int:
         "quick": args.quick,
         "repeat": args.repeat,
         "conflict_budget": CONFLICT_BUDGET,
-        "sat_backend": args.backend,
         "geomean_speedup_vs_baseline": geomean,
         "cases": cases,
     }
-    if args.backend != "internal":
-        payload["backend_wins"] = backend_wins
     args.output.parent.mkdir(parents=True, exist_ok=True)
     with open(args.output, "w", encoding="utf-8") as fp:
         json.dump(payload, fp, indent=2)

@@ -209,7 +209,6 @@ def standing_sweep_spec(
         "instances": [dict(inst) for inst in STANDING_MATRIX_INSTANCES],
         "scripts": [["BF"]],
         "cut_sizes": [4],
-        "sat_backends": ["internal"],
         "verify": verify,
         "time_limit": time_limit,
     }

@@ -171,14 +171,6 @@ _SHARED_FLAGS: dict[str, dict] = {
         "first use, crash-safe, shared across runs and workers so later "
         "lookups skip synthesis (serve never takes it from requests)",
     ),
-    "--sat-backend": dict(
-        default="internal", choices=["auto", "internal", "portfolio"],
-        help="SAT solver lanes: 'internal' is the deterministic in-process "
-        "CDCL solver; 'portfolio' races it against external kissat/CaDiCaL "
-        "binaries ($REPRO_SAT_SOLVERS overrides discovery) and degrades to "
-        "internal-only when none exist; 'auto' races only when a binary is "
-        "found (default: internal)",
-    ),
     "--metrics": dict(
         metavar="PATH",
         help="dump metrics as JSON to PATH ('-' for stdout): pass counters, "
@@ -310,7 +302,6 @@ def _batch_specs(args: argparse.Namespace) -> list:
                 network=network,
                 script=script,
                 verify=args.verify,
-                sat_backend=args.sat_backend,
                 time_limit=args.time_limit,
                 conflict_limit=args.conflict_limit,
                 cut_size=args.cut_size,
@@ -490,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow = sub.add_parser(
         "flow", help="run a scripted optimization flow",
         parents=[_flags(*_INPUT, "--script", "--verify", "--time-limit",
-                        "--conflict-limit", "--sat-backend", "--db",
+                        "--conflict-limit", "--db",
                         "--cut-size", "--npn-store", "--metrics",
                         script="depth,BF,TFD")],
     )
@@ -508,9 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
         "watchdog, crash-recoverable journal)",
         parents=[_flags("--width", "--script", "--jobs", "--time-limit",
                         "--conflict-limit", "--mem-limit", "--verify",
-                        "--cut-size", "--npn-store", "--sat-backend",
-                        "--workdir", "--resume", "--grace", "--max-attempts",
-                        "--backoff", "--report", verify="sim")],
+                        "--cut-size", "--npn-store", "--workdir", "--resume",
+                        "--grace", "--max-attempts", "--backoff", "--report",
+                        verify="sim")],
     )
     p_batch.add_argument(
         "--generate", metavar="NAMES",
@@ -533,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep",
         help="a declarative scenario matrix (instances x scripts x cut "
-        "sizes x SAT backends x budgets) run as one supervised batch; "
+        "sizes x budgets) run as one supervised batch; "
         "resumes exactly-once",
         parents=[_flags("--jobs", "--workdir", "--resume", "--grace",
                         "--max-attempts", "--backoff", "--report", jobs=2)],
@@ -541,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--spec", metavar="FILE",
         help="sweep spec JSON ('-' for stdin): {name, instances, scripts, "
-        "cut_sizes, sat_backends, conflict_limits, verify, time_limit}; "
+        "cut_sizes, conflict_limits, verify, time_limit}; "
         "instances may override any axis locally",
     )
     p_sweep.add_argument(
@@ -582,8 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exact = sub.add_parser(
         "exact", help="exact synthesis of a truth table",
-        parents=[_flags("--budget", "--sat-backend", "--metrics",
-                        budget=200000)],
+        parents=[_flags("--budget", "--metrics", budget=200000)],
     )
     p_exact.add_argument("--tt", required=True, help="truth table, e.g. 0x1668")
     p_exact.add_argument("--vars", type=int, default=4)
@@ -594,8 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
         "generate",
         help="generate/improve the NPN-4 database (tree phase + SAT phase; "
         "also run as python -m repro.database.generate)",
-        parents=[_flags("--budget", "--jobs", "--sat-backend", "--quiet",
-                        jobs=0)],
+        parents=[_flags("--budget", "--jobs", "--quiet", jobs=0)],
     )
     p_db_gen.add_argument(
         "--out",
@@ -616,8 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
         "improve",
         help="tighten unproven entries of a persistent NPN-5/6 store with "
         "budgeted exact synthesis (serial, or across supervised workers)",
-        parents=[_flags("--budget", "--jobs", "--time-limit", "--sat-backend",
-                        "--quiet", jobs=0)],
+        parents=[_flags("--budget", "--jobs", "--time-limit", "--quiet",
+                        jobs=0)],
     )
     p_db_imp.add_argument("--store", required=True, metavar="PATH",
                           help="the NpnStore log to improve in place")
@@ -689,7 +678,7 @@ def main(argv: list[str] | None = None) -> int:
         result, history = run_flow(
             mig, db, script, verbose=True,
             budget=budget, verify=args.verify, on_error=args.on_error,
-            cut_size=args.cut_size, sat_backend=args.sat_backend,
+            cut_size=args.cut_size,
         )
         print(f"final: {result.num_gates}/{result.depth()} "
               f"({sum(step.runtime for step in history):.2f}s total)")
@@ -724,10 +713,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "exact":
         spec = int(args.tt, 16)
-        result = synthesize_exact(
-            spec, args.vars, conflict_budget=args.budget,
-            sat_backend=args.sat_backend,
-        )
+        result = synthesize_exact(spec, args.vars, conflict_budget=args.budget)
         if args.metrics:
             _dump_metrics(args.metrics, {
                 "spec": f"0x{spec:x}",
@@ -741,7 +727,6 @@ def main(argv: list[str] | None = None) -> int:
                 "sat_decisions": result.decisions,
                 "sat_restarts": result.restarts,
                 "sat_learned": result.learned,
-                "sat_backend_events": dict(result.backend_events),
             })
         if result.mig is None:
             print(f"no MIG found within budget (outcomes: {result.k_outcomes})")
@@ -749,12 +734,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"0x{spec:x}: size {result.size} "
               f"({'proven minimal' if result.proven else 'upper bound'}), "
               f"{result.runtime:.2f}s, {result.conflicts} conflicts")
-        if result.backend_events:
-            lanes = ", ".join(
-                f"{key}={count}"
-                for key, count in sorted(result.backend_events.items())
-            )
-            print(f"backend lanes: {lanes}")
         print(result.mig.to_expression(result.mig.outputs[0]))
         return 0
 
@@ -765,8 +744,7 @@ def main(argv: list[str] | None = None) -> int:
             generate_database(
                 args.out, budget=args.budget, sat_seconds=args.sat_seconds,
                 fresh=args.fresh, largest_first=args.largest_first,
-                jobs=args.jobs, sat_backend=args.sat_backend,
-                verbose=not args.quiet,
+                jobs=args.jobs, verbose=not args.quiet,
             )
             return 0
         if args.db_command == "improve":
@@ -780,7 +758,6 @@ def main(argv: list[str] | None = None) -> int:
                     jobs=args.jobs,
                     limit=args.limit,
                     time_limit=args.time_limit,
-                    sat_backend=args.sat_backend,
                     workdir=args.workdir,
                     verbose=not args.quiet,
                 )

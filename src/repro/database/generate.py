@@ -90,7 +90,6 @@ def improve_class(
     num_vars: int,
     budget: int | None,
     deadline: float | None = None,
-    sat_backend: str = "internal",
 ) -> tuple[DbEntry, int]:
     """Improve/certify one database entry by exact synthesis.
 
@@ -105,18 +104,12 @@ def improve_class(
     ``entry.size - 1`` down to the highest refuted size still looks for
     a smaller witness; it skips the size that stalled, which the
     deterministic solver would only stall on again.
-
-    *sat_backend* selects the solver lanes (``internal`` keeps the
-    deterministic single-solver path; ``auto``/``portfolio`` race
-    external binaries, trading bit-for-bit run determinism for speed —
-    entries are still verified by simulation before they are admitted).
     """
     start = time.perf_counter()
     synth = ExactSynthesizer(
         conflict_budget=budget,
         max_gates=entry.size - 1,
         budget=Budget(deadline=deadline),
-        sat_backend=sat_backend,
     )
     result = synth.synthesize(rep, num_vars, upper_bound=entry.to_mig())
     best, proven, conflicts = entry, result.proven, result.conflicts
@@ -131,7 +124,7 @@ def improve_class(
                 break
             if k == stalled:
                 continue
-            encoding = encode_exact_mig(rep, num_vars, k, portfolio=synth.portfolio)
+            encoding = encode_exact_mig(rep, num_vars, k)
             answer = encoding.solve_cegar(conflict_budget=budget, deadline=deadline)
             conflicts += encoding.builder.solver.conflicts
             if answer is True:
@@ -156,7 +149,6 @@ def improve_entries(
     time_limit: float | None = None,
     jobs: int = 0,
     workdir: str | Path | None = None,
-    sat_backend: str = "internal",
 ) -> Iterator[tuple[DbEntry, DbEntry | None, int]]:
     """Run :func:`improve_class` over *entries*; yield ``(old, new, conflicts)``.
 
@@ -179,7 +171,7 @@ def improve_entries(
             if deadline is not None and time.monotonic() > deadline:
                 return
             new_entry, conflicts = improve_class(
-                entry.rep, entry, num_vars, budget, deadline, sat_backend=sat_backend
+                entry.rep, entry, num_vars, budget, deadline
             )
             yield entry, new_entry, conflicts
         return
@@ -202,7 +194,6 @@ def improve_entries(
             network={},
             mode="db-improve",
             verify="sim",
-            sat_backend=sat_backend,
             # The worker searches at least 0.5 s and keeps 0.5 s to write
             # its result; the watchdog must allow it that second.
             time_limit=None if time_limit is None else max(1.0, time_limit),
@@ -246,7 +237,6 @@ def improve_with_sat(
     out_path: str | Path | None = None,
     verbose: bool = False,
     largest_first: bool = False,
-    sat_backend: str = "internal",
     jobs: int = 0,
     workdir: str | Path | None = None,
 ) -> dict[str, int]:
@@ -269,7 +259,7 @@ def improve_with_sat(
                      key=lambda entry: (entry.size, entry.rep), reverse=largest_first)
     stats = {"visited": 0, "improved": 0, "proven": 0, "failed_jobs": 0}
     for old, new_entry, conflicts in improve_entries(
-        pending, db.num_vars, budget, time_limit, jobs, workdir, sat_backend
+        pending, db.num_vars, budget, time_limit, jobs, workdir
     ):
         if new_entry is None:
             stats["failed_jobs"] += 1
@@ -299,7 +289,6 @@ def generate_database(
     fresh: bool = False,
     largest_first: bool = False,
     jobs: int = 0,
-    sat_backend: str = "internal",
     verbose: bool = True,
 ) -> NpnDatabase:
     """``migopt db generate``: the tree phase, then the SAT phase.
@@ -341,7 +330,6 @@ def generate_database(
             out_path=out,
             verbose=verbose,
             largest_first=largest_first,
-            sat_backend=sat_backend,
             jobs=jobs,
         )
         if verbose:

@@ -300,7 +300,6 @@ def improve_store(
     jobs: int = 0,
     limit: int | None = None,
     time_limit: float | None = None,
-    sat_backend: str = "internal",
     workdir: str | Path | None = None,
     verbose: bool = False,
 ) -> dict:
@@ -328,7 +327,7 @@ def improve_store(
     if not work:
         return summary
     for old, new_entry, conflicts in improve_entries(
-        work, store.num_vars, budget, time_limit, jobs, workdir, sat_backend
+        work, store.num_vars, budget, time_limit, jobs, workdir
     ):
         if new_entry is None:
             continue

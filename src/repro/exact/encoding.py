@@ -201,7 +201,6 @@ def encode_exact_mig(
     spec: int,
     num_vars: int,
     num_gates: int,
-    portfolio=None,
     budget=None,
 ) -> ExactMigEncoding:
     """Encode: does an MIG with *num_gates* majority gates compute *spec*?
@@ -212,9 +211,8 @@ def encode_exact_mig(
     constraints are added lazily; use :meth:`ExactMigEncoding.solve` for
     the monolithic instance or :meth:`ExactMigEncoding.solve_cegar`.
 
-    *portfolio* (a :class:`~repro.sat.portfolio.PortfolioSolver`) races
-    every solve call across external backends; *budget* (a shared
-    :class:`~repro.runtime.budget.Budget`) caps each call's wall clock.
+    *budget* (a shared :class:`~repro.runtime.budget.Budget`) caps each
+    call's wall clock.
     """
     if num_gates < 1:
         raise ValueError("encode_exact_mig requires at least one gate")
@@ -223,7 +221,7 @@ def encode_exact_mig(
 
     n = num_vars
     k = num_gates
-    builder = CnfBuilder(portfolio=portfolio, budget=budget)
+    builder = CnfBuilder(budget=budget)
 
     select_vars = [
         [[builder.new_var() for _ in range(n + 1 + l)] for _ in range(3)]

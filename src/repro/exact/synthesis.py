@@ -70,9 +70,6 @@ class SynthesisResult:
     decisions: int = 0
     restarts: int = 0
     learned: int = 0
-    #: per-lane portfolio fates ("<backend>:<outcome>" -> count) summed
-    #: over every solve call; empty on the pure-internal path
-    backend_events: dict[str, int] = field(default_factory=dict)
 
     @property
     def succeeded(self) -> bool:
@@ -112,8 +109,6 @@ class ExactSynthesizer:
         budget: Budget | None = None,
         carry_rows: bool = True,
         use_lower_bound: bool = True,
-        sat_backend: str = "internal",
-        portfolio=None,
     ) -> None:
         self.conflict_budget = conflict_budget
         self.max_gates = max_gates
@@ -124,15 +119,6 @@ class ExactSynthesizer:
         self.carry_rows = carry_rows
         #: start the size loop at mig_size_lower_bound instead of k = 1
         self.use_lower_bound = use_lower_bound
-        #: backend race shared across every (f, k) instance — pass a
-        #: PortfolioSolver to share lanes/counters, or let the mode
-        #: string build one (resolve_backend); "internal"/None keeps the
-        #: classic path with zero mirroring overhead
-        if portfolio is None and sat_backend != "internal":
-            from ..sat.portfolio import resolve_backend
-
-            portfolio = resolve_backend(sat_backend, budget=budget)
-        self.portfolio = portfolio
 
     def synthesize(
         self,
@@ -151,17 +137,12 @@ class ExactSynthesizer:
         total_conflicts = 0
         counters = {"propagations": 0, "decisions": 0, "restarts": 0, "learned": 0}
         k_outcomes: dict[int, str] = {}
-        backend_events: dict[str, int] = {}
 
         def result(mig, size, proven):
-            if self.portfolio is not None:
-                for key, count in self.portfolio.take_events().items():
-                    backend_events[key] = backend_events.get(key, 0) + count
             return SynthesisResult(
                 spec, num_vars, mig, size, proven,
                 time.perf_counter() - start, total_conflicts, k_outcomes,
                 **counters,
-                backend_events=backend_events,
             )
 
         limit = self.max_gates
@@ -223,9 +204,7 @@ class ExactSynthesizer:
             if budget is not None:
                 call_budget = budget.call_conflict_budget(call_budget)
                 deadline = budget.deadline
-            encoding = encode_exact_mig(
-                spec, num_vars, k, portfolio=self.portfolio, budget=budget
-            )
+            encoding = encode_exact_mig(spec, num_vars, k, budget=budget)
             answer = encoding.solve_cegar(
                 conflict_budget=call_budget,
                 deadline=deadline,
@@ -274,12 +253,8 @@ def synthesize_exact(
     conflict_budget: int | None = None,
     max_gates: int = 12,
     budget: Budget | None = None,
-    sat_backend: str = "internal",
 ) -> SynthesisResult:
     """Convenience wrapper: synthesize a minimum MIG for *spec*."""
     return ExactSynthesizer(
-        conflict_budget=conflict_budget,
-        max_gates=max_gates,
-        budget=budget,
-        sat_backend=sat_backend,
+        conflict_budget=conflict_budget, max_gates=max_gates, budget=budget
     ).synthesize(spec, num_vars)

@@ -21,6 +21,7 @@ import re
 from typing import TextIO
 
 from ..core.mig import CONST0, CONST1, Mig, signal_not
+from .names import check_names, internal_names
 from .netlist import check_inputs, define, resolve
 
 __all__ = ["read_bench", "write_bench"]
@@ -121,28 +122,35 @@ def read_bench(fp: TextIO) -> Mig:
 
 
 def write_bench(mig: Mig, fp: TextIO) -> None:
-    """Write *mig* in .bench format (majority decomposed as AND/OR/NOT)."""
+    """Write *mig* in .bench format (majority decomposed as AND/OR/NOT).
+
+    Gate ``g`` is ``n{g} = OR(n{g}_ab, n{g}_ac, n{g}_bc)`` over three
+    ANDs, a complemented signal ``s`` is ``s_bar = NOT(s)`` and the
+    constant is ``const0 = CONST0()``; :func:`repro.io.names.
+    internal_names` lengthens these names where a port takes one.  What
+    BENCH cannot carry raises :class:`ValueError`
+    (:func:`repro.io.names.check_names`): a PI or PO name that is not
+    one token (empty, or holding whitespace, ``#``, ``(``, ``)`` or
+    ``,``), two PIs of one name, two same-named outputs on different
+    signals, and an output named like a PI that does not drive it.
+    """
+    buffers = check_names(mig, "BENCH")
+    internal = internal_names(mig, ("ab", "ac", "bc", "bar"))
+    base = [internal.const, *mig.pi_names, *internal.gates]
+    sep = internal.sep
     fp.write(f"# {mig.name}\n")
     for name in mig.pi_names:
         fp.write(f"INPUT({name})\n")
     for name in mig.output_names:
         fp.write(f"OUTPUT({name})\n")
 
-    def base_name(node: int) -> str:
-        if node == 0:
-            return "const0"
-        if mig.is_pi(node):
-            return mig.pi_names[node - 1]
-        return f"n{node}"
-
     names: dict[int, str] = {}  # signal -> emitted name
-    counter = [0]
 
     uses_const = any(
         (s >> 1) == 0 for g in mig.gates() for s in mig.fanins(g)
     ) or any((s >> 1) == 0 for s in mig.outputs)
     if uses_const:
-        fp.write("const0 = CONST0()\n")
+        fp.write(f"{internal.const} = CONST0()\n")
 
     def emit(signal: int) -> str:
         if signal in names:
@@ -150,25 +158,21 @@ def write_bench(mig: Mig, fp: TextIO) -> None:
         node = signal >> 1
         if signal & 1:
             positive = emit(signal ^ 1)
-            inv = f"{base_name(node)}_bar"
+            inv = f"{base[node]}{sep}bar"
             fp.write(f"{inv} = NOT({positive})\n")
             names[signal] = inv
             return inv
-        if not mig.is_gate(node):
-            names[signal] = base_name(node)
-            return names[signal]
-        a, b, c = mig.fanins(node)
-        na, nb, nc = emit(a), emit(b), emit(c)
-        name = base_name(node)
-        counter[0] += 1
-        fp.write(f"{name}_ab = AND({na}, {nb})\n")
-        fp.write(f"{name}_ac = AND({na}, {nc})\n")
-        fp.write(f"{name}_bc = AND({nb}, {nc})\n")
-        fp.write(f"{name} = OR({name}_ab, {name}_ac, {name}_bc)\n")
+        name = base[node]
+        if mig.is_gate(node):
+            a, b, c = mig.fanins(node)
+            na, nb, nc = emit(a), emit(b), emit(c)
+            ab, ac, bc = (f"{name}{sep}{tag}" for tag in ("ab", "ac", "bc"))
+            fp.write(f"{ab} = AND({na}, {nb})\n")
+            fp.write(f"{ac} = AND({na}, {nc})\n")
+            fp.write(f"{bc} = AND({nb}, {nc})\n")
+            fp.write(f"{name} = OR({ab}, {ac}, {bc})\n")
         names[signal] = name
         return name
 
-    for name, s in zip(mig.output_names, mig.outputs):
-        source = emit(s)
-        if source != name:
-            fp.write(f"{name} = BUFF({source})\n")
+    for name, s in buffers:
+        fp.write(f"{name} = BUFF({emit(s)})\n")

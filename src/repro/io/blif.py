@@ -18,6 +18,7 @@ from typing import TextIO
 from ..core.mig import CONST0, Mig
 from ..core.truth_table import tt_mask
 from ..exact.heuristic import heuristic_mig
+from .names import check_names, internal_names
 from .netlist import check_inputs, define, resolve
 
 __all__ = ["write_blif", "read_blif", "cover_template"]
@@ -26,24 +27,27 @@ __all__ = ["write_blif", "read_blif", "cover_template"]
 def write_blif(mig: Mig, fp: TextIO, model_name: str | None = None) -> None:
     """Write *mig* in BLIF format (one ``.names`` per majority gate).
 
-    Gate ``g`` is named ``n{g}`` and the constant ``const0``, unless a
-    PI or PO name takes one of them: then every gate name gets a longer
-    prefix (``n_{g}``, ``n__{g}``, ...) and the constant a longer name
-    until none collides.  Each output gets a one-row buffer from its
-    signal, except an output that is the uncomplemented PI of the same
-    name, which ``.inputs a`` / ``.outputs a`` already carry.  What BLIF
-    cannot carry raises :class:`ValueError`: a PI or PO name that is not
-    one token (empty, holding whitespace or ``#``, or ending in a
-    backslash), two PIs of one name, two same-named outputs on different
-    signals, and an output named like a PI that does not drive it.  The text is joined in memory and written with one call.
+    Gates and the constant are named by :func:`repro.io.names.
+    internal_names` (``n{g}`` and ``const0`` unless a port takes one of
+    them).  Each output gets a one-row buffer from its signal, except an
+    output that is the uncomplemented PI of the same name, which
+    ``.inputs a`` / ``.outputs a`` already carry.  What BLIF cannot
+    carry raises :class:`ValueError` (:func:`repro.io.names.check_names`):
+    a model, PI or PO name that is not one token (empty, holding
+    whitespace or ``#``, or ending in a backslash), two PIs of one name,
+    two same-named outputs on different signals, and an output named
+    like a PI that does not drive it.  The text is joined in memory and
+    written with one call.
     """
     model = model_name if model_name is not None else (mig.name or "mig")
+    buffers = check_names(mig, "BLIF", model)
+    internal = internal_names(mig)
     fanins = mig._fanins
     n = len(fanins)
     first_gate = mig.num_pis + 1
     pi_names = mig.pi_names
-    const_name, gate_names, buffers = _layout(mig)
-    names = [const_name, *pi_names, *gate_names]
+    const_name = internal.const
+    names = [const_name, *pi_names, *internal.gates]
 
     parts = [
         f".model {model}\n.inputs {' '.join(pi_names)}\n"
@@ -81,59 +85,6 @@ _MAJ_ROWS = tuple(
     )
     for bits in range(8)
 )
-
-
-def _layout(mig: Mig) -> tuple[str, list[str], list[tuple[str, int]]]:
-    """Check that BLIF can carry *mig*'s names; choose the internal ones.
-
-    Returns the constant's name, the gate names in node order and the
-    ``(name, signal)`` buffers to write, one per distinct output name
-    that is not its own PI.
-    """
-    pis: dict[str, int] = {}
-    for i, name in enumerate(mig.pi_names):
-        _check_token("input", name)
-        if name in pis:
-            raise ValueError(f"input name {name!r} is used twice; BLIF cannot carry it")
-        pis[name] = (i + 1) << 1
-    signals: dict[str, int] = {}
-    buffers = []
-    for name, s in zip(mig.output_names, mig.outputs):
-        _check_token("output", name)
-        if name in signals:
-            if signals[name] != s:
-                raise ValueError(
-                    f"outputs named {name!r} are on different signals; BLIF cannot carry them"
-                )
-            continue
-        signals[name] = s
-        if name in pis:
-            if pis[name] != s:
-                raise ValueError(
-                    f"output {name!r} is named like an input that does not drive it; "
-                    "BLIF cannot carry it"
-                )
-            continue
-        buffers.append((name, s))
-    taken = pis.keys() | signals.keys()
-    const_name = "const0"
-    while const_name in taken:
-        const_name += "_"
-    prefix = "n"
-    while True:
-        gate_names = [f"{prefix}{g}" for g in range(mig.num_pis + 1, mig.num_nodes)]
-        if taken.isdisjoint(gate_names):
-            return const_name, gate_names, buffers
-        prefix += "_"
-
-
-def _check_token(kind: str, name: str) -> None:
-    """Raise unless *name* reads back from BLIF as the one token it is."""
-    if name.split() != [name] or "#" in name or name.endswith("\\"):
-        raise ValueError(
-            f"{kind} name {name!r} is not a single BLIF token "
-            "(empty, or holding whitespace, '#' or a final backslash)"
-        )
 
 
 def read_blif(fp: TextIO) -> Mig:

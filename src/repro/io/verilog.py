@@ -12,6 +12,7 @@ import re
 from typing import TextIO
 
 from ..core.mig import Mig
+from .names import check_names, internal_names
 
 __all__ = ["write_verilog"]
 
@@ -24,35 +25,40 @@ def _escape(name: str) -> str:
 
 
 def write_verilog(mig: Mig, fp: TextIO, module_name: str | None = None) -> None:
-    """Write *mig* as a structural Verilog module."""
+    """Write *mig* as a structural Verilog module.
+
+    The module and its ports are escaped identifiers where they are not
+    plain ones; the gate wires are named by :func:`repro.io.names.
+    internal_names` (``n{g}`` unless a port takes one of those names).
+    What Verilog cannot carry raises :class:`ValueError`
+    (:func:`repro.io.names.check_names`): a module or port name that is
+    empty or holds whitespace or a character outside printable ASCII,
+    and a name that two ports share.
+    """
     module = module_name if module_name is not None else (mig.name or "mig")
+    check_names(mig, "Verilog", module)
+    gate_names = internal_names(mig).gates
     pi_names = [_escape(n) for n in mig.pi_names]
     po_names = [_escape(n) for n in mig.output_names]
     ports = ", ".join(pi_names + po_names)
-    fp.write(f"module {module}({ports});\n")
+    fp.write(f"module {_escape(module)}({ports});\n")
     if pi_names:
         fp.write("  input " + ", ".join(pi_names) + ";\n")
     if po_names:
         fp.write("  output " + ", ".join(po_names) + ";\n")
+    names = ["1'b0", *pi_names, *gate_names]
 
     def ref(signal: int) -> str:
-        node = signal >> 1
-        if node == 0:
-            base = "1'b0"
-        elif mig.is_pi(node):
-            base = pi_names[node - 1]
-        else:
-            base = f"n{node}"
+        base = names[signal >> 1]
         if signal & 1:
             return f"(~{base})" if base != "1'b0" else "1'b1"
         return base
 
-    gates = list(mig.gates())
-    if gates:
-        fp.write("  wire " + ", ".join(f"n{g}" for g in gates) + ";\n")
-    for g in gates:
+    if gate_names:
+        fp.write("  wire " + ", ".join(gate_names) + ";\n")
+    for g, name in enumerate(gate_names, start=mig.num_pis + 1):
         a, b, c = (ref(s) for s in mig.fanins(g))
-        fp.write(f"  assign n{g} = ({a} & {b}) | ({a} & {c}) | ({b} & {c});\n")
+        fp.write(f"  assign {name} = ({a} & {b}) | ({a} & {c}) | ({b} & {c});\n")
     for name, s in zip(po_names, mig.outputs):
         fp.write(f"  assign {name} = {ref(s)};\n")
     fp.write("endmodule\n")

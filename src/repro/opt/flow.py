@@ -189,7 +189,6 @@ def run_flow(
     cut_limit: int | None = None,
     cut_size: int | None = None,
     on_step: Callable[[FlowStepStats], None] | None = None,
-    sat_backend: str = "internal",
 ) -> tuple[Mig, list[FlowStepStats]]:
     """Apply *script* steps in order; returns the final MIG and per-step stats.
 
@@ -203,10 +202,7 @@ def run_flow(
     recording the step as ``rolled-back``.
     ``on_error="raise"`` propagates step exceptions and raises
     :class:`~repro.runtime.errors.VerificationFailed` on a detected
-    miscompile.  *sat_backend* (``internal``/``auto``/``portfolio``)
-    selects the solver lanes raced by ``verify="cec"`` miters; one
-    portfolio is shared across all steps so its per-lane event counters
-    accumulate into each step's metrics.  *cut_limit* overrides the rewriters' per-node cut cap
+    miscompile.  *cut_limit* overrides the rewriters' per-node cut cap
     for every functional-hashing step (the batch runtime's degradation
     ladder shrinks it on retries); *cut_size* overrides the cut width
     (5 or 6 needs a :class:`~repro.rewriting.dynamic_db.DynamicDatabase`
@@ -222,14 +218,6 @@ def run_flow(
     check_steps(script)
     if db is None and needs_database(script):
         raise ValueError(f"script {list(script)} needs an NPN database")
-    if verify == "cec" and sat_backend != "internal":
-        from ..sat.portfolio import resolve_backend
-
-        # Resolved once so discovery runs once and event counters span
-        # the whole flow; None when auto finds no binary.
-        cec_backend = resolve_backend(sat_backend, budget=budget) or "internal"
-    else:
-        cec_backend = "internal"
 
     history: list[FlowStepStats] = []
     current = mig
@@ -303,15 +291,12 @@ def run_flow(
             )
             continue
 
-        report = verify_rewrite(
-            current, nxt, mode=verify, budget=budget, sat_backend=cec_backend
-        )
+        report = verify_rewrite(current, nxt, mode=verify, budget=budget)
         if metrics is not None:
             # Kernel counters: verification simulation on both networks
             # (the rewriters already folded in their construction counters).
             metrics.record_network(current)
             metrics.record_network(nxt)
-            metrics.record_backend_events(report.backend_events)
             metrics.sat_conflicts += report.conflicts
         if report.refuted:
             if on_error == "raise":
@@ -344,7 +329,6 @@ def optimize_until_convergence(
     metrics: PassMetrics | None = None,
     cut_limit: int | None = None,
     cut_size: int | None = None,
-    sat_backend: str = "internal",
 ) -> tuple[Mig, int]:
     """Repeat one functional-hashing variant until the size stops improving.
 
@@ -363,7 +347,6 @@ def optimize_until_convergence(
         nxt, (stats,) = run_flow(
             current, db, [variant], budget=budget, verify=verify,
             on_error=on_error, cut_limit=cut_limit, cut_size=cut_size,
-            sat_backend=sat_backend,
         )
         if metrics is not None and stats.metrics is not None:
             metrics.merge(stats.metrics)

@@ -15,16 +15,6 @@ Registered fault points (grep for ``fault_active`` to find the hooks):
 ``solver.timeout``
     :meth:`repro.sat.solver.Solver.solve` returns UNKNOWN immediately, as
     if the conflict budget were exhausted on entry.
-``sat.backend.crash``
-    :meth:`repro.sat.backends.DimacsSubprocessBackend.solve` reports the
-    lane dead before spawning anything, modeling an external solver
-    binary that segfaults on startup.  The portfolio must treat the lane
-    as UNKNOWN and win through another lane.
-``sat.backend.garble``
-    :meth:`repro.sat.backends.DimacsSubprocessBackend.solve` inverts the
-    model an external solver claimed, modeling a lying or bit-flipped
-    lane.  :func:`repro.sat.backends.validate_model` must reject it and
-    the portfolio must never let it decide the verdict.
 ``db.corrupt-entry``
     :class:`repro.database.npn_db.NpnDatabase` hands out an entry whose
     gate structure has been silently corrupted (output inverted), once

@@ -100,9 +100,6 @@ class JobSpec(Record):
     max_passes: int = 10
     #: verification policy inside the worker: "off", "sim", or "cec"
     verify: str = "sim"
-    #: SAT backend selection for solver-backed work: "auto", "internal",
-    #: or "portfolio" (see repro.sat.portfolio)
-    sat_backend: str = "internal"
     time_limit: float | None = None
     conflict_limit: int | None = None
     cut_limit: int | None = None
@@ -203,11 +200,6 @@ def degraded(spec: JobSpec) -> tuple[JobSpec, list[str]]:
     """
     notes: list[str] = []
     changes: dict = {}
-    if spec.sat_backend != "internal":
-        # A misbehaving external solver must not fail the job twice:
-        # retries run on the trusted in-process solver alone.
-        changes["sat_backend"] = "internal"
-        notes.append(f"sat_backend:{spec.sat_backend}->internal")
     if spec.verify == "cec":
         changes["verify"] = "sim"
         notes.append("verify:cec->sim")

@@ -89,9 +89,6 @@ class PassMetrics(codec.Record):
     sat_decisions: int = 0
     sat_restarts: int = 0
     sat_learned: int = 0
-    #: portfolio lane fates ("<backend>:<outcome>" -> count) from
-    #: SAT backend races; empty on the pure-internal path
-    sat_backend_events: dict[str, int] = field(default_factory=dict)
     #: dynamic-database lookups answered from the in-memory LRU tier
     store_hits: int = 0
     #: dynamic-database lookups answered from the persistent NPN store
@@ -126,16 +123,6 @@ class PassMetrics(codec.Record):
         self.sat_decisions += result.decisions
         self.sat_restarts += result.restarts
         self.sat_learned += result.learned
-        self.record_backend_events(getattr(result, "backend_events", None))
-
-    def record_backend_events(self, events: dict[str, int] | None) -> None:
-        """Accumulate per-lane portfolio fates (no-op for None/empty)."""
-        if not events:
-            return
-        for key, count in events.items():
-            self.sat_backend_events[key] = (
-                self.sat_backend_events.get(key, 0) + count
-            )
 
     def record_network(self, net) -> None:
         """Accumulate (and reset) the kernel counters of one network.

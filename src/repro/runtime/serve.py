@@ -96,8 +96,9 @@ def _parse_network(network):
 
     Parsing happens in the daemon because the canonical structural hash
     — the cache key — must be computed before any work is scheduled.
-    An AIGER upload is stored as its MIG in BLIF, so one whose names
-    BLIF cannot carry is refused here too.
+    The job writes its result in BLIF, and an AIGER upload is stored as
+    its MIG in BLIF, so an upload whose names BLIF cannot carry is
+    refused here.
     """
     try:
         kind = network_kind(network)
@@ -109,15 +110,18 @@ def _parse_network(network):
         if kind == "generate" and isinstance(exc, ValueError):
             raise BadRequest(str(exc)) from exc
         raise BadRequest(f"could not parse {kind} network: {exc}") from exc
+    from ..io.names import check_names
+
+    try:
+        check_names(mig, "BLIF", mig.name)
+    except ValueError as exc:
+        raise BadRequest(f"the {kind} network cannot be written as BLIF: {exc}") from None
     if kind != "aag":
         return kind, mig, None if kind == "generate" else network[kind]
     from ..io.blif import write_blif
 
     buf = io.StringIO()
-    try:
-        write_blif(mig, buf)
-    except ValueError as exc:
-        raise BadRequest(f"cannot store the aag network as BLIF: {exc}") from None
+    write_blif(mig, buf)
     return kind, mig, buf.getvalue()
 
 

@@ -1,7 +1,7 @@
 """Sweeps: a declarative scenario matrix run as one supervised batch.
 
 A *sweep* is the tier above a batch: the cross product of
-``instances × scripts × cut sizes × SAT backends × budgets`` expands to
+``instances × scripts × cut sizes × budgets`` expands to
 :class:`~repro.runtime.jobs.JobSpec` cells whose job ids *are* the
 scenario ids, and :func:`run_sweep` runs them on the caller's
 :class:`~repro.runtime.supervisor.Supervisor`:
@@ -67,19 +67,23 @@ class SweepSpec(Record):
     ``instances`` entries locate circuits the way job specs do
     (``{"generate": name, "width": w}`` / ``{"blif": path}`` /
     ``{"bench": path}``) and may override any axis locally (``"scripts"``,
-    ``"cut_sizes"``, ``"sat_backends"``, ``"conflict_limits"``) or name
-    themselves (``"slug"``) — that is how a round-trip scenario rides in
-    one sweep with plain rewriting scenarios.  Axis values multiply; one
-    cell becomes one :class:`JobSpec` whose id *is* the scenario id::
+    ``"cut_sizes"``, ``"conflict_limits"``) or name themselves
+    (``"slug"``) — that is how a round-trip scenario rides in one sweep
+    with plain rewriting scenarios.  Axis values multiply; one cell
+    becomes one :class:`JobSpec` whose id *is* the scenario id::
 
-        <slug>.<step+step>.c<cut>.<backend>[.k<conflicts>]
+        <slug>.<step+step>.c<cut>.internal[.k<conflicts>]
+
+    Every id keeps the ``.internal`` part that named the in-process SAT
+    solver when a sweep could also pick external ones: the standing
+    matrix's trend rows, and the >5% regression gate over them, are
+    keyed on these ids.
     """
 
     name: str
     instances: tuple[dict, ...]
     scripts: tuple[tuple[str, ...], ...] = (("BF",),)
     cut_sizes: tuple[int, ...] = (4,)
-    sat_backends: tuple[str, ...] = ("internal",)
     conflict_limits: tuple[int | None, ...] = (None,)
     verify: str = "sim"
     time_limit: float | None = None
@@ -96,7 +100,7 @@ class SweepSpec(Record):
         return super().from_dict(data)
 
 
-_AXIS_KEYS = ("scripts", "cut_sizes", "sat_backends", "conflict_limits", "slug")
+_AXIS_KEYS = ("scripts", "cut_sizes", "conflict_limits", "slug")
 
 
 def _instance_slug(inst: dict) -> str:
@@ -138,30 +142,28 @@ def expand_sweep(spec: SweepSpec) -> list[JobSpec]:
             if not script:
                 raise ValueError(f"empty script in sweep instance {inst!r}")
             for cut in axes.cut_sizes:
-                for backend in axes.sat_backends:
-                    for climit in axes.conflict_limits:
-                        job_id = f"{slug}.{'+'.join(script)}.c{cut}.{backend}"
-                        if climit is not None:
-                            job_id += f".k{climit}"
-                        if job_id in seen:
-                            raise SweepConflictError(
-                                f"duplicate scenario id {job_id!r} in sweep "
-                                f"{spec.name!r}; give the instances distinct "
-                                "'slug' values"
-                            )
-                        seen.add(job_id)
-                        jobs.append(JobSpec(
-                            job_id=job_id,
-                            network=network,
-                            script=script,
-                            verify=spec.verify,
-                            sat_backend=backend,
-                            time_limit=spec.time_limit,
-                            conflict_limit=climit,
-                            cut_size=None if cut == 4 else cut,
-                            npn_store=spec.npn_store if cut != 4 else None,
-                            mem_limit_mb=spec.mem_limit_mb,
-                        ))
+                for climit in axes.conflict_limits:
+                    job_id = f"{slug}.{'+'.join(script)}.c{cut}.internal"
+                    if climit is not None:
+                        job_id += f".k{climit}"
+                    if job_id in seen:
+                        raise SweepConflictError(
+                            f"duplicate scenario id {job_id!r} in sweep "
+                            f"{spec.name!r}; give the instances distinct "
+                            "'slug' values"
+                        )
+                    seen.add(job_id)
+                    jobs.append(JobSpec(
+                        job_id=job_id,
+                        network=network,
+                        script=script,
+                        verify=spec.verify,
+                        time_limit=spec.time_limit,
+                        conflict_limit=climit,
+                        cut_size=None if cut == 4 else cut,
+                        npn_store=spec.npn_store if cut != 4 else None,
+                        mem_limit_mb=spec.mem_limit_mb,
+                    ))
     return jobs
 
 
@@ -268,7 +270,6 @@ def matrix_rows(
             row["network"] = dict(spec.network)
             row["script"] = list(spec.script)
             row["cut_size"] = spec.cut_size if spec.cut_size is not None else 4
-            row["sat_backend"] = spec.sat_backend
             row["conflict_limit"] = spec.conflict_limit
         rows.append(row)
     return rows

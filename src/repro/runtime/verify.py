@@ -46,8 +46,6 @@ class VerificationReport:
     counterexample: dict[str, bool] | None = None
     #: CDCL conflicts spent (CEC only)
     conflicts: int = 0
-    #: per-lane portfolio fates from the CEC race (empty off portfolio)
-    backend_events: dict[str, int] | None = None
 
     @property
     def refuted(self) -> bool:
@@ -61,7 +59,6 @@ def verify_rewrite(
     budget: Budget | None = None,
     sample_rounds: int = 16,
     cec_conflict_cap: int = 50_000,
-    sat_backend="internal",
 ) -> VerificationReport:
     """Check that *after* computes the same functions as *before*.
 
@@ -69,10 +66,6 @@ def verify_rewrite(
     uses simulation only (exhaustive when narrow enough, sampled
     otherwise), ``"cec"`` escalates wide networks from sampling to a
     budgeted SAT miter for a definitive answer.
-
-    *sat_backend* (a mode string or a shared
-    :class:`~repro.sat.portfolio.PortfolioSolver`) selects which solver
-    lanes the CEC miter races; simulation paths ignore it.
     """
     if mode not in VERIFY_MODES:
         raise ValueError(f"unknown verification mode {mode!r}; use off/sim/cec")
@@ -99,16 +92,11 @@ def verify_rewrite(
         else cec_conflict_cap
     )
     result = check_equivalence_sat(
-        before,
-        after,
-        conflict_budget=conflict_budget,
-        budget=budget,
-        sat_backend=sat_backend,
+        before, after, conflict_budget=conflict_budget, budget=budget
     )
     return VerificationReport(
         result.equivalent,
         "cec",
         counterexample=result.counterexample,
         conflicts=result.conflicts,
-        backend_events=result.backend_events or None,
     )

@@ -147,9 +147,7 @@ def _run_db_improve_job(spec: JobSpec, start: float) -> dict:
         # Leave the watchdog's grace window to write the result artifact.
         deadline = time.monotonic() + max(0.5, spec.time_limit - 0.5)
 
-    new_entry, conflicts = improve_class(
-        rep, entry, num_vars, budget, deadline, sat_backend=spec.sat_backend
-    )
+    new_entry, conflicts = improve_class(rep, entry, num_vars, budget, deadline)
     if new_entry.to_mig().simulate()[0] != rep:
         raise AssertionError(f"db-improve produced wrong function for 0x{rep:x}")
     return {
@@ -233,7 +231,6 @@ def run_job(spec: JobSpec) -> dict:
             metrics=metrics,
             cut_limit=spec.cut_limit,
             cut_size=spec.cut_size,
-            sat_backend=spec.sat_backend,
         )
         steps_payload.append({"step": spec.variant, "status": "ok", "passes": passes})
         if progress is not None:
@@ -257,7 +254,6 @@ def run_job(spec: JobSpec) -> dict:
             cut_limit=spec.cut_limit,
             cut_size=spec.cut_size,
             on_step=on_step,
-            sat_backend=spec.sat_backend,
         )
         for stats in history:
             entry = _step_record(stats)

@@ -19,27 +19,18 @@ an output pair open:
    the sweep merged every pair, the miter is the empty clause, which
    the solver refutes without search.
 
-The sweep's queries run on the builder's own solver; the final miter is
-the one query of a check that races the caller's portfolio, as the
-monolithic miter was.
-
 Complements the simulation-based checks of :mod:`repro.core.simulate`
 for networks too wide to simulate exhaustively.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 from ..core.mig import Mig
 from ..runtime.budget import Budget
 from .cnf import CnfBuilder
-from .portfolio import resolve_backend
 from .sweep import sweep
-
-if TYPE_CHECKING:
-    from .portfolio import PortfolioSolver
 
 __all__ = ["CecResult", "check_equivalence_sat"]
 
@@ -51,9 +42,6 @@ class CecResult:
     equivalent: bool | None  # None = budget exhausted
     counterexample: dict[str, bool] | None
     conflicts: int
-    #: per-lane portfolio fates ("<backend>:<outcome>" -> count); empty
-    #: on the pure-internal path
-    backend_events: dict[str, int] = field(default_factory=dict)
 
 
 def _copy_into(target: Mig, mig: Mig) -> list[int]:
@@ -77,7 +65,6 @@ def check_equivalence_sat(
     mig2: Mig,
     conflict_budget: int | None = None,
     budget: "Budget | None" = None,
-    sat_backend: "str | PortfolioSolver | None" = "internal",
 ) -> CecResult:
     """Prove or refute equivalence of two MIGs with identical interfaces.
 
@@ -88,12 +75,6 @@ def check_equivalence_sat(
     check by its remaining conflicts; the conflicts spent are charged
     back to it once.  When the limits run out before every open output
     pair is merged or refuted, the answer is ``None``.
-
-    *sat_backend* selects the solving path of the final miter: a
-    ``--sat-backend`` mode string (``"auto"``/``"internal"``/
-    ``"portfolio"``), an already-built
-    :class:`~repro.sat.portfolio.PortfolioSolver` (shared across calls
-    so its event counters accumulate), or ``None`` for internal.
     """
     if mig1.num_pis != mig2.num_pis or mig1.num_pos != mig2.num_pos:
         raise ValueError("CEC requires matching PI/PO counts")
@@ -101,7 +82,7 @@ def check_equivalence_sat(
     pairs = zip(_copy_into(miter, mig1), _copy_into(miter, mig2))
     open_pairs = [(s1, s2) for s1, s2 in pairs if s1 != s2]
     if not open_pairs:
-        return CecResult(True, None, 0, {})
+        return CecResult(True, None, 0)
     for s1, s2 in open_pairs:
         miter.add_po(s1)
         miter.add_po(s2)
@@ -115,12 +96,7 @@ def check_equivalence_sat(
         deadline=budget.deadline if budget is not None else None,
         conflict_limit=conflict_budget,
     )
-    portfolio = (
-        resolve_backend(sat_backend, budget=budget)
-        if isinstance(sat_backend, str)
-        else sat_backend
-    )
-    builder = CnfBuilder(portfolio=portfolio, budget=budget)
+    builder = CnfBuilder(budget=budget)
     swept = sweep(miter, builder, budget=limits)
     outs = swept.network.outputs
     apart = [(s1, s2) for s1, s2 in zip(outs[::2], outs[1::2]) if s1 != s2]
@@ -134,7 +110,7 @@ def check_equivalence_sat(
             builder.xor_gate(d, swept.literal(s1), swept.literal(s2))
             diff_lits.append(d)
         # With every pair merged this is the empty clause, refuted at
-        # once; it is still posed so that the check races exactly once.
+        # once without search.
         builder.at_least_one(diff_lits)
         answer = builder.solve(
             conflict_budget=limits.call_conflict_budget(), deadline=limits.deadline
@@ -142,13 +118,12 @@ def check_equivalence_sat(
     conflicts = builder.solver.conflicts
     if budget is not None:
         budget.charge_conflicts(conflicts)
-    events = portfolio.take_events() if portfolio is not None else {}
     if answer is None:
-        return CecResult(None, None, conflicts, events)
+        return CecResult(None, None, conflicts)
     if answer is False:
-        return CecResult(True, None, conflicts, events)
+        return CecResult(True, None, conflicts)
     cex = {
         name: builder.value(var)
         for name, var in zip(mig1.pi_names, swept.pi_vars)
     }
-    return CecResult(False, cex, conflicts, events)
+    return CecResult(False, cex, conflicts)

@@ -3,14 +3,6 @@
 Provides the gate-consistency (Tseitin) constraints and cardinality
 encodings used by the exact-synthesis encoder (:mod:`repro.exact.encoding`)
 and by SAT-based combinational equivalence checking.
-
-When a :class:`~repro.sat.portfolio.PortfolioSolver` is attached, every
-clause is also mirrored into :attr:`CnfBuilder.clauses` so external
-DIMACS lanes can see the full formula (including CEGAR refinement
-clauses added between solve calls), and :meth:`CnfBuilder.solve` races
-the portfolio instead of calling the internal solver directly.  Without
-a portfolio nothing is mirrored and the builder behaves exactly as
-before.
 """
 
 from __future__ import annotations
@@ -21,7 +13,6 @@ from .solver import Solver
 
 if TYPE_CHECKING:
     from ..runtime.budget import Budget
-    from .portfolio import PortfolioSolver
 
 __all__ = ["CnfBuilder"]
 
@@ -30,23 +21,17 @@ class CnfBuilder:
     """A thin constraint-building layer over a SAT solver.
 
     All methods take and return DIMACS-style literals (``±var``).
-    *portfolio* routes solve calls through a backend race; *budget*
-    clamps every solve's wall-clock deadline to the shared flow budget
-    so no lane — not even a subprocess that shrugs off SIGTERM — can
-    outlive it.
+    *budget* clamps every solve's wall-clock deadline to the shared flow
+    budget.
     """
 
     def __init__(
         self,
         solver: Solver | None = None,
-        portfolio: "PortfolioSolver | None" = None,
         budget: "Budget | None" = None,
     ) -> None:
         self.solver = solver if solver is not None else Solver()
-        self.portfolio = portfolio
         self.budget = budget
-        #: mirrored clause list for external lanes (only when racing)
-        self.clauses: list[list[int]] = []
 
     # -- basics ------------------------------------------------------------
 
@@ -60,12 +45,7 @@ class CnfBuilder:
 
     def add_clause(self, lits: Iterable[int]) -> None:
         """Add a clause."""
-        if self.portfolio is not None:
-            clause = list(lits)
-            self.clauses.append(clause)
-            self.solver.add_clause(clause)
-        else:
-            self.solver.add_clause(lits)
+        self.solver.add_clause(lits)
 
     def add_unit(self, lit: int) -> None:
         """Force *lit* to be true."""
@@ -146,26 +126,13 @@ class CnfBuilder:
         conflict_budget: int | None = None,
         deadline: float | None = None,
     ) -> bool | None:
-        """Solve the accumulated formula.
-
-        With a portfolio attached this races all configured backends and
-        the answer may come from any validated lane; without one it is a
-        plain internal-solver call.  Either way the builder's *budget*
-        deadline (when set) caps the wall clock.
-        """
+        """Solve the accumulated formula; the builder's *budget* deadline
+        (when set) caps the wall clock."""
         if self.budget is not None and self.budget.deadline is not None:
             deadline = (
                 self.budget.deadline
                 if deadline is None
                 else min(deadline, self.budget.deadline)
-            )
-        if self.portfolio is not None:
-            return self.portfolio.solve(
-                self.solver,
-                self.clauses,
-                assumptions=assumptions,
-                conflict_budget=conflict_budget,
-                deadline=deadline,
             )
         return self.solver.solve(
             assumptions=assumptions,

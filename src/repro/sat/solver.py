@@ -32,10 +32,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import TYPE_CHECKING, Iterable, Sequence
-
-if TYPE_CHECKING:
-    import threading
+from typing import Iterable, Sequence
 
 from ..runtime.faults import fault_active
 
@@ -509,7 +506,6 @@ class Solver:
         assumptions: Sequence[int] = (),
         conflict_budget: int | None = None,
         deadline: float | None = None,
-        cancel: "threading.Event | None" = None,
     ) -> bool | None:
         """Solve the formula.
 
@@ -517,19 +513,11 @@ class Solver:
         ``None`` when *conflict_budget* conflicts were spent — or the
         wall-clock *deadline* (a ``time.monotonic()`` instant) passed —
         without an answer.
-
-        *cancel* is the portfolio's cooperative stop signal: it is
-        polled exactly where the deadline is (entry, each restart, and
-        every ``_DEADLINE_CHECK_INTERVAL`` conflicts), so a set event
-        costs one attribute lookup per poll and stops the search with
-        ``UNKNOWN`` without perturbing any solver state.
         """
         if fault_active("solver.timeout"):
             return UNKNOWN
         if not self._ok:
             return UNSAT
-        if cancel is not None and cancel.is_set():
-            return UNKNOWN
         if deadline is not None and time.monotonic() >= deadline:
             return UNKNOWN
         self._cancel_until(0)
@@ -548,8 +536,6 @@ class Solver:
             restart_count += 1
             conflicts_here = 0
             self._cancel_until(0)
-            if cancel is not None and cancel.is_set():
-                return UNKNOWN
             if deadline is not None and time.monotonic() >= deadline:
                 return UNKNOWN
             # Re-apply assumptions after each restart.
@@ -568,15 +554,12 @@ class Solver:
                             self._cancel_until(0)
                             return UNKNOWN
                     if (
-                        (deadline is not None or cancel is not None)
+                        deadline is not None
                         and self.conflicts % _DEADLINE_CHECK_INTERVAL == 0
+                        and time.monotonic() >= deadline
                     ):
-                        if cancel is not None and cancel.is_set():
-                            self._cancel_until(0)
-                            return UNKNOWN
-                        if deadline is not None and time.monotonic() >= deadline:
-                            self._cancel_until(0)
-                            return UNKNOWN
+                        self._cancel_until(0)
+                        return UNKNOWN
                     if self._decision_level() <= len(self._assumption_levels):
                         # Conflict under assumptions only (or at root).
                         if self._decision_level() == 0:

@@ -25,12 +25,6 @@ network.  SAT CEC (:func:`repro.sat.cec.check_equivalence_sat`) sweeps
 the strashed miter of two networks and then poses one final query, over
 the output pairs the sweep left apart, on the same builder
 (:meth:`Sweep.literal`).
-
-Every sweep query runs on the builder's own incremental solver, never
-through a portfolio the builder may be attached to: external lanes
-ignore the per-query conflict cap, and racing them would spawn a solver
-process per candidate (hundreds on one check).  A caller that races
-races its own final query.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ This module is a deliberate, self-contained snapshot of
 ``repro.database.generate.improve_class`` and its helper ``_solve_size``
 as they were before ``improve_class`` was rebuilt on
 :class:`repro.exact.synthesis.ExactSynthesizer`.  The function bodies
-are copied byte for byte, except that the lazy portfolio import is
-absolute; only the module around them is new.
+are copied byte for byte, except that the solver-portfolio parameter
+they threaded through has been taken out since that code was deleted;
+only the module around them is new.
 
 **Do not refactor this file alongside src/** — its value is that it
 stays behind as the oracle: on every class the production improver must
@@ -32,7 +33,6 @@ def _solve_size(
     budget: int | None,
     deadline: float | None = None,
     seed_rows: list[int] | None = None,
-    portfolio=None,
 ) -> tuple[bool | None, DbEntry | None, int, list[int]]:
     """One exact-synthesis decision.
 
@@ -40,7 +40,7 @@ def _solve_size(
     the CEGAR row set after the call — carried into the next size when
     ascending (a refutation over a row subset refutes the full spec).
     """
-    encoding = encode_exact_mig(spec, num_vars, k, portfolio=portfolio)
+    encoding = encode_exact_mig(spec, num_vars, k)
     answer = encoding.solve_cegar(
         conflict_budget=budget, deadline=deadline, seed_rows=seed_rows
     )
@@ -60,7 +60,6 @@ def improve_class(
     num_vars: int,
     budget: int | None,
     deadline: float | None = None,
-    sat_backend: str = "internal",
 ) -> tuple[DbEntry, int]:
     """Improve/certify one database entry by exact synthesis.
 
@@ -74,17 +73,7 @@ def improve_class(
     CEGAR counterexample rows from each refuted size into the next; a
     descending SAT sweep from the current upper bound handles budget
     exhaustion.
-
-    *sat_backend* selects the solver lanes (``internal`` keeps the
-    deterministic single-solver path; ``auto``/``portfolio`` race
-    external binaries, trading bit-for-bit run determinism for speed —
-    entries are still verified by simulation before they are admitted).
     """
-    portfolio = None
-    if sat_backend != "internal":
-        from repro.sat.portfolio import resolve_backend
-
-        portfolio = resolve_backend(sat_backend)
     start = time.perf_counter()
     total_conflicts = 0
     best = entry
@@ -100,7 +89,6 @@ def improve_class(
             break
         answer, found, conflicts, rows = _solve_size(
             rep, num_vars, k, budget, deadline, seed_rows=carried_rows,
-            portfolio=portfolio,
         )
         total_conflicts += conflicts
         if answer is False:
@@ -125,7 +113,7 @@ def improve_class(
                 k2 -= 1
                 continue
             answer, found, conflicts, _rows = _solve_size(
-                rep, num_vars, k2, budget, deadline, portfolio=portfolio
+                rep, num_vars, k2, budget, deadline
             )
             total_conflicts += conflicts
             if answer is True and found is not None:

@@ -3,10 +3,12 @@
 On every network whose PI and PO names collide with none of the
 writer's internal names (``const0`` and ``n{g}``), the table-driven
 writer must produce the text of the writer frozen in
-``_frozen_writer.py`` byte for byte.  On every network at all, it must
-either write text that ``read_blif`` reads back with the same PI and PO
-names and the same function, or refuse, with a :class:`ValueError`,
-exactly the networks whose names BLIF cannot carry.
+``_frozen_writer.py`` byte for byte.  On every network at all, the BLIF
+and BENCH writers must either write text that their reader reads back
+with the same PI and PO names and the same function, or refuse, with a
+:class:`ValueError`, exactly the networks whose names the format cannot
+carry; the Verilog writer must declare every identifier once, assign
+only declared wires and outputs, and compute the network's function.
 """
 
 from __future__ import annotations
@@ -20,7 +22,10 @@ from hypothesis import strategies as st
 
 from repro.core.mig import Mig
 from repro.generators import GENERATORS, layered_mig, resolve_generator
+from repro.core.truth_table import tt_mask, tt_var
+from repro.io.bench import read_bench, write_bench
 from repro.io.blif import read_blif, write_blif
+from repro.io.verilog import write_verilog
 from repro.opt.depth_opt import optimize_depth
 
 from . import _frozen_writer as frozen
@@ -69,24 +74,44 @@ def _distinct(prefix: str):
     )
 
 
-#: names that hit the writer's internal names and its escaped variants
+#: names that hit the writers' internal names (BENCH's helpers among
+#: them) and their escaped variants, and names only some formats carry
 ADVERSARIAL_NAME = st.sampled_from(
     ["a", "b", "n", "n0", "n1", "n2", "n3", "n4", "n5", "n6", "n7", "n8",
-     "n9", "n10", "n12", "n_6", "n__7", "const0", "const0_", "x0", "y0", "."]
+     "n9", "n10", "n12", "n_6", "n__7", "const0", "const0_", "x0", "y0", ".",
+     "n4_ab", "n5_bc", "n5_bar", "a_bar", "a__bar", "const0_bar", "b(",
+     "b)", "a,b", "c\\"]
 ) | st.text(alphabet="n_c0146", min_size=1, max_size=3)
 
 #: names BLIF cannot carry: empty, whitespace, a comment, a final backslash
 UNWRITABLE_NAMES = ["", "a b", "a\tb", "a\r", "#", "a#b", "c\\", "\\"]
 
 
+def _names_are_tokens(mig: Mig, can_hold) -> bool:
+    return all(
+        name and not any(ch.isspace() for ch in name) and can_hold(name)
+        for name in (*mig.pi_names, *mig.output_names)
+    )
+
+
 def _blif_can_carry(mig: Mig) -> bool:
     """An independent statement of which networks BLIF can carry."""
-    names = list(mig.pi_names) + list(mig.output_names)
-    if any(
-        not name or any(ch.isspace() for ch in name) or "#" in name or name.endswith("\\")
-        for name in names
-    ):
-        return False
+    return _names_are_tokens(
+        mig, lambda name: "#" not in name and not name.endswith("\\")
+    ) and _ports_can_be_told_apart(mig)
+
+
+def _bench_can_carry(mig: Mig) -> bool:
+    """An independent statement of which networks BENCH can carry: a
+    name may not hold a comment or the gate syntax's punctuation."""
+    return _names_are_tokens(
+        mig, lambda name: not any(ch in name for ch in "#(),")
+    ) and _ports_can_be_told_apart(mig)
+
+
+def _ports_can_be_told_apart(mig: Mig) -> bool:
+    """PIs are distinct, and an output name means one signal: its PI's
+    own, if it is named like a PI."""
     if len(set(mig.pi_names)) != mig.num_pis:
         return False
     signal: dict[str, int] = {}
@@ -133,22 +158,95 @@ def test_registry_generators(name):
     )
 )
 def test_adversarial_names_round_trip_or_raise(mig):
-    if not _blif_can_carry(mig):
+    for write, read, can_carry in (
+        (write_blif, read_blif, _blif_can_carry),
+        (write_bench, read_bench, _bench_can_carry),
+    ):
+        if not can_carry(mig):
+            with pytest.raises(ValueError):
+                _text(write, mig)
+            continue
+        back = read(io.StringIO(_text(write, mig)))
+        assert back.pi_names == mig.pi_names
+        assert back.output_names == mig.output_names
+        assert back.simulate() == mig.simulate()
+
+
+def _verilog_can_carry(mig: Mig) -> bool:
+    """An independent statement of which networks Verilog can carry: an
+    escaped identifier is printable ASCII up to the space that ends it,
+    and a module declares each port once."""
+    ports = [*mig.pi_names, *mig.output_names]
+    return len(set(ports)) == len(ports) and all(
+        name and all(33 <= ord(ch) <= 126 for ch in name) for name in (mig.name, *ports)
+    )
+
+
+#: a Verilog token: an escaped identifier (its backslash and ending
+#: space dropped), a plain identifier or keyword, a constant, a symbol
+_VERILOG_TOKEN = re.compile(r"\\(\S+)\s|([A-Za-z_][A-Za-z0-9_]*)|(1'b[01])|(\S)")
+
+
+def _verilog_statements(text: str) -> list[list[str]]:
+    statements: list[list[str]] = [[]]
+    for escaped, word, const, symbol in _VERILOG_TOKEN.findall(text):
+        if symbol == ";":
+            statements.append([])
+        else:
+            statements[-1].append(escaped or word or const or symbol)
+    return [statement for statement in statements if statement]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    random_mig(
+        st.lists(ADVERSARIAL_NAME, min_size=1, max_size=5, unique=True),
+        st.lists(ADVERSARIAL_NAME, min_size=1, max_size=5),
+        own_pi_outputs=True,
+    )
+)
+def test_adversarial_names_in_verilog(mig):
+    """Every identifier is declared once, every ``assign`` drives a
+    declared wire or output once, and the assigns compute *mig*."""
+    if not _verilog_can_carry(mig):
         with pytest.raises(ValueError):
-            _text(write_blif, mig)
+            _text(write_verilog, mig)
         return
-    back = read_blif(io.StringIO(_text(write_blif, mig)))
-    assert back.pi_names == mig.pi_names
-    assert back.output_names == mig.output_names
-    assert back.simulate() == mig.simulate()
+    statements = _verilog_statements(_text(write_verilog, mig))
+    declared: dict[str, list[str]] = {"input": [], "output": [], "wire": []}
+    mask = tt_mask(mig.num_pis)
+    values = {name: tt_var(mig.num_pis, i) for i, name in enumerate(mig.pi_names)}
+    for keyword, *words in statements:
+        if keyword in declared:
+            declared[keyword] += [w for w in words if w != ","]
+        elif keyword == "assign":
+            target, equals, *expression = words
+            assert equals == "=" and target not in values, target
+            assert target in declared["wire"] or target in declared["output"], target
+            values[target] = eval(  # noqa: S307 - the writer's own output
+                " ".join(_python_term(w, mask) for w in expression),
+                {"values": values},
+            )
+    names = [*declared["input"], *declared["output"], *declared["wire"]]
+    assert len(names) == len(set(names))
+    assert declared["input"] == list(mig.pi_names)
+    assert declared["output"] == list(mig.output_names)
+    assert [values[name] for name in mig.output_names] == list(mig.simulate())
+
+
+def _python_term(word: str, mask: int) -> str:
+    """A Verilog expression token as Python over truth tables."""
+    if word in "()&|":
+        return word
+    return {"~": f"{mask} ^", "1'b0": "0", "1'b1": str(mask)}.get(word, f"values[{word!r}]")
 
 
 @pytest.mark.parametrize("name", UNWRITABLE_NAMES)
-@pytest.mark.parametrize("role", ["input", "output"])
+@pytest.mark.parametrize("role", ["model", "input", "output"])
 def test_unwritable_names_raise_naming_them(role, name):
     mig = Mig(name="m")
-    a = mig.add_pi("p" if role == "output" else name)
-    mig.add_po(mig.maj(a, mig.add_pi("q"), mig.add_pi("r")), "f" if role == "input" else name)
-    assert not _blif_can_carry(mig)
+    a = mig.add_pi(name if role == "input" else "p")
+    mig.add_po(mig.maj(a, mig.add_pi("q"), mig.add_pi("r")), name if role == "output" else "f")
+    assert _blif_can_carry(mig) == (role == "model")
     with pytest.raises(ValueError, match=f"{role} name {re.escape(repr(name))}"):
-        _text(write_blif, mig)
+        write_blif(mig, io.StringIO(), model_name=name if role == "model" else None)

@@ -34,7 +34,6 @@ def golden_metrics() -> PassMetrics:
             setattr(metrics, spec.name, 3 * offset + 1)
     metrics.db_hits, metrics.db_misses = 2, 1
     metrics.cuts_rejected = {"db-miss": 3, "no-gain": 7}
-    metrics.sat_backend_events = {"internal:win-sat": 2, "kissat:unknown": 1}
     metrics.phase_seconds = {"enumerate": 0.1234567891, "rewrite": 1.5}
     return metrics
 
@@ -48,7 +47,6 @@ def golden_objects() -> dict:
         variant="TF",
         max_passes=4,
         verify="cec",
-        sat_backend="portfolio",
         time_limit=12.5,
         conflict_limit=5000,
         cut_limit=6,
@@ -68,7 +66,6 @@ def golden_objects() -> dict:
         ),
         scripts=(("BF",), ("depth", "BF")),
         cut_sizes=(4, 5),
-        sat_backends=("internal", "portfolio"),
         conflict_limits=(None, 2000),
         verify="cec",
         time_limit=30.0,
@@ -140,6 +137,36 @@ def test_golden_decodes_to_the_same_objects():
         assert decoded.to_dict() == obj.to_dict(), name
 
 
+#: keys of fields that records written by earlier versions still carry:
+#: the SAT backend choice of a job and of a sweep's axis, and the
+#: per-lane counters of the solver portfolio those fields selected
+_RETIRED_METRICS = {"sat_backend_events": {"internal:win-sat": 2, "kissat:unknown": 1}}
+_RETIRED = {
+    "JobSpec": {"sat_backend": "portfolio"},
+    "SweepSpec": {"sat_backends": ["internal", "portfolio"]},
+    "PassMetrics": _RETIRED_METRICS,
+}
+
+
+def test_records_with_retired_keys_still_load():
+    """Journals, ``request.json``, ``sweep.json`` and worker artifacts
+    written before the SAT backend option was removed decode to the
+    record their remaining keys describe."""
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    classes = {
+        "JobSpec": JobSpec,
+        "SweepSpec": SweepSpec,
+        "BatchReport": BatchReport,
+        "PassMetrics": PassMetrics,
+    }
+    for name, cls in classes.items():
+        legacy = {**golden[name], **_RETIRED.get(name, {})}
+        if name == "BatchReport":
+            legacy["metrics"] = {**legacy["metrics"], **_RETIRED_METRICS}
+        assert legacy != golden[name], name
+        assert cls.from_dict(legacy) == cls.from_dict(golden[name]), name
+
+
 # ----------------------------------------------------------------------
 # round trips
 # ----------------------------------------------------------------------
@@ -166,7 +193,6 @@ job_specs = st.builds(
     variant=_text,
     max_passes=st.integers(),
     verify=st.sampled_from(["off", "sim", "cec"]),
-    sat_backend=_text,
     time_limit=_optional(_finite),
     conflict_limit=_optional(st.integers()),
     cut_limit=_optional(st.integers()),
@@ -188,7 +214,6 @@ sweep_specs = st.builds(
         max_size=3,
     ).map(tuple),
     cut_sizes=st.lists(st.integers(), max_size=3).map(tuple),
-    sat_backends=st.lists(_text, max_size=3).map(tuple),
     conflict_limits=st.lists(_optional(st.integers()), max_size=3).map(tuple),
     verify=_text,
     time_limit=_optional(_finite),
@@ -204,7 +229,6 @@ def pass_metrics(draw) -> PassMetrics:
         if spec.type in ("int", int):
             setattr(metrics, spec.name, draw(_count))
     metrics.cuts_rejected = draw(st.dictionaries(_text, _count, max_size=3))
-    metrics.sat_backend_events = draw(st.dictionaries(_text, _count, max_size=3))
     metrics.phase_seconds = draw(st.dictionaries(_text, _seconds, max_size=3))
     return metrics
 

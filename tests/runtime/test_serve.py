@@ -199,6 +199,14 @@ class TestValidation:
         assert code == 400 and "output 'a'" in payload["detail"], payload
         assert not idle_service.jobs
 
+    def test_upload_whose_model_blif_cannot_write_is_400(self, idle_service):
+        # A legal model name ending in a backslash: the result's
+        # ".model x\" line would swallow the ".inputs" line after it.
+        blif = ".model x\\ \n.inputs a\n.outputs f\n.names a f\n0 1\n.end\n"
+        code, payload = idle_service.submit({"network": {"blif": blif}})
+        assert code == 400 and "model name 'x\\\\'" in payload["detail"], payload
+        assert not idle_service.jobs
+
     def test_aiger_upload_named_like_a_gate_is_stored_readable(self, idle_service):
         aag = "aag 4 3 0 1 1\n2\n4\n6\n8\n8 2 4\ni0 a\ni1 n3\ni2 n4\no0 f\n"
         code, payload = idle_service.submit({"network": {"aag": aag}})

@@ -20,11 +20,9 @@ from typing import TYPE_CHECKING
 from repro.core.mig import Mig
 from repro.sat.cec import CecResult
 from repro.sat.cnf import CnfBuilder
-from repro.sat.portfolio import resolve_backend
 
 if TYPE_CHECKING:
     from repro.runtime.budget import Budget
-    from repro.sat.portfolio import PortfolioSolver
 
 __all__ = ["frozen_check_equivalence_sat"]
 
@@ -51,18 +49,12 @@ def frozen_check_equivalence_sat(
     mig2: Mig,
     conflict_budget: int | None = None,
     budget: "Budget | None" = None,
-    sat_backend: "str | PortfolioSolver | None" = "internal",
 ) -> CecResult:
     """Prove or refute equivalence of two MIGs with identical interfaces.
 
     A shared :class:`repro.runtime.budget.Budget` bounds the solve by its
     wall-clock deadline and (when *conflict_budget* is not given) by its
     remaining conflicts; the conflicts spent are charged back to it.
-
-    *sat_backend* selects the solving path: a ``--sat-backend`` mode
-    string (``"auto"``/``"internal"``/``"portfolio"``), an already-built
-    :class:`~repro.sat.portfolio.PortfolioSolver` (shared across calls
-    so its event counters accumulate), or ``None`` for internal.
     """
     if mig1.num_pis != mig2.num_pis or mig1.num_pos != mig2.num_pos:
         raise ValueError("CEC requires matching PI/PO counts")
@@ -71,12 +63,7 @@ def frozen_check_equivalence_sat(
         deadline = budget.deadline
         if conflict_budget is None:
             conflict_budget = budget.call_conflict_budget()
-    portfolio = (
-        resolve_backend(sat_backend, budget=budget)
-        if isinstance(sat_backend, str)
-        else sat_backend
-    )
-    builder = CnfBuilder(portfolio=portfolio, budget=budget)
+    builder = CnfBuilder(budget=budget)
     pi_vars = builder.new_vars(mig1.num_pis)
     outs1 = _encode_mig(builder, mig1, pi_vars)
     outs2 = _encode_mig(builder, mig2, pi_vars)
@@ -90,13 +77,12 @@ def frozen_check_equivalence_sat(
     conflicts = builder.solver.conflicts
     if budget is not None:
         budget.charge_conflicts(conflicts)
-    events = portfolio.take_events() if portfolio is not None else {}
     if answer is None:
-        return CecResult(None, None, conflicts, events)
+        return CecResult(None, None, conflicts)
     if answer is False:
-        return CecResult(True, None, conflicts, events)
+        return CecResult(True, None, conflicts)
     cex = {
         name: builder.value(var)
         for name, var in zip(mig1.pi_names, pi_vars)
     }
-    return CecResult(False, cex, conflicts, events)
+    return CecResult(False, cex, conflicts)

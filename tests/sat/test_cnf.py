@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import time
 from itertools import product
 
+from repro.runtime.budget import Budget
 from repro.sat.cnf import CnfBuilder
 
 
@@ -102,3 +104,12 @@ class TestUnits:
         b.add_unit(-x)
         assert b.solve() is True
         assert not b.value(x)
+
+
+class TestBudget:
+    def test_cnf_builder_clamps_to_budget(self):
+        budget = Budget(deadline=time.monotonic() - 1.0)
+        builder = CnfBuilder(budget=budget)
+        a = builder.new_var()
+        builder.add_clause([a])
+        assert builder.solve() is None

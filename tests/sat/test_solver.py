@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,6 +125,19 @@ class TestHardInstances:
         s = pigeonhole(4)
         assert s.solve(conflict_budget=2) is UNKNOWN
         assert s.solve() is UNSAT
+
+    def test_expired_deadline_returns_unknown_and_solver_survives(self):
+        s = pigeonhole(4)
+        assert s.solve(deadline=time.monotonic() - 1.0) is UNKNOWN
+        assert s.solve() is UNSAT
+
+    def test_deadline_mid_search_stops_promptly(self):
+        # Pigeonhole(8) takes far longer than 0.2 s for the pure-python
+        # CDCL; a prompt UNKNOWN proves the conflict loop polls the clock.
+        s = pigeonhole(8)
+        start = time.monotonic()
+        assert s.solve(deadline=start + 0.2) is UNKNOWN
+        assert s.conflicts > 0 and time.monotonic() - start < 5.0
 
 
 class TestAssumptions:

@@ -169,6 +169,41 @@ class TestNumpyFree:
             assert "import numpy" not in source, path
 
 
+class TestProcessOwner:
+    """Rule 6: only repro.runtime imports the process and thread modules."""
+
+    def test_outside_runtime_flagged(self):
+        for target in ("subprocess", "threading", "multiprocessing.pool",
+                       "concurrent.futures", "concurrent"):
+            assert check_layers.process_owner_violation("repro.sat.solver", target)
+        assert check_layers.process_owner_violation("repro.cli", "threading")
+
+    def test_runtime_may_import_them(self):
+        assert not check_layers.process_owner_violation(
+            "repro.runtime.executors", "multiprocessing"
+        )
+        assert not check_layers.process_owner_violation("repro.runtime", "threading")
+
+    def test_rule_scoped_to_process_modules(self):
+        assert not check_layers.process_owner_violation("repro.sat.solver", "time")
+        assert not check_layers.process_owner_violation(
+            "repro.sat.cec", "repro.runtime.budget"
+        )
+
+    def test_a_type_checking_import_counts(self, tmp_path, monkeypatch):
+        """An import under ``if TYPE_CHECKING`` is still an import."""
+        package = tmp_path / "repro" / "sat"
+        package.mkdir(parents=True)
+        module = package / "solver.py"
+        module.write_text(
+            "from typing import TYPE_CHECKING\n"
+            "if TYPE_CHECKING:\n    import threading\n"
+        )
+        monkeypatch.setattr(check_layers, "SRC", tmp_path)
+        (violation,) = check_layers.check_file(module)
+        assert "repro.sat.solver imports threading" in violation
+
+
 class TestPrivateNames:
     """Rule 5: no repro module imports a ``_``-prefixed name from another."""
 

@@ -30,6 +30,10 @@ Rules enforced (on ``import`` statements, resolved per module):
    ``repro`` module — a private name is internal to the module that
    defines it, so another module reaching for it couples to its
    implementation (``from .simengine import _PATTERN_IDS`` did).
+6. Only ``repro.runtime`` imports ``subprocess``, ``threading``,
+   ``multiprocessing`` or ``concurrent.futures``: the runtime owns every
+   process and thread the package starts, with its kill discipline and
+   its leak checks, so nothing else may start one on the side.
 
 Exit status 0 when clean; 1 with one line per violation otherwise.
 Runs from any directory; stdlib only (CI calls it before the test jobs).
@@ -59,12 +63,24 @@ NUMPY_FREE = (
     "repro.aig",
 )
 
+#: modules that start processes or threads; only repro.runtime imports
+#: them (rule 6).  ``concurrent`` covers ``from concurrent import futures``.
+PROCESS_MODULES = ("subprocess", "threading", "multiprocessing", "concurrent")
+
 
 def numpy_free_violation(module: str, target: str) -> bool:
     """True when *module* falls under rule 4 and *target* is numpy."""
     if target != "numpy" and not target.startswith("numpy."):
         return False
     return any(in_package(module, package) for package in NUMPY_FREE)
+
+
+def process_owner_violation(module: str, target: str) -> bool:
+    """True when *module* is outside ``repro.runtime`` and *target*
+    starts processes or threads (rule 6)."""
+    if in_package(module, "repro.runtime"):
+        return False
+    return any(in_package(target, owned) for owned in PROCESS_MODULES)
 
 
 def private_imports(module: str, target: str, node: ast.AST) -> list[str]:
@@ -123,17 +139,22 @@ def check_file(path: Path) -> list[str]:
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
         for target in resolve_import(module, node):
+            where = f"{path.relative_to(SRC.parent)}:{node.lineno}"
             if numpy_free_violation(module, target):
-                where = f"{path.relative_to(SRC.parent)}:{node.lineno}"
                 violations.append(
                     f"{where}: {module} imports {target} "
                     "(array code lives in core.simengine; the network store, "
                     "its facades and the cut consumers never import numpy)"
                 )
                 continue
+            if process_owner_violation(module, target):
+                violations.append(
+                    f"{where}: {module} imports {target} "
+                    "(only repro.runtime starts processes and threads)"
+                )
+                continue
             if not in_package(target, "repro"):
                 continue
-            where = f"{path.relative_to(SRC.parent)}:{node.lineno}"
             for name in private_imports(module, target, node):
                 violations.append(
                     f"{where}: {module} imports private name {name} from {target} "
