@@ -6,9 +6,9 @@ the same network converted to an AIG, and the construction network a
 BF pass on it hands to ``finish_pass`` (dead gates included).  Both
 sides run in this one process on the same networks: the walks the
 repository shipped before they were memoized, unrolled per arity or
-turned into a renumbering (frozen in ``tests/core/_frozen_kernel.py``)
-or made table-driven (``tests/io/_frozen_writer.py``) and the shipped
-ones.
+turned into a renumbering (frozen in ``tests/core/_frozen_kernel.py``),
+made table-driven (``tests/io/_frozen_writer.py``) or made flat
+(``tests/core/_frozen_cuts.py``) and the shipped ones.
 
 * ``levels`` — the per-node level walk.  The memo is dropped with
   ``invalidate_arrays()`` before every repetition, so the ratio measures
@@ -22,12 +22,22 @@ ones.
 * ``write_blif`` — the MIG written as BLIF text: one name-helper call
   per fanin and rows built a character at a time (frozen) against the
   table-driven writer (shipped).
+* ``enumerate`` — the cut layer of a rewriting pass at flow-suite's
+  settings (k = 4, ``cut_limit`` 8): ``enumerate_cut_set`` plus
+  ``prepare_lookup_table``, fanout-free restricted on the MIG and the
+  AIG; ``enumerate_all`` is the same on the MIG unrestricted.  Frozen:
+  one ``fanins()`` call and ``ffr_fanout`` test per fanin, one slot per
+  trivial cut and a program row per gate cut, kept in Python lists;
+  shipped: one loop per arity, known leaf-level tables, one shared
+  trivial slot and typed program rows.
 
 Each side records its minimum wall time over ``REPEAT`` runs per case
 and walk, and every walk's result must be identical on both sides: the
 levels, the check's outcome, the rebuilt network's node array, strash
 table, outputs and counters, the cleaned network's node array,
-outputs, names and strash table, and the BLIF text byte for byte.
+outputs, names and strash table, the BLIF text byte for byte, and
+every node's ``(leaves, signature, cone size)`` list with each entry's
+table and database answer, plus the ``PassMetrics`` counters.
 
 * ``--quick`` — seven kinds: the deepest, widest and largest shapes.
 * the full set covers all 14 flow-suite kinds.
@@ -57,16 +67,22 @@ from pathlib import Path
 
 import repro.rewriting.bottom_up as bottom_up
 from repro.aig.convert import mig_to_aig
+from repro.core.cuts import enumerate_cut_set
 from repro.core.mig import Mig
 from repro.database.npn_db import NpnDatabase
 from repro.generators import GENERATORS
 from repro.io.blif import write_blif
 from repro.opt.depth_opt import optimize_depth
+from repro.rewriting.batch import prepare_lookup_table
 from repro.rewriting.engine import functional_hashing
+from repro.runtime.metrics import PassMetrics
 
 # The frozen walks are a test reference; import them from the
 # repository root.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.core._frozen_cuts import (  # noqa: E402
+    enumerate_cut_set as frozen_enumerate_cut_set,
+)
 from tests.core._frozen_kernel import (  # noqa: E402
     frozen_check,
     frozen_cleanup,
@@ -170,6 +186,48 @@ def blif_text(writer, net: Mig) -> str:
     return buf.getvalue()
 
 
+#: the cut size and priority limit of flow-suite's BF and TFD passes
+CUT_SIZE, CUT_LIMIT = 4, 8
+
+
+def cut_layer(enumerate_cuts, db: NpnDatabase, restricted: bool):
+    """The cut layer of a pass: enumerate, then look every cut up.
+
+    Returns the cut set, the answers by slot and the pass counters; the
+    comparison reads them through :func:`cut_layer_view`, untimed.
+    """
+
+    def walk(net):
+        metrics = PassMetrics()
+        cuts = enumerate_cuts(
+            net,
+            CUT_SIZE,
+            CUT_LIMIT,
+            metrics,
+            net.fanout_counts() if restricted else None,
+        )
+        return cuts, prepare_lookup_table(cuts, db, metrics), metrics
+
+    return walk
+
+
+def cut_layer_view(result) -> tuple:
+    """Every node's entries with their tables and answers, and the
+    counters: what a rewriter reads from the layer, slot numbers aside."""
+    cuts, answers, metrics = result
+    tables = cuts.slot_tables(CUT_SIZE)
+    counters = metrics.to_dict()
+    del counters["phase_seconds"]
+    return (
+        [
+            [(leaves, sig, size, tables[slot], answers[slot])
+             for leaves, sig, size, slot in node]
+            for node in cuts.entries
+        ],
+        counters,
+    )
+
+
 def bf_construction(mig: Mig, db: NpnDatabase) -> Mig:
     """The network a BF pass on *mig* hands to ``finish_pass``."""
     seen = []
@@ -185,6 +243,23 @@ def bf_construction(mig: Mig, db: NpnDatabase) -> Mig:
     finally:
         bottom_up.finish_pass = finish_pass
     return seen[0]
+
+
+def walks(db: NpnDatabase) -> dict:
+    """walk -> (frozen, shipped, network kinds it runs on, the view of a
+    result that is compared, or None to compare results as they are)."""
+    table = {name: (*spec, None) for name, spec in WALKS.items()}
+    for name, restricted, kinds in (
+        ("enumerate", True, ("mig", "aig")),
+        ("enumerate_all", False, ("mig",)),
+    ):
+        table[name] = (
+            cut_layer(frozen_enumerate_cut_set, db, restricted),
+            cut_layer(enumerate_cut_set, db, restricted),
+            kinds,
+            cut_layer_view,
+        )
+    return table
 
 
 #: walk -> (frozen, shipped, network kinds it runs on)
@@ -227,18 +302,20 @@ def best_time(fn, net) -> tuple[float, object]:
 def run_case(kind: str, params: dict, db: NpnDatabase) -> tuple[dict, list[str]]:
     mig = optimize_depth(GENERATORS[kind][1](**params), rounds=2)
     nets = {"mig": mig, "aig": mig_to_aig(mig), "bf": bf_construction(mig, db)}
-    walks = {}
+    timings = {}
     failures = []
     name = case_name(kind, params)
-    for walk, (frozen, shipped, kinds) in WALKS.items():
+    for walk, (frozen, shipped, kinds, view) in walks(db).items():
         for net_kind in kinds:
             net = nets[net_kind]
             t_frozen, r_frozen = best_time(frozen, net)
             t_shipped, r_shipped = best_time(shipped, net)
+            if view is not None:
+                r_frozen, r_shipped = view(r_frozen), view(r_shipped)
             label = f"{walk}-{net_kind}"
             if r_frozen != r_shipped:
                 failures.append(f"{name}: {label} result differs from the frozen walk")
-            walks[label] = {
+            timings[label] = {
                 "frozen_s": round(t_frozen, 6),
                 "shipped_s": round(t_shipped, 6),
                 "identical": r_frozen == r_shipped,
@@ -250,7 +327,7 @@ def run_case(kind: str, params: dict, db: NpnDatabase) -> tuple[dict, list[str]]
         "aig_gates": nets["aig"].num_gates,
         "bf_gates": nets["bf"].num_gates,
         "bf_dead_gates": nets["bf"].num_gates - nets["bf"].cleanup().num_gates,
-        "walks": walks,
+        "walks": timings,
     }
     return entry, failures
 
@@ -299,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
             "speedup": round(frozen / max(shipped, 1e-9), 2),
         }
         print(
-            f"{label:11} {frozen * 1e3:8.2f} ms frozen -> {shipped * 1e3:8.2f} ms "
+            f"{label:17} {frozen * 1e3:8.2f} ms frozen -> {shipped * 1e3:8.2f} ms "
             f"shipped ({totals[label]['speedup']}x)"
         )
     speedup = round(geomean([t["speedup"] for t in totals.values()]), 2)

@@ -26,9 +26,13 @@ cuts (proper supersets of another cut of the same node) are pruned.  The
 :func:`enumerate_cut_set` is the one entry point, shared by the
 rewriters, the mapper and AIG rewriting: alongside the merge it records
 the flat cut-function program (:class:`_CutProgram`) that evaluates
-every cut truth table in one executor run.  That program is the only
-cut-table implementation; :func:`repro.core.simengine.cone_function`,
-which re-simulates one cut cone, is the reference the tests hold it to.
+every cut truth table in one executor run.  Every PI cut and every
+gate's trivial cut share one slot, whose table is ``x0``; a gate whose
+fanins are all PIs, shared gates or the constant gets its one
+non-trivial cut's table from :data:`_LEAF_TABLES` without a program
+row.  That program is the only cut-table implementation;
+:func:`repro.core.simengine.cone_function`, which re-simulates one cut
+cone, is the reference the tests hold it to.
 
 All traversals here are explicit-stack iterative so that deep (chain-
 shaped) networks never hit Python's recursion limit.
@@ -36,99 +40,131 @@ shaped) networks never hit Python's recursion limit.
 
 from __future__ import annotations
 
+from array import array
+from struct import Struct
+
 import numpy as np
 
 from ..runtime.metrics import PassMetrics
 from .kernel import Network
-from .simengine import evaluate_cut_program
+from .simengine import evaluate_cut_program, projection_int
 
 __all__ = ["CutSet", "enumerate_cut_set", "cut_cone_nodes"]
 
 #: Truth table of the single-variable projection x0 (trivial/PI cuts).
 _TT_X0 = 0b10
 
+#: the constant's empty cut, and the ``x0`` cut every PI and every
+#: gate's trivial cut share; gate cuts take the slots from 2 on
+_CONST_SLOT, _X0_SLOT, _FIRST_GATE_SLOT = 0, 1, 2
+
 #: width masks indexed by variable count; a program table fills at most
 #: 64 bits, so recorded cuts have at most 6 leaves
 _MASKS = (0b1, 0b11, 0xF, 0xFF, 0xFFFF, 0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF)
 _MAX_PROGRAM_VARS = len(_MASKS) - 1
+_MASK_ARRAY = np.array(_MASKS, np.uint64)
+
+
+def _leaf_tables(arity: int) -> tuple[int, ...]:
+    """Tables of a gate's cut over its own fanins, when each fanin is a
+    PI, a shared gate or the constant.
+
+    Such a gate has one non-trivial cut: its fanin nodes, in fanin order,
+    the constant dropped.  Its table is the gate function over
+    projections of those leaves.  Index: bit ``i`` is fanin ``i``'s
+    complement bit, and bit ``arity`` is set when the first fanin is the
+    constant (sorted fanins put it first).
+    """
+    tables = []
+    for const in (0, 1):
+        n = arity - const
+        mask = _MASKS[n]
+        inputs = [0] * const + [projection_int(n, i) for i in range(n)]
+        for bits in range(1 << arity):
+            v = [x ^ mask if bits >> i & 1 else x for i, x in enumerate(inputs)]
+            if arity == 3:
+                tables.append((v[0] & v[1]) | (v[0] & v[2]) | (v[1] & v[2]))
+            else:
+                tables.append(v[0] & v[1])
+    return tuple(tables)
+
+
+#: leaf-level cut tables per arity (see :func:`_leaf_tables`)
+_LEAF_TABLES = {3: _leaf_tables(3), 2: _leaf_tables(2)}
 
 
 class _CutProgram:
     """Flat cut-function program recorded *during* enumeration.
 
-    Each enumerated cut owns a slot; trivial / PI / constant cuts are
-    init slots with known seed tables, every merged gate cut becomes one
-    program row: its output slot, plus per fanin position the child
-    cut's slot, inversion bit, and don't-care mask (bit ``p`` set when
-    the row's leaf ``p`` is not a child leaf; 0 = child already on the
-    union leaf set).  Rows carry their **provenance-DAG level**
-    (1 + max child level), so the executor sweeps a few wide levels even
-    on chain-shaped networks whose *network* depth is in the hundreds.
+    Each enumerated cut owns a slot, with its leaf count in ``nv`` and
+    its **provenance-DAG level** in ``slot_lev``.  Init slots have known
+    tables: slot 0 is the constant's empty cut, slot 1 the ``x0`` that
+    every PI cut and every gate's trivial cut share, and a gate whose
+    fanins are all PIs, shared gates or the constant records its one
+    non-trivial cut as an init slot of level 1 with a
+    :data:`_LEAF_TABLES` table.  Every other merged gate cut is one
+    program row in ``rows``: its output slot and level (1 + max child
+    level), then per fanin position the child cut's slot, inversion bit
+    and don't-care mask (bit ``p`` set when the row's leaf ``p`` is not
+    a child leaf; 0 = child already on the union leaf set).  Levels let
+    the executor sweep a few wide levels even on chain-shaped networks
+    whose *network* depth is in the hundreds.
 
     Recording rides along the merge loop — the slots and leaf walks are
-    captured while the enumerator already holds them — which is what
-    makes the pipeline essentially free to set up (docs/PERFORMANCE.md).
+    captured while the enumerator already holds them.  ``nv``,
+    ``init_idx``, ``init_vals`` and ``rows`` are typed arrays, each row
+    packed into ``rows`` as int64 fields in one call, and
+    :meth:`evaluate` reads them with ``np.frombuffer``; ``slot_lev``
+    stays a list, which the merge loop reads per child
+    (docs/PERFORMANCE.md).
     """
 
-    __slots__ = (
-        "arity", "nv", "slot_lev", "init_idx", "init_vals",
-        "row_out", "row_lev", "row_child", "row_sign", "row_dc",
-    )
+    __slots__ = ("arity", "nv", "slot_lev", "init_idx", "init_vals", "rows")
 
     def __init__(self, arity: int) -> None:
         self.arity = arity
-        self.nv: list[int] = []
-        self.slot_lev: list[int] = []
-        self.init_idx: list[int] = []
-        self.init_vals: list[int] = []
-        self.row_out: list[int] = []
-        self.row_lev: list[int] = []
-        self.row_child: list[int] = []
-        self.row_sign: list[int] = []
-        self.row_dc: list[int] = []
+        self.nv = array("B", (0, 1))
+        self.slot_lev = [0, 0]
+        self.init_idx = array("q", (_CONST_SLOT, _X0_SLOT))
+        self.init_vals = array("Q", (0, _TT_X0))
+        self.rows = array("q")
 
-    def add_init(self, num_vars: int, value: int) -> int:
-        slot = len(self.nv)
-        self.nv.append(num_vars)
-        self.slot_lev.append(0)
-        self.init_idx.append(slot)
-        self.init_vals.append(value)
-        return slot
+    @property
+    def num_gate_cuts(self) -> int:
+        """Non-trivial gate cuts: every slot but the two shared ones."""
+        return len(self.nv) - _FIRST_GATE_SLOT
 
-    def evaluate(self) -> tuple[np.ndarray, np.ndarray]:
-        """Assemble the flat arrays and run the executor once.
+    def evaluate(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Run the executor once on the recorded arrays.
 
-        Returns the per-slot tables and variable counts.  Only inversion
-        *bits* are recorded per fanin; the width masks of the rows'
-        variable counts are broadcast onto them here, so the hot
-        recording loop never evaluates a conditional per fanin.
+        Returns the per-slot tables, the per-slot variable counts and
+        the number of provenance levels.  Only inversion *bits* are
+        recorded per fanin; the width masks of the rows' variable counts
+        are broadcast onto them here, so the hot recording loop never
+        evaluates a conditional per fanin.
         """
-        n = len(self.row_out)
         arity = self.arity
-        nv = np.fromiter(self.nv, np.int64, len(self.nv))
-        out = np.fromiter(self.row_out, np.int64, n)
-        mask = np.array(_MASKS, np.uint64)[nv[out]]
-        comp = np.fromiter(self.row_sign, np.uint64, arity * n).reshape(n, arity)
-        comp *= mask[:, None]
+        rows = np.frombuffer(self.rows, np.int64).reshape(-1, 2 + 3 * arity)
+        nv = np.frombuffer(self.nv, np.uint8)
+        out = rows[:, 0]
+        lev = rows[:, 1]
+        comp = rows[:, 3::3].astype(np.uint64)
+        comp *= _MASK_ARRAY[nv[out]][:, None]
         values = evaluate_cut_program(
-            len(self.nv),
-            np.fromiter(self.init_idx, np.int64, len(self.init_idx)),
-            np.fromiter(self.init_vals, np.uint64, len(self.init_vals)),
-            np.fromiter(self.row_lev, np.int64, n),
+            len(nv),
+            np.frombuffer(self.init_idx, np.int64),
+            np.frombuffer(self.init_vals, np.uint64),
+            lev,
             out,
-            np.fromiter(self.row_child, np.int64, arity * n).reshape(n, arity),
+            rows[:, 2::3],
             comp,
-            np.fromiter(self.row_dc, np.uint8, arity * n).reshape(n, arity),
+            rows[:, 4::3],
             arity,
         )
-        return values, nv
-
-
-def _signature(leaves: tuple[int, ...]) -> int:
-    sig = 0
-    for leaf in leaves:
-        sig |= 1 << (leaf & 63)
-    return sig
+        levels = int(lev.max()) if lev.size else 0
+        if len(self.init_idx) > _FIRST_GATE_SLOT and levels < 1:
+            levels = 1  # leaf-level cuts sit at level 1
+        return values, nv, levels
 
 
 def _merge3(
@@ -256,155 +292,180 @@ def _enumerate(
     cubic merge space shrinks at every shared fanin, and — because the
     restricted cones are trees — the entries' cone size is the exact
     cone gate count.  In unrestricted mode it over-counts shared gates.
+
+    Each node has one *source* list, the cuts its fanouts merge: a
+    gate's own entries, or under FFR restriction, for a shared gate,
+    its trivial cut alone.  A gate whose sources each hold one entry
+    (every fanin a PI, the constant or a shared gate — 50–80 % of gates
+    on the EPFL suite under FFR restriction) has one non-trivial cut,
+    its fanin set, whose table is known (:data:`_LEAF_TABLES`): no
+    merge, no pruning, no program row.
     """
     if k < 1:
         raise ValueError("cut size k must be at least 1")
     arity = mig.arity
     if arity not in (2, 3):
         raise ValueError(f"unsupported gate arity {arity}")
-    num_nodes = mig.num_nodes
-    work: list[list[tuple[tuple[int, ...], int, int, int]]] = [
-        [] for _ in range(num_nodes)
-    ]
-    work[0] = [((), 0, 0, program.add_init(0, 0))]
-    for node in range(1, mig.num_pis + 1):
-        leaves = (node,)
-        work[node] = [(leaves, _signature(leaves), 0, program.add_init(1, _TT_X0))]
-    #: gate -> slot of its trivial singleton cut: a shared FFR leaf is
-    #: the same (node, leaves) key, so its source reuses that slot.
-    trivial_slots: dict[int, int] = {}
-    #: child -> memoized singleton source list for shared FFR leaves
-    ffr_sources: dict[int, list] = {}
-    num_pis = mig.num_pis
+    fanins = mig._fanins
+    num_nodes = len(fanins)
+    first_gate = mig.num_pis + 1
+    work: list = [None] * num_nodes
+    work[0] = [((), 0, 0, _CONST_SLOT)]
+    for node in range(1, first_gate):
+        work[node] = [((node,), 1 << (node & 63), 0, _X0_SLOT)]
+    sources = list(work)
+    # Unrestricted, every gate expands as if it had one fanout.
+    fanout = ffr_fanout if ffr_fanout is not None else [1] * num_nodes
+    # A leaf-level cut wider than k, or any cut at cut_limit < 1, is dropped.
+    leaf_k = k if cut_limit > 0 else -1
+    tables = _LEAF_TABLES[arity]
     total_cuts = 0
-    ffr = ffr_fanout is not None
-    # The slot bookkeeping below (gate-cut recording, trivial-cut init
-    # slots) is fully inlined with the list append methods bound once:
-    # one attribute walk per *pass*, not per cut, keeps the ride-along
-    # recording nearly free.
+    # The slot bookkeeping below is fully inlined with the append
+    # methods bound once: one attribute walk per *pass*, not per cut,
+    # keeps the ride-along recording nearly free.  A row is packed into
+    # bytes in one call and appended in one more: ``array.extend`` of a
+    # tuple inserts item by item, four times slower.
     nslots = len(program.nv)
     slot_lev = program.slot_lev
-    p_nv_append = program.nv.append
-    p_slot_lev_append = slot_lev.append
+    nv_append = program.nv.append
+    lev_append = slot_lev.append
     init_idx_append = program.init_idx.append
     init_vals_append = program.init_vals.append
-    row_out_append = program.row_out.append
-    row_lev_append = program.row_lev.append
-    row_child_append = program.row_child.append
-    row_sign_append = program.row_sign.append
-    row_dc_append = program.row_dc.append
-    for node in mig.gates():
-        fanins = mig.fanins(node)
-        sources = []
-        for s in fanins:
-            child = s >> 1
-            if ffr and child > num_pis and ffr_fanout[child] != 1:
-                # Shared gate: a leaf, never expanded through.
-                src = ffr_sources.get(child)
-                if src is None:
-                    src = [((child,), 1 << (child & 63), 0, trivial_slots[child])]
-                    ffr_sources[child] = src
-                sources.append(src)
-            else:
-                sources.append(work[child])
-        # Single-entry sources are the overwhelmingly common case under
-        # FFR restriction (50–80% of gates on the EPFL suite: every
-        # child a PI, a shared gate, or the constant), and their merge
-        # is one union — skip the full ⊗k product and its pruning.
-        if arity == 3:
-            set1, set2, set3 = sources
+    rows_append = program.rows.frombytes
+    pack_row = Struct(f"{2 + 3 * arity}q").pack
+    if arity == 3:
+        for node in range(first_gate, num_nodes):
+            a, b, c = fanins[node]
+            set1 = sources[a >> 1]
+            set2 = sources[b >> 1]
+            set3 = sources[c >> 1]
+            trivial = ((node,), 1 << (node & 63), 0, _X0_SLOT)
             if len(set1) == 1 and len(set2) == 1 and len(set3) == 1:
                 e1, e2, e3 = set1[0], set2[0], set3[0]
-                l1, l2, l3 = e1[0], e2[0], e3[0]
-                if len(l1) < 2 and len(l2) < 2 and len(l3) < 2:
-                    # Singleton (or constant-empty) leaf tuples: the
-                    # fanin invariants make them distinct and ascending,
-                    # so the concatenation is the sorted union.
-                    leaves = l1 + l2 + l3
+                # Singleton (or constant-empty) leaf tuples: the fanin
+                # invariants make them distinct and ascending, so the
+                # concatenation is the sorted union.
+                leaves = e1[0] + e2[0] + e3[0]
+                if len(leaves) <= leaf_k:
+                    nv_append(len(leaves))
+                    lev_append(1)
+                    init_idx_append(nslots)
+                    init_vals_append(
+                        tables[(a & 1) | (b & 1) << 1 | (c & 1) << 2 | (a < 2) << 3]
+                    )
+                    cut = (leaves, e1[1] | e2[1] | e3[1], 1, nslots)
+                    nslots += 1
+                    entries = [trivial, cut] if len(leaves) > 1 else [cut, trivial]
                 else:
-                    leaves = tuple(sorted({*l1, *l2, *l3}))
-                if len(leaves) <= k:
-                    merged = [(
-                        leaves,
-                        e1[1] | e2[1] | e3[1],
-                        1 + e1[2] + e2[2] + e3[2],
-                        (e1, e2, e3),
-                    )]
-                else:
-                    merged = []
+                    entries = [trivial]
             else:
                 merged = _merge3(set1, set2, set3, k)
-        else:
-            set1, set2 = sources
+                if len(merged) > cut_limit:
+                    merged = merged[:cut_limit]
+                entries = []
+                for leaves, sig, size, (e1, e2, e3) in merged:
+                    # Don't-care masks: clear the positions of the
+                    # (sorted) child leaves within the (sorted) union
+                    # leaves — each child is a subset by merge
+                    # construction, so every probe hits.
+                    full = (1 << len(leaves)) - 1
+                    index = leaves.index
+                    dc1 = dc2 = dc3 = 0
+                    if e1[0] != leaves:
+                        dc1 = full
+                        for leaf in e1[0]:
+                            dc1 ^= 1 << index(leaf)
+                    if e2[0] != leaves:
+                        dc2 = full
+                        for leaf in e2[0]:
+                            dc2 ^= 1 << index(leaf)
+                    if e3[0] != leaves:
+                        dc3 = full
+                        for leaf in e3[0]:
+                            dc3 ^= 1 << index(leaf)
+                    s1, s2, s3 = e1[3], e2[3], e3[3]
+                    lev = slot_lev[s1]
+                    lev2 = slot_lev[s2]
+                    lev3 = slot_lev[s3]
+                    if lev < lev2:
+                        lev = lev2
+                    if lev < lev3:
+                        lev = lev3
+                    lev += 1
+                    nv_append(len(leaves))
+                    lev_append(lev)
+                    rows_append(pack_row(
+                        nslots, lev, s1, a & 1, dc1, s2, b & 1, dc2, s3, c & 1, dc3
+                    ))
+                    entries.append((leaves, sig, size, nslots))
+                    nslots += 1
+                # Keep the documented "ordered by increasing leaf count"
+                # contract: the trivial 1-leaf cut goes after existing
+                # narrower-or-equal cuts, before wider ones (insort_right
+                # semantics — hand-rolled, the key'd bisect was measurable).
+                lo = 0
+                n_entries = len(entries)
+                while lo < n_entries and len(entries[lo][0]) <= 1:
+                    lo += 1
+                entries.insert(lo, trivial)
+            work[node] = entries
+            sources[node] = entries if fanout[node] == 1 else [trivial]
+            total_cuts += len(entries)
+    else:
+        for node in range(first_gate, num_nodes):
+            a, b = fanins[node]
+            set1 = sources[a >> 1]
+            set2 = sources[b >> 1]
+            trivial = ((node,), 1 << (node & 63), 0, _X0_SLOT)
             if len(set1) == 1 and len(set2) == 1:
                 e1, e2 = set1[0], set2[0]
-                l1, l2 = e1[0], e2[0]
-                if len(l1) < 2 and len(l2) < 2:
-                    leaves = l1 + l2
+                leaves = e1[0] + e2[0]
+                if len(leaves) <= leaf_k:
+                    nv_append(len(leaves))
+                    lev_append(1)
+                    init_idx_append(nslots)
+                    init_vals_append(tables[(a & 1) | (b & 1) << 1 | (a < 2) << 2])
+                    cut = (leaves, e1[1] | e2[1], 1, nslots)
+                    nslots += 1
+                    entries = [trivial, cut] if len(leaves) > 1 else [cut, trivial]
                 else:
-                    leaves = tuple(sorted({*l1, *l2}))
-                if len(leaves) <= k:
-                    merged = [(
-                        leaves,
-                        e1[1] | e2[1],
-                        1 + e1[2] + e2[2],
-                        (e1, e2),
-                    )]
-                else:
-                    merged = []
+                    entries = [trivial]
             else:
                 merged = _merge2(set1, set2, k)
-        if len(merged) > cut_limit:
-            merged = merged[:cut_limit]
-        entries = []
-        for leaves, sig, size, child_entries in merged:
-            slot = nslots
-            nslots += 1
-            p_nv_append(len(leaves))
-            full = (1 << len(leaves)) - 1
-            lev = 0
-            index = leaves.index
-            for s, entry in zip(fanins, child_entries):
-                child_slot = entry[3]
-                child_lev = slot_lev[child_slot]
-                if child_lev > lev:
-                    lev = child_lev
-                row_child_append(child_slot)
-                row_sign_append(s & 1)
-                child_leaves = entry[0]
-                if child_leaves == leaves:
-                    row_dc_append(0)
-                else:
-                    # Clear the positions of the (sorted) child leaves
-                    # within the (sorted) union leaves — the child is a
-                    # subset by merge construction, so every probe hits.
-                    dc = full
-                    for leaf in child_leaves:
-                        dc ^= 1 << index(leaf)
-                    row_dc_append(dc)
-            lev += 1
-            p_slot_lev_append(lev)
-            row_out_append(slot)
-            row_lev_append(lev)
-            entries.append((leaves, sig, size, slot))
-        slot = nslots
-        nslots += 1
-        p_nv_append(1)
-        p_slot_lev_append(0)
-        init_idx_append(slot)
-        init_vals_append(_TT_X0)
-        trivial_slots[node] = slot
-        # Keep the documented "ordered by increasing leaf count" contract:
-        # the trivial 1-leaf cut goes after existing narrower-or-equal
-        # cuts, before wider ones (insort_right semantics — hand-rolled,
-        # the key'd bisect was measurable).
-        lo = 0
-        n_entries = len(entries)
-        while lo < n_entries and len(entries[lo][0]) <= 1:
-            lo += 1
-        entries.insert(lo, ((node,), 1 << (node & 63), 0, slot))
-        work[node] = entries
-        total_cuts += len(entries)
+                if len(merged) > cut_limit:
+                    merged = merged[:cut_limit]
+                entries = []
+                for leaves, sig, size, (e1, e2) in merged:
+                    full = (1 << len(leaves)) - 1
+                    index = leaves.index
+                    dc1 = dc2 = 0
+                    if e1[0] != leaves:
+                        dc1 = full
+                        for leaf in e1[0]:
+                            dc1 ^= 1 << index(leaf)
+                    if e2[0] != leaves:
+                        dc2 = full
+                        for leaf in e2[0]:
+                            dc2 ^= 1 << index(leaf)
+                    s1, s2 = e1[3], e2[3]
+                    lev = slot_lev[s1]
+                    lev2 = slot_lev[s2]
+                    if lev < lev2:
+                        lev = lev2
+                    lev += 1
+                    nv_append(len(leaves))
+                    lev_append(lev)
+                    rows_append(pack_row(nslots, lev, s1, a & 1, dc1, s2, b & 1, dc2))
+                    entries.append((leaves, sig, size, nslots))
+                    nslots += 1
+                lo = 0
+                n_entries = len(entries)
+                while lo < n_entries and len(entries[lo][0]) <= 1:
+                    lo += 1
+                entries.insert(lo, trivial)
+            work[node] = entries
+            sources[node] = entries if fanout[node] == 1 else [trivial]
+            total_cuts += len(entries)
     if metrics is not None:
         metrics.cuts_enumerated += total_cuts
     return work
@@ -444,7 +505,9 @@ class CutSet:
 
     ``cut_set[node]`` is the list of leaf tuples of *node*.
     :meth:`slot_tables` and :meth:`batch_tt4s` serve every cut function
-    at once from the program recorded during enumeration.
+    at once from the program recorded during enumeration.  Slots 0 and 1
+    are the constant's cut and the ``x0`` cut that every PI and trivial
+    gate cut shares; every other slot is one non-trivial gate cut.
     """
 
     def __init__(
@@ -462,11 +525,10 @@ class CutSet:
         self.metrics = metrics
         self._program = program
         # Program results (compute_functions): flat per-slot truth
-        # tables, per-slot var counts, the slots of non-trivial gate
-        # cuts, and the tables extended to one width.
+        # tables, per-slot var counts, and the tables extended to one
+        # width.
         self._values: np.ndarray | None = None
         self._nv: np.ndarray | None = None
-        self._gate_slots: np.ndarray | None = None
         self._extended: tuple[int, np.ndarray] | None = None
 
     @property
@@ -492,14 +554,11 @@ class CutSet:
         """
         program = self._program
         if self._values is None:
-            self._values, self._nv = program.evaluate()
-            self._gate_slots = np.fromiter(
-                program.row_out, np.int64, len(program.row_out)
-            )
+            self._values, self._nv, levels = program.evaluate()
             if self.metrics is not None:
-                self.metrics.batch_cut_functions += len(program.row_out)
-                self.metrics.batch_levels += max(program.row_lev, default=0)
-        return len(program.row_out)
+                self.metrics.batch_cut_functions += program.num_gate_cuts
+                self.metrics.batch_levels += levels
+        return program.num_gate_cuts
 
     def _extended_tables(self, num_vars: int) -> np.ndarray:
         """Per-slot tables extended to *num_vars* variables (cached).
@@ -537,10 +596,9 @@ class CutSet:
         Returns the **deduplicated, sorted** tt array — the input of one
         :meth:`repro.database.npn_db.NpnDatabase.lookup_batch` sweep.
         """
-        v = self._extended_tables(num_vars)[self._gate_slots]
-        # Sort plus adjacent-difference mask: the values and dtype of
-        # np.unique, which would import numpy.ma on a worker's first pass.
-        v.sort()
+        v = np.sort(self._extended_tables(num_vars)[_FIRST_GATE_SLOT:])
+        # Adjacent-difference mask: the values and dtype of np.unique,
+        # which would import numpy.ma on a worker's first pass.
         keep = np.ones(v.size, dtype=bool)
         np.not_equal(v[1:], v[:-1], out=keep[1:])
         return v[keep]

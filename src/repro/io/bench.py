@@ -152,27 +152,47 @@ def write_bench(mig: Mig, fp: TextIO) -> None:
     if uses_const:
         fp.write(f"{internal.const} = CONST0()\n")
 
-    def emit(signal: int) -> str:
-        if signal in names:
-            return names[signal]
-        node = signal >> 1
-        if signal & 1:
-            positive = emit(signal ^ 1)
-            inv = f"{base[node]}{sep}bar"
-            fp.write(f"{inv} = NOT({positive})\n")
-            names[signal] = inv
-            return inv
-        name = base[node]
-        if mig.is_gate(node):
-            a, b, c = mig.fanins(node)
-            na, nb, nc = emit(a), emit(b), emit(c)
-            ab, ac, bc = (f"{name}{sep}{tag}" for tag in ("ab", "ac", "bc"))
-            fp.write(f"{ab} = AND({na}, {nb})\n")
-            fp.write(f"{ac} = AND({na}, {nc})\n")
-            fp.write(f"{bc} = AND({nb}, {nc})\n")
-            fp.write(f"{name} = OR({ab}, {ac}, {bc})\n")
-        names[signal] = name
-        return name
+    def emit(root: int) -> str:
+        """Name *root*, writing its undefined cone first in post-order.
+
+        An explicit stack, so deep networks never hit the recursion
+        limit: the top signal is written once its operands are named,
+        and the first unnamed operand is pushed otherwise, which keeps
+        the order a recursive walk over ``a``, ``b``, ``c`` writes in.
+        """
+        stack = [root]
+        while stack:
+            signal = stack[-1]
+            if signal in names:
+                stack.pop()
+                continue
+            node = signal >> 1
+            if signal & 1:
+                positive = names.get(signal ^ 1)
+                if positive is None:
+                    stack.append(signal ^ 1)
+                    continue
+                inv = f"{base[node]}{sep}bar"
+                fp.write(f"{inv} = NOT({positive})\n")
+                names[signal] = inv
+            elif mig.is_gate(node):
+                fanin = mig.fanins(node)
+                pending = [s for s in fanin if s not in names]
+                if pending:
+                    stack.append(pending[0])
+                    continue
+                name = base[node]
+                na, nb, nc = (names[s] for s in fanin)
+                ab, ac, bc = (f"{name}{sep}{tag}" for tag in ("ab", "ac", "bc"))
+                fp.write(f"{ab} = AND({na}, {nb})\n")
+                fp.write(f"{ac} = AND({na}, {nc})\n")
+                fp.write(f"{bc} = AND({nb}, {nc})\n")
+                fp.write(f"{name} = OR({ab}, {ac}, {bc})\n")
+                names[signal] = name
+            else:
+                names[signal] = base[node]
+            stack.pop()
+        return names[root]
 
     for name, s in buffers:
         fp.write(f"{name} = BUFF({emit(s)})\n")

@@ -16,10 +16,31 @@ from .names import check_names, internal_names
 
 __all__ = ["write_verilog"]
 
+#: the reserved words of Verilog-2005 (IEEE 1364-2005, Annex B); a port
+#: or module named like one is written as an escaped identifier
+_KEYWORDS = frozenset(
+    """
+    always and assign automatic begin buf bufif0 bufif1 case casex casez cell
+    cmos config deassign default defparam design disable edge else end endcase
+    endconfig endfunction endgenerate endmodule endprimitive endspecify endtable
+    endtask event for force forever fork function generate genvar highz0 highz1
+    if ifnone incdir include initial inout input instance integer join large
+    liblist library localparam macromodule medium module nand negedge nmos nor
+    noshowcancelled not notif0 notif1 or output parameter pmos posedge
+    primitive pull0 pull1 pulldown pullup pulsestyle_ondetect
+    pulsestyle_onevent rcmos real realtime reg release repeat rnmos rpmos rtran
+    rtranif0 rtranif1 scalared showcancelled signed small specify specparam
+    strong0 strong1 supply0 supply1 table task time tran tranif0 tranif1 tri
+    tri0 tri1 triand trior trireg unsigned use uwire vectored wait wand weak0
+    weak1 while wire wor xnor xor
+    """.split()
+)
+
 
 def _escape(name: str) -> str:
-    """Make a signal name Verilog-safe."""
-    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+    """Make a signal name Verilog-safe: a plain identifier stays as it
+    is, anything else (a reserved word included) is escaped."""
+    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) and name not in _KEYWORDS:
         return name
     return "\\" + name + " "
 
@@ -28,8 +49,9 @@ def write_verilog(mig: Mig, fp: TextIO, module_name: str | None = None) -> None:
     """Write *mig* as a structural Verilog module.
 
     The module and its ports are escaped identifiers where they are not
-    plain ones; the gate wires are named by :func:`repro.io.names.
-    internal_names` (``n{g}`` unless a port takes one of those names).
+    plain ones or are Verilog-2005 reserved words; the gate wires are
+    named by :func:`repro.io.names.internal_names` (``n{g}`` unless a
+    port takes one of those names).
     What Verilog cannot carry raises :class:`ValueError`
     (:func:`repro.io.names.check_names`): a module or port name that is
     empty or holds whitespace or a character outside printable ASCII,

@@ -31,9 +31,9 @@ from __future__ import annotations
 from ..core.cuts import CutSet, enumerate_cut_set
 from ..core.mig import Mig
 from ..database.npn_db import NpnDatabase
-from ..runtime.metrics import PassMetrics
+from ..runtime.metrics import REJECT_REASONS, PassMetrics
 
-__all__ = ["prepare_lookup_table", "start_pass", "finish_pass"]
+__all__ = ["prepare_lookup_table", "start_pass", "flush_counts", "finish_pass"]
 
 
 def prepare_lookup_table(
@@ -43,9 +43,10 @@ def prepare_lookup_table(
 
     Returns the database answers indexed by cut slot
     (``entries[node][i][3]``): ``(entry, transform)``, or ``None`` for a
-    class without an entry.  Trivial cuts are not looked up: their slots
-    hold ``None`` unless a gate cut shares their table.  Cut tables of
-    up to ``db.num_vars`` (at most 6) inputs are covered.
+    class without an entry.  Trivial cuts are not looked up: every PI
+    and trivial gate cut shares one slot, which holds ``None`` unless a
+    gate cut shares its table ``x0``.  Cut tables of up to
+    ``db.num_vars`` (at most 6) inputs are covered.
     """
     num_vars = db.num_vars
     table = db.lookup_batch(cuts.batch_tt4s(num_vars))
@@ -87,6 +88,34 @@ def start_pass(
     with metrics.phase("batch"):
         answers = prepare_lookup_table(cuts, db, metrics)
     return levels, cuts, answers
+
+
+def flush_counts(
+    metrics: PassMetrics,
+    visited: int,
+    considered: int,
+    admitted: int,
+    rebuilt: int,
+    db_hits: int,
+    db_misses: int,
+    rejected: tuple[int, ...],
+) -> None:
+    """Add one pass's event counts, kept in locals by its loop, to *metrics*.
+
+    *rejected* holds the rejected-cut counts in
+    :data:`~repro.runtime.metrics.REJECT_REASONS` order; a reason that
+    never occurred adds no key.
+    """
+    metrics.nodes_visited += visited
+    metrics.cuts_considered += considered
+    metrics.cuts_admitted += admitted
+    metrics.nodes_rebuilt += rebuilt
+    metrics.db_hits += db_hits
+    metrics.db_misses += db_misses
+    by_reason = metrics.cuts_rejected
+    for reason, count in zip(REJECT_REASONS, rejected):
+        if count:
+            by_reason[reason] = by_reason.get(reason, 0) + count
 
 
 def finish_pass(new: Mig, db: NpnDatabase, metrics: PassMetrics) -> Mig:

@@ -19,7 +19,8 @@ NPN classes are precomputed for the whole pass
 F-variants, cut enumeration itself is restricted to fanout-free cuts
 (shared gates become leaves) so no per-cut admissibility walk runs at
 all and exact cone sizes fall out of the merge; and every event is
-counted in an optional :class:`~repro.runtime.metrics.PassMetrics`.
+counted in locals and added to the pass's
+:class:`~repro.runtime.metrics.PassMetrics` once, when the pass ends.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from ..core.cuts import cut_cone_nodes
 from ..core.mig import CONST0, Mig, make_signal
 from ..database.npn_db import NpnDatabase
 from ..runtime.metrics import PassMetrics
-from .batch import finish_pass, start_pass
+from .batch import finish_pass, flush_counts, start_pass
 
 __all__ = ["rewrite_bottom_up"]
 
@@ -235,22 +236,8 @@ def rewrite_bottom_up(
             best = cand[s >> 1][0]
             new.add_po(best.signal ^ (s & 1), name)
 
-    metrics.nodes_visited += mig.num_gates
-    metrics.cuts_considered += considered
-    metrics.cuts_admitted += admitted_total
-    metrics.nodes_rebuilt += rebuilt
-    metrics.db_hits += db_hits
-    metrics.db_misses += db_misses
-    rejected = {
-        "trivial": trivial_r,
-        "invalid-cone": invalid_r,
-        "db-miss": miss_r,
-        "no-gain": no_gain_r,
-        "depth-increase": depth_r,
-    }
-    for reason, count in rejected.items():
-        if count:
-            metrics.cuts_rejected[reason] = (
-                metrics.cuts_rejected.get(reason, 0) + count
-            )
+    flush_counts(
+        metrics, mig.num_gates, considered, admitted_total, rebuilt, db_hits,
+        db_misses, (trivial_r, invalid_r, miss_r, no_gain_r, depth_r),
+    )
     return finish_pass(new, db, metrics)

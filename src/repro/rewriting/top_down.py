@@ -26,8 +26,9 @@ explicit work stack instead of recursion (no ``sys.setrecursionlimit``
 games, deep chain MIGs are fine), cut truth tables and their NPN classes
 are precomputed for the whole pass (:mod:`repro.rewriting.batch`), the
 F-variants enumerate only fanout-free cuts (shared gates become leaves,
-so no per-cut admissibility walk runs), and every event is counted in an
-optional :class:`~repro.runtime.metrics.PassMetrics`.
+so no per-cut admissibility walk runs), and every event is counted in
+locals and added to the pass's :class:`~repro.runtime.metrics.PassMetrics`
+once, when the pass ends.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from ..core.cuts import cut_cone_nodes
 from ..core.mig import CONST0, Mig, make_signal
 from ..database.npn_db import NpnDatabase
 from ..runtime.metrics import PassMetrics
-from .batch import finish_pass, start_pass
+from .batch import finish_pass, flush_counts, start_pass
 
 __all__ = ["rewrite_top_down"]
 
@@ -63,19 +64,27 @@ def rewrite_top_down(
     for i in range(1, mig.num_pis + 1):
         memo[i] = make_signal(i)
 
+    # Counters stay in locals of this pass and are flushed into *metrics*
+    # once at its end — attribute stores and a method call per cut are
+    # measurable.
+    visited = considered = admitted = rebuilt = db_hits = db_misses = 0
+    trivial_r = invalid_r = miss_r = no_gain_r = depth_r = 0
+
     def best_cut(node: int):
         """Pick the admissible cut with the largest estimated reduction.
 
         Returns ``(leaves, entry, transform)`` — the database answer is
         threaded to the emit step so rebuilding pays no second lookup.
         """
+        nonlocal considered, admitted, db_hits, db_misses
+        nonlocal trivial_r, invalid_r, miss_r, no_gain_r, depth_r
         best = None
         for cut_entry in all_entries[node]:
             leaves = cut_entry[0]
             if leaves == (node,):
-                metrics.reject("trivial")
+                trivial_r += 1
                 continue
-            metrics.cuts_considered += 1
+            considered += 1
             if fanout_free:
                 # Restricted enumeration: fanout-free by construction,
                 # exact cone size rode along from the merge.
@@ -83,28 +92,28 @@ def rewrite_top_down(
             else:
                 internal = cut_cone_nodes(mig, node, leaves)
                 if internal is None:
-                    metrics.reject("invalid-cone")
+                    invalid_r += 1
                     continue
                 cone_gates = len(internal)
             answer = answers[cut_entry[3]]
             if answer is None:
-                metrics.db_misses += 1
-                metrics.reject("db-miss")
+                db_misses += 1
+                miss_r += 1
                 continue
-            metrics.db_hits += 1
+            db_hits += 1
             entry, transform = answer
             gain = cone_gates - entry.size
             if gain <= 0:
-                metrics.reject("no-gain")
+                no_gain_r += 1
                 continue
             if depth_preserving:
                 leaf_levels = [levels[leaf] for leaf in leaves]
                 leaf_levels += [0] * (db.num_vars - len(leaves))
                 new_level = db.instantiated_depth_entry(entry, transform, leaf_levels)
                 if new_level > levels[node]:
-                    metrics.reject("depth-increase")
+                    depth_r += 1
                     continue
-            metrics.cuts_admitted += 1
+            admitted += 1
             if best is None or gain > best[0]:
                 best = (gain, leaves, entry, transform)
         if best is None:
@@ -119,6 +128,7 @@ def rewrite_top_down(
     choice_cache: dict = {}
 
     def opt(root: int) -> int:
+        nonlocal visited, rebuilt
         stack = [root]
         while stack:
             node = stack[-1]
@@ -126,7 +136,7 @@ def rewrite_top_down(
                 stack.pop()
                 continue
             if node not in choice_cache:
-                metrics.nodes_visited += 1
+                visited += 1
                 choice_cache[node] = best_cut(node)
             choice = choice_cache[node]
             if choice is not None:
@@ -142,7 +152,7 @@ def rewrite_top_down(
                 leaf_signals = [memo[leaf] for leaf in leaves]
                 leaf_signals += [CONST0] * (db.num_vars - len(leaves))
                 signal = db.rebuild_entry(new, entry, transform, leaf_signals)
-                metrics.nodes_rebuilt += 1
+                rebuilt += 1
             else:
                 a, b, c = mig.fanins(node)
                 signal = new.maj(
@@ -157,4 +167,8 @@ def rewrite_top_down(
     with metrics.phase("rewrite"):
         for s, name in zip(mig.outputs, mig.output_names):
             new.add_po(opt(s >> 1) ^ (s & 1), name)
+    flush_counts(
+        metrics, visited, considered, admitted, rebuilt, db_hits, db_misses,
+        (trivial_r, invalid_r, miss_r, no_gain_r, depth_r),
+    )
     return finish_pass(new, db, metrics)

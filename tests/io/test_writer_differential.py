@@ -1,14 +1,18 @@
-"""The BLIF writer against its frozen predecessor, and adversarial names.
+"""The BLIF and BENCH writers against their frozen predecessors, and
+adversarial names.
 
 On every network whose PI and PO names collide with none of the
 writer's internal names (``const0`` and ``n{g}``), the table-driven
-writer must produce the text of the writer frozen in
-``_frozen_writer.py`` byte for byte.  On every network at all, the BLIF
+BLIF writer and the explicit-stack BENCH writer must produce the text of
+the writers frozen in ``_frozen_writer.py`` byte for byte; a network too
+deep for the frozen BENCH writer's recursion must write and read back.
+On every network at all, the BLIF
 and BENCH writers must either write text that their reader reads back
 with the same PI and PO names and the same function, or refuse, with a
 :class:`ValueError`, exactly the networks whose names the format cannot
 carry; the Verilog writer must declare every identifier once, assign
-only declared wires and outputs, and compute the network's function.
+only declared wires and outputs, name no port or module by a reserved
+word, and compute the network's function.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from repro.generators import GENERATORS, layered_mig, resolve_generator
 from repro.core.truth_table import tt_mask, tt_var
 from repro.io.bench import read_bench, write_bench
 from repro.io.blif import read_blif, write_blif
-from repro.io.verilog import write_verilog
+from repro.io.verilog import _KEYWORDS, write_verilog
 from repro.opt.depth_opt import optimize_depth
 
 from . import _frozen_writer as frozen
@@ -40,6 +44,7 @@ def _text(writer, mig: Mig) -> str:
 
 def _assert_same_text(mig: Mig) -> None:
     assert _text(write_blif, mig) == _text(frozen.write_blif, mig), mig.name
+    assert _text(write_bench, mig) == _text(frozen.write_bench, mig), mig.name
 
 
 @st.composite
@@ -149,6 +154,21 @@ def test_registry_generators(name):
     _assert_same_text(optimize_depth(raw, rounds=2))
 
 
+def test_deep_chain_writes_as_bench():
+    """A 3,000-gate majority chain, far deeper than the recursion limit
+    allows a recursive writer, writes and reads back the same function."""
+    mig = Mig(name="chain")
+    x, y, z = mig.add_pi("x"), mig.add_pi("y"), mig.add_pi("z")
+    s = x
+    for i in range(3000):
+        s = mig.maj(s ^ (i & 1), y, z ^ (i >> 1 & 1))
+    mig.add_po(s, "f")
+    assert mig.num_gates == 3000 and mig.depth() == 3000
+    back = read_bench(io.StringIO(_text(write_bench, mig)))
+    assert back.pi_names == mig.pi_names and back.output_names == mig.output_names
+    assert back.simulate() == mig.simulate()
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     random_mig(
@@ -186,6 +206,14 @@ def _verilog_can_carry(mig: Mig) -> bool:
 #: space dropped), a plain identifier or keyword, a constant, a symbol
 _VERILOG_TOKEN = re.compile(r"\\(\S+)\s|([A-Za-z_][A-Za-z0-9_]*)|(1'b[01])|(\S)")
 
+#: Verilog-2005 reserved words, among them the ones the writer itself
+#: writes, that a port or a module may be named
+VERILOG_KEYWORDS = [
+    "always", "and", "assign", "begin", "buf", "end", "endmodule", "for",
+    "initial", "inout", "input", "module", "nand", "nor", "not", "or",
+    "output", "reg", "supply0", "tri", "uwire", "wire", "xnor", "xor",
+]
+
 
 def _verilog_statements(text: str) -> list[list[str]]:
     statements: list[list[str]] = [[]]
@@ -193,21 +221,31 @@ def _verilog_statements(text: str) -> list[list[str]]:
         if symbol == ";":
             statements.append([])
         else:
+            # Only a statement's first word may be a plain reserved
+            # word; a name spelled like one must be escaped.
+            assert not (word in VERILOG_KEYWORDS and statements[-1]), word
             statements[-1].append(escaped or word or const or symbol)
     return [statement for statement in statements if statement]
+
+
+#: the adversarial names, and reserved words
+VERILOG_NAME = ADVERSARIAL_NAME | st.sampled_from(VERILOG_KEYWORDS)
 
 
 @settings(max_examples=400, deadline=None)
 @given(
     random_mig(
-        st.lists(ADVERSARIAL_NAME, min_size=1, max_size=5, unique=True),
-        st.lists(ADVERSARIAL_NAME, min_size=1, max_size=5),
+        st.lists(VERILOG_NAME, min_size=1, max_size=5, unique=True),
+        st.lists(VERILOG_NAME, min_size=1, max_size=5),
         own_pi_outputs=True,
-    )
+    ),
+    st.sampled_from(["m", "module", "wire", "endmodule"]),
 )
-def test_adversarial_names_in_verilog(mig):
-    """Every identifier is declared once, every ``assign`` drives a
-    declared wire or output once, and the assigns compute *mig*."""
+def test_adversarial_names_in_verilog(mig, module):
+    """Every identifier is declared once, no port or module is a plain
+    reserved word, every ``assign`` drives a declared wire or output
+    once, and the assigns compute *mig*."""
+    mig.name = module
     if not _verilog_can_carry(mig):
         with pytest.raises(ValueError):
             _text(write_verilog, mig)
@@ -232,6 +270,24 @@ def test_adversarial_names_in_verilog(mig):
     assert declared["input"] == list(mig.pi_names)
     assert declared["output"] == list(mig.output_names)
     assert [values[name] for name in mig.output_names] == list(mig.simulate())
+
+
+def test_reserved_words_are_the_standards():
+    assert set(VERILOG_KEYWORDS) <= _KEYWORDS
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,7}", fullmatch=True).filter(
+        lambda name: name not in _KEYWORDS and name not in ("q", "r", "f")
+    )
+)
+def test_plain_names_that_are_not_reserved_keep_their_bytes(name):
+    mig = Mig(name=name)
+    a = mig.add_pi(name)
+    mig.add_po(mig.maj(a, mig.add_pi("q"), mig.add_pi("r")), "f")
+    text = _text(write_verilog, mig)
+    assert text.startswith(f"module {name}({name}, q, r, f);\n  input {name}, q, r;\n")
 
 
 def _python_term(word: str, mask: int) -> str:
